@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -307,6 +307,23 @@ class IntegrateOptions:
     first_step: float | None = None
 
 
+@dataclass(frozen=True)
+class IntegrationStats:
+    """What one :func:`integrate` call did.
+
+    ``accepted`` and ``rejected`` count the steps behind the returned
+    samples; ``rhs_calls`` counts every derivative evaluation, Jacobian
+    columns and rolled-back Rodas4 trials included.  ``stiff_from`` is the
+    time from which the call ran on Rodas4, or None when it stayed on DP45.
+    """
+
+    accepted: int
+    rejected: int
+    rhs_calls: int
+    jacobian_calls: int
+    stiff_from: float | None
+
+
 @dataclass
 class Trajectory:
     """Adaptive-step solution samples plus derived per-component outputs."""
@@ -317,6 +334,7 @@ class Trajectory:
     events: tuple[LoadEvent, ...]
     truncated: bool = False
     truncation_reason: str | None = None
+    stats: IntegrationStats | None = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -392,6 +410,57 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1 / 40,
 )
 
+# Hairer's DOPRI5 stiffness test: run every _STIFF_EVERY accepted steps (and
+# on every step while a streak is open); _STIFF_STREAK estimates of h*|lambda|
+# above _STIFF_HLAMBDA, without 6 calm ones in between, switch the call to
+# Rodas4
+_STIFF_EVERY = 10
+_STIFF_STREAK = 15
+_STIFF_HLAMBDA = 3.25
+# accepted Rodas4 steps after a switch before it is judged against DP45; a
+# failed trial pauses the stiffness test for _RETRY_STEPS accepted DP45
+# steps, doubling with every further failure
+_TRIAL_STEPS = 10
+_RETRY_STEPS = 200
+
+
+class _Switch(NamedTuple):
+    """The DP45 state at a switch to Rodas4, kept while Rodas4 is on trial."""
+
+    t: float
+    y: list
+    k1: list
+    h: float
+    samples: int
+    accepted: int
+    rejected: int
+    rhs_calls: int
+    dp45_step: float
+
+
+# Rodas4 (Hairer & Wanner, Solving ODEs II, IV.7) in transformed form: stage
+# i evaluates f at y + _R_A[i] @ u and adds _R_C[i] @ u / h; row 5 of _R_A
+# is the stage-6 argument, from which y_new = arg + u6
+_R_GAMMA = 0.25
+_R_NODES = (0.0, 0.386, 0.21, 0.63, 1.0, 1.0)
+_R_A = np.zeros((6, 5))
+_R_A[1, :1] = (1.544,)
+_R_A[2, :2] = (0.9466785280815826, 0.2557011698983284)
+_R_A[3, :3] = (3.314825187068521, 2.896124015972201, 0.9986419139977817)
+_R_A[4, :4] = (1.221224509226641, 6.019134481288629, 12.53708332932087,
+               -0.6878860361058950)
+_R_A[5] = (*_R_A[4, :4], 1.0)
+_R_C = np.zeros((6, 5))
+_R_C[1, :1] = (-5.6688,)
+_R_C[2, :2] = (-2.430093356833875, -0.2063599157091915)
+_R_C[3, :3] = (-0.1073529058151375, -9.594562251023355, -20.47028614809616)
+_R_C[4, :4] = (7.496443313967647, -10.24680431464352, -33.99990352819905,
+               11.70890893206160)
+_R_C[5] = (8.083246795921522, -7.981132988064893, -31.52159432874371,
+           16.31930543123136, -6.058818238834054)
+# upper bound on Hermite samples per Rodas4 step
+_MAX_PIECES = 1000
+
 
 def _initial_step(f, t0, y0, scale, max_step):
     f0 = f(t0, y0)
@@ -413,6 +482,105 @@ def _initial_step(f, t0, y0, scale, max_step):
     return min(100 * h0, h1, max_step), f0
 
 
+def _dp45_step(f, t, y, k1, h, atol, rtol):
+    """One Dormand-Prince trial step: (y_new, k7, error norm, k6, y6).
+
+    ``k1`` is f(t, y); ``k6`` and its argument ``y6`` feed the stiffness test.
+    """
+    n = len(y)
+    rng = range(n)
+    k2 = f(t + h / 5, [y[i] + h * (_A21 * k1[i]) for i in rng])
+    k3 = f(t + 0.3 * h, [y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng])
+    k4 = f(
+        t + 0.8 * h,
+        [y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in rng],
+    )
+    k5 = f(
+        t + (8 / 9) * h,
+        [
+            y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
+            for i in rng
+        ],
+    )
+    y6 = [
+        y[i]
+        + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
+        for i in rng
+    ]
+    k6 = f(t + h, y6)
+    y_new = [
+        y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
+        for i in rng
+    ]
+    k7 = f(t + h, y_new)  # FSAL stage
+    err_norm = 0.0
+    for i in rng:
+        err = h * (
+            _E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i]
+            + _E7 * k7[i]
+        )
+        if not math.isfinite(err):
+            return y_new, k7, math.inf, k6, y6
+        sc = atol[i] + rtol * max(abs(y[i]), abs(y_new[i]))
+        err_norm += (err / sc) ** 2
+    return y_new, k7, math.sqrt(err_norm / n), k6, y6
+
+
+def _looks_stiff(h, k6, k7, y6, y_new, scales) -> bool:
+    """Hairer's DOPRI5 test: h*|lambda|, estimated as h*|k7 - k6| / |y_new - y6|
+    in the norm scaled by the state scales, lies beyond the stability
+    boundary (3.25)."""
+    num = sum(((a - b) / w) ** 2 for a, b, w in zip(k7, k6, scales))
+    den = sum(((a - b) / w) ** 2 for a, b, w in zip(y_new, y6, scales))
+    return den > 0.0 and h * h * num > _STIFF_HLAMBDA ** 2 * den
+
+
+def _rodas4_step(f, t, y, f0, jac, h, atol, rtol):
+    """One Rodas4 trial step in transformed form: (y_new, f(y_new), error norm).
+
+    Each stage solves (I/(gamma*h) - J) u_i = f(y + sum a_ij u_j)
+    + sum c_ij u_j / h; the solution is the stage-6 argument plus u6, and u6
+    is the embedded error estimate.  f(y_new) is only evaluated when the
+    step passes.
+    """
+    y = np.asarray(y)
+    inv = np.linalg.inv(np.eye(y.size) / (_R_GAMMA * h) - jac)
+    u = np.empty((6, y.size))
+    with np.errstate(all="ignore"):
+        u[0] = inv @ np.asarray(f0)
+        for i in range(1, 6):
+            arg = y + _R_A[i, :i] @ u[:i]
+            rate = np.asarray(f(t + _R_NODES[i] * h, arg.tolist()), dtype=float)
+            u[i] = inv @ (rate + (_R_C[i, :i] @ u[:i]) / h)
+        y_new = arg + u[5]
+        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((u[5] / sc) ** 2)))
+    if not err_norm <= 1.0:
+        return None, None, err_norm if math.isfinite(err_norm) else math.inf
+    y_new = y_new.tolist()
+    return y_new, f(t + h, y_new), err_norm
+
+
+def _hermite_samples(y0, f0, y1, f1, h, atol, rtol):
+    """Interior points of the cubic Hermite interpolant on one step, spaced
+    so that linear interpolation between consecutive samples stays within
+    the step's error norm: (step fractions, states)."""
+    y0, f0, y1, f1 = (np.asarray(v, dtype=float) for v in (y0, f0, y1, f1))
+    d = y1 - y0
+    # |p''| is linear in the step fraction, so its maximum sits at an end
+    curv = np.maximum(np.abs(6.0 * d - h * (4.0 * f0 + 2.0 * f1)),
+                      np.abs(6.0 * d - h * (2.0 * f0 + 4.0 * f1)))
+    sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+    worst = float(np.sqrt(np.mean((curv / sc) ** 2)))
+    if not worst > 8.0:  # one piece suffices (also catches NaN)
+        return np.empty(0), np.empty((0, y0.size))
+    pieces = min(math.ceil(math.sqrt(worst / 8.0)), _MAX_PIECES)
+    s = np.arange(1, pieces)[:, None] / pieces
+    states = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0 + s * (1.0 - s) ** 2 * (h * f0)
+              + s * s * (3.0 - 2.0 * s) * y1 + s * s * (s - 1.0) * (h * f1))
+    return s[:, 0], states
+
+
 def integrate(
     ode: OdeSystem,
     x0: Sequence[float],
@@ -420,12 +588,23 @@ def integrate(
     t_span: tuple[float, float] = (0.0, 60.0),
     opts: IntegrateOptions | None = None,
 ) -> Trajectory:
-    """Adaptive embedded Runge-Kutta (Dormand-Prince 4/5) through load steps.
+    """Adaptive integration through load steps: Dormand-Prince 5(4), with an
+    automatic switch to Rodas4 once the problem shows stiffness.
 
-    The integration restarts exactly at each event time.  Divergence (any MG
-    frequency or ILC DC voltage beyond its bound, or a DC-bus collapse)
-    truncates the trajectory and sets the flag; a filter angle reaching
-    |eta| >= pi/2 aborts with :class:`AngleOutOfRange`.
+    The integration restarts exactly at each event time.  Every segment
+    starts on DP45 until Hairer's stiffness test (:func:`_looks_stiff` on
+    15 tests without 6 calm ones in between) fires; then the linearly
+    implicit Rodas4 step takes over, with a fresh finite-difference
+    Jacobian per accepted step.  After 10 accepted Rodas4 steps the switch
+    is judged: if Rodas4 spent more RHS calls than DP45 at its stability
+    limit would have, the call rolls back to the switch point and resumes
+    DP45 exactly where it left off; otherwise it stays on Rodas4 for the
+    rest of the call.  Each accepted Rodas4 step also emits cubic Hermite
+    samples, dense enough that linear interpolation between samples stays
+    within the step's tolerance.  Divergence (any MG frequency or ILC DC
+    voltage beyond its bound, or a DC-bus collapse) truncates the
+    trajectory and sets the flag; a filter angle reaching |eta| >= pi/2
+    aborts with :class:`AngleOutOfRange`.
     """
     opts = opts or IntegrateOptions()
     t0, t_end = t_span
@@ -440,6 +619,7 @@ def integrate(
             raise ValidationError(f"event references MG {ev.mg + 1}")
 
     atol = [a * opts.atol_scale for a in ode.state_atols]
+    atol_vec = np.array(atol)
     scales = list(ode.state_scales)
     rtol = opts.rtol
     loads = self_loads(ode)
@@ -454,12 +634,15 @@ def integrate(
     eta_indices = ode._eta_indices
 
     ts: list[float] = [t0]
-    ys: list[list[float]] = [list(map(float, x0))]
+    ys: list[Sequence[float]] = [list(map(float, x0))]
     truncated = False
     reason: str | None = None
 
-    def check_state(t, y):
+    def emit(t, y) -> bool:
+        """Record one sample; False when it ends the trajectory."""
         nonlocal truncated, reason
+        ts.append(t)
+        ys.append(y)
         for idx in eta_indices:
             if abs(y[idx]) >= math.pi / 2:
                 raise AngleOutOfRange(
@@ -476,6 +659,24 @@ def integrate(
             return False
         return True
 
+    eta_cols = list(eta_indices)
+    bound_cols = [idx for idx, _, _ in bound_checks]
+    bound_limits = np.array([limit for _, limit, _ in bound_checks])
+
+    def emit_block(times, block) -> bool:
+        """Record the rows of ``block`` as samples.  A vectorised screen
+        passes blocks that :func:`emit` would accept row by row; any other
+        block goes through :func:`emit` itself."""
+        with np.errstate(invalid="ignore"):
+            clean = (np.all(np.abs(block[:, eta_cols]) < math.pi / 2)
+                     and np.all(np.abs(block[:, bound_cols]) <= bound_limits)
+                     and np.all(np.isfinite(block)))
+        if clean:
+            ts.extend(times.tolist())
+            ys.extend(block)
+            return True
+        return all(emit(tt, row) for tt, row in zip(times.tolist(), block.tolist()))
+
     # event boundaries split the horizon into constant-load segments
     boundaries: list[float] = []
     pending = [ev for ev in events if t0 < ev.time < t_end]
@@ -488,6 +689,19 @@ def integrate(
         if ev.time <= t0:
             loads[ev.mg] += ev.delta_p_load
 
+    rhs_calls = 0
+    current_loads = tuple(loads)
+
+    def f(tt, yy):
+        nonlocal rhs_calls
+        rhs_calls += 1
+        return ode.derivative(tt, yy, current_loads)
+
+    accepted = rejected = jacobian_calls = 0
+    stiff_from: float | None = None
+    streak = calm = 0  # stiffness tests above / below the bound
+    quiet_until = failures = 0  # back-off after failed Rodas4 trials
+    switch: _Switch | None = None  # set while Rodas4 is on trial
     t = t0
     y = ys[0]
     segment_start = t0
@@ -497,9 +711,10 @@ def integrate(
                 loads[ev.mg] += ev.delta_p_load
 
         current_loads = tuple(loads)
-
-        def f(tt, yy):
-            return ode.derivative(tt, yy, current_loads)
+        if switch is not None:
+            # the switch fired on the last step of the previous segment
+            stiff_from = switch = None
+            streak = calm = 0
 
         try:
             h, k1 = _initial_step(f, t, y, scales, opts.max_step)
@@ -509,92 +724,80 @@ def integrate(
             raise StepSizeUnderflow(f"DC bus collapse at segment start t = {t:g} s")
         if opts.first_step is not None:
             h = min(opts.first_step, opts.max_step)
-        n = ode.dim
+        jac = None
         while t < boundary:
             h = min(h, boundary - t, opts.max_step)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflow(f"step size {h:g} at t = {t:g} s")
+            stiff = stiff_from is not None
             try:
-                rng = range(n)
-                k2 = f(t + h / 5, [y[i] + h * (_A21 * k1[i]) for i in rng])
-                k3 = f(
-                    t + 0.3 * h,
-                    [y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng],
-                )
-                k4 = f(
-                    t + 0.8 * h,
-                    [y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in rng],
-                )
-                k5 = f(
-                    t + (8 / 9) * h,
-                    [
-                        y[i]
-                        + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                        for i in rng
-                    ],
-                )
-                k6 = f(
-                    t + h,
-                    [
-                        y[i]
-                        + h
-                        * (
-                            _A61 * k1[i]
-                            + _A62 * k2[i]
-                            + _A63 * k3[i]
-                            + _A64 * k4[i]
-                            + _A65 * k5[i]
+                if not stiff:
+                    y_new, k7, err_norm, k6, y6 = _dp45_step(f, t, y, k1, h, atol, rtol)
+                else:
+                    if jac is None:
+                        jac = finite_difference_jacobian(
+                            lambda v: f(t, v.tolist()), np.array(y), ode.state_scales
                         )
-                        for i in rng
-                    ],
-                )
-                y_new = [
-                    y[i]
-                    + h
-                    * (
-                        _B1 * k1[i]
-                        + _B3 * k3[i]
-                        + _B4 * k4[i]
-                        + _B5 * k5[i]
-                        + _B6 * k6[i]
-                    )
-                    for i in rng
-                ]
-                k7 = f(t + h, y_new)  # FSAL stage
-            except (DcVoltageCollapse, ValueError, OverflowError):
-                # a trial stage overshot (bus collapse or float overflow);
-                # reject and shrink
+                        jacobian_calls += 1
+                    y_new, k7, err_norm = _rodas4_step(f, t, y, k1, jac, h, atol_vec, rtol)
+            except (DcVoltageCollapse, ValueError, OverflowError, np.linalg.LinAlgError):
+                # a trial stage overshot (bus collapse, float overflow or a
+                # singular stage matrix); reject and shrink
+                rejected += 1
                 h *= 0.2
                 continue
-            err_norm = 0.0
-            bad = False
-            for i in rng:
-                err = h * (
-                    _E1 * k1[i]
-                    + _E3 * k3[i]
-                    + _E4 * k4[i]
-                    + _E5 * k5[i]
-                    + _E6 * k6[i]
-                    + _E7 * k7[i]
-                )
-                sc = atol[i] + rtol * max(abs(y[i]), abs(y_new[i]))
-                if not math.isfinite(err):
-                    bad = True
+            # step-size exponent 1/(embedded order + 1) and growth cap per method
+            exponent, growth = (0.25, 6.0) if stiff else (0.2, 5.0)
+            if err_norm > 1.0:
+                rejected += 1
+                h *= max(0.2, min(1.0, 0.9 * err_norm ** -exponent))
+                continue
+            accepted += 1
+            if stiff:
+                jac = None
+                fractions, states = _hermite_samples(y, k1, y_new, k7, h, atol_vec, rtol)
+                if not emit_block(t + fractions * h, states):
                     break
-                err_norm += (err / sc) ** 2
-            err_norm = math.inf if bad else math.sqrt(err_norm / n)
-            if err_norm <= 1.0:
-                t += h
-                y = y_new
-                k1 = k7
-                ts.append(t)
-                ys.append(y)
-                if not check_state(t, y):
-                    break
-                factor = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
-                h *= max(0.2, factor)
-            else:
-                h *= max(0.2, min(1.0, 0.9 * err_norm ** -0.2))
+            elif accepted >= quiet_until and (streak or accepted % _STIFF_EVERY == 0):
+                if _looks_stiff(h, k6, k7, y6, y_new, scales):
+                    streak += 1
+                    calm = 0
+                    if streak == _STIFF_STREAK:
+                        stiff_from = float(t + h)
+                else:
+                    calm += 1
+                    if calm == 6:
+                        streak = 0
+            t += h
+            y = y_new
+            k1 = k7
+            if not emit(t, y):
+                break
+            h_done = h
+            factor = growth if err_norm == 0.0 else min(growth, 0.9 * err_norm ** -exponent)
+            h *= max(0.2, factor)
+            if switch is None:
+                if stiff_from is not None and not stiff:  # the test just fired
+                    switch = _Switch(t, y, k1, h, len(ts), accepted, rejected,
+                                     rhs_calls, h_done)
+                continue
+            trial_steps = accepted - switch.accepted
+            if trial_steps < _TRIAL_STEPS and t < boundary:
+                continue
+            # DP45 pinned at its stability limit takes 6 RHS calls per step
+            dp45_calls = 6 * (t - switch.t) / switch.dp45_step
+            if trial_steps < _TRIAL_STEPS or rhs_calls - switch.rhs_calls > dp45_calls:
+                # Rodas4 cost more than DP45 would have (or the segment ended
+                # before the trial did): resume DP45 at the switch
+                t, y, k1, h = switch.t, switch.y, switch.k1, switch.h
+                accepted, rejected = switch.accepted, switch.rejected
+                del ts[switch.samples:], ys[switch.samples:]
+                stiff_from = None
+                streak = calm = 0
+                if trial_steps == _TRIAL_STEPS:
+                    failures += 1
+                    quiet_until = accepted + _RETRY_STEPS * 2 ** (failures - 1)
+            switch = None
         if truncated:
             break
         segment_start = boundary
@@ -606,4 +809,5 @@ def integrate(
         events=events,
         truncated=truncated,
         truncation_reason=reason,
+        stats=IntegrationStats(accepted, rejected, rhs_calls, jacobian_calls, stiff_from),
     )

@@ -68,6 +68,8 @@ class SweepRequest:
             raise ValidationError(f"unknown direction {self.direction!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValidationError("interval bounds must be finite with lo < hi")
+        if self.log and self.lo <= 0:
+            raise ValidationError("log bisection needs lo > 0")
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,9 @@ def classify_stability(
     t_event = 1.0
     step = -disturbance_frac * bundle.rating(0)
     events = (LoadEvent(time=t_event, mg=0, delta_p_load=step),)
-    opts = IntegrateOptions(rtol=sim_rtol, atol_scale=10.0)
+    # the step cap keeps the settling tail sampled once the integrator has
+    # switched to large stiff steps
+    opts = IntegrateOptions(rtol=sim_rtol, atol_scale=10.0, max_step=horizon / 30.0)
     try:
         traj = integrate(ode, eq0.x, events, (0.0, t_event + horizon), opts)
     except NumericalError as exc:
@@ -142,9 +146,7 @@ def classify_stability(
 
 
 def _midpoint(lo: float, hi: float, log: bool) -> float:
-    if log:
-        return math.sqrt(lo * hi) if lo > 0 else math.sqrt((lo + 1e-300) * hi)
-    return 0.5 * (lo + hi)
+    return math.sqrt(lo * hi) if log else 0.5 * (lo + hi)
 
 
 def bisect_boundary(req: SweepRequest) -> BoundaryResult:
@@ -413,7 +415,12 @@ def _cache_key(args: tuple) -> str:
 
 def worker_count(requested: int | None = None) -> int:
     cap = os.environ.get("MULTIGRID_ILC_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValidationError(
+            f"MULTIGRID_ILC_THREADS must be an integer, got {cap!r}"
+        ) from None
     if requested is not None:
         limit = min(limit, requested)
     return max(1, limit)

@@ -125,3 +125,9 @@ def test_table3_plumbing(tmp_path, monkeypatch, capsys):
     assert captured_args["workers"] == 2
     assert (out / "table3.csv").exists()
     assert (out / "table3.txt").exists()
+
+
+def test_non_integer_thread_cap_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MULTIGRID_ILC_THREADS", "abc")
+    assert main(["table3", "--out", str(tmp_path / "t3")]) == 2
+    assert "MULTIGRID_ILC_THREADS" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from multigrid_ilc.analysis import linearize_closed_loop, spectral_abscissa
 from multigrid_ilc.engine import (
     IntegrateOptions,
     LoadEvent,
+    _rodas4_step,
     assemble,
     find_equilibrium,
     integrate,
@@ -20,7 +21,7 @@ from multigrid_ilc.errors import (
 from multigrid_ilc.ilc import Gains, IlcPhysical, IlcUnit
 from multigrid_ilc.mg import SwingGovernor
 from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
-from multigrid_ilc.scenario import build_system
+from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
 
 def two_mg_net():
@@ -269,3 +270,73 @@ def test_first_order_droop_mg_in_system():
     traj = integrate(ode, eq.x, (LoadEvent(0.0, 0, -1e6),), t_span=(0.0, 1.0))
     scaled = np.abs(traj.y - eq.x[None, :]) / ode.state_scales[None, :]
     assert np.max(scaled) < 1e-4
+
+
+def test_ieee39_stays_on_dp45():
+    """With its shipped load steps the accuracy-limited ieee39 case never
+    trips the stiffness test, so its DP45 step sequence is untouched."""
+    bundle = build_system(resolve(shipped_scenario("ieee39-reduced")))
+    traj = integrate(bundle.ode, [0.0] * bundle.ode.dim, bundle.events,
+                     (0.0, bundle.t_end), bundle.options)
+    stats = traj.stats
+    assert stats.stiff_from is None
+    assert stats.jacobian_calls == 0
+    assert stats.accepted == 12289
+    assert stats.rhs_calls == 80820
+    assert len(traj.t) == stats.accepted + 1
+
+
+def test_failed_rodas4_trial_rolls_back_to_dp45():
+    """Late load steps leave ieee39 ringing with DP45 at its stability limit,
+    so the stiffness test fires, but Rodas4 at rtol 1e-7 needs more RHS
+    calls than DP45: every trial is rolled back and the returned samples are
+    exactly those of DP45 alone (11235 steps)."""
+    doc = shipped_scenario("ieee39-reduced")
+    doc["events"] = [{"time": 155.91, "mg": 1, "delta_p_load": -54951242.0},
+                     {"time": 174.138, "mg": 3, "delta_p_load": 36920033.0}]
+    bundle = build_system(resolve(doc))
+    traj = integrate(bundle.ode, [0.0] * bundle.ode.dim, bundle.events,
+                     (0.0, bundle.t_end), bundle.options)
+    stats = traj.stats
+    assert stats.stiff_from is None
+    assert stats.jacobian_calls > 0  # the trials ran
+    assert stats.accepted == 11235
+    assert len(traj.t) == stats.accepted + 1
+
+
+def test_two_mg_disturbance_switches_to_rodas4(two_mg_resolved):
+    """The DC-bus pole makes the standardized disturbance check stiff: the
+    call switches after the load step and finishes in far fewer steps than
+    stability-limited DP45 would need (about 17k)."""
+    bundle = build_system(two_mg_resolved)
+    ode = bundle.ode
+    eq = find_equilibrium(ode)
+    step = -0.01 * bundle.rating(0)
+    traj = integrate(ode, eq.x, (LoadEvent(1.0, 0, step),), (0.0, 61.0),
+                     IntegrateOptions(rtol=1e-6, atol_scale=10.0))
+    stats = traj.stats
+    assert stats.stiff_from is not None and 1.0 < stats.stiff_from < 61.0
+    assert stats.jacobian_calls > 0
+    assert stats.accepted < 5000
+    assert traj.t[-1] == 61.0 and not traj.truncated
+    assert np.all(np.diff(traj.t) > 0)
+    # the trajectory settles on the post-step equilibrium
+    eq1 = find_equilibrium(ode, loads=[m.p_load + (step if j == 0 else 0.0)
+                                       for j, m in enumerate(bundle.models)])
+    assert np.max(np.abs(traj.final_state - eq1.x) / ode.state_scales) < 1e-4
+
+
+def test_rodas4_step_orders():
+    """One Rodas4 step on y' = -y^2 (exact Jacobian): the local error falls
+    as h^5 (order 4), the embedded estimate as h^4 (order 3)."""
+    def f(t, y):
+        return [-y[0] * y[0]]
+
+    errors, estimates = [], []
+    for h in (0.05, 0.025):
+        y_new, _, estimate = _rodas4_step(f, 0.0, [1.0], [-1.0], np.array([[-2.0]]),
+                                          h, np.array([1.0]), 0.0)
+        errors.append(abs(y_new[0] - 1.0 / (1.0 + h)))
+        estimates.append(estimate)
+    assert math.log2(errors[0] / errors[1]) > 4.5
+    assert 3.5 < math.log2(estimates[0] / estimates[1]) < 4.5

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from multigrid_ilc.errors import NonBracketing
+from multigrid_ilc import sweep
+from multigrid_ilc.errors import NonBracketing, ValidationError
 from multigrid_ilc.scenario import set_parameter
 from multigrid_ilc.sweep import (
     STABLE,
@@ -116,6 +118,11 @@ class TestHarness:
         monkeypatch.delenv("MULTIGRID_ILC_THREADS")
         assert worker_count(4) >= 1
 
+    def test_worker_count_rejects_non_integer(self, monkeypatch):
+        monkeypatch.setenv("MULTIGRID_ILC_THREADS", "abc")
+        with pytest.raises(ValidationError):
+            worker_count()
+
 
 def test_table3_row_set_matches_published_schemes():
     from multigrid_ilc.ilc import SCHEMES
@@ -134,3 +141,32 @@ def test_sweep_request_validation(two_mg_resolved):
     with pytest.raises(ValidationError):
         SweepRequest(two_mg_resolved, "ilc.K_dc", 0.0, 1.0,
                      direction="sideways", tol=0.01)
+
+
+def test_log_sweep_rejects_non_positive_lo(two_mg_resolved):
+    for lo in (0.0, -1.0):
+        with pytest.raises(ValidationError):
+            SweepRequest(two_mg_resolved, "ilc.tau", lo, 1.0,
+                         direction="max-stable", tol=0.01, log=True)
+    SweepRequest(two_mg_resolved, "ilc.K_dc", 0.0, 1.0,
+                 direction="min-stable", tol=0.01)
+
+
+@pytest.mark.parametrize("scheme", ["matching", "gfl-gfm-dual-droop"])
+def test_classifier_tail_window_is_sampled(scheme, scheme_scenario, monkeypatch):
+    """Large stiff steps must not leave the settling tail to one sample:
+    the window t >= 1 + 2*horizon/3 holds at least ten."""
+    integrate = sweep.integrate
+    seen = []
+
+    def recording_integrate(*args, **kwargs):
+        seen.append(integrate(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(sweep, "integrate", recording_integrate)
+    horizon = 60.0
+    cls = classify_stability(scheme_scenario(scheme), horizon=horizon)
+    assert cls.verdict == STABLE
+    (traj,) = seen
+    assert traj.stats.stiff_from is not None
+    assert int(np.sum(traj.t >= 1.0 + 2.0 * horizon / 3.0)) >= 10

@@ -16,7 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import EquilibriumPoint, OdeSystem, finite_difference_jacobian, self_loads
+from .engine import (
+    EquilibriumPoint,
+    OdeSystem,
+    finite_difference_jacobian,
+    scales_and_atols,
+)
 from .errors import SingularResolvent, ValidationError
 from .ilc import GFM, IlcUnit, ilc_derivative, ilc_output, unit_state_names
 from .linear import LinearSystem, transfer_matrix
@@ -45,20 +50,6 @@ _COND_FLAG_LIMIT = 1e12
 def default_grid(n_points: int = 400, w_min: float = 1e-2, w_max: float = 1e4) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) used by all sweeps."""
     return np.logspace(math.log10(w_min), math.log10(w_max), n_points)
-
-
-def _unit_scales(unit: IlcUnit, names: Sequence[str]) -> list[float]:
-    v_scale = 0.01 * unit.physical.v_dc_ref
-    p_scale = max(1e5, 1e-3 * unit.physical.b)
-    out = []
-    for name in names:
-        if name in ("vdc", "zeta"):
-            out.append(v_scale)
-        elif name.startswith("eta"):
-            out.append(1.0)
-        else:
-            out.append(p_scale)
-    return out
 
 
 def _split_jacobian(f_aug: Callable, x0: np.ndarray, scales, n: int, p: int):
@@ -91,8 +82,11 @@ def linearize_unit(
     x_state = np.zeros(n) if state is None else np.asarray(state, dtype=float)
     x_eq = np.concatenate([x_state, np.asarray(inputs, dtype=float)])
     gfm = unit.port_kind == GFM
-    p_scale = max(1e5, 1e-3 * unit.physical.b)
-    scales = _unit_scales(unit, names) + ([p_scale, p_scale] if gfm else [1.0, 1.0])
+    if gfm:
+        in_labels, out_labels = ("-p1", "-p2"), ("omega1", "omega2")
+    else:
+        in_labels, out_labels = ("omega1", "omega2"), ("-p1", "-p2")
+    scales, _ = scales_and_atols(unit, names + in_labels)
 
     def f_aug(z):
         x, u = tuple(z[:n]), (z[n], z[n + 1])
@@ -102,10 +96,6 @@ def linearize_unit(
         return np.array(rates + outs)
 
     a, b, c, d, flags = _split_jacobian(f_aug, x_eq, scales, n, 2)
-    if gfm:
-        in_labels, out_labels = ("-p1", "-p2"), ("omega1", "omega2")
-    else:
-        in_labels, out_labels = ("omega1", "omega2"), ("-p1", "-p2")
     return LinearSystem(
         a=a, b=b, c=c, d=d,
         state_labels=names, input_labels=in_labels, output_labels=out_labels,
@@ -117,7 +107,7 @@ def linearize_mg(model: MgModel) -> LinearSystem:
     """Finite-difference linearization of an MG model (input p, output omega)."""
     names = model.state_names
     n = len(names)
-    scales = [1.0 if nm == "omega" else 1e5 for nm in names] + [1e5]
+    scales, _ = scales_and_atols(model, names + ("p",))
 
     def f_aug(z):
         rates = mg_derivative(model, tuple(z[:n]), z[n], p_load=0.0)
@@ -141,7 +131,7 @@ def linearize_closed_loop(
     """
     if eq is None:
         x0 = np.zeros(ode.dim)
-        loads = tuple(self_loads(ode))
+        loads = ode.base_loads
     else:
         x0 = np.asarray(eq.x, dtype=float)
         loads = eq.loads

@@ -16,14 +16,7 @@ import numpy as np
 from . import analysis
 from .engine import integrate
 from .errors import MultigridError, NumericalError, ValidationError
-from .scenario import (
-    build_system,
-    dump_resolved,
-    load_scenario,
-    resolve,
-    shipped_scenario,
-    shipped_scenario_names,
-)
+from .scenario import build_system, dump_resolved, load_resolved, shipped_scenario_names
 from .svg import Series, write_svg
 from .sweep import SweepRequest, bisect_boundary, table3_harness
 
@@ -33,14 +26,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_resolved(source: str) -> dict:
-    if source in shipped_scenario_names():
-        return resolve(shipped_scenario(source))
-    return resolve(load_scenario(source))
-
-
 def _cmd_simulate(args) -> int:
-    resolved = _load_resolved(args.scenario)
+    resolved = load_resolved(args.scenario)
     bundle = build_system(resolved)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -84,7 +71,7 @@ def _check_index(value: int, count: int, what: str) -> None:
 
 
 def _cmd_linearize(args) -> int:
-    bundle = build_system(_load_resolved(args.scenario))
+    bundle = build_system(load_resolved(args.scenario))
     if args.ilc is not None:
         _check_index(args.ilc, bundle.network.n_ilcs, "ILC")
         lin = analysis.linearize_unit(bundle.units[args.ilc - 1])
@@ -110,7 +97,7 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_passivity(args) -> int:
-    bundle = build_system(_load_resolved(args.scenario))
+    bundle = build_system(load_resolved(args.scenario))
     _check_index(args.ilc, bundle.network.n_ilcs, "ILC")
     unit = bundle.units[args.ilc - 1]
     lin = analysis.linearize_unit(unit)
@@ -137,7 +124,7 @@ def _cmd_passivity(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    resolved = _load_resolved(args.scenario)
+    resolved = load_resolved(args.scenario)
     req = SweepRequest(
         resolved=resolved, path=args.param, lo=args.lo, hi=args.hi,
         direction=args.direction, tol=args.tol, log=args.log,
@@ -155,7 +142,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table3(args) -> int:
-    resolved = _load_resolved(args.scenario)
+    resolved = load_resolved(args.scenario)
     table = table3_harness(
         resolved, workers=args.workers, cache_dir=args.cache,
     )

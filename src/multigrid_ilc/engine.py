@@ -24,47 +24,40 @@ from .errors import (
     StepSizeUnderflow,
     ValidationError,
 )
-from .ilc import GFM, PARTIAL, make_sim_derivative, sim_state_names
-from .mg import FirstOrderDroop, MgModel
+from .ilc import GFM, PARTIAL, IlcUnit, make_sim_derivative, sim_state_names
+from .mg import MgModel, default_rating, mg_rhs
 from .network import ValidatedNetwork
 
-# absolute integration tolerances by state kind (SI units)
-_ATOL = {
-    "omega": 1e-9,
-    "p_m": 1e-3,
-    "p1": 1e-3,
-    "p2": 1e-3,
-    "pf1": 1e-3,
-    "pf2": 1e-3,
-    "p_eq": 1e-3,
-    "xi": 1e-3,
-    "xi1": 1e-3,
-    "xi2": 1e-3,
-    "vdc": 1e-6,
-    "zeta": 1e-6,
-    "eta": 1e-9,
-    "eta1": 1e-9,
-    "eta2": 1e-9,
-}
+def scales_and_atols(
+    owner: MgModel | IlcUnit, names: Sequence[str]
+) -> tuple[list[float], list[float]]:
+    """Scale and absolute integration tolerance of each named state (or port
+    variable) of one MG model or ILC unit, by kind of quantity.
 
-_ETA_STATES = ("eta", "eta1", "eta2")
-
-
-def _make_mg_rhs(model: MgModel) -> Callable:
-    if isinstance(model, FirstOrderDroop):
-        t_lag, d = model.T, model.D
-
-        def rhs(y, p):
-            return ((-d * y[0] + p) / t_lag,)
-
-        return rhs
-    m, d, t_g, inv_r = model.M, model.D, model.T_g, model.inv_R
-
-    def rhs(y, p):
-        w, p_m = y
-        return ((-d * w + p_m + p) / m, (-p_m - inv_r * w) / t_g)
-
-    return rhs
+    Angles and frequencies (rad, rad/s) scale with 1 and get atol 1e-9.  The
+    DC voltage and its integral scale with 1 % of the nominal DC voltage and
+    get atol 1e-6.  Everything else is a power or a power integral: it scales
+    with 1 % of the MG rating, or with the larger of 1e5 W and 1e-3 of the
+    ILC's filter power constant, and gets atol 1e-3.
+    """
+    if isinstance(owner, IlcUnit):
+        v_scale = 0.01 * owner.physical.v_dc_ref
+        p_scale = max(1e5, 1e-3 * owner.physical.b)
+    else:
+        v_scale = None
+        p_scale = 0.01 * default_rating(owner)
+    scales, atols = [], []
+    for name in names:
+        if name.startswith(("omega", "eta")):
+            scales.append(1.0)
+            atols.append(1e-9)
+        elif name in ("vdc", "zeta"):
+            scales.append(v_scale)
+            atols.append(1e-6)
+        else:
+            scales.append(p_scale)
+            atols.append(1e-3)
+    return scales, atols
 
 
 @dataclass(frozen=True)
@@ -75,14 +68,6 @@ class Component:
     index: int
     offset: int
     state_names: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.state_names)
-
-    @property
-    def slice(self) -> slice:
-        return slice(self.offset, self.offset + self.dim)
 
 
 @dataclass(frozen=True)
@@ -124,46 +109,30 @@ class OdeSystem:
         self.mg_components = self.components[: net.n_mgs]
         self.ilc_components = self.components[net.n_mgs :]
 
-        self._mg_rhs = [_make_mg_rhs(m) for m in self.models]
-        self._mg_offsets = [c.offset for c in self.mg_components]
-        self._mg_loads0 = [m.p_load for m in self.models]
+        self.base_loads = tuple(m.p_load for m in self.models)
+        self._mg_rhs = [mg_rhs(m) for m in self.models]
+        spans = [(c.offset, c.offset + len(c.state_names)) for c in self.components]
+        self._mg_spans = spans[: net.n_mgs]
         self._ilc_rhs = [make_sim_derivative(u) for u in self.units]
-        self._ilc_spans = [(c.offset, c.offset + c.dim) for c in self.ilc_components]
+        self._ilc_spans = spans[net.n_mgs :]
         self._ilc_ends = [(net.ilcs[l].mg_a, net.ilcs[l].mg_b) for l in range(net.n_ilcs)]
 
         scales = []
         atols = []
         names = []
         for comp in self.components:
-            if comp.kind == "mg":
-                model = self.models[comp.index]
-                from .mg import default_rating
-
-                p_scale = 0.01 * default_rating(model)
-                for name in comp.state_names:
-                    scales.append(1.0 if name == "omega" else p_scale)
-                    atols.append(_ATOL[name])
-                    names.append(f"mg{comp.index + 1}.{name}")
-            else:
-                unit = self.units[comp.index]
-                v_scale = 0.01 * unit.physical.v_dc_ref
-                p_scale = max(1e5, 1e-3 * unit.physical.b)
-                for name in comp.state_names:
-                    if name in ("vdc", "zeta"):
-                        scales.append(v_scale)
-                    elif name in _ETA_STATES:
-                        scales.append(1.0)
-                    else:
-                        scales.append(p_scale)
-                    atols.append(_ATOL[name])
-                    names.append(f"ilc{comp.index + 1}.{name}")
+            owner = self.models[comp.index] if comp.kind == "mg" else self.units[comp.index]
+            comp_scales, comp_atols = scales_and_atols(owner, comp.state_names)
+            scales += comp_scales
+            atols += comp_atols
+            names += [f"{comp.kind}{comp.index + 1}.{name}" for name in comp.state_names]
         self.state_scales = np.array(scales)
         self.state_atols = np.array(atols)
         self.state_names = tuple(names)
 
         # indices of filter-angle states, for the |eta| < pi/2 guard
         self._eta_indices = tuple(
-            i for i, n in enumerate(names) if n.split(".")[1] in _ETA_STATES
+            i for i, n in enumerate(names) if n.split(".")[1].startswith("eta")
         )
         self._vdc_index_by_ilc = {
             c.index: c.offset + c.state_names.index("vdc") for c in self.ilc_components
@@ -174,9 +143,8 @@ class OdeSystem:
     def derivative(self, t: float, y: Sequence[float], loads: Sequence[float] | None = None):
         """Full state derivative; ``loads`` are per-MG load deviations (W)."""
         if loads is None:
-            loads = self._mg_loads0
-        mg_offsets = self._mg_offsets
-        omegas = [y[o] for o in mg_offsets]
+            loads = self.base_loads
+        omegas = [y[lo] for lo, _ in self._mg_spans]
         p_in = list(loads)
         rates = [0.0] * self.dim
         for rhs, (lo, hi), (a, b) in zip(self._ilc_rhs, self._ilc_spans, self._ilc_ends):
@@ -184,10 +152,8 @@ class OdeSystem:
             rates[lo:hi] = seg_rates
             p_in[a] += pa
             p_in[b] += pb
-        for rhs, comp, p in zip(self._mg_rhs, self.mg_components, p_in):
-            rates[comp.offset : comp.offset + comp.dim] = rhs(
-                y[comp.offset : comp.offset + comp.dim], p
-            )
+        for rhs, (lo, hi), p in zip(self._mg_rhs, self._mg_spans, p_in):
+            rates[lo:hi] = rhs(y[lo:hi], p)
         return rates
 
     def connection_powers(self, y: Sequence[float]) -> list[tuple[float, float]]:
@@ -241,7 +207,7 @@ def find_equilibrium(
     Converged when the scaled residual infinity norm drops below
     ``tol * max(1, scaled state magnitude)``.
     """
-    loads = tuple(self_loads(ode) if loads is None else loads)
+    loads = tuple(ode.base_loads if loads is None else loads)
     x = np.zeros(ode.dim) if guess is None else np.asarray(guess, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValidationError("equilibrium guess must be finite")
@@ -282,10 +248,6 @@ def find_equilibrium(
     raise NewtonDivergence(
         f"no convergence after {max_iter} iterations (residual {np.max(np.abs(r)):.3e})"
     )
-
-
-def self_loads(ode: OdeSystem) -> list[float]:
-    return [m.p_load for m in ode.models]
 
 
 @dataclass(frozen=True)
@@ -349,15 +311,13 @@ class Trajectory:
     def connection_power(self, ilc_index: int, side: int) -> np.ndarray:
         """Power the ILC injects into the side-1 or side-2 MG over time."""
         unit = self.ode.units[ilc_index]
-        names = sim_state_names(unit)
-        comp = self.ode.ilc_components[ilc_index]
         if unit.port_kind == GFM:
-            eta = self.y[:, comp.offset + names.index(f"eta{side + 1}")]
-            return unit.physical.b * np.sin(eta)
-        if unit.port_kind == PARTIAL and side == 0:
-            eta = self.y[:, comp.offset + names.index("eta")]
-            return unit.physical.b * np.sin(eta)
-        return self.y[:, comp.offset + names.index(f"p{side + 1}")]
+            angle = f"eta{side + 1}"
+        elif unit.port_kind == PARTIAL and side == 0:
+            angle = "eta"
+        else:
+            return self.y[:, self.ode.column("ilc", ilc_index, f"p{side + 1}")]
+        return unit.physical.b * np.sin(self.y[:, self.ode.column("ilc", ilc_index, angle)])
 
     def to_csv(self, path, pu_base: float | None = None) -> None:
         """Write `t, mg<i>.omega, ilc<l>.p1, ilc<l>.p2, ilc<l>.vdc, ...` in SI units.
@@ -622,7 +582,8 @@ def integrate(
     atol_vec = np.array(atol)
     scales = list(ode.state_scales)
     rtol = opts.rtol
-    loads = self_loads(ode)
+    # from the models, not ode.base_loads: duck-typed systems carry only models
+    loads = [m.p_load for m in ode.models]
 
     # state bounds: (index, limit) pairs
     bound_checks: list[tuple[int, float, str]] = []

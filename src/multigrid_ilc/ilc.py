@@ -31,14 +31,19 @@ dual-droop-matching     mixed matching on the forming side, dual droop
 gfl-gfm-dual-droop      mixed gfm-dual-droop on the forming side, dual
                               droop on the following side
 ======================  ====  ==========================================
+
+Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
+its port kind, unit states, required gains, the builder of its equations
+(controller law, converter lags and DC bus in one closure) and its
+closed-form equilibrium.  Everything else in this module reads the record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import (
     DcVoltageCollapse,
@@ -100,59 +105,6 @@ class Gains:
     kappa_s2: float = 0.5
 
 
-REQUIRED_GAINS: dict[str, tuple[str, ...]] = {
-    "dual-freq-droop-1": ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-    "dual-freq-droop-2": ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-    "dual-acdc-droop": ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"),
-    "matching": ("m1", "m2"),
-    "gfm-freq-droop": ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2",
-                       "kappa_s1", "kappa_s2"),
-    "gfm-dual-droop": ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2",
-                       "k_i1", "k_i2"),
-    "dual-droop-matching": ("m1", "k_v2", "k_omega2", "k_i2"),
-    "gfl-gfm-dual-droop": ("m_p1", "k_v1", "k_omega1", "k_i1",
-                           "k_v2", "k_omega2", "k_i2"),
-}
-
-PORT_KIND: dict[str, str] = {
-    "dual-freq-droop-1": GFL,
-    "dual-freq-droop-2": GFL,
-    "dual-acdc-droop": GFL,
-    "matching": GFM,
-    "gfm-freq-droop": GFM,
-    "gfm-dual-droop": GFM,
-    "dual-droop-matching": PARTIAL,
-    "gfl-gfm-dual-droop": PARTIAL,
-}
-
-SCHEMES = tuple(PORT_KIND)
-
-# states of the converter/controller unit itself (the object the passivity
-# analysis sees); grid-forming sides add one filter-angle state per
-# connection in simulation
-UNIT_STATES: dict[str, tuple[str, ...]] = {
-    "dual-freq-droop-1": ("p1", "p2", "vdc", "xi", "zeta"),
-    "dual-freq-droop-2": ("p1", "p2", "vdc", "xi", "zeta"),
-    "dual-acdc-droop": ("p1", "p2", "vdc", "xi1", "xi2"),
-    "matching": ("vdc",),
-    "gfm-freq-droop": ("vdc", "zeta", "p_eq", "pf1", "pf2"),
-    "gfm-dual-droop": ("vdc", "xi1", "xi2", "pf1", "pf2"),
-    "dual-droop-matching": ("eta", "xi2", "p2", "vdc"),
-    "gfl-gfm-dual-droop": ("eta", "xi1", "pf1", "xi2", "p2", "vdc"),
-}
-
-CONTROLLER_STATES: dict[str, tuple[str, ...]] = {
-    "dual-freq-droop-1": ("xi", "zeta"),
-    "dual-freq-droop-2": ("xi", "zeta"),
-    "dual-acdc-droop": ("xi1", "xi2"),
-    "matching": (),
-    "gfm-freq-droop": ("zeta", "p_eq", "pf1", "pf2"),
-    "gfm-dual-droop": ("xi1", "xi2", "pf1", "pf2"),
-    "dual-droop-matching": ("xi2",),
-    "gfl-gfm-dual-droop": ("xi1", "pf1", "xi2"),
-}
-
-
 @dataclass(frozen=True)
 class IlcUnit:
     """One configured ILC: scheme tag, physical parameters, gains."""
@@ -163,9 +115,9 @@ class IlcUnit:
     name: str = ""
 
     def __post_init__(self):
-        if self.scheme not in PORT_KIND:
+        if self.scheme not in SCHEME:
             raise UnknownScheme(f"unknown ILC scheme {self.scheme!r}")
-        for gain in REQUIRED_GAINS[self.scheme]:
+        for gain in SCHEME[self.scheme].gains:
             value = getattr(self.gains, gain)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(
@@ -174,173 +126,13 @@ class IlcUnit:
 
     @property
     def port_kind(self) -> str:
-        return PORT_KIND[self.scheme]
+        return SCHEME[self.scheme].port
 
 
-def unit_state_names(unit: IlcUnit) -> tuple[str, ...]:
-    """States of the converter unit (passivity-analysis state vector)."""
-    return UNIT_STATES[unit.scheme]
-
-
-def sim_state_names(unit: IlcUnit) -> tuple[str, ...]:
-    """States the engine integrates; grid-forming sides add filter angles."""
-    if unit.port_kind == GFM:
-        return ("eta1", "eta2") + UNIT_STATES[unit.scheme]
-    return UNIT_STATES[unit.scheme]
-
-
-def dc_bus_rate(p1: float, p2: float, v_dc: float, phys: IlcPhysical) -> float:
-    """DC-voltage rate of change (V/s) given the two outgoing AC powers."""
-    v_total = v_dc + phys.v_dc_ref
-    if v_total <= 0.0:
-        raise DcVoltageCollapse(
-            f"DC voltage collapsed: deviation {v_dc:g} V at nominal {phys.v_dc_ref:g} V"
-        )
-    return (-p1 / v_total - p2 / v_total - phys.k_dc * v_dc) / phys.c
-
-
-# --- per-scheme controller laws --------------------------------------------
-# Each helper returns (controller-state rates, ref1, ref2) where refs are
-# power references for grid-following sides and frequency references for
-# grid-forming sides.
-
-
-def _dfd1_ctrl(g: Gains, w1, w2, vdc, xi, zeta):
-    droop = -g.k_omega1 * w1 + g.k_omega2 * w2
-    pref1 = droop + g.k_i * xi
-    pref2 = g.k_pdc * vdc + g.k_idc * zeta
-    return (droop, vdc), pref1, pref2
-
-
-def _dfd2_ctrl(g: Gains, w1, w2, vdc, xi, zeta):
-    p_dc = g.k_pdc * vdc + g.k_idc * zeta
-    base = -g.k_omega1 * w1 + g.k_omega2 * w2 + g.k_i * xi
-    return (-w1 + w2, vdc), base + p_dc, -base + p_dc
-
-
-def _dacd_ctrl(g: Gains, w1, w2, vdc, xi1, xi2):
-    d1 = g.k_v1 * vdc - g.k_omega1 * w1
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    return (d1, d2), d1 + g.k_i1 * xi1, d2 + g.k_i2 * xi2
-
-
-def _matching_ctrl(g: Gains, vdc):
-    return (), g.m1 * vdc, g.m2 * vdc
-
-
-def _gfmfd_ctrl(g: Gains, vdc, p1, p2, zeta, p_eq, pf1, pf2, tau1, tau2):
-    # P_dc and P_eq act as power setpoints: positive P_dc (excess DC energy)
-    # raises the frequency references to export more, and the equalizing
-    # integrator feeds back negatively, like secondary control
-    p_dc = g.k_pdc * vdc + g.k_idc * zeta
-    wref1 = -g.m_p1 * (pf1 - g.kappa_s1 * p_dc + g.k_i1 * p_eq)
-    wref2 = -g.m_p2 * (pf2 - g.kappa_s2 * p_dc - g.k_i2 * p_eq)
-    rates = (vdc, wref1 - wref2, (-pf1 + p1) / tau1, (-pf2 + p2) / tau2)
-    return rates, wref1, wref2
-
-
-def _gfmdd_ctrl(g: Gains, vdc, p1, p2, xi1, xi2, pf1, pf2, tau1, tau2):
-    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
-    wref2 = g.m_p2 * (-pf2 + g.k_v2 * vdc + g.k_i2 * xi2)
-    rates = (
-        g.k_v1 * vdc - g.k_omega1 * wref1,
-        g.k_v2 * vdc - g.k_omega2 * wref2,
-        (-pf1 + p1) / tau1,
-        (-pf2 + p2) / tau2,
-    )
-    return rates, wref1, wref2
-
-
-def _ddm_ctrl(g: Gains, w2, vdc, xi2):
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    return (d2,), g.m1 * vdc, d2 + g.k_i2 * xi2
-
-
-def _gflgfm_ctrl(g: Gains, w2, vdc, p1, xi1, pf1, xi2, tau1):
-    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    rates = (g.k_v1 * vdc - g.k_omega1 * wref1, (-pf1 + p1) / tau1, d2)
-    return rates, wref1, d2 + g.k_i2 * xi2
-
-
-def controller_rates_and_refs(
-    unit: IlcUnit,
-    meas: Mapping[str, float],
-    state: Mapping[str, float],
-) -> tuple[dict[str, float], tuple[float, float]]:
-    """Evaluate the outer control loop of one ILC.
-
-    ``meas`` supplies the measurements the scheme uses out of
-    ``omega1, omega2, vdc, p1, p2``; ``state`` supplies the controller
-    states by name.  Returns controller-state rates and the pair of
-    references the plant model consumes (power references for
-    grid-following sides, frequency references for grid-forming sides).
-    """
-    for value in (*meas.values(), *state.values()):
-        if not math.isfinite(value):
-            raise NonFiniteInput("controller measurement or state is non-finite")
-    names = CONTROLLER_STATES[unit.scheme]
-    missing = [n for n in names if n not in state]
-    if missing:
-        raise SchemeStateMismatch(
-            f"scheme {unit.scheme!r} requires controller states {missing}"
-        )
-    g, phys = unit.gains, unit.physical
-    tag = unit.scheme
-    if tag == "dual-freq-droop-1":
-        rates, r1, r2 = _dfd1_ctrl(
-            g, meas["omega1"], meas["omega2"], meas["vdc"], state["xi"], state["zeta"]
-        )
-    elif tag == "dual-freq-droop-2":
-        rates, r1, r2 = _dfd2_ctrl(
-            g, meas["omega1"], meas["omega2"], meas["vdc"], state["xi"], state["zeta"]
-        )
-    elif tag == "dual-acdc-droop":
-        rates, r1, r2 = _dacd_ctrl(
-            g, meas["omega1"], meas["omega2"], meas["vdc"], state["xi1"], state["xi2"]
-        )
-    elif tag == "matching":
-        rates, r1, r2 = _matching_ctrl(g, meas["vdc"])
-    elif tag == "gfm-freq-droop":
-        rates, r1, r2 = _gfmfd_ctrl(
-            g, meas["vdc"], meas["p1"], meas["p2"],
-            state["zeta"], state["p_eq"], state["pf1"], state["pf2"],
-            phys.tau1, phys.tau2,
-        )
-    elif tag == "gfm-dual-droop":
-        rates, r1, r2 = _gfmdd_ctrl(
-            g, meas["vdc"], meas["p1"], meas["p2"],
-            state["xi1"], state["xi2"], state["pf1"], state["pf2"],
-            phys.tau1, phys.tau2,
-        )
-    elif tag == "dual-droop-matching":
-        rates, r1, r2 = _ddm_ctrl(g, meas["omega2"], meas["vdc"], state["xi2"])
-    else:  # gfl-gfm-dual-droop
-        rates, r1, r2 = _gflgfm_ctrl(
-            g, meas["omega2"], meas["vdc"], meas["p1"],
-            state["xi1"], state["pf1"], state["xi2"], phys.tau1,
-        )
-    return dict(zip(names, rates)), (r1, r2)
-
-
-# --- fused unit derivatives --------------------------------------------------
-# One closure per unit; these are the single source of the plant equations
-# and are shared by the public operations and the simulation engine.
-
-
-@lru_cache(maxsize=None)
-def _unit_rhs(unit: IlcUnit) -> Callable:
-    """rhs(state, in1, in2) -> (rates, out1, out2).
-
-    Inputs are the two connection frequencies for GFL/partial units and the
-    two incoming--sign-free--connection powers (p1, p2) for GFM units.
-    Outputs are the powers leaving the ILC for GFL/partial units and the
-    frequency references for GFM units.
-    """
-    g, phys = unit.gains, unit.physical
-    tau1, tau2 = phys.tau1, phys.tau2
-    c, vref, k_dc, b = phys.c, phys.v_dc_ref, phys.k_dc, phys.b
-    tag = unit.scheme
+def _dc_bus(phys: IlcPhysical) -> Callable:
+    """The DC-bus law: dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the powers
+    leaving the two VSCs."""
+    c, vref, k_dc = phys.c, phys.v_dc_ref, phys.k_dc
 
     def dc(p1, p2, vdc):
         v_total = vdc + vref
@@ -350,152 +142,10 @@ def _unit_rhs(unit: IlcUnit) -> Callable:
             )
         return (-p1 / v_total - p2 / v_total - k_dc * vdc) / c
 
-    if tag == "dual-freq-droop-1":
-
-        def rhs(y, w1, w2):
-            p1, p2, vdc, xi, zeta = y
-            (xi_dot, zeta_dot), pref1, pref2 = _dfd1_ctrl(g, w1, w2, vdc, xi, zeta)
-            return (
-                ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc),
-                 xi_dot, zeta_dot),
-                p1, p2,
-            )
-
-    elif tag == "dual-freq-droop-2":
-
-        def rhs(y, w1, w2):
-            p1, p2, vdc, xi, zeta = y
-            (xi_dot, zeta_dot), pref1, pref2 = _dfd2_ctrl(g, w1, w2, vdc, xi, zeta)
-            return (
-                ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc),
-                 xi_dot, zeta_dot),
-                p1, p2,
-            )
-
-    elif tag == "dual-acdc-droop":
-
-        def rhs(y, w1, w2):
-            p1, p2, vdc, xi1, xi2 = y
-            (xi1_dot, xi2_dot), pref1, pref2 = _dacd_ctrl(g, w1, w2, vdc, xi1, xi2)
-            return (
-                ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc),
-                 xi1_dot, xi2_dot),
-                p1, p2,
-            )
-
-    elif tag == "matching":
-
-        def rhs(y, p1, p2):
-            (vdc,) = y
-            return ((dc(p1, p2, vdc),), g.m1 * vdc, g.m2 * vdc)
-
-    elif tag == "gfm-freq-droop":
-
-        def rhs(y, p1, p2):
-            vdc, zeta, p_eq, pf1, pf2 = y
-            rates, wref1, wref2 = _gfmfd_ctrl(
-                g, vdc, p1, p2, zeta, p_eq, pf1, pf2, tau1, tau2
-            )
-            return ((dc(p1, p2, vdc),) + rates, wref1, wref2)
-
-    elif tag == "gfm-dual-droop":
-
-        def rhs(y, p1, p2):
-            vdc, xi1, xi2, pf1, pf2 = y
-            rates, wref1, wref2 = _gfmdd_ctrl(
-                g, vdc, p1, p2, xi1, xi2, pf1, pf2, tau1, tau2
-            )
-            return ((dc(p1, p2, vdc),) + rates, wref1, wref2)
-
-    elif tag == "dual-droop-matching":
-
-        def rhs(y, w1, w2):
-            eta, xi2, p2, vdc = y
-            p1 = b * math.sin(eta)
-            (xi2_dot,), wref1, pref2 = _ddm_ctrl(g, w2, vdc, xi2)
-            return (
-                (wref1 - w1, xi2_dot, (-p2 + pref2) / tau2, dc(p1, p2, vdc)),
-                p1, p2,
-            )
-
-    else:  # gfl-gfm-dual-droop
-
-        def rhs(y, w1, w2):
-            eta, xi1, pf1, xi2, p2, vdc = y
-            p1 = b * math.sin(eta)
-            (xi1_dot, pf1_dot, xi2_dot), wref1, pref2 = _gflgfm_ctrl(
-                g, w2, vdc, p1, xi1, pf1, xi2, tau1
-            )
-            return (
-                (wref1 - w1, xi1_dot, pf1_dot, xi2_dot, (-p2 + pref2) / tau2,
-                 dc(p1, p2, vdc)),
-                p1, p2,
-            )
-
-    return rhs
+    return dc
 
 
-def _check_state(unit: IlcUnit, state, names) -> None:
-    if len(state) != len(names):
-        raise SchemeStateMismatch(
-            f"scheme {unit.scheme!r} expects {len(names)} states "
-            f"{names}, got {len(state)}"
-        )
-
-
-def ilc_derivative(unit: IlcUnit, state, inputs) -> tuple[float, ...]:
-    """Full state derivative of one ILC unit.
-
-    ``inputs`` is ``(omega1, omega2)`` for GFL and partial schemes and
-    ``(p1, p2)`` -- the powers leaving the converter -- for GFM schemes.
-    """
-    names = unit_state_names(unit)
-    _check_state(unit, state, names)
-    u1, u2 = inputs
-    if not (math.isfinite(u1) and math.isfinite(u2)):
-        raise NonFiniteInput(f"ILC inputs must be finite, got {inputs!r}")
-    rates, _, _ = _unit_rhs(unit)(tuple(state), u1, u2)
-    return rates
-
-
-def ilc_output(unit: IlcUnit, state, inputs=(0.0, 0.0)) -> tuple[float, float]:
-    """Port outputs of one ILC unit.
-
-    GFL/partial: the powers *entering* the ILC, ``(-p1, -p2)``.
-    GFM: the frequency references ``(omega_ref1, omega_ref2)``.
-    """
-    names = unit_state_names(unit)
-    _check_state(unit, state, names)
-    _, out1, out2 = _unit_rhs(unit)(tuple(state), *inputs)
-    if unit.port_kind == GFM:
-        return out1, out2
-    return -out1, -out2
-
-
-def make_sim_derivative(unit: IlcUnit) -> Callable:
-    """Simulation-facing derivative: rhs(y, w1, w2) -> (rates, p1, p2).
-
-    ``w1, w2`` are the frequencies of the two connected MGs; ``p1, p2`` are
-    the powers the ILC injects into them.  Grid-forming sides go through
-    the inductive filter: the returned state starts with the two filter
-    angles and p_i = B*sin(eta_i).
-    """
-    rhs = _unit_rhs(unit)
-    if unit.port_kind != GFM:
-        return rhs
-    b = unit.physical.b
-
-    def sim_rhs(y, w1, w2):
-        eta1, eta2 = y[0], y[1]
-        p1 = b * math.sin(eta1)
-        p2 = b * math.sin(eta2)
-        rates, wref1, wref2 = rhs(y[2:], p1, p2)
-        return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
-
-    return sim_rhs
-
-
-# --- equilibrium back-solve ---------------------------------------------------
+# --- equilibrium helpers -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -529,79 +179,230 @@ def _asin_power(p: float, b: float, what: str) -> float:
     return math.asin(p / b)
 
 
-def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float, ...]:
-    """Closed-form equilibrium of one ILC in simulation state order.
+# --- the schemes ---------------------------------------------------------
+# Per scheme: an rhs builder (gains, physical) -> rhs(y, in1, in2) that
+# returns (rates, out1, out2), and the closed-form equilibrium
+# (gains, physical, w1, w2, p1) -> state in simulation order.  Inputs are
+# the two connection frequencies for GFL/partial units and the two powers
+# leaving the converter (p1, p2) for GFM units; outputs are those powers
+# for GFL/partial units and the frequency references for GFM units.
 
-    Raises :class:`NoEquilibrium` when the boundary violates the scheme's
-    steady-state constraints (e.g. inconsistent normalized frequencies, or
-    a transfer beyond the filter limit of a grid-forming side).
-    """
-    g, phys = unit.gains, unit.physical
-    w1, w2, p1 = boundary.omega1, boundary.omega2, boundary.p1
-    tag = unit.scheme
 
-    if tag == "dual-freq-droop-1":
-        _consistent(g.k_omega1 * w1, g.k_omega2 * w2, "k_omega1*w1 = k_omega2*w2")
-        p2 = -p1
-        return (p1, p2, 0.0, p1 / g.k_i, p2 / g.k_idc)
+def _dfd1_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    k_omega1, k_omega2, k_i = g.k_omega1, g.k_omega2, g.k_i
+    k_pdc, k_idc = g.k_pdc, g.k_idc
+    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
 
-    if tag == "dual-freq-droop-2":
-        _consistent(w1, w2, "w1 = w2")
-        xi = (p1 + (g.k_omega1 - g.k_omega2) * w1) / g.k_i
-        return (p1, -p1, 0.0, xi, 0.0)
+    def rhs(y, w1, w2):
+        p1, p2, vdc, xi, zeta = y
+        droop = -k_omega1 * w1 + k_omega2 * w2
+        pref1 = droop + k_i * xi
+        pref2 = k_pdc * vdc + k_idc * zeta
+        return (
+            ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc), droop, vdc),
+            p1, p2,
+        )
 
-    if tag == "dual-acdc-droop":
-        vdc = g.k_omega1 * w1 / g.k_v1
-        _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
-        p2 = _steady_vdc_balance(phys, vdc, p1)
-        xi1 = (p1 - g.k_v1 * vdc + g.k_omega1 * w1) / g.k_i1
-        xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
-        return (p1, p2, vdc, xi1, xi2)
+    return rhs
 
-    if tag == "matching":
-        vdc = w1 / g.m1
-        _consistent(vdc, w2 / g.m2, "w1/m1 = w2/m2")
-        p2 = _steady_vdc_balance(phys, vdc, p1)
-        eta1 = _asin_power(p1, phys.b, "side 1")
-        eta2 = _asin_power(p2, phys.b, "side 2")
-        return (eta1, eta2, vdc)
 
-    if tag == "gfm-freq-droop":
-        _consistent(w1, w2, "w1 = w2")
-        p2 = -p1
-        # two linear steady-state relations in (zeta, p_eq)
-        a11, a12 = -g.kappa_s1 * g.k_idc, g.k_i1
-        a21, a22 = -g.kappa_s2 * g.k_idc, -g.k_i2
-        r1 = -w1 / g.m_p1 - p1
-        r2 = -w2 / g.m_p2 - p2
-        det = a11 * a22 - a12 * a21
-        if abs(det) < 1e-300:
-            raise NoEquilibrium("degenerate DC/equalization gain combination")
-        zeta = (r1 * a22 - a12 * r2) / det
-        p_eq = (a11 * r2 - r1 * a21) / det
-        eta1 = _asin_power(p1, phys.b, "side 1")
-        eta2 = _asin_power(p2, phys.b, "side 2")
-        return (eta1, eta2, 0.0, zeta, p_eq, p1, p2)
+def _dfd1_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
+    _consistent(g.k_omega1 * w1, g.k_omega2 * w2, "k_omega1*w1 = k_omega2*w2")
+    p2 = -p1
+    return (p1, p2, 0.0, p1 / g.k_i, p2 / g.k_idc)
 
-    if tag == "gfm-dual-droop":
-        vdc = g.k_omega1 * w1 / g.k_v1
-        _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
-        p2 = _steady_vdc_balance(phys, vdc, p1)
-        xi1 = (w1 / g.m_p1 + p1 - g.k_v1 * vdc) / g.k_i1
-        xi2 = (w2 / g.m_p2 + p2 - g.k_v2 * vdc) / g.k_i2
-        eta1 = _asin_power(p1, phys.b, "side 1")
-        eta2 = _asin_power(p2, phys.b, "side 2")
-        return (eta1, eta2, vdc, xi1, xi2, p1, p2)
 
-    if tag == "dual-droop-matching":
-        vdc = w1 / g.m1
-        _consistent(g.k_v2 * vdc, g.k_omega2 * w2, "normalized frequencies")
-        p2 = _steady_vdc_balance(phys, vdc, p1)
-        eta = _asin_power(p1, phys.b, "side 1")
-        xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
-        return (eta, xi2, p2, vdc)
+def _dfd2_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    k_omega1, k_omega2, k_i = g.k_omega1, g.k_omega2, g.k_i
+    k_pdc, k_idc = g.k_pdc, g.k_idc
+    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
 
-    # gfl-gfm-dual-droop
+    def rhs(y, w1, w2):
+        p1, p2, vdc, xi, zeta = y
+        # the DC PI term is shared by both references
+        p_dc = k_pdc * vdc + k_idc * zeta
+        base = -k_omega1 * w1 + k_omega2 * w2 + k_i * xi
+        pref1 = base + p_dc
+        pref2 = -base + p_dc
+        return (
+            ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc),
+             -w1 + w2, vdc),
+            p1, p2,
+        )
+
+    return rhs
+
+
+def _dfd2_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
+    _consistent(w1, w2, "w1 = w2")
+    xi = (p1 + (g.k_omega1 - g.k_omega2) * w1) / g.k_i
+    return (p1, -p1, 0.0, xi, 0.0)
+
+
+def _dacd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    k_omega1, k_omega2, k_v1, k_v2 = g.k_omega1, g.k_omega2, g.k_v1, g.k_v2
+    k_i1, k_i2 = g.k_i1, g.k_i2
+    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+
+    def rhs(y, w1, w2):
+        p1, p2, vdc, xi1, xi2 = y
+        d1 = k_v1 * vdc - k_omega1 * w1
+        d2 = k_v2 * vdc - k_omega2 * w2
+        pref1 = d1 + k_i1 * xi1
+        pref2 = d2 + k_i2 * xi2
+        return (
+            ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc), d1, d2),
+            p1, p2,
+        )
+
+    return rhs
+
+
+def _dacd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
+    vdc = g.k_omega1 * w1 / g.k_v1
+    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
+    p2 = _steady_vdc_balance(phys, vdc, p1)
+    xi1 = (p1 - g.k_v1 * vdc + g.k_omega1 * w1) / g.k_i1
+    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
+    return (p1, p2, vdc, xi1, xi2)
+
+
+def _matching_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    m1, m2, dc = g.m1, g.m2, _dc_bus(phys)
+
+    def rhs(y, p1, p2):
+        (vdc,) = y
+        return ((dc(p1, p2, vdc),), m1 * vdc, m2 * vdc)
+
+    return rhs
+
+
+def _matching_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
+    vdc = w1 / g.m1
+    _consistent(vdc, w2 / g.m2, "w1/m1 = w2/m2")
+    p2 = _steady_vdc_balance(phys, vdc, p1)
+    eta1 = _asin_power(p1, phys.b, "side 1")
+    eta2 = _asin_power(p2, phys.b, "side 2")
+    return (eta1, eta2, vdc)
+
+
+def _gfmfd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    m_p1, m_p2, k_pdc, k_idc = g.m_p1, g.m_p2, g.k_pdc, g.k_idc
+    k_i1, k_i2, kappa_s1, kappa_s2 = g.k_i1, g.k_i2, g.kappa_s1, g.kappa_s2
+    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+
+    def rhs(y, p1, p2):
+        vdc, zeta, p_eq, pf1, pf2 = y
+        # P_dc and P_eq act as power setpoints: positive P_dc (excess DC
+        # energy) raises the frequency references to export more, and the
+        # equalizing integrator feeds back negatively, like secondary control
+        p_dc = k_pdc * vdc + k_idc * zeta
+        wref1 = -m_p1 * (pf1 - kappa_s1 * p_dc + k_i1 * p_eq)
+        wref2 = -m_p2 * (pf2 - kappa_s2 * p_dc - k_i2 * p_eq)
+        return (
+            (dc(p1, p2, vdc), vdc, wref1 - wref2, (-pf1 + p1) / tau1,
+             (-pf2 + p2) / tau2),
+            wref1, wref2,
+        )
+
+    return rhs
+
+
+def _gfmfd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
+    _consistent(w1, w2, "w1 = w2")
+    p2 = -p1
+    # two linear steady-state relations in (zeta, p_eq)
+    a11, a12 = -g.kappa_s1 * g.k_idc, g.k_i1
+    a21, a22 = -g.kappa_s2 * g.k_idc, -g.k_i2
+    r1 = -w1 / g.m_p1 - p1
+    r2 = -w2 / g.m_p2 - p2
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-300:
+        raise NoEquilibrium("degenerate DC/equalization gain combination")
+    zeta = (r1 * a22 - a12 * r2) / det
+    p_eq = (a11 * r2 - r1 * a21) / det
+    eta1 = _asin_power(p1, phys.b, "side 1")
+    eta2 = _asin_power(p2, phys.b, "side 2")
+    return (eta1, eta2, 0.0, zeta, p_eq, p1, p2)
+
+
+def _gfmdd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    m_p1, m_p2, k_v1, k_v2 = g.m_p1, g.m_p2, g.k_v1, g.k_v2
+    k_omega1, k_omega2, k_i1, k_i2 = g.k_omega1, g.k_omega2, g.k_i1, g.k_i2
+    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+
+    def rhs(y, p1, p2):
+        vdc, xi1, xi2, pf1, pf2 = y
+        wref1 = m_p1 * (-pf1 + k_v1 * vdc + k_i1 * xi1)
+        wref2 = m_p2 * (-pf2 + k_v2 * vdc + k_i2 * xi2)
+        return (
+            (dc(p1, p2, vdc), k_v1 * vdc - k_omega1 * wref1,
+             k_v2 * vdc - k_omega2 * wref2, (-pf1 + p1) / tau1, (-pf2 + p2) / tau2),
+            wref1, wref2,
+        )
+
+    return rhs
+
+
+def _gfmdd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
+    vdc = g.k_omega1 * w1 / g.k_v1
+    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
+    p2 = _steady_vdc_balance(phys, vdc, p1)
+    xi1 = (w1 / g.m_p1 + p1 - g.k_v1 * vdc) / g.k_i1
+    xi2 = (w2 / g.m_p2 + p2 - g.k_v2 * vdc) / g.k_i2
+    eta1 = _asin_power(p1, phys.b, "side 1")
+    eta2 = _asin_power(p2, phys.b, "side 2")
+    return (eta1, eta2, vdc, xi1, xi2, p1, p2)
+
+
+def _ddm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    m1, k_v2, k_omega2, k_i2 = g.m1, g.k_v2, g.k_omega2, g.k_i2
+    tau2, b, dc = phys.tau2, phys.b, _dc_bus(phys)
+
+    def rhs(y, w1, w2):
+        eta, xi2, p2, vdc = y
+        p1 = b * math.sin(eta)
+        wref1 = m1 * vdc
+        d2 = k_v2 * vdc - k_omega2 * w2
+        pref2 = d2 + k_i2 * xi2
+        return (
+            (wref1 - w1, d2, (-p2 + pref2) / tau2, dc(p1, p2, vdc)),
+            p1, p2,
+        )
+
+    return rhs
+
+
+def _ddm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
+    vdc = w1 / g.m1
+    _consistent(g.k_v2 * vdc, g.k_omega2 * w2, "normalized frequencies")
+    p2 = _steady_vdc_balance(phys, vdc, p1)
+    eta = _asin_power(p1, phys.b, "side 1")
+    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
+    return (eta, xi2, p2, vdc)
+
+
+def _gflgfm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+    m_p1, k_v1, k_omega1, k_i1 = g.m_p1, g.k_v1, g.k_omega1, g.k_i1
+    k_v2, k_omega2, k_i2 = g.k_v2, g.k_omega2, g.k_i2
+    tau1, tau2, b, dc = phys.tau1, phys.tau2, phys.b, _dc_bus(phys)
+
+    def rhs(y, w1, w2):
+        eta, xi1, pf1, xi2, p2, vdc = y
+        p1 = b * math.sin(eta)
+        wref1 = m_p1 * (-pf1 + k_v1 * vdc + k_i1 * xi1)
+        d2 = k_v2 * vdc - k_omega2 * w2
+        pref2 = d2 + k_i2 * xi2
+        return (
+            (wref1 - w1, k_v1 * vdc - k_omega1 * wref1, (-pf1 + p1) / tau1, d2,
+             (-p2 + pref2) / tau2, dc(p1, p2, vdc)),
+            p1, p2,
+        )
+
+    return rhs
+
+
+def _gflgfm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = g.k_omega1 * w1 / g.k_v1
     _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
     p2 = _steady_vdc_balance(phys, vdc, p1)
@@ -611,9 +412,154 @@ def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float
     return (eta, xi1, p1, xi2, p2, vdc)
 
 
-def with_gains(unit: IlcUnit, **changes: float) -> IlcUnit:
-    """Copy of ``unit`` with some gains replaced."""
-    return replace(unit, gains=replace(unit.gains, **changes))
+@dataclass(frozen=True)
+class Scheme:
+    """The one definition of an ILC control scheme.
+
+    ``states`` are the states of the converter unit itself (the object the
+    passivity analysis sees); grid-forming units add one filter-angle state
+    per connection in simulation.  ``gains`` are the :class:`Gains` fields
+    the scheme requires to be positive.
+    """
+
+    port: str
+    states: tuple[str, ...]
+    gains: tuple[str, ...]
+    rhs: Callable[[Gains, IlcPhysical], Callable]
+    equilibrium: Callable[..., tuple[float, ...]]
 
 
-GAIN_FIELDS = tuple(f.name for f in fields(Gains))
+SCHEME: dict[str, Scheme] = {
+    "dual-freq-droop-1": Scheme(
+        GFL, ("p1", "p2", "vdc", "xi", "zeta"),
+        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
+        _dfd1_rhs, _dfd1_equilibrium,
+    ),
+    "dual-freq-droop-2": Scheme(
+        GFL, ("p1", "p2", "vdc", "xi", "zeta"),
+        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
+        _dfd2_rhs, _dfd2_equilibrium,
+    ),
+    "dual-acdc-droop": Scheme(
+        GFL, ("p1", "p2", "vdc", "xi1", "xi2"),
+        ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"),
+        _dacd_rhs, _dacd_equilibrium,
+    ),
+    "matching": Scheme(
+        GFM, ("vdc",), ("m1", "m2"), _matching_rhs, _matching_equilibrium,
+    ),
+    "gfm-freq-droop": Scheme(
+        GFM, ("vdc", "zeta", "p_eq", "pf1", "pf2"),
+        ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2", "kappa_s1", "kappa_s2"),
+        _gfmfd_rhs, _gfmfd_equilibrium,
+    ),
+    "gfm-dual-droop": Scheme(
+        GFM, ("vdc", "xi1", "xi2", "pf1", "pf2"),
+        ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2", "k_i1", "k_i2"),
+        _gfmdd_rhs, _gfmdd_equilibrium,
+    ),
+    "dual-droop-matching": Scheme(
+        PARTIAL, ("eta", "xi2", "p2", "vdc"), ("m1", "k_v2", "k_omega2", "k_i2"),
+        _ddm_rhs, _ddm_equilibrium,
+    ),
+    "gfl-gfm-dual-droop": Scheme(
+        PARTIAL, ("eta", "xi1", "pf1", "xi2", "p2", "vdc"),
+        ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"),
+        _gflgfm_rhs, _gflgfm_equilibrium,
+    ),
+}
+
+SCHEMES = tuple(SCHEME)
+
+
+def unit_state_names(unit: IlcUnit) -> tuple[str, ...]:
+    """States of the converter unit (passivity-analysis state vector)."""
+    return SCHEME[unit.scheme].states
+
+
+def sim_state_names(unit: IlcUnit) -> tuple[str, ...]:
+    """States the engine integrates; grid-forming sides add filter angles."""
+    if unit.port_kind == GFM:
+        return ("eta1", "eta2") + unit_state_names(unit)
+    return unit_state_names(unit)
+
+
+@lru_cache(maxsize=None)
+def _unit_rhs(unit: IlcUnit) -> Callable:
+    """rhs(state, in1, in2) -> (rates, out1, out2) of one unit; the single
+    source of the unit equations, shared by the public operations and the
+    simulation engine."""
+    return SCHEME[unit.scheme].rhs(unit.gains, unit.physical)
+
+
+def _check_state(unit: IlcUnit, state) -> None:
+    names = unit_state_names(unit)
+    if len(state) != len(names):
+        raise SchemeStateMismatch(
+            f"scheme {unit.scheme!r} expects {len(names)} states "
+            f"{names}, got {len(state)}"
+        )
+
+
+def ilc_derivative(unit: IlcUnit, state, inputs) -> tuple[float, ...]:
+    """Full state derivative of one ILC unit.
+
+    ``inputs`` is ``(omega1, omega2)`` for GFL and partial schemes and
+    ``(p1, p2)`` -- the powers leaving the converter -- for GFM schemes.
+    """
+    _check_state(unit, state)
+    u1, u2 = inputs
+    if not all(math.isfinite(v) for v in (*state, u1, u2)):
+        raise NonFiniteInput(
+            f"ILC state and inputs must be finite, got {state!r}, {inputs!r}"
+        )
+    rates, _, _ = _unit_rhs(unit)(tuple(state), u1, u2)
+    return rates
+
+
+def ilc_output(unit: IlcUnit, state, inputs=(0.0, 0.0)) -> tuple[float, float]:
+    """Port outputs of one ILC unit.
+
+    GFL/partial: the powers *entering* the ILC, ``(-p1, -p2)``.
+    GFM: the frequency references ``(omega_ref1, omega_ref2)``.
+    """
+    _check_state(unit, state)
+    _, out1, out2 = _unit_rhs(unit)(tuple(state), *inputs)
+    if unit.port_kind == GFM:
+        return out1, out2
+    return -out1, -out2
+
+
+def make_sim_derivative(unit: IlcUnit) -> Callable:
+    """Simulation-facing derivative: rhs(y, w1, w2) -> (rates, p1, p2).
+
+    ``w1, w2`` are the frequencies of the two connected MGs; ``p1, p2`` are
+    the powers the ILC injects into them.  Grid-forming sides go through
+    the inductive filter: the returned state starts with the two filter
+    angles and p_i = B*sin(eta_i).
+    """
+    rhs = _unit_rhs(unit)
+    if unit.port_kind != GFM:
+        return rhs
+    b = unit.physical.b
+
+    def sim_rhs(y, w1, w2):
+        eta1, eta2 = y[0], y[1]
+        p1 = b * math.sin(eta1)
+        p2 = b * math.sin(eta2)
+        rates, wref1, wref2 = rhs(y[2:], p1, p2)
+        return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
+
+    return sim_rhs
+
+
+def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float, ...]:
+    """Closed-form equilibrium of one ILC in simulation state order.
+
+    Raises :class:`NoEquilibrium` when the boundary violates the scheme's
+    steady-state constraints (e.g. inconsistent normalized frequencies, or
+    a transfer beyond the filter limit of a grid-forming side).
+    """
+    return SCHEME[unit.scheme].equilibrium(
+        unit.gains, unit.physical, boundary.omega1, boundary.omega2, boundary.p1
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -93,6 +93,25 @@ def default_rating(model: MgModel, omega_nominal: float = 2.0 * math.pi * 50.0) 
     return 0.05 * omega_nominal * model.droop_total
 
 
+def mg_rhs(model: MgModel) -> Callable:
+    """The MG equations: rhs(state, p) -> rates, with ``p`` the net power
+    entering the MG, load deviation included."""
+    if isinstance(model, FirstOrderDroop):
+        t_lag, d = model.T, model.D
+
+        def rhs(y, p):
+            return ((-d * y[0] + p) / t_lag,)
+
+        return rhs
+    m, d, t_g, inv_r = model.M, model.D, model.T_g, model.inv_R
+
+    def rhs(y, p):
+        w, p_m = y
+        return ((-d * w + p_m + p) / m, (-p_m - inv_r * w) / t_g)
+
+    return rhs
+
+
 def mg_derivative(
     model: MgModel, state: tuple[float, ...], p_in: float, p_load: float | None = None
 ) -> tuple[float, ...]:
@@ -104,13 +123,7 @@ def mg_derivative(
     if not math.isfinite(p_in):
         raise NonFiniteInput(f"p_in={p_in!r}")
     load = model.p_load if p_load is None else p_load
-    if isinstance(model, FirstOrderDroop):
-        (w,) = state
-        return ((-model.D * w + p_in + load) / model.T,)
-    w, p_m = state
-    dw = (-model.D * w + p_m + p_in + load) / model.M
-    dp_m = (-p_m - model.inv_R * w) / model.T_g
-    return (dw, dp_m)
+    return mg_rhs(model)(tuple(state), p_in + load)
 
 
 def mg_linearize(model: MgModel) -> LinearSystem:

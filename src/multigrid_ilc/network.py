@@ -150,119 +150,3 @@ def build_ilc_incidence(net: ValidatedNetwork) -> IncidenceMatrix:
         col_labels=tuple(c.label() for c in net.connections),
     )
 
-
-# --- general topology (multiple connection points per MG, GFM nodes) -------
-
-MG_BUS = "mg-bus"
-GFM_CONNECTION = "gfm-connection"
-LINE = "line"
-GFL_ILC = "gfl-ilc"
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """A node of the general graph: an MG bus or a GFM ILC connection point."""
-
-    kind: str
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind not in (MG_BUS, GFM_CONNECTION):
-            raise ValidationError(f"unknown node kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class EdgeSpec:
-    """A directed edge: a line or a GFL ILC between nodes ``a`` -> ``b``."""
-
-    a: int
-    b: int
-    kind: str
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind not in (LINE, GFL_ILC):
-            raise ValidationError(f"unknown edge kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class GeneralTopology:
-    """General node/edge graph used by the extended decomposition.
-
-    This structure is validated and yields incidence matrices, but is not
-    simulated: the simulation engine is restricted to single-connection-point
-    MGs, and line dynamics are deliberately out of scope.
-    """
-
-    nodes: tuple[NodeSpec, ...]
-    edges: tuple[EdgeSpec, ...]
-
-    def __post_init__(self):
-        n = len(self.nodes)
-        for k, e in enumerate(self.edges):
-            for node in (e.a, e.b):
-                if not (0 <= node < n):
-                    raise DanglingEndpoint(
-                        f"edge {k + 1} references node {node + 1}, but only "
-                        f"{n} nodes are defined"
-                    )
-
-    @property
-    def gfl_edges(self) -> tuple[int, ...]:
-        return tuple(k for k, e in enumerate(self.edges) if e.kind == GFL_ILC)
-
-    @property
-    def n_lines(self) -> int:
-        """m: number of line edges."""
-        return len(self.edges) - len(self.gfl_edges)
-
-    @property
-    def n_mg_buses(self) -> int:
-        """nu: number of MG bus nodes."""
-        return sum(1 for node in self.nodes if node.kind == MG_BUS)
-
-    @property
-    def n_gfm_connections(self) -> int:
-        """mu: number of GFM ILC connection nodes."""
-        return sum(1 for node in self.nodes if node.kind == GFM_CONNECTION)
-
-    @property
-    def n_gfl_connections(self) -> int:
-        """lambda: number of GFL ILC connection points (two per GFL edge)."""
-        return 2 * len(self.gfl_edges)
-
-
-def build_general_incidence(
-    gt: GeneralTopology,
-) -> tuple[IncidenceMatrix, IncidenceMatrix]:
-    """Signed node-edge incidence of the whole graph, plus the GFL
-    connection-to-node map.
-
-    The signed matrix has +1 at the source and -1 at the sink of each edge.
-    The GFL map enumerates connections pairwise in GFL-edge order, source
-    connection first.
-    """
-    n = len(gt.nodes)
-    node_labels = tuple(
-        f"{'N' if node.kind == MG_BUS else 'G'}{i + 1}" for i, node in enumerate(gt.nodes)
-    )
-    m_data = np.zeros((n, len(gt.edges)), dtype=int)
-    for k, e in enumerate(gt.edges):
-        m_data[e.a, k] += 1
-        m_data[e.b, k] -= 1
-    m = IncidenceMatrix(
-        data=m_data,
-        row_labels=node_labels,
-        col_labels=tuple(f"e{k + 1}" for k in range(len(gt.edges))),
-    )
-    gfl = gt.gfl_edges
-    a_data = np.zeros((n, 2 * len(gfl)), dtype=int)
-    col_labels = []
-    for pos, k in enumerate(gfl):
-        e = gt.edges[k]
-        a_data[e.a, 2 * pos] = 1
-        a_data[e.b, 2 * pos + 1] = 1
-        col_labels.append(f"l{2 * pos + 1}@{node_labels[e.a]}")
-        col_labels.append(f"l{2 * pos + 2}@{node_labels[e.b]}")
-    a = IncidenceMatrix(data=a_data, row_labels=node_labels, col_labels=tuple(col_labels))
-    return m, a

@@ -341,14 +341,18 @@ def build_system(resolved: dict) -> SystemBundle:
     )
 
 
+def load_resolved(source: str | Path | dict) -> dict:
+    """Resolve a scenario given as a document, a shipped name or a file path."""
+    if isinstance(source, dict):
+        return resolve(source)
+    if str(source) in shipped_scenario_names():
+        return resolve(shipped_scenario(str(source)))
+    return resolve(load_scenario(source))
+
+
 def parse_scenario(source: str | Path | dict) -> SystemBundle:
     """One-stop: load (path or shipped name or dict), resolve, build."""
-    if isinstance(source, dict):
-        return build_system(resolve(source))
-    source_str = str(source)
-    if source_str in shipped_scenario_names():
-        return build_system(resolve(shipped_scenario(source_str)))
-    return build_system(resolve(load_scenario(source)))
+    return build_system(load_resolved(source))
 
 
 def set_parameter(resolved: dict, path: str, value: float) -> dict:

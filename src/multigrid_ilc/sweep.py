@@ -23,7 +23,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +34,7 @@ import numpy as np
 from .analysis import linearize_closed_loop, spectral_abscissa
 from .engine import IntegrateOptions, LoadEvent, find_equilibrium, integrate
 from .errors import NonBracketing, NumericalError, ValidationError
-from .ilc import GFM, PARTIAL, PORT_KIND
+from .ilc import GFL, SCHEME
 from .scenario import build_system, set_parameter
 
 STABLE = "stable"
@@ -91,14 +93,10 @@ def classify_stability(
     The scenario's own event list is ignored; the standardized disturbance
     is applied instead so classifications are comparable across sweeps.
     """
-    try:
-        bundle = build_system(resolved)
-    except ValidationError:
-        raise
+    bundle = build_system(resolved)
     ode = bundle.ode
-    base_loads = [m.p_load for m in bundle.models]
     try:
-        eq0 = find_equilibrium(ode, loads=base_loads)
+        eq0 = find_equilibrium(ode)
     except NumericalError as exc:
         return Classification(UNSTABLE, None, f"no-equilibrium: {exc}")
     absc = spectral_abscissa(linearize_closed_loop(ode, eq0))
@@ -119,7 +117,7 @@ def classify_stability(
         return Classification(
             INDETERMINATE, absc, f"simulation diverged: {traj.truncation_reason}"
         )
-    stepped = list(base_loads)
+    stepped = list(ode.base_loads)
     stepped[0] += step
     try:
         eq1 = find_equilibrium(ode, loads=stepped, guess=traj.final_state)
@@ -198,7 +196,7 @@ def bisect_boundary(req: SweepRequest) -> BoundaryResult:
     for value, want_stable in ((lo, not stable_end_is_hi), (hi, stable_end_is_hi)):
         bundle = build_system(set_parameter(req.resolved, req.path, value))
         try:
-            eq = find_equilibrium(bundle.ode, loads=[m.p_load for m in bundle.models])
+            eq = find_equilibrium(bundle.ode)
             absc = spectral_abscissa(linearize_closed_loop(bundle.ode, eq))
             got_stable = absc < -_ABSCISSA_MARGIN
         except NumericalError:
@@ -356,7 +354,7 @@ def _boundary_cell(resolved: dict, row: dict, column: str) -> Cell:
         req = SweepRequest(resolved, "ilc.tau", *TAU_INTERVAL,
                            direction="max-stable", tol=TAU_TOL)
     else:  # min_l_mh
-        if PORT_KIND[scheme] not in (GFM, PARTIAL):
+        if SCHEME[scheme].port == GFL:
             return Cell(scheme, column, "not-applicable", None, "n/a",
                         row["paper"]["min_l_mh"])
         req = SweepRequest(resolved, "ilc.L", *L_INTERVAL,
@@ -407,9 +405,28 @@ def _run_cell(args: tuple) -> tuple:
     return (row["scheme"], column, cell)
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the package's Python source."""
+    digest = hashlib.sha256()
+    package = Path(__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(args: tuple) -> str:
+    """Content hash of a cell request, the code that computes it and the
+    sweep constants it depends on, so a cache never serves a cell computed
+    by other code or settings.  The source digest covers the disturbance,
+    whose settings are literal defaults of :func:`classify_stability`; the
+    module constants are read at call time, so they enter the key as well."""
     resolved, row, column = args
-    blob = json.dumps([resolved, row["scheme"], column], sort_keys=True)
+    constants = [KDC_INTERVAL, KDC_TOL, TAU_INTERVAL, TAU_TOL, L_INTERVAL, L_TOL,
+                 GAIN_SPAN, _ABSCISSA_MARGIN]
+    blob = json.dumps([_source_digest(), constants, resolved, row["scheme"], column],
+                      sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -436,9 +453,10 @@ def table3_harness(
     """Run every scheme-by-parameter cell of the boundary table.
 
     Cells run as independent jobs (process pool when more than one worker
-    is available) and are cached by a content hash of the cell request, so
-    an interrupted run resumes where it left off.  Individual cell
-    failures are recorded as error cells; the harness continues.
+    is available) and are cached by a content hash of the cell request and
+    the code, so an interrupted run resumes where it left off.  Individual
+    cell failures, a crashed worker included, are recorded as error cells
+    and never cached; the harness continues.
     """
     jobs = [(resolved, row, column) for row in rows for column in columns]
     cache = Path(cache_dir) if cache_dir else None
@@ -460,7 +478,7 @@ def table3_harness(
 
     def store(scheme: str, column: str, cell: Cell, job) -> None:
         results[(scheme, column)] = cell
-        if cache:
+        if cache and cell.status != "error":
             payload = {
                 "scheme": cell.scheme, "column": cell.column, "status": cell.status,
                 "value": cell.value, "display": cell.display, "paper": cell.paper,
@@ -471,9 +489,15 @@ def table3_harness(
     n_workers = worker_count(workers)
     if n_workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for job, outcome in zip(pending, pool.map(_run_cell_safe, pending)):
-                scheme, column, cell = outcome
-                store(scheme, column, cell, job)
+            futures = [pool.submit(_run_cell_safe, job) for job in pending]
+            for job, future in zip(pending, futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool as exc:
+                    # a worker died: every cell not finished by then is
+                    # lost, the finished ones are kept
+                    outcome = _error_outcome(job, exc)
+                store(*outcome, job)
     else:
         for job in pending:
             scheme, column, cell = _run_cell_safe(job)
@@ -488,13 +512,17 @@ def table3_harness(
     return SweepTable(rows=tuple(out_rows))
 
 
+def _error_outcome(args: tuple, exc: BaseException) -> tuple:
+    _, row, column = args
+    return (
+        row["scheme"], column,
+        Cell(row["scheme"], column, "error", None, f"error: {exc}",
+             row["paper"][column]),
+    )
+
+
 def _run_cell_safe(args: tuple) -> tuple:
-    resolved, row, column = args
     try:
         return _run_cell(args)
     except Exception as exc:  # cell failures are recorded, not fatal
-        return (
-            row["scheme"], column,
-            Cell(row["scheme"], column, "error", None, f"error: {exc}",
-                 row["paper"][column]),
-        )
+        return _error_outcome(args, exc)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,13 +13,12 @@ from multigrid_ilc.errors import (
     ValidationError,
 )
 from multigrid_ilc.ilc import (
+    SCHEME,
     EquilibriumBoundary,
     Gains,
     IlcPhysical,
     IlcUnit,
     SCHEMES,
-    controller_rates_and_refs,
-    dc_bus_rate,
     filter_susceptance_power,
     ilc_derivative,
     ilc_equilibrium,
@@ -62,57 +62,61 @@ def test_default_filter_constant():
 
 
 class TestDcBus:
+    """The DC-bus law, seen through the matching unit, whose only state is
+    the DC voltage and whose inputs are the two outgoing powers."""
+
+    def dc_rate(self, p1, p2, v):
+        (rate,) = ilc_derivative(unit_for("matching"), (v,), (p1, p2))
+        return rate
+
     def test_equilibrium(self):
-        assert dc_bus_rate(0.0, 0.0, 0.0, PHYS) == 0.0
+        assert self.dc_rate(0.0, 0.0, 0.0) == 0.0
 
     def test_discharge_rate(self):
         # 1 kW out of a 1 mF bus at 10 kV
-        assert dc_bus_rate(1000.0, 0.0, 0.0, PHYS) == pytest.approx(-100.0)
+        assert self.dc_rate(1000.0, 0.0, 0.0) == pytest.approx(-100.0)
 
     def test_steady_state_quadratic_root(self):
         # V (V + Vref) = 1000 for a 1 kW net import
         v = (-1e4 + math.sqrt(1e8 + 4000.0)) / 2.0
         assert v == pytest.approx(0.09999, abs=1e-5)
-        assert abs(dc_bus_rate(-1000.0, 0.0, v, PHYS)) < 1e-9
+        assert abs(self.dc_rate(-1000.0, 0.0, v)) < 1e-9
 
     def test_collapse(self):
         with pytest.raises(DcVoltageCollapse):
-            dc_bus_rate(0.0, 0.0, -PHYS.v_dc_ref, PHYS)
+            self.dc_rate(0.0, 0.0, -PHYS.v_dc_ref)
 
 
 class TestControllers:
+    # with the converter powers at zero, a grid-following side's power
+    # reference is its power rate times the lag: pref = tau * dp/dt
+
     def test_dfd1_droop_symmetry(self):
         u = unit_for("dual-freq-droop-1")
-        _, (p1, _) = controller_rates_and_refs(
-            u, {"omega1": -0.02, "omega2": -0.02, "vdc": 0.0},
-            {"xi": 0.0, "zeta": 0.0},
-        )
-        assert p1 == 0.0
+        rates = ilc_derivative(u, (0.0,) * 5, (-0.02, -0.02))
+        assert rates[0] * u.physical.tau1 == 0.0
 
     def test_dfd1_droop_value(self):
         u = unit_for("dual-freq-droop-1")
-        _, (p1, _) = controller_rates_and_refs(
-            u, {"omega1": -0.01, "omega2": 0.0, "vdc": 0.0},
-            {"xi": 0.0, "zeta": 0.0},
-        )
-        assert p1 == pytest.approx(2.5e5)
+        rates = ilc_derivative(u, (0.0,) * 5, (-0.01, 0.0))
+        assert rates[0] * u.physical.tau1 == pytest.approx(2.5e5)
 
     def test_matching_reference(self):
         u = unit_for("matching")
-        _, (w1, w2) = controller_rates_and_refs(u, {"vdc": 5.0}, {})
+        w1, w2 = ilc_output(u, (5.0,))
         assert w1 == pytest.approx(5e-3)
         assert w2 == pytest.approx(5e-3)
 
     def test_state_mismatch(self):
+        # the DC integrator state zeta is missing
         u = unit_for("dual-freq-droop-1")
         with pytest.raises(SchemeStateMismatch):
-            controller_rates_and_refs(u, {"omega1": 0, "omega2": 0, "vdc": 0},
-                                      {"xi": 0.0})
+            ilc_derivative(u, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0))
 
     def test_nonfinite(self):
         u = unit_for("matching")
         with pytest.raises(NonFiniteInput):
-            controller_rates_and_refs(u, {"vdc": math.inf}, {})
+            ilc_derivative(u, (math.inf,), (0.0, 0.0))
 
 
 class TestDerivativeAndOutput:
@@ -269,6 +273,7 @@ def test_gfm_dual_droop_reduces_to_matching():
 
 
 def test_state_name_tables_cover_all_schemes():
+    gain_fields = {f.name for f in fields(Gains)}
     for scheme in SCHEMES:
         u = unit_for(scheme)
         assert len(unit_state_names(u)) >= 1
@@ -276,56 +281,58 @@ def test_state_name_tables_cover_all_schemes():
         if u.port_kind == "gfm":
             assert sim[:2] == ("eta1", "eta2")
         assert "vdc" in sim
+        rates, _, _ = make_sim_derivative(u)((0.0,) * len(sim), 0.0, 0.0)
+        assert len(rates) == len(sim)
+        assert len(ilc_equilibrium(u, EquilibriumBoundary())) == len(sim)
+        assert set(SCHEME[scheme].gains) <= gain_fields
 
 
 class TestMoreControllerLaws:
     def test_dual_acdc_rates_and_refs(self):
         u = unit_for("dual-acdc-droop")
-        meas = {"omega1": -0.01, "omega2": 0.0, "vdc": -2.0}
-        rates, (p1, p2) = controller_rates_and_refs(
-            u, meas, {"xi1": 100.0, "xi2": -50.0}
-        )
+        rates = ilc_derivative(u, (0.0, 0.0, -2.0, 100.0, -50.0), (-0.01, 0.0))
         d1 = 2.5e4 * -2.0 - 2.5e7 * -0.01   # K_v1*vdc - K_omega1*omega1
         d2 = 2.5e4 * -2.0
-        assert rates["xi1"] == pytest.approx(d1)
-        assert rates["xi2"] == pytest.approx(d2)
-        assert p1 == pytest.approx(d1 + 10.0 * 100.0)
-        assert p2 == pytest.approx(d2 + 10.0 * -50.0)
+        assert rates[3] == pytest.approx(d1)
+        assert rates[4] == pytest.approx(d2)
+        assert rates[0] * u.physical.tau1 == pytest.approx(d1 + 10.0 * 100.0)
+        assert rates[1] * u.physical.tau2 == pytest.approx(d2 + 10.0 * -50.0)
 
     def test_shared_dc_regulation_splits_evenly(self):
         # the shared integral term appears identically in both references
         u = unit_for("dual-freq-droop-2")
-        meas = {"omega1": -0.01, "omega2": -0.02, "vdc": 3.0}
-        state = {"xi": 5.0, "zeta": 7.0}
-        rates, (p1, p2) = controller_rates_and_refs(u, meas, state)
+        rates = ilc_derivative(u, (0.0, 0.0, 3.0, 5.0, 7.0), (-0.01, -0.02))
+        p1 = rates[0] * u.physical.tau1
+        p2 = rates[1] * u.physical.tau2
         p_dc = u.gains.k_pdc * 3.0 + u.gains.k_idc * 7.0
         assert p1 + p2 == pytest.approx(2.0 * p_dc)
-        assert rates["xi"] == pytest.approx(0.01 - 0.02)  # -w1 + w2
+        assert rates[3] == pytest.approx(0.01 - 0.02)  # -w1 + w2
 
     def test_gfm_dual_droop_refs(self):
         u = unit_for("gfm-dual-droop")
-        meas = {"vdc": 4.0, "p1": 0.0, "p2": 0.0}
-        state = {"xi1": 2.0e5, "xi2": 0.0, "pf1": 1.0e5, "pf2": 0.0}
-        rates, (w1, w2) = controller_rates_and_refs(u, meas, state)
+        # states vdc, xi1, xi2, pf1, pf2; inputs p1 = p2 = 0
+        state = (4.0, 2.0e5, 0.0, 1.0e5, 0.0)
+        rates = ilc_derivative(u, state, (0.0, 0.0))
+        w1, _ = ilc_output(u, state, (0.0, 0.0))
         expect_w1 = 5e-8 * (-1.0e5 + 2.5e4 * 4.0 + 10.0 * 2.0e5)
         assert w1 == pytest.approx(expect_w1)
-        assert rates["xi1"] == pytest.approx(2.5e4 * 4.0 - 2.5e7 * expect_w1)
-        assert rates["pf1"] == pytest.approx((0.0 - 1.0e5) / 0.05)
+        assert rates[1] == pytest.approx(2.5e4 * 4.0 - 2.5e7 * expect_w1)
+        assert rates[3] == pytest.approx((0.0 - 1.0e5) / 0.05)
 
     def test_gfm_freq_droop_dc_term_raises_reference(self):
         # excess DC energy must raise the frequency references so the bus
         # discharges through both sides
         u = unit_for("gfm-freq-droop")
-        meas = {"vdc": 10.0, "p1": 0.0, "p2": 0.0}
-        state = {"zeta": 0.0, "p_eq": 0.0, "pf1": 0.0, "pf2": 0.0}
-        _, (w1, w2) = controller_rates_and_refs(u, meas, state)
+        w1, w2 = ilc_output(u, (10.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0))
         assert w1 > 0 and w2 > 0
 
     def test_gfl_gfm_refs(self):
         u = unit_for("gfl-gfm-dual-droop")
-        meas = {"omega2": -0.01, "vdc": -2.0, "p1": 5.0e4}
-        state = {"xi1": 0.0, "pf1": 0.0, "xi2": 1.0e4}
-        rates, (w1, p2) = controller_rates_and_refs(u, meas, state)
+        # states eta, xi1, pf1, xi2, p2, vdc; the filter angle carries p1
+        eta = math.asin(5.0e4 / PHYS.b)
+        rates = ilc_derivative(u, (eta, 0.0, 0.0, 1.0e4, 0.0, -2.0), (0.0, -0.01))
+        w1 = rates[0]  # omega_ref1 - omega1 with omega1 = 0
+        p2 = rates[4] * u.physical.tau2
         assert w1 == pytest.approx(5e-8 * (2.5e4 * -2.0))
         assert p2 == pytest.approx(2.5e4 * -2.0 - 2.5e7 * -0.01 + 10.0 * 1.0e4)
-        assert rates["pf1"] == pytest.approx(5.0e4 / 0.05)
+        assert rates[2] == pytest.approx(5.0e4 / 0.05)

@@ -4,17 +4,9 @@ from hypothesis import strategies as st
 
 from multigrid_ilc.errors import DanglingEndpoint, DisconnectedGraph
 from multigrid_ilc.network import (
-    GFL_ILC,
-    LINE,
-    GFM_CONNECTION,
-    MG_BUS,
-    EdgeSpec,
-    GeneralTopology,
     IlcSpec,
     MgSpec,
     NetworkSpec,
-    NodeSpec,
-    build_general_incidence,
     build_ilc_incidence,
     validate_topology,
 )
@@ -85,43 +77,3 @@ def test_incidence_column_sums_and_pairing(data):
         assert net.connections[2 * l].mg == ilc.mg_a
         assert net.connections[2 * l + 1].mg == ilc.mg_b
 
-
-def general_example():
-    nodes = (
-        NodeSpec(MG_BUS, "n1"),
-        NodeSpec(MG_BUS, "n2"),
-        NodeSpec(MG_BUS, "n3"),
-        NodeSpec(GFM_CONNECTION, "g4"),
-    )
-    edges = (
-        EdgeSpec(0, 1, LINE),
-        EdgeSpec(0, 3, LINE),
-        EdgeSpec(1, 2, GFL_ILC),
-    )
-    return GeneralTopology(nodes=nodes, edges=edges)
-
-
-def test_general_counts():
-    gt = general_example()
-    assert gt.n_lines == 2
-    assert gt.n_gfl_connections == 2
-    assert gt.n_mg_buses == 3
-    assert gt.n_gfm_connections == 1
-
-
-def test_general_incidence_columns():
-    gt = general_example()
-    m, a = build_general_incidence(gt)
-    # every signed column sums to zero, +1 at source, -1 at sink
-    assert (m.data.sum(axis=0) == 0).all()
-    assert m.data[:, 0].tolist() == [1, -1, 0, 0]
-    # GFL connection map: one connection per endpoint, in edge order
-    assert (a.data.sum(axis=0) == 1).all()
-    assert a.data[1, 0] == 1 and a.data[2, 1] == 1
-
-
-def test_general_dangling_edge():
-    with pytest.raises(DanglingEndpoint):
-        GeneralTopology(
-            nodes=(NodeSpec(MG_BUS),), edges=(EdgeSpec(0, 1, LINE),)
-        )

@@ -1,3 +1,7 @@
+import json
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from multigrid_ilc.scenario import set_parameter
 from multigrid_ilc.sweep import (
     STABLE,
     UNSTABLE,
+    Cell,
     SweepRequest,
     TABLE3_ROWS,
     bisect_boundary,
@@ -110,6 +115,57 @@ class TestHarness:
         again = table3_harness(two_mg_resolved, workers=1, cache_dir=cache,
                                columns=("min_kdc",), rows=rows)
         assert again.cell("dual-droop-matching", "min_kdc").display == "0.00"
+
+    @pytest.mark.parametrize("stale_setting", [
+        ("_source_digest", lambda: "older code"),
+        ("GAIN_SPAN", 50.0),
+    ])
+    def test_cache_entry_of_other_code_not_served(
+        self, tmp_path, two_mg_resolved, monkeypatch, stale_setting
+    ):
+        row = TABLE3_ROWS[0]
+        job = (two_mg_resolved, row, "min_kdc")
+        with monkeypatch.context() as m:
+            m.setattr(sweep, *stale_setting)
+            stale = {"scheme": row["scheme"], "column": "min_kdc",
+                     "status": "stable-throughout", "value": 0.0, "display": "stale",
+                     "paper": row["paper"]["min_kdc"], "probes": []}
+            (tmp_path / f"{sweep._cache_key(job)}.json").write_text(json.dumps(stale))
+        fresh = Cell(row["scheme"], "min_kdc", "stable-throughout", 0.0, "fresh",
+                     row["paper"]["min_kdc"])
+        monkeypatch.setattr(sweep, "_run_cell",
+                            lambda args: (row["scheme"], "min_kdc", fresh))
+        table = table3_harness(two_mg_resolved, workers=1, cache_dir=tmp_path,
+                               columns=("min_kdc",), rows=(row,))
+        assert table.cell(row["scheme"], "min_kdc").display == "fresh"
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched cell runner reaches the workers by fork")
+    def test_crashed_worker_gives_error_cells_that_are_not_cached(
+        self, tmp_path, two_mg_resolved, monkeypatch
+    ):
+        rows = TABLE3_ROWS[:2]
+        columns = ("min_kdc", "max_tau")
+        crash = (rows[0]["scheme"], "max_tau")
+
+        def run_cell(args):
+            _, row, column = args
+            if (row["scheme"], column) == crash:
+                os._exit(1)
+            return (row["scheme"], column,
+                    Cell(row["scheme"], column, "stable-throughout", 0.0, "ok",
+                         row["paper"][column]))
+
+        monkeypatch.setattr(sweep, "_run_cell", run_cell)
+        monkeypatch.setenv("MULTIGRID_ILC_THREADS", "2")
+        table = table3_harness(two_mg_resolved, workers=2, cache_dir=tmp_path,
+                               columns=columns, rows=rows)
+        assert table.cell(*crash).status == "error"
+        statuses = [table.cell(r["scheme"], c).status for r in rows for c in columns]
+        assert set(statuses) <= {"error", "stable-throughout"}
+        stored = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
+        assert all(entry["status"] != "error" for entry in stored)
+        assert len(stored) == statuses.count("stable-throughout")
 
     def test_worker_count_env_cap(self, monkeypatch):
         monkeypatch.setenv("MULTIGRID_ILC_THREADS", "2")

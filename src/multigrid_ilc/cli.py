@@ -204,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("min-stable", "max-stable"),
                    default="min-stable")
     p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--log", action="store_true", help="bisect in log space")
+    p.add_argument("--log", action="store_true",
+                   help="bisect in log space; --tol is then a ratio")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("table3", help="run the full stability-boundary table")

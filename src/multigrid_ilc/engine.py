@@ -264,9 +264,6 @@ class IntegrateOptions:
     rtol: float = 1e-7
     atol_scale: float = 1.0
     max_step: float = math.inf
-    omega_bound: float = 5.0        # rad/s; beyond this an MG counts as diverged
-    vdc_bound_frac: float = 0.2     # fraction of V_dc_ref
-    first_step: float | None = None
 
 
 @dataclass(frozen=True)
@@ -382,6 +379,9 @@ _STIFF_HLAMBDA = 3.25
 # steps, doubling with every further failure
 _TRIAL_STEPS = 10
 _RETRY_STEPS = 200
+# divergence bounds of a trajectory
+_OMEGA_BOUND = 5.0       # rad/s; beyond this an MG counts as diverged
+_VDC_BOUND_FRAC = 0.2    # fraction of V_dc_ref
 
 
 class _Switch(NamedTuple):
@@ -588,9 +588,9 @@ def integrate(
     # state bounds: (index, limit) pairs
     bound_checks: list[tuple[int, float, str]] = []
     for comp in ode.mg_components:
-        bound_checks.append((comp.offset, opts.omega_bound, f"mg{comp.index + 1}.omega"))
+        bound_checks.append((comp.offset, _OMEGA_BOUND, f"mg{comp.index + 1}.omega"))
     for l, idx in ode._vdc_index_by_ilc.items():
-        limit = opts.vdc_bound_frac * ode.units[l].physical.v_dc_ref
+        limit = _VDC_BOUND_FRAC * ode.units[l].physical.v_dc_ref
         bound_checks.append((idx, limit, f"ilc{l + 1}.vdc"))
     eta_indices = ode._eta_indices
 
@@ -683,8 +683,6 @@ def integrate(
             # the DC bus cannot collapse at an in-bounds accepted state;
             # only proceed if even the smallest step fails
             raise StepSizeUnderflow(f"DC bus collapse at segment start t = {t:g} s")
-        if opts.first_step is not None:
-            h = min(opts.first_step, opts.max_step)
         jac = None
         while t < boundary:
             h = min(h, boundary - t, opts.max_step)

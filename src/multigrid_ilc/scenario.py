@@ -61,9 +61,10 @@ GAIN_DEFAULTS = {
 _GAIN_KEYS = tuple(GAIN_DEFAULTS) + ("K_pdc", "K_idc")
 _PHYS_KEYS = tuple(PHYSICAL_DEFAULTS) + ("B",)
 
-_MG_KEYS = {
-    "swing-governor": {"M", "D", "T_g", "inv_R"},
-    "first-order-droop": {"T", "D"},
+# MG model forms: the model class and its required parameters
+_MG_FORMS = {
+    "swing-governor": (SwingGovernor, {"M", "D", "T_g", "inv_R"}),
+    "first-order-droop": (FirstOrderDroop, {"T", "D"}),
 }
 
 _TOP_KEYS = {"name", "f_nominal", "mgs", "ilcs", "defaults", "events", "sim"}
@@ -128,21 +129,18 @@ def resolve(raw: dict) -> dict:
         path = f"scenario.mgs[{i}]"
         _require(isinstance(block, dict), path, "expected an object")
         model = block.get("model")
-        _require(model in _MG_KEYS, f"{path}.model",
-                 f"expected one of {sorted(_MG_KEYS)}, got {model!r}")
-        allowed = _MG_KEYS[model] | {"model", "name", "p_load", "rating"}
-        _check_keys(block, allowed, path)
+        _require(model in _MG_FORMS, f"{path}.model",
+                 f"expected one of {sorted(_MG_FORMS)}, got {model!r}")
+        keys = _MG_FORMS[model][1]
+        _check_keys(block, keys | {"model", "name", "p_load", "rating"}, path)
         resolved = {"model": model, "name": str(block.get("name", f"MG{i + 1}"))}
-        for key in sorted(_MG_KEYS[model]):
+        for key in sorted(keys):
             _require(key in block, f"{path}.{key}", "required MG parameter missing")
             resolved[key] = _check_number(block[key], f"{path}.{key}")
         resolved["p_load"] = _check_number(block.get("p_load", 0.0), f"{path}.p_load")
         if "rating" in block:
             resolved["rating"] = _check_number(block["rating"], f"{path}.rating")
-        else:
-            droop = (resolved["D"] + resolved["inv_R"]) if model == "swing-governor" \
-                else resolved["D"]
-            resolved["rating"] = 0.05 * omega_nominal * droop
+        resolved["rating"] = default_rating(_mg_model(resolved), omega_nominal)
         out_mgs.append(resolved)
     out["mgs"] = out_mgs
 
@@ -276,25 +274,17 @@ class SystemBundle:
         return default_rating(self.models[mg_index], self.omega_nominal)
 
 
+def _mg_model(block: dict) -> MgModel:
+    """The MG model of one resolved MG block; a block without a rating gives
+    a model that follows the default rating rule."""
+    model_class, keys = _MG_FORMS[block["model"]]
+    return model_class(**{key: block[key] for key in keys}, p_load=block["p_load"],
+                       rating=block.get("rating"), name=block["name"])
+
+
 def build_system(resolved: dict) -> SystemBundle:
     """Construct the validated network, models, units, and assembled ODE."""
-    models: list[MgModel] = []
-    for block in resolved["mgs"]:
-        if block["model"] == "swing-governor":
-            models.append(
-                SwingGovernor(
-                    M=block["M"], D=block["D"], T_g=block["T_g"],
-                    inv_R=block["inv_R"], p_load=block["p_load"],
-                    rating=block["rating"], name=block["name"],
-                )
-            )
-        else:
-            models.append(
-                FirstOrderDroop(
-                    T=block["T"], D=block["D"], p_load=block["p_load"],
-                    rating=block["rating"], name=block["name"],
-                )
-            )
+    models = [_mg_model(block) for block in resolved["mgs"]]
     units = []
     ilc_specs = []
     for block in resolved["ilcs"]:

@@ -10,24 +10,27 @@ evidence that contradicts a spectrally stable verdict yields
 *indeterminate*.
 
 Boundaries are located by bisection assuming the classification is
-monotone along the swept interval; accepted brackets are re-verified
-spectrally.  The ``table3`` harness runs the whole scheme-by-parameter
-boundary table on the shipped two-MG scenario and reports the published
-reference values alongside.
+monotone along the swept interval.  The evidence for each end of the final
+bracket is the probe recorded there, a full classification: the reported
+boundary was classified stable, its neighbour within the tolerance was
+not.  The ``table3`` harness runs the whole scheme-by-parameter boundary
+table on the shipped two-MG scenario, every column through one bisection
+routine, and reports the published reference values alongside.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .analysis import linearize_closed_loop, spectral_abscissa
 from .engine import IntegrateOptions, LoadEvent, find_equilibrium, integrate
 from .errors import NonBracketing, NumericalError, ValidationError
 from .ilc import GFL, SCHEME
-from .scenario import build_system, set_parameter
+from .scenario import build_system, resolve, set_parameter
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -55,7 +58,11 @@ class Classification:
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One boundary search over a single parameter path."""
+    """One boundary search over a single parameter path.
+
+    ``tol`` is the width at which bisection stops; a ``log`` search takes it
+    as a ratio and stops once ``hi / lo <= 1 + tol``.
+    """
 
     resolved: dict
     path: str
@@ -72,6 +79,8 @@ class SweepRequest:
             raise ValidationError("interval bounds must be finite with lo < hi")
         if self.log and self.lo <= 0:
             raise ValidationError("log bisection needs lo > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -143,11 +152,9 @@ def classify_stability(
     )
 
 
-def _midpoint(lo: float, hi: float, log: bool) -> float:
-    return math.sqrt(lo * hi) if log else 0.5 * (lo + hi)
-
-
-def bisect_boundary(req: SweepRequest) -> BoundaryResult:
+def bisect_boundary(
+    req: SweepRequest, configure: Callable[[float], dict] | None = None
+) -> BoundaryResult:
     """Locate the stability boundary of one parameter by bisection.
 
     ``min-stable`` searches for the smallest stable value (stable at the
@@ -155,12 +162,20 @@ def bisect_boundary(req: SweepRequest) -> BoundaryResult:
     When both endpoints classify the same way there is no bracket: the
     result is "stable-throughout" (boundary beyond the searched range) or
     "unstable-throughout".  Indeterminate probes count as not-stable, so
-    the reported boundary is always a verified-stable value.
+    the reported boundary is always a value classified stable, and each
+    end of the final bracket is backed by its recorded probe.
+
+    ``configure`` maps a swept value to the scenario to classify; by
+    default it sets ``req.path`` in ``req.resolved``.
     """
+    if configure is None:
+        def configure(value: float) -> dict:
+            return set_parameter(req.resolved, req.path, value)
+
     probes: list[tuple[float, str, float | None]] = []
 
     def classify_at(value: float) -> str:
-        cls = classify_stability(set_parameter(req.resolved, req.path, value))
+        cls = classify_stability(configure(value))
         probes.append((value, cls.verdict, cls.abscissa))
         return cls.verdict
 
@@ -182,8 +197,8 @@ def bisect_boundary(req: SweepRequest) -> BoundaryResult:
         return BoundaryResult(value, "stable-throughout", None, tuple(probes))
 
     lo, hi = req.lo, req.hi
-    while hi - lo > req.tol:
-        mid = _midpoint(lo, hi, req.log)
+    while (hi / lo > 1.0 + req.tol) if req.log else (hi - lo > req.tol):
+        mid = math.sqrt(lo * hi) if req.log else 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
         verdict = classify_at(mid)
@@ -192,19 +207,6 @@ def bisect_boundary(req: SweepRequest) -> BoundaryResult:
             hi = mid
         else:
             lo = mid
-    # re-verify the accepted bracket spectrally
-    for value, want_stable in ((lo, not stable_end_is_hi), (hi, stable_end_is_hi)):
-        bundle = build_system(set_parameter(req.resolved, req.path, value))
-        try:
-            eq = find_equilibrium(bundle.ode)
-            absc = spectral_abscissa(linearize_closed_loop(bundle.ode, eq))
-            got_stable = absc < -_ABSCISSA_MARGIN
-        except NumericalError:
-            got_stable = False
-        if got_stable != want_stable:
-            raise NonBracketing(
-                f"{req.path}: bracket endpoint {value:g} failed re-verification"
-            )
     boundary = hi if stable_end_is_hi else lo
     return BoundaryResult(boundary, "boundary", (lo, hi), tuple(probes))
 
@@ -244,13 +246,45 @@ TABLE3_ROWS: tuple[dict, ...] = (
                "min_l_mh": "0.01"}},
 )
 
-KDC_INTERVAL = (0.0, 1.0)
-KDC_TOL = 0.01
-TAU_INTERVAL = (0.01, 5.0)
-TAU_TOL = 0.01
-L_INTERVAL = (1e-5, 2e-3)
-L_TOL = 1e-5
+# the gain column's path: one scale factor applied to every gain field of
+# the row, each relative to its catalogue value
+GAINS = "ilc.gains"
 GAIN_SPAN = 100.0  # gain cells sweep [1x, 100x] the catalogue default
+
+
+@dataclass(frozen=True)
+class Column:
+    """How one column of the boundary table is swept and shown.
+
+    ``tol`` is a ratio when ``log`` is set.  The two display strings show a
+    boundary and a stable-throughout end; they are formatted with ``v``
+    (the cell value), ``mh`` (``v`` in millihenry) and ``label`` (the row's
+    gain label).
+    """
+
+    path: str
+    interval: tuple[float, float]
+    direction: str
+    tol: float
+    boundary: str
+    throughout: str
+    log: bool = False
+    gfm_only: bool = False  # not applicable to grid-following ports
+
+
+COLUMNS: dict[str, Column] = {
+    "min_kdc": Column("ilc.K_dc", (0.0, 1.0), "min-stable", 0.01,
+                      boundary="{v:.2f}", throughout="{v:.2f}"),
+    "max_tau": Column("ilc.tau", (0.01, 5.0), "max-stable", 0.01,
+                      boundary="{v:.2f}", throughout=">{v:g}"),
+    # a boundary shows the gain itself, a stable-throughout end the scale
+    "max_gain": Column(GAINS, (1.0, GAIN_SPAN), "max-stable", 0.1,
+                       boundary="{label}={v:.3g}",
+                       throughout="any reasonable (<= {v:g}x)", log=True),
+    "min_l_mh": Column("ilc.L", (1e-5, 2e-3), "min-stable", 1e-5,
+                       boundary="{mh:.2f} mH", throughout="<={mh:.2f} mH",
+                       gfm_only=True),
+}
 
 
 @dataclass(frozen=True)
@@ -274,31 +308,24 @@ class SweepTable:
                 return row[column]
         raise KeyError(scheme)
 
+    def _lines(self, paper_header: str) -> list[list[str]]:
+        """The header and one line per scheme: each column's display, then
+        its paper value, under the headers ``column`` and
+        ``paper_header.format(column)``."""
+        cols = [c for c in COLUMNS if all(c in row for row in self.rows)]
+        lines = [["scheme"] + [h for c in cols for h in (c, paper_header.format(c))]]
+        for row in self.rows:
+            lines.append([row["scheme"]]
+                         + [t for c in cols for t in (row[c].display, row[c].paper)])
+        return lines
+
     def to_csv(self, path) -> None:
-        cols = [c for c in ("min_kdc", "max_tau", "max_gain", "min_l_mh")
-                if all(c in row for row in self.rows)]
         with open(path, "w", encoding="utf-8") as handle:
-            header = ["scheme"]
-            for col in cols:
-                header += [col, f"{col}_paper"]
-            handle.write(",".join(header) + "\n")
-            for row in self.rows:
-                out = [row["scheme"]]
-                for col in cols:
-                    cell = row[col]
-                    out += [cell.display, cell.paper]
-                handle.write(",".join(out) + "\n")
+            for line in self._lines("{}_paper"):
+                handle.write(",".join(line) + "\n")
 
     def to_text(self) -> str:
-        cols = [c for c in ("min_kdc", "max_tau", "max_gain", "min_l_mh")
-                if all(c in row for row in self.rows)]
-        table = [["scheme"] + [t for c in cols for t in (c, "paper " + c)]]
-        for row in self.rows:
-            line = [row["scheme"]]
-            for col in cols:
-                cell = row[col]
-                line += [cell.display, cell.paper]
-            table.append(line)
+        table = self._lines("paper {}")
         widths = [max(len(r[i]) for r in table) + 2 for i in range(len(table[0]))]
         return "\n".join(
             "".join(value.ljust(width) for value, width in zip(line, widths)).rstrip()
@@ -306,103 +333,50 @@ class SweepTable:
         )
 
 
-def _scale_gains(resolved: dict, fields: Sequence[str], factor: float) -> dict:
-    out = resolved
-    for name in fields:
-        for l, block in enumerate(resolved["ilcs"]):
-            out = set_parameter(out, f"ilc[{l + 1}].gains.{name}",
-                                block["gains"][name] * factor)
-    return out
-
-
-def _gain_cell(resolved: dict, row: dict) -> Cell:
-    fields = row["gain"]
-    base = resolved["ilcs"][0]["gains"][fields[0]]
-    probes = []
-
-    def classify_scale(scale: float) -> str:
-        cls = classify_stability(_scale_gains(resolved, fields, scale))
-        probes.append((scale, cls.verdict, cls.abscissa))
-        return cls.verdict
-
-    if classify_scale(1.0) != STABLE:
-        return Cell(row["scheme"], "max_gain", "unstable-throughout", None,
-                    "unstable at default", row["paper"]["max_gain"], tuple(probes))
-    if classify_scale(GAIN_SPAN) == STABLE:
-        return Cell(row["scheme"], "max_gain", "stable-throughout", GAIN_SPAN,
-                    f"any reasonable (<= {GAIN_SPAN:g}x)", row["paper"]["max_gain"],
-                    tuple(probes))
-    lo, hi = 1.0, GAIN_SPAN
-    while hi / lo > 1.1:
-        mid = math.sqrt(lo * hi)
-        if classify_scale(mid) == STABLE:
-            lo = mid
-        else:
-            hi = mid
-    value = base * lo
-    return Cell(row["scheme"], "max_gain", "boundary", value,
-                f"{row['gain_label']}={value:.3g}", row["paper"]["max_gain"],
-                tuple(probes))
-
-
-def _boundary_cell(resolved: dict, row: dict, column: str) -> Cell:
-    scheme = resolved["ilcs"][0]["scheme"]
-    if column == "min_kdc":
-        req = SweepRequest(resolved, "ilc.K_dc", *KDC_INTERVAL,
-                           direction="min-stable", tol=KDC_TOL)
-    elif column == "max_tau":
-        req = SweepRequest(resolved, "ilc.tau", *TAU_INTERVAL,
-                           direction="max-stable", tol=TAU_TOL)
-    else:  # min_l_mh
-        if SCHEME[scheme].port == GFL:
-            return Cell(scheme, column, "not-applicable", None, "n/a",
-                        row["paper"]["min_l_mh"])
-        req = SweepRequest(resolved, "ilc.L", *L_INTERVAL,
-                           direction="min-stable", tol=L_TOL)
-    result = bisect_boundary(req)
-    if result.status == "stable-throughout":
-        if column == "min_kdc":
-            display = f"{req.lo:.2f}"
-        elif column == "max_tau":
-            display = f">{req.hi:g}"
-        else:
-            display = f"<={req.lo * 1e3:.2f} mH"
-        return Cell(scheme, column, result.status, result.value, display,
-                    row["paper"][column], result.probes)
-    if result.status == "unstable-throughout":
-        return Cell(scheme, column, result.status, None, "unstable throughout",
-                    row["paper"][column], result.probes)
-    if column == "min_l_mh":
-        display = f"{result.value * 1e3:.2f} mH"
-    else:
-        display = f"{result.value:.2f}"
-    return Cell(scheme, column, result.status, result.value, display,
-                row["paper"][column], result.probes)
-
-
 def _scheme_scenario(resolved: dict, scheme: str) -> dict:
     """Re-point every ILC of the base scenario at one scheme, with catalogue
     gains re-resolved for that scheme."""
-    import copy
-
-    from .scenario import resolve
-
     raw = copy.deepcopy(resolved)
     for block in raw["ilcs"]:
         block["scheme"] = scheme
-        block.pop("gains", None)
         block["gains"] = {}
     return resolve(raw)
 
 
 def _run_cell(args: tuple) -> tuple:
+    """One cell of the boundary table: its column's sweep on one scheme."""
     resolved, row, column = args
-    scenario = _scheme_scenario(resolved, row["scheme"])
-    if column == "max_gain":
-        cell = _gain_cell(scenario, row)
+    scheme, paper, spec = row["scheme"], row["paper"][column], COLUMNS[column]
+    if spec.gfm_only and SCHEME[scheme].port == GFL:
+        return (scheme, column, Cell(scheme, column, "not-applicable", None, "n/a", paper))
+    base = _scheme_scenario(resolved, scheme)
+    unit, configure = 1.0, None
+    if spec.path == GAINS:
+        # the sweep runs over the scale factor; a boundary is reported as the
+        # value of the row's first gain field
+        fields = row["gain"]
+        unit = base["ilcs"][0]["gains"][fields[0]]
+
+        def configure(scale: float) -> dict:
+            out = base
+            for name in fields:
+                for l, block in enumerate(base["ilcs"]):
+                    out = set_parameter(out, f"ilc[{l + 1}].gains.{name}",
+                                        block["gains"][name] * scale)
+            return out
+
+    req = SweepRequest(base, spec.path, *spec.interval, spec.direction, spec.tol,
+                       spec.log)
+    result = bisect_boundary(req, configure)
+    if result.status == "unstable-throughout":
+        value, display = None, "unstable throughout"
     else:
-        cell = _boundary_cell(scenario, row, column)
-    return (row["scheme"], column, cell)
+        at_boundary = result.status == "boundary"
+        value = unit * result.value if at_boundary else result.value
+        shown = spec.boundary if at_boundary else spec.throughout
+        display = shown.format(v=value, mh=value * 1e3, label=row["gain_label"])
+    return (scheme, column,
+            Cell(scheme, column, result.status, value, display, paper, result.probes))
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +397,7 @@ def _cache_key(args: tuple) -> str:
     whose settings are literal defaults of :func:`classify_stability`; the
     module constants are read at call time, so they enter the key as well."""
     resolved, row, column = args
-    constants = [KDC_INTERVAL, KDC_TOL, TAU_INTERVAL, TAU_TOL, L_INTERVAL, L_TOL,
+    constants = [{name: asdict(spec) for name, spec in COLUMNS.items()},
                  GAIN_SPAN, _ABSCISSA_MARGIN]
     blob = json.dumps([_source_digest(), constants, resolved, row["scheme"], column],
                       sort_keys=True)
@@ -447,7 +421,7 @@ def table3_harness(
     resolved: dict,
     workers: int | None = None,
     cache_dir: str | Path | None = None,
-    columns: Sequence[str] = ("min_kdc", "max_tau", "max_gain", "min_l_mh"),
+    columns: Sequence[str] = tuple(COLUMNS),
     rows: Sequence[dict] = TABLE3_ROWS,
 ) -> SweepTable:
     """Run every scheme-by-parameter cell of the boundary table.
@@ -466,25 +440,18 @@ def table3_harness(
     results: dict[tuple[str, str], Cell] = {}
     pending = []
     for job in jobs:
-        if cache:
-            stash = cache / f"{_cache_key(job)}.json"
-            if stash.exists():
-                payload = json.loads(stash.read_text())
-                results[(payload["scheme"], payload["column"])] = Cell(**{
-                    **payload, "probes": tuple(map(tuple, payload["probes"]))
-                })
-                continue
-        pending.append(job)
+        stash = cache / f"{_cache_key(job)}.json" if cache else None
+        if stash and stash.exists():
+            payload = json.loads(stash.read_text())
+            payload["probes"] = tuple(map(tuple, payload["probes"]))
+            results[(payload["scheme"], payload["column"])] = Cell(**payload)
+        else:
+            pending.append(job)
 
     def store(scheme: str, column: str, cell: Cell, job) -> None:
         results[(scheme, column)] = cell
         if cache and cell.status != "error":
-            payload = {
-                "scheme": cell.scheme, "column": cell.column, "status": cell.status,
-                "value": cell.value, "display": cell.display, "paper": cell.paper,
-                "probes": [list(p) for p in cell.probes],
-            }
-            (cache / f"{_cache_key(job)}.json").write_text(json.dumps(payload))
+            (cache / f"{_cache_key(job)}.json").write_text(json.dumps(asdict(cell)))
 
     n_workers = worker_count(workers)
     if n_workers > 1 and len(pending) > 1:
@@ -500,16 +467,12 @@ def table3_harness(
                 store(*outcome, job)
     else:
         for job in pending:
-            scheme, column, cell = _run_cell_safe(job)
-            store(scheme, column, cell, job)
+            store(*_run_cell_safe(job), job)
 
-    out_rows = []
-    for row in rows:
-        entry: dict = {"scheme": row["scheme"]}
-        for column in columns:
-            entry[column] = results[(row["scheme"], column)]
-        out_rows.append(entry)
-    return SweepTable(rows=tuple(out_rows))
+    return SweepTable(rows=tuple(
+        {"scheme": row["scheme"], **{c: results[(row["scheme"], c)] for c in columns}}
+        for row in rows
+    ))
 
 
 def _error_outcome(args: tuple, exc: BaseException) -> tuple:

@@ -82,6 +82,16 @@ def test_linearize_closed_loop(tmp_path, capsys):
     assert (out / "cli-dfd1-closed-loop-A.csv").exists()
 
 
+def test_sweep_bad_tolerance_exit_code(tmp_path, capsys):
+    for tol in ("nan", "0"):
+        code = main([
+            "sweep", "--scenario", str(dfd1_scenario(tmp_path)),
+            "--param", "ilc.K_dc", "--lo", "0.0", "--hi", "1.0",
+            "--direction", "min-stable", "--tol", tol,
+        ])
+        assert code == 2
+
+
 def test_sweep_command(tmp_path, capsys):
     code = main([
         "sweep", "--scenario", str(dfd1_scenario(tmp_path)),

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from multigrid_ilc.errors import SchemaViolation, UnknownScheme
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, default_rating
 from multigrid_ilc.scenario import (
     build_system,
     dump_resolved,
@@ -159,6 +161,21 @@ def test_build_system_structure(two_mg_resolved):
     assert bundle.units[0].scheme == "dual-droop-matching"
     assert bundle.events[0].mg == 0  # converted to 0-based
     assert bundle.rating(0) == pytest.approx(4e8)
+
+
+def test_rating_left_out_follows_default_rating():
+    """A block without a rating resolves to ``mg.default_rating`` of its
+    model, for both MG forms, at the scenario's nominal frequency."""
+    raw = minimal()
+    raw["f_nominal"] = 60.0
+    resolved = resolve(raw)
+    omega_nominal = 2.0 * math.pi * 60.0
+    models = (SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7),
+              FirstOrderDroop(T=1.0, D=2e7))
+    for block, model in zip(resolved["mgs"], models):
+        assert block["rating"] == default_rating(model, omega_nominal)
+        assert block["rating"] != default_rating(model)  # not the 50 Hz value
+    assert build_system(resolved).rating(1) == default_rating(models[1], omega_nominal)
 
 
 def test_set_parameter_single_ilc():

@@ -1,6 +1,9 @@
+import ast
 import json
+import math
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ from multigrid_ilc import sweep
 from multigrid_ilc.errors import NonBracketing, ValidationError
 from multigrid_ilc.scenario import set_parameter
 from multigrid_ilc.sweep import (
+    COLUMNS,
+    INDETERMINATE,
     STABLE,
     UNSTABLE,
     Cell,
+    Classification,
     SweepRequest,
     TABLE3_ROWS,
     bisect_boundary,
@@ -90,6 +96,46 @@ class TestBisection:
         # published value 0.06; the near-lossless aggregate model keeps the
         # crossing small, so only positivity and order are asserted
         assert 0.0 < result.value <= 0.11
+
+    def test_indeterminate_unstable_end_still_brackets(self, scheme_scenario, monkeypatch):
+        """An indeterminate probe (spectrum stable, simulation not) may end
+        the final bracket: its recorded classification is the evidence."""
+        def classify(resolved):
+            tau = resolved["ilcs"][0]["physical"]["tau1"]
+            if tau > 1.0:
+                return Classification(INDETERMINATE, -0.5, "synthetic")
+            return Classification(STABLE, -0.5, "synthetic")
+
+        monkeypatch.setattr(sweep, "classify_stability", classify)
+        req = SweepRequest(
+            scheme_scenario("dual-droop-matching"), "ilc.tau", 0.01, 5.0,
+            direction="max-stable", tol=0.01,
+        )
+        result = bisect_boundary(req)
+        assert result.status == "boundary"
+        lo, hi = result.bracket
+        assert lo <= 1.0 < hi and hi - lo <= 0.01
+        verdicts = {v: verdict for v, verdict, _ in result.probes}
+        assert verdicts[lo] == STABLE
+        assert verdicts[hi] == INDETERMINATE
+        assert result.value == lo
+
+    def test_log_sweep_stops_at_ratio_tolerance(self, two_mg_resolved, monkeypatch):
+        def classify(resolved):
+            tau = resolved["ilcs"][0]["physical"]["tau1"]
+            return Classification(STABLE if tau < 19.3 else UNSTABLE, None, "synthetic")
+
+        monkeypatch.setattr(sweep, "classify_stability", classify)
+        req = SweepRequest(two_mg_resolved, "ilc.tau", 1.0, 100.0,
+                           direction="max-stable", tol=0.1, log=True)
+        result = bisect_boundary(req)
+        values = [v for v, _, _ in result.probes]
+        # each probe, cut to two decimals
+        assert [math.floor(100.0 * v) / 100.0 for v in values] == \
+            [1.0, 100.0, 10.0, 31.62, 17.78, 23.71, 20.53, 19.10]
+        lo, hi = result.bracket
+        assert hi / lo <= 1.1
+        assert result.value == lo == values[-1]
 
     def test_direction_mismatch_raises(self, scheme_scenario):
         req = SweepRequest(
@@ -197,6 +243,13 @@ def test_sweep_request_validation(two_mg_resolved):
     with pytest.raises(ValidationError):
         SweepRequest(two_mg_resolved, "ilc.K_dc", 0.0, 1.0,
                      direction="sideways", tol=0.01)
+    # a NaN tolerance skips bisection, a non-positive one never stops short
+    # of float resolution
+    for tol in (math.nan, math.inf, 0.0, -0.01):
+        for log in (False, True):
+            with pytest.raises(ValidationError):
+                SweepRequest(two_mg_resolved, "ilc.tau", 0.01, 1.0,
+                             direction="max-stable", tol=tol, log=log)
 
 
 def test_log_sweep_rejects_non_positive_lo(two_mg_resolved):
@@ -226,3 +279,66 @@ def test_classifier_tail_window_is_sampled(scheme, scheme_scenario, monkeypatch)
     (traj,) = seen
     assert traj.stats.stiff_from is not None
     assert int(np.sum(traj.t >= 1.0 + 2.0 * horizon / 3.0)) >= 10
+
+
+class TestGainColumn:
+    """The gain column is a max-stable log sweep of the scale factor on the
+    row's gain fields, run by ``bisect_boundary`` like every other column."""
+
+    ROW = next(r for r in TABLE3_ROWS if r["scheme"] == "dual-acdc-droop")
+
+    def run(self, two_mg_resolved, monkeypatch, stable_below):
+        base = sweep._scheme_scenario(two_mg_resolved, "dual-acdc-droop")
+        k_omega = base["ilcs"][0]["gains"]["K_omega1"]
+
+        def classify(resolved):
+            gains = resolved["ilcs"][0]["gains"]
+            # both swept fields carry the same scale
+            assert gains["K_omega2"] / base["ilcs"][0]["gains"]["K_omega2"] == \
+                pytest.approx(gains["K_omega1"] / k_omega)
+            stable = stable_below(gains["K_omega1"] / k_omega)
+            return Classification(STABLE if stable else UNSTABLE, None, "synthetic")
+
+        monkeypatch.setattr(sweep, "classify_stability", classify)
+        return k_omega, sweep._run_cell_safe((two_mg_resolved, self.ROW, "max_gain"))[2]
+
+    def test_boundary_reports_the_gain(self, two_mg_resolved, monkeypatch):
+        k_omega, cell = self.run(two_mg_resolved, monkeypatch, lambda s: s < 19.3)
+        scales = [p[0] for p in cell.probes]
+        assert cell.status == "boundary"
+        assert len(scales) == 8
+        assert cell.value == k_omega * scales[-1]
+        assert cell.display == f"K_omega={cell.value:.3g}"
+
+    def test_stable_throughout(self, two_mg_resolved, monkeypatch):
+        _, cell = self.run(two_mg_resolved, monkeypatch, lambda s: True)
+        assert (cell.status, cell.value) == ("stable-throughout", sweep.GAIN_SPAN)
+        assert cell.display == "any reasonable (<= 100x)"
+        assert [p[0] for p in cell.probes] == [1.0, sweep.GAIN_SPAN]
+
+    def test_unstable_at_default(self, two_mg_resolved, monkeypatch):
+        _, cell = self.run(two_mg_resolved, monkeypatch, lambda s: False)
+        assert (cell.status, cell.display) == ("unstable-throughout", "unstable throughout")
+        # stable only above the default: the direction does not match
+        _, cell = self.run(two_mg_resolved, monkeypatch, lambda s: s > 50.0)
+        assert cell.status == "error"
+        assert "direction does not match" in cell.display
+
+
+def test_benchmark_oracle_constants_match_the_column_table():
+    """perfbench's table oracle keeps its own copy of the sweep settings; it
+    is read with ``ast`` so this check needs no scipy."""
+    oracles = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    consts = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(oracles.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("INTERVALS", "PATHS", "TOLERANCES", "GAIN_SPAN")
+    }
+    path_columns = [c for c in COLUMNS if c != "max_gain"]
+    assert consts["INTERVALS"] == {c: COLUMNS[c].interval for c in path_columns}
+    assert consts["PATHS"] == {c: COLUMNS[c].path for c in path_columns}
+    assert consts["TOLERANCES"] == {c: spec.tol for c, spec in COLUMNS.items()}
+    assert consts["GAIN_SPAN"] == sweep.GAIN_SPAN == COLUMNS["max_gain"].interval[1]
+    assert COLUMNS["max_gain"].interval[0] == 1.0 and COLUMNS["max_gain"].log

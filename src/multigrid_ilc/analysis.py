@@ -6,6 +6,11 @@ the Hermitian part G(jw) + G(jw)* must not drop below -eps_rel * ||G(jw)||.
 This replaces an LMI feasibility test with a direct sweep; the verdict also
 records whether any diagonal entry's real part goes (and stays) negative
 towards high frequency, the tell-tale of an excessive relative degree.
+
+The sweep and the imaginary-axis Rosenbrock ranks are each evaluated as one
+batched stack over the grid (one solve, one Hermitian eigenvalue call, one
+norm, one rank); points where jw hits an eigenvalue of A or the response
+overflows are still skipped point by point.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ from .engine import (
 )
 from .errors import SingularResolvent, ValidationError
 from .ilc import GFM, IlcUnit, ilc_derivative, ilc_output, unit_state_names
-from .linear import LinearSystem, transfer_matrix
+from .linear import LinearSystem, transfer_matrix, transfer_stack
 from .mg import MgModel, mg_derivative
 
 __all__ = [
     "LinearSystem",
     "transfer_matrix",
+    "transfer_stack",
     "default_grid",
     "linearize_unit",
     "linearize_mg",
@@ -49,6 +55,8 @@ _COND_FLAG_LIMIT = 1e12
 
 def default_grid(n_points: int = 400, w_min: float = 1e-2, w_max: float = 1e4) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) used by all sweeps."""
+    if n_points < 1:
+        raise ValidationError(f"a frequency grid needs at least 1 point, got {n_points}")
     return np.logspace(math.log10(w_min), math.log10(w_max), n_points)
 
 
@@ -192,25 +200,17 @@ def passivity_sweep(
     if lin.n_inputs != lin.n_outputs:
         raise ValidationError("passivity sweep needs a square port map")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    omegas, min_eigs, g_norms, diag_real, skipped = [], [], [], [], []
-    for w in grid:
-        try:
-            g = transfer_matrix(lin, float(w))
-        except SingularResolvent:
-            skipped.append(float(w))
-            continue
-        h = g + g.conj().T
-        eigs = np.linalg.eigvalsh(h)
-        omegas.append(float(w))
-        min_eigs.append(float(eigs[0]))
-        g_norms.append(float(np.linalg.norm(g, 2)))
-        diag_real.append(np.real(np.diag(g)))
-    if not omegas:
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValidationError("the frequency grid must be a non-empty list of "
+                              "finite positive frequencies")
+    g, ok = transfer_stack(lin, grid)
+    if not np.any(ok):
         raise SingularResolvent("every grid point collided with an eigenvalue")
-    omegas_arr = np.array(omegas)
-    min_eigs_arr = np.array(min_eigs)
-    g_norms_arr = np.array(g_norms)
-    diag_arr = np.array(diag_real)
+    skipped = tuple(grid[~ok].tolist())
+    omegas_arr, g = grid[ok], g[ok]
+    min_eigs_arr = np.linalg.eigvalsh(g + g.conj().transpose(0, 2, 1))[:, 0]
+    g_norms_arr = np.linalg.norm(g, ord=2, axis=(1, 2))
+    diag_arr = np.diagonal(g, axis1=1, axis2=2).real.copy()
 
     floor = np.maximum(g_norms_arr, 1e-300)
     margins = min_eigs_arr / floor
@@ -222,14 +222,11 @@ def passivity_sweep(
     else:
         verdict = "passive"
 
-    tails = []
-    for k in range(diag_arr.shape[1]):
-        negative = diag_arr[:, k] < 0.0
-        if negative[-1]:
-            start = len(negative)
-            while start > 0 and negative[start - 1]:
-                start -= 1
-            tails.append((k, float(omegas_arr[start])))
+    # length of each port's trailing run of negative diagonal real parts
+    negative = diag_arr < 0.0
+    run = np.where(negative.all(axis=0), len(negative),
+                   np.argmin(negative[::-1], axis=0))
+    tails = tuple((int(k), float(omegas_arr[-run[k]])) for k in np.flatnonzero(run))
     return PassivityReport(
         omegas=omegas_arr,
         min_eigs=min_eigs_arr,
@@ -238,8 +235,8 @@ def passivity_sweep(
         verdict=verdict,
         worst_omega=float(omegas_arr[worst]),
         worst_margin=float(margins[worst]),
-        negative_diag_tail=tuple(tails),
-        skipped=tuple(skipped),
+        negative_diag_tail=tails,
+        skipped=skipped,
         eps_rel=eps_rel,
     )
 
@@ -359,12 +356,8 @@ class ObservabilityReport:
 
 
 def _normalize_rows(mat: np.ndarray) -> np.ndarray:
-    out = mat.copy()
-    for i in range(out.shape[0]):
-        norm = np.linalg.norm(out[i])
-        if norm > 0:
-            out[i] /= norm
-    return out
+    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
+    return mat / np.where(norms > 0, norms, 1.0)
 
 
 def observability_report(lin: LinearSystem, n_samples: int = 32) -> ObservabilityReport:
@@ -384,23 +377,19 @@ def observability_report(lin: LinearSystem, n_samples: int = 32) -> Observabilit
     obs_rank = int(np.linalg.matrix_rank(obs)) if obs.size else 0
 
     m = lin.n_inputs
-    ranks = []
-    for w in default_grid(n_samples):
-        pencil = np.block(
-            [
-                [1j * w * np.eye(n) - lin.a, -lin.b],
-                [lin.c.astype(complex), lin.d.astype(complex)],
-            ]
-        )
-        for col in range(pencil.shape[1]):
-            norm = np.linalg.norm(pencil[:, col])
-            if norm > 0:
-                pencil[:, col] /= norm
-        ranks.append((float(w), int(np.linalg.matrix_rank(pencil))))
+    omegas = default_grid(n_samples)
+    pencils = np.empty((omegas.size, n + lin.n_outputs, n + m), dtype=complex)
+    pencils[:, :n, :n] = 1j * omegas[:, None, None] * np.eye(n) - lin.a
+    pencils[:, :n, n:] = -lin.b
+    pencils[:, n:, :n] = lin.c
+    pencils[:, n:, n:] = lin.d
+    norms = np.linalg.norm(pencils, axis=1, keepdims=True)
+    pencils /= np.where(norms > 0, norms, 1.0)
+    ranks = np.linalg.matrix_rank(pencils)
     return ObservabilityReport(
         obs_rank=obs_rank,
         n_states=n,
-        rosenbrock_ranks=tuple(ranks),
+        rosenbrock_ranks=tuple(zip(omegas.tolist(), ranks.tolist())),
         n_columns=n + m,
     )
 

@@ -58,17 +58,38 @@ class LinearSystem:
         return self.c.shape[0]
 
 
-def transfer_matrix(lin: LinearSystem, omega: float) -> np.ndarray:
-    """Evaluate G(jw) = C (jw I - A)^-1 B + D at one frequency (rad/s)."""
-    n = lin.n_states
-    if n == 0:
-        return lin.d.astype(complex)
-    resolvent = 1j * omega * np.eye(n) - lin.a
+def transfer_stack(lin: LinearSystem, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate G(jw) = C (jw I - A)^-1 B + D at every frequency (rad/s).
+
+    All resolvents go through one batched solve.  Returns the (k, p, m)
+    stack and a mask of the points where jw I - A is regular and G is
+    finite; a singular point's slice is left at D.
+    """
+    omegas = np.asarray(omegas, dtype=float).reshape(-1)
+    resolvents = 1j * omegas[:, None, None] * np.eye(lin.n_states) - lin.a
+    # B as a stack of matrices: a 2-D B next to a 3-D stack would be read
+    # as a stack of vectors by numpy < 2
+    b = np.broadcast_to(lin.b.astype(complex), (omegas.size,) + lin.b.shape)
+    regular = np.ones(omegas.size, dtype=bool)
     try:
-        x = np.linalg.solve(resolvent, lin.b.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"jw is an eigenvalue of A at w={omega:g}") from exc
+        x = np.linalg.solve(resolvents, b)
+    except np.linalg.LinAlgError:
+        # one point at a time, to mark the singular slices
+        x = np.zeros(b.shape, dtype=complex)
+        for i, resolvent in enumerate(resolvents):
+            try:
+                x[i] = np.linalg.solve(resolvent, b[i])
+            except np.linalg.LinAlgError:
+                regular[i] = False
     g = lin.c @ x + lin.d
-    if not np.all(np.isfinite(g)):
+    return g, regular & np.all(np.isfinite(g), axis=(1, 2))
+
+
+def transfer_matrix(lin: LinearSystem, omega: float) -> np.ndarray:
+    """Evaluate G(jw) at one frequency (rad/s)."""
+    g, ok = transfer_stack(lin, [omega])
+    if not ok[0]:
+        if np.all(np.isfinite(g)):
+            raise SingularResolvent(f"jw is an eigenvalue of A at w={omega:g}")
         raise SingularResolvent(f"resolvent overflow at w={omega:g}")
-    return g
+    return g[0]

@@ -45,6 +45,8 @@ class FirstOrderDroop:
 
     def __post_init__(self):
         _require_positive(T=self.T, D=self.D)
+        if self.rating is not None:
+            _require_positive(rating=self.rating)
 
     state_names = ("omega",)
 
@@ -71,6 +73,8 @@ class SwingGovernor:
 
     def __post_init__(self):
         _require_positive(M=self.M, D=self.D, T_g=self.T_g, inv_R=self.inv_R)
+        if self.rating is not None:
+            _require_positive(rating=self.rating)
 
     state_names = ("omega", "p_m")
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .engine import IntegrateOptions, LoadEvent, OdeSystem, assemble
-from .errors import SchemaViolation, UnknownScheme
+from .errors import SchemaViolation, UnknownScheme, ValidationError
 from .ilc import Gains, IlcPhysical, IlcUnit, SCHEMES, filter_susceptance_power
 from .mg import FirstOrderDroop, MgModel, SwingGovernor, default_rating
 from .network import IlcSpec, MgSpec, NetworkSpec, ValidatedNetwork, validate_topology
@@ -120,6 +120,7 @@ def resolve(raw: dict) -> dict:
         "name": str(raw.get("name", "scenario")),
         "f_nominal": _check_number(raw.get("f_nominal", 50.0), "scenario.f_nominal"),
     }
+    _require(out["f_nominal"] > 0.0, "scenario.f_nominal", "must be strictly positive")
     omega_nominal = 2.0 * math.pi * out["f_nominal"]
 
     mgs = raw["mgs"]
@@ -140,7 +141,10 @@ def resolve(raw: dict) -> dict:
         resolved["p_load"] = _check_number(block.get("p_load", 0.0), f"{path}.p_load")
         if "rating" in block:
             resolved["rating"] = _check_number(block["rating"], f"{path}.rating")
-        resolved["rating"] = default_rating(_mg_model(resolved), omega_nominal)
+        try:
+            resolved["rating"] = default_rating(_mg_model(resolved), omega_nominal)
+        except ValidationError as exc:
+            raise SchemaViolation(path, str(exc)) from exc
         out_mgs.append(resolved)
     out["mgs"] = out_mgs
 

@@ -11,8 +11,10 @@ from multigrid_ilc.analysis import (
     single_vsc_dc_chain,
     spectral_abscissa,
     transfer_matrix,
+    transfer_stack,
 )
 from multigrid_ilc.errors import SingularResolvent, ValidationError
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_linearize
 from multigrid_ilc.scenario import build_system
 
 from test_ilc import CATALOGUE, unit_for
@@ -20,6 +22,41 @@ from test_ilc import CATALOGUE, unit_for
 
 def lag_system(tau):
     return LinearSystem(a=[[-1.0 / tau]], b=[[1.0 / tau]], c=[[1.0]], d=[[0.0]])
+
+
+def undamped_oscillator():
+    """1/(s^2 + 1): jw I - A is singular at w = 1."""
+    return LinearSystem(a=[[0.0, 1.0], [-1.0, 0.0]], b=[[0.0], [1.0]],
+                        c=[[1.0, 0.0]], d=[[0.0]])
+
+
+def unobservable_system():
+    """The third state is decoupled from the input and the output."""
+    return LinearSystem(
+        a=np.diag([-1.0, -2.0, -3.0]),
+        b=[[1.0], [1.0], [0.0]],
+        c=[[1.0, 1.0, 0.0]],
+        d=[[0.0]],
+    )
+
+
+def pointwise_sweep(lin, grid):
+    """Per-point reference for the batched sweep: omegas, min eigenvalue of
+    G + G*, ||G||_2 and the real diagonal, one transfer_matrix per point."""
+    rows = []
+    for w in grid:
+        g = transfer_matrix(lin, float(w))
+        rows.append((float(w), np.linalg.eigvalsh(g + g.conj().T)[0],
+                     np.linalg.norm(g, 2), np.real(np.diag(g))))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def assert_sweep_matches(report, reference):
+    omegas, min_eigs, g_norms, diag_real = reference
+    assert np.array_equal(report.omegas, omegas)
+    assert np.array_equal(report.min_eigs, min_eigs)
+    assert np.array_equal(report.g_norms, g_norms)
+    assert np.array_equal(report.diag_real, diag_real)
 
 
 class TestTransferMatrix:
@@ -47,10 +84,35 @@ class TestTransferMatrix:
         assert np.max(np.abs(transfer_matrix(lin, 1e9) - lin.d)) < 1.01 * cb / 1e9
 
     def test_singular_resolvent(self):
-        osc = LinearSystem(a=[[0.0, 1.0], [-1.0, 0.0]], b=[[0.0], [1.0]],
-                           c=[[1.0, 0.0]], d=[[0.0]])
-        with pytest.raises(SingularResolvent):
-            transfer_matrix(osc, 1.0)
+        with pytest.raises(SingularResolvent, match="eigenvalue of A"):
+            transfer_matrix(undamped_oscillator(), 1.0)
+
+    def test_stack_marks_singular_slice(self):
+        osc = undamped_oscillator()
+        g, ok = transfer_stack(osc, [0.5, 1.0, 2.0])
+        assert g.shape == (3, 1, 1)
+        assert ok.tolist() == [True, False, True]
+        assert np.array_equal(g[1], osc.d)
+        assert np.array_equal(g[2], transfer_matrix(osc, 2.0))
+
+    @pytest.mark.parametrize("omegas", [[0.5, 2.0], [0.5, 1.0, 2.0]],
+                             ids=["batched", "fallback"])
+    def test_solve_gets_matrix_right_hand_sides(self, monkeypatch, omegas):
+        """numpy < 2 reads a B with one dimension fewer than the resolvent
+        stack as a stack of vectors, so B must match the stack's rank."""
+        solve = np.linalg.solve
+
+        def checked(a, b):
+            assert np.ndim(b) == np.ndim(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        lin = LinearSystem(a=[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                           b=[[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                           c=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], d=np.zeros((2, 2)))
+        g, ok = transfer_stack(lin, omegas)
+        assert g.shape == (len(omegas), 2, 2)
+        assert ok.tolist() == [w != 1.0 for w in omegas]
 
 
 class TestLinearizeUnit:
@@ -103,6 +165,42 @@ class TestPassivity:
             passivity_sweep(lin, default_grid(n)).verdict for n in (200, 400, 800)
         }
         assert len(verdicts) == 1
+
+    @pytest.mark.parametrize("scheme", sorted(CATALOGUE))
+    def test_batched_sweep_equals_pointwise_unit(self, scheme):
+        lin = linearize_unit(unit_for(scheme))
+        grid = default_grid()
+        assert_sweep_matches(passivity_sweep(lin, grid), pointwise_sweep(lin, grid))
+
+    @pytest.mark.parametrize("model", [
+        FirstOrderDroop(T=1.0, D=2e7),
+        SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7),
+    ], ids=["first-order-droop", "swing-governor"])
+    def test_batched_sweep_equals_pointwise_mg(self, model):
+        lin = mg_linearize(model)
+        grid = default_grid()
+        assert_sweep_matches(passivity_sweep(lin, grid), pointwise_sweep(lin, grid))
+
+    def test_singular_point_skipped(self):
+        osc = undamped_oscillator()
+        report = passivity_sweep(osc, [0.5, 1.0, 2.0])
+        assert report.skipped == (1.0,)
+        assert_sweep_matches(report, pointwise_sweep(osc, [0.5, 2.0]))
+
+    def test_every_point_singular(self):
+        with pytest.raises(SingularResolvent):
+            passivity_sweep(undamped_oscillator(), [1.0])
+
+    @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [1.0, np.inf],
+                                      [0.0, 1.0], [-1.0, 1.0]])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ValidationError):
+            passivity_sweep(lag_system(0.05), grid)
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_bad_point_count_rejected(self, n_points):
+        with pytest.raises(ValidationError):
+            default_grid(n_points)
 
     def test_non_square_rejected(self):
         lin = LinearSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0], [2.0]],
@@ -177,13 +275,17 @@ class TestObservability:
         assert report.observable
 
     def test_unobservable_decoupled_state(self):
-        lin = LinearSystem(
-            a=np.diag([-1.0, -2.0, -3.0]),
-            b=[[1.0], [1.0], [0.0]],
-            c=[[1.0, 1.0, 0.0]],
-            d=[[0.0]],
-        )
-        assert observability_report(lin).obs_rank == 2
+        assert observability_report(unobservable_system()).obs_rank == 2
+
+    def test_batched_ranks_equal_pointwise(self):
+        lin = unobservable_system()
+        report = observability_report(lin)
+        assert [w for w, _ in report.rosenbrock_ranks] == default_grid(32).tolist()
+        for w, rank in report.rosenbrock_ranks:
+            pencil = np.block([[1j * w * np.eye(3) - lin.a, -lin.b],
+                               [lin.c.astype(complex), lin.d.astype(complex)]])
+            norms = np.linalg.norm(pencil, axis=0)
+            assert rank == np.linalg.matrix_rank(pencil / np.where(norms > 0, norms, 1.0))
 
 
 class TestStabilityEigs:

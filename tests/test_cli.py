@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from multigrid_ilc.cli import main
 
 
@@ -69,6 +71,27 @@ def test_passivity_verdict_line(tmp_path, capsys):
     assert (out / "cli-dfd1-ilc1-passivity.csv").exists()
     first = (out / "cli-dfd1-ilc1-passivity.csv").read_text().split("\n")[0]
     assert first == "omega,min_eig,diag1_re,diag2_re"
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_passivity_bad_point_count_exit_code(tmp_path, capsys, points):
+    code = main([
+        "passivity", "--scenario", str(dfd1_scenario(tmp_path)),
+        "--ilc", "1", "--out", str(tmp_path / "out"), "--points", points,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "at least 1 point" in err
+
+
+def test_non_positive_rating_exit_code(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["mgs"][0]["rating"] = 0.0
+    path.write_text(json.dumps(doc))
+    assert main(["linearize", "--scenario", str(path)]) == 2
+    assert "rating" in capsys.readouterr().err
 
 
 def test_linearize_closed_loop(tmp_path, capsys):

@@ -106,3 +106,11 @@ def test_parameters_must_be_positive():
         FirstOrderDroop(T=0.0, D=1.0)
     with pytest.raises(ValidationError):
         SwingGovernor(M=1.0, D=-1.0, T_g=0.1, inv_R=1.0)
+
+
+@pytest.mark.parametrize("rating", [0.0, -1.0, math.inf])
+def test_rating_must_be_positive(rating):
+    with pytest.raises(ValidationError, match="rating"):
+        FirstOrderDroop(T=1.0, D=1.0, rating=rating)
+    with pytest.raises(ValidationError, match="rating"):
+        SwingGovernor(M=1.0, D=1.0, T_g=0.1, inv_R=1.0, rating=rating)

@@ -185,3 +185,18 @@ def test_set_parameter_single_ilc():
     assert out["ilcs"][1]["physical"]["K_dc"] == 0.3
     with pytest.raises(SchemaViolation):
         set_parameter(resolved, "ilc[9].K_dc", 0.3)
+
+
+@pytest.mark.parametrize("rating", [0.0, -1.0])
+def test_non_positive_rating_rejected(rating):
+    raw = shipped_scenario("two-mg")
+    raw["mgs"][0]["rating"] = rating
+    with pytest.raises(SchemaViolation, match=r"mgs\[0\]: rating must be strictly positive"):
+        resolve(raw)
+
+
+def test_non_positive_nominal_frequency_rejected():
+    raw = minimal()
+    raw["f_nominal"] = 0.0
+    with pytest.raises(SchemaViolation, match="f_nominal"):
+        resolve(raw)

@@ -61,6 +61,8 @@ PARTIAL = "partial"
 
 def filter_susceptance_power(v_ac: float, l: float, f_nominal: float = 50.0) -> float:
     """Power constant of the inductive filter: V_ac^2 / (2*pi*f*L)  (W)."""
+    if not (l > 0.0 and math.isfinite(l)):
+        raise ValidationError(f"filter inductance L must be finite and positive, got {l!r}")
     return v_ac * v_ac / (2.0 * math.pi * f_nominal * l)
 
 

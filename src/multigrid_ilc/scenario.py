@@ -362,7 +362,10 @@ def set_parameter(resolved: dict, path: str, value: float) -> dict:
     head, _, rest = path.partition(".")
     indices = range(len(out["ilcs"]))
     if head.startswith("ilc[") and head.endswith("]"):
-        idx = int(head[4:-1]) - 1
+        try:
+            idx = int(head[4:-1]) - 1
+        except ValueError:
+            raise SchemaViolation(path, f"ILC index {head[4:-1]!r} is not an integer") from None
         if not (0 <= idx < len(out["ilcs"])):
             raise SchemaViolation(path, f"ILC index {idx + 1} out of range")
         indices = [idx]

@@ -10,12 +10,25 @@ evidence that contradicts a spectrally stable verdict yields
 *indeterminate*.
 
 Boundaries are located by bisection assuming the classification is
-monotone along the swept interval.  The evidence for each end of the final
-bracket is the probe recorded there, a full classification: the reported
-boundary was classified stable, its neighbour within the tolerance was
-not.  The ``table3`` harness runs the whole scheme-by-parameter boundary
-table on the shipped two-MG scenario, every column through one bisection
-routine, and reports the published reference values alongside.
+monotone along the swept interval.  The bisection runs on the spectral
+half alone (:func:`classify_spectrum`); a probe whose spectrum is stable
+reads *spectrally-stable* until a simulation confirms it.  The full
+classification, simulation included, runs only at the values a result
+reports stable: the stable end of the final bracket, both ends of a
+stable-throughout interval, and the one stable end of a direction
+mismatch.  A confirmation upgrades its probe in place, so no probe reads
+stable without a simulation; when one does not confirm, the cell is
+bisected again with the full classification at every probe.  The evidence
+for each end of the final bracket is the probe recorded there, a full
+classification: the reported boundary was classified stable, its
+neighbour within the tolerance was not.  The ``table3`` harness runs the
+whole scheme-by-parameter boundary table on the shipped two-MG scenario,
+every column through one bisection routine, and reports the published
+reference values alongside.
+
+Each probe and each confirmation is a DEBUG event on the
+``multigrid_ilc.sweep`` logger, and a fallback to the full classification
+a WARNING; the package installs no handler.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -35,16 +49,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import linearize_closed_loop, spectral_abscissa
-from .engine import IntegrateOptions, LoadEvent, find_equilibrium, integrate
+from .engine import (EquilibriumPoint, IntegrateOptions, LoadEvent, find_equilibrium,
+                     integrate)
 from .errors import NonBracketing, NumericalError, ValidationError
 from .ilc import GFL, SCHEME
-from .scenario import build_system, resolve, set_parameter
+from .scenario import SystemBundle, build_system, resolve, set_parameter
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 INDETERMINATE = "indeterminate"
+# a probe whose spectrum is stable and whose simulation has not run
+SPECTRALLY_STABLE = "spectrally-stable"
 
 _ABSCISSA_MARGIN = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,30 @@ class BoundaryResult:
     probes: tuple[tuple[float, str, float | None], ...]  # (value, verdict, abscissa)
 
 
+def _spectrum(
+    resolved: dict,
+) -> tuple[Classification, SystemBundle, EquilibriumPoint | None]:
+    """The spectral half of :func:`classify_stability`: the verdict from
+    the equilibrium and the closed-loop spectral abscissa, with the system
+    and equilibrium a simulation would start from."""
+    bundle = build_system(resolved)
+    try:
+        eq0 = find_equilibrium(bundle.ode)
+    except NumericalError as exc:
+        return Classification(UNSTABLE, None, f"no-equilibrium: {exc}"), bundle, None
+    absc = spectral_abscissa(linearize_closed_loop(bundle.ode, eq0))
+    if not (absc < -_ABSCISSA_MARGIN):
+        return Classification(UNSTABLE, absc, "spectral abscissa above margin"), bundle, eq0
+    return Classification(SPECTRALLY_STABLE, absc, "spectral abscissa below margin"), bundle, eq0
+
+
+def classify_spectrum(resolved: dict) -> Classification:
+    """Classify by the spectral half of :func:`classify_stability` alone:
+    an unstable verdict is final, a stable spectrum reads spectrally-stable
+    until a simulation confirms it."""
+    return _spectrum(resolved)[0]
+
+
 def classify_stability(
     resolved: dict,
     disturbance_frac: float = 0.01,
@@ -102,15 +145,10 @@ def classify_stability(
     The scenario's own event list is ignored; the standardized disturbance
     is applied instead so classifications are comparable across sweeps.
     """
-    bundle = build_system(resolved)
-    ode = bundle.ode
-    try:
-        eq0 = find_equilibrium(ode)
-    except NumericalError as exc:
-        return Classification(UNSTABLE, None, f"no-equilibrium: {exc}")
-    absc = spectral_abscissa(linearize_closed_loop(ode, eq0))
-    if not (absc < -_ABSCISSA_MARGIN):
-        return Classification(UNSTABLE, absc, "spectral abscissa above margin")
+    spectral, bundle, eq0 = _spectrum(resolved)
+    if spectral.verdict == UNSTABLE:
+        return spectral
+    ode, absc = bundle.ode, spectral.abscissa
 
     t_event = 1.0
     step = -disturbance_frac * bundle.rating(0)
@@ -165,6 +203,12 @@ def bisect_boundary(
     the reported boundary is always a value classified stable, and each
     end of the final bracket is backed by its recorded probe.
 
+    The loop runs on :func:`classify_spectrum` first; then the full
+    :func:`classify_stability` runs at each reported end that reads
+    spectrally-stable and upgrades its probe in place.  When one of those
+    simulations does not confirm ``stable``, the loop reruns with the full
+    classification at every probe.
+
     ``configure`` maps a swept value to the scenario to classify; by
     default it sets ``req.path`` in ``req.resolved``.
     """
@@ -172,43 +216,71 @@ def bisect_boundary(
         def configure(value: float) -> dict:
             return set_parameter(req.resolved, req.path, value)
 
-    probes: list[tuple[float, str, float | None]] = []
+    def classify_at(classify: Callable[[dict], Classification], value: float):
+        cls = classify(configure(value))
+        # only the simulation gives stable or indeterminate
+        _log.debug("%s=%r: %s (%s), abscissa %r, %s", req.path, value, cls.verdict,
+                   cls.cause, cls.abscissa, "simulated"
+                   if cls.verdict in (STABLE, INDETERMINATE) else "not simulated")
+        return cls
 
-    def classify_at(value: float) -> str:
-        cls = classify_stability(configure(value))
-        probes.append((value, cls.verdict, cls.abscissa))
-        return cls.verdict
-
-    lo_v = classify_at(req.lo)
-    hi_v = classify_at(req.hi)
     stable_end_is_hi = req.direction == "min-stable"
-    stable_end = hi_v if stable_end_is_hi else lo_v
-    other_end = lo_v if stable_end_is_hi else hi_v
-    if stable_end != STABLE:
-        if other_end != STABLE:
-            return BoundaryResult(None, "unstable-throughout", None, tuple(probes))
+    for classify in (classify_spectrum, classify_stability):
+        probes: list[tuple[float, str, float | None]] = []
+
+        def stable_at(value: float) -> bool:
+            cls = classify_at(classify, value)
+            probes.append((value, cls.verdict, cls.abscissa))
+            return cls.verdict in (STABLE, SPECTRALLY_STABLE)
+
+        lo_stable = stable_at(req.lo)
+        hi_stable = stable_at(req.hi)
+        stable_end = hi_stable if stable_end_is_hi else lo_stable
+        other_end = lo_stable if stable_end_is_hi else hi_stable
+        lo, hi = req.lo, req.hi
+        if not stable_end:
+            status = "unstable-throughout" if not other_end else "non-bracketing"
+        elif other_end:
+            status = "stable-throughout"
+        else:
+            status = "boundary"
+            while (hi / lo > 1.0 + req.tol) if req.log else (hi - lo > req.tol):
+                mid = math.sqrt(lo * hi) if req.log else 0.5 * (lo + hi)
+                if not (lo < mid < hi):
+                    break
+                if stable_at(mid) == stable_end_is_hi:
+                    hi = mid
+                else:
+                    lo = mid
+
+        # confirm by simulation every reported end that only the spectrum
+        # called stable
+        disagreement = None
+        for i, (value, verdict, _) in enumerate(probes):
+            if value in (lo, hi) and verdict == SPECTRALLY_STABLE:
+                cls = classify_at(classify_stability, value)
+                probes[i] = (value, cls.verdict, cls.abscissa)
+                if cls.verdict != STABLE:
+                    disagreement = (value, cls.cause)
+                    break
+        if disagreement is None:
+            break
+        _log.warning("%s %s=%r: simulation does not confirm the spectrum (%s); "
+                     "bisecting again with a simulation at every probe",
+                     "+".join(dict.fromkeys(b["scheme"] for b in req.resolved["ilcs"])),
+                     req.path, *disagreement)
+
+    if status == "non-bracketing":
         # stable only at the "wrong" end: the direction does not match
         raise NonBracketing(
-            f"{req.path}: stable at the {'low' if not stable_end_is_hi else 'high'} "
+            f"{req.path}: stable at the {'low' if stable_end_is_hi else 'high'} "
             "end only; direction does not match"
         )
-    if other_end == STABLE:
-        value = req.lo if stable_end_is_hi else req.hi
-        return BoundaryResult(value, "stable-throughout", None, tuple(probes))
-
-    lo, hi = req.lo, req.hi
-    while (hi / lo > 1.0 + req.tol) if req.log else (hi - lo > req.tol):
-        mid = math.sqrt(lo * hi) if req.log else 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        verdict = classify_at(mid)
-        mid_stable = verdict == STABLE
-        if mid_stable == stable_end_is_hi:
-            hi = mid
-        else:
-            lo = mid
-    boundary = hi if stable_end_is_hi else lo
-    return BoundaryResult(boundary, "boundary", (lo, hi), tuple(probes))
+    if status == "unstable-throughout":
+        return BoundaryResult(None, status, None, tuple(probes))
+    if status == "stable-throughout":
+        return BoundaryResult(lo if stable_end_is_hi else hi, status, None, tuple(probes))
+    return BoundaryResult(hi if stable_end_is_hi else lo, status, (lo, hi), tuple(probes))
 
 
 # --- the published boundary table -------------------------------------------
@@ -413,6 +485,8 @@ def worker_count(requested: int | None = None) -> int:
             f"MULTIGRID_ILC_THREADS must be an integer, got {cap!r}"
         ) from None
     if requested is not None:
+        if requested < 1:
+            raise ValidationError(f"worker count must be at least 1, got {requested!r}")
         limit = min(limit, requested)
     return max(1, limit)
 
@@ -432,6 +506,7 @@ def table3_harness(
     cell failures, a crashed worker included, are recorded as error cells
     and never cached; the harness continues.
     """
+    n_workers = worker_count(workers)
     jobs = [(resolved, row, column) for row in rows for column in columns]
     cache = Path(cache_dir) if cache_dir else None
     if cache:
@@ -453,7 +528,6 @@ def table3_harness(
         if cache and cell.status != "error":
             (cache / f"{_cache_key(job)}.json").write_text(json.dumps(asdict(cell)))
 
-    n_workers = worker_count(workers)
     if n_workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(_run_cell_safe, job) for job in pending]

@@ -164,3 +164,39 @@ def test_non_integer_thread_cap_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MULTIGRID_ILC_THREADS", "abc")
     assert main(["table3", "--out", str(tmp_path / "t3")]) == 2
     assert "MULTIGRID_ILC_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lo", ["0", "-1e-3"])
+def test_sweep_non_positive_inductance_exit_code(capsys, lo):
+    code = main([
+        "sweep", "--scenario", "two-mg", "--param", "ilc.L", f"--lo={lo}",
+        "--hi", "1e-3", "--direction", "min-stable", "--tol", "5e-4",
+    ])
+    assert code == 2
+    assert "filter inductance L" in capsys.readouterr().err
+
+
+def test_zero_inductance_scenario_exit_code(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["ilcs"][0]["physical"] = {"L": 0.0}
+    path.write_text(json.dumps(doc))
+    assert main(["linearize", "--scenario", str(path)]) == 2
+    assert "filter inductance L" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["ilc[a].K_dc", "ilc[].K_dc"])
+def test_sweep_malformed_ilc_index_exit_code(tmp_path, capsys, param):
+    code = main([
+        "sweep", "--scenario", str(dfd1_scenario(tmp_path)), "--param", param,
+        "--lo", "0.0", "--hi", "1.0", "--tol", "0.5",
+    ])
+    assert code == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_table3_non_positive_workers_exit_code(tmp_path, capsys, workers):
+    assert main(["table3", f"--workers={workers}", "--out", str(tmp_path / "t3")]) == 2
+    assert "worker count" in capsys.readouterr().err
+    assert not (tmp_path / "t3").exists()

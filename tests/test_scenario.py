@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from multigrid_ilc.errors import SchemaViolation, UnknownScheme
+from multigrid_ilc.errors import SchemaViolation, UnknownScheme, ValidationError
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, default_rating
 from multigrid_ilc.scenario import (
     build_system,
@@ -185,6 +185,22 @@ def test_set_parameter_single_ilc():
     assert out["ilcs"][1]["physical"]["K_dc"] == 0.3
     with pytest.raises(SchemaViolation):
         set_parameter(resolved, "ilc[9].K_dc", 0.3)
+
+
+@pytest.mark.parametrize("path", ["ilc[a].K_dc", "ilc[].K_dc"])
+def test_set_parameter_malformed_ilc_index(two_mg_resolved, path):
+    with pytest.raises(SchemaViolation, match="is not an integer"):
+        set_parameter(two_mg_resolved, path, 0.3)
+
+
+@pytest.mark.parametrize("inductance", [0.0, -1e-3, math.inf, math.nan])
+def test_non_positive_inductance_rejected(two_mg_resolved, inductance):
+    with pytest.raises(ValidationError, match="filter inductance L"):
+        set_parameter(two_mg_resolved, "ilc.L", inductance)
+    raw = minimal()
+    raw["ilcs"][0]["physical"] = {"L": inductance}
+    with pytest.raises(ValidationError):
+        resolve(raw)
 
 
 @pytest.mark.parametrize("rating", [0.0, -1.0])

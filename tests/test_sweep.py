@@ -1,5 +1,6 @@
 import ast
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from multigrid_ilc.scenario import set_parameter
 from multigrid_ilc.sweep import (
     COLUMNS,
     INDETERMINATE,
+    SPECTRALLY_STABLE,
     STABLE,
     UNSTABLE,
     Cell,
@@ -25,6 +27,30 @@ from multigrid_ilc.sweep import (
     table3_harness,
     worker_count,
 )
+
+
+def use_classifier(monkeypatch, classify):
+    """Drive ``bisect_boundary`` by a synthetic full classification.  Its
+    spectral half reads spectrally-stable wherever the full one is not
+    unstable, as ``classify_spectrum`` does."""
+    def spectrum(resolved):
+        cls = classify(resolved)
+        if cls.verdict == UNSTABLE:
+            return cls
+        return Classification(SPECTRALLY_STABLE, cls.abscissa, "synthetic spectrum")
+
+    monkeypatch.setattr(sweep, "classify_spectrum", spectrum)
+    monkeypatch.setattr(sweep, "classify_stability", classify)
+
+
+def every_probe_bisection(monkeypatch, req, classify):
+    """The result of bisecting with the full classification at every probe:
+    with ``classify`` as the spectral half too, no probe reads
+    spectrally-stable and nothing is left to confirm."""
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "classify_spectrum", classify)
+        m.setattr(sweep, "classify_stability", classify)
+        return bisect_boundary(req)
 
 
 class TestClassify:
@@ -106,7 +132,7 @@ class TestBisection:
                 return Classification(INDETERMINATE, -0.5, "synthetic")
             return Classification(STABLE, -0.5, "synthetic")
 
-        monkeypatch.setattr(sweep, "classify_stability", classify)
+        use_classifier(monkeypatch, classify)
         req = SweepRequest(
             scheme_scenario("dual-droop-matching"), "ilc.tau", 0.01, 5.0,
             direction="max-stable", tol=0.01,
@@ -125,7 +151,7 @@ class TestBisection:
             tau = resolved["ilcs"][0]["physical"]["tau1"]
             return Classification(STABLE if tau < 19.3 else UNSTABLE, None, "synthetic")
 
-        monkeypatch.setattr(sweep, "classify_stability", classify)
+        use_classifier(monkeypatch, classify)
         req = SweepRequest(two_mg_resolved, "ilc.tau", 1.0, 100.0,
                            direction="max-stable", tol=0.1, log=True)
         result = bisect_boundary(req)
@@ -144,6 +170,127 @@ class TestBisection:
         )
         with pytest.raises(NonBracketing):
             bisect_boundary(req)
+
+
+class TestSpectralBisection:
+    """The bisection runs on the spectrum; the full classification,
+    simulation included, runs only at the ends a result reports."""
+
+    @pytest.fixture
+    def simulations(self, monkeypatch):
+        integrate = sweep.integrate
+        calls = []
+
+        def recording_integrate(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "integrate", recording_integrate)
+        return calls
+
+    @staticmethod
+    def cell(two_mg_resolved, scheme, column):
+        row = next(r for r in TABLE3_ROWS if r["scheme"] == scheme)
+        return sweep._run_cell((two_mg_resolved, row, column))[2]
+
+    def test_boundary_cell_simulates_its_stable_end_once(
+        self, two_mg_resolved, simulations, caplog
+    ):
+        with caplog.at_level(logging.DEBUG, logger="multigrid_ilc.sweep"):
+            cell = self.cell(two_mg_resolved, "dual-freq-droop-1", "max_tau")
+        assert cell.status == "boundary"
+        assert len(cell.probes) == 11
+        assert len(simulations) == 1
+        assert [v for v, verdict, _ in cell.probes if verdict == STABLE] == [cell.value]
+        assert {verdict for _, verdict, _ in cell.probes} == \
+            {STABLE, SPECTRALLY_STABLE, UNSTABLE}
+        # one event per probe and one for the confirming simulation
+        events = [r.getMessage() for r in caplog.records if r.name == "multigrid_ilc.sweep"]
+        assert len(events) == 12
+        assert sum(e.endswith(", not simulated") for e in events) == 11
+        assert events[-1].startswith(f"ilc.tau={cell.value!r}: stable")
+
+    def test_stable_throughout_cell_simulates_both_ends(self, two_mg_resolved, simulations):
+        cell = self.cell(two_mg_resolved, "dual-freq-droop-1", "min_kdc")
+        assert cell.status == "stable-throughout"
+        assert len(simulations) == 2
+        assert [(v, verdict) for v, verdict, _ in cell.probes] == \
+            [(0.0, STABLE), (1.0, STABLE)]
+
+    def test_unstable_throughout_cell_never_simulates(self, scheme_scenario, simulations):
+        req = SweepRequest(scheme_scenario("dual-freq-droop-1"), "ilc.tau", 0.5, 1.0,
+                           direction="max-stable", tol=0.01)
+        result = bisect_boundary(req)
+        assert result.status == "unstable-throughout"
+        assert simulations == []
+
+    def test_non_bracketing_simulates_its_stable_end(self, scheme_scenario, simulations):
+        req = SweepRequest(scheme_scenario("dual-freq-droop-1"), "ilc.tau", 0.01, 1.0,
+                           direction="min-stable", tol=0.01)
+        with pytest.raises(NonBracketing, match="stable at the low end only"):
+            bisect_boundary(req)
+        assert len(simulations) == 1
+
+    @pytest.mark.parametrize("direction, verdict_at", [
+        # stable-throughout on the spectrum, the high end not confirmed
+        ("max-stable", lambda tau: STABLE if tau <= 1.0 else INDETERMINATE),
+        # the spectral bracket's stable end not confirmed
+        ("max-stable",
+         lambda tau: STABLE if tau < 1.0 else INDETERMINATE if tau < 2.0 else UNSTABLE),
+        # stable only at the wrong end on the spectrum, and not confirmed there
+        ("min-stable",
+         lambda tau: INDETERMINATE if tau < 1.0 else STABLE if tau < 2.0 else UNSTABLE),
+    ])
+    def test_unconfirmed_end_reruns_every_probe_bisection(
+        self, scheme_scenario, monkeypatch, caplog, direction, verdict_at
+    ):
+        def classify(resolved):
+            verdict = verdict_at(resolved["ilcs"][0]["physical"]["tau1"])
+            return Classification(verdict, 0.5 if verdict == UNSTABLE else -0.5,
+                                  "synthetic")
+
+        req = SweepRequest(scheme_scenario("dual-droop-matching"), "ilc.tau", 0.01, 5.0,
+                           direction=direction, tol=0.01)
+        expected = every_probe_bisection(monkeypatch, req, classify)
+        use_classifier(monkeypatch, classify)
+        with caplog.at_level(logging.WARNING, logger="multigrid_ilc.sweep"):
+            assert bisect_boundary(req) == expected
+        (warning,) = caplog.records
+        assert warning.levelno == logging.WARNING
+        assert warning.getMessage().startswith("dual-droop-matching ilc.tau=")
+        assert "(synthetic)" in warning.getMessage()
+
+    def test_no_table_probe_reads_stable_without_a_simulation(
+        self, two_mg_resolved, monkeypatch
+    ):
+        integrate, run_cell = sweep.integrate, sweep._run_cell
+        simulated: dict[tuple[str, str], int] = {}
+        current = []
+
+        def recording_integrate(*args, **kwargs):
+            simulated[current[-1]] = simulated.get(current[-1], 0) + 1
+            return integrate(*args, **kwargs)
+
+        def recording_run_cell(args):
+            current.append((args[1]["scheme"], args[2]))
+            return run_cell(args)
+
+        monkeypatch.setattr(sweep, "integrate", recording_integrate)
+        monkeypatch.setattr(sweep, "_run_cell", recording_run_cell)
+        table = table3_harness(two_mg_resolved, workers=1)
+        for row in table.rows:
+            for column in COLUMNS:
+                cell = row[column]
+                runs = simulated.get((row["scheme"], column), 0)
+                # every simulation of the shipped table confirms its end
+                assert sum(verdict == STABLE for _, verdict, _ in cell.probes) == runs
+                assert runs == {"boundary": 1, "stable-throughout": 2}.get(cell.status, 0)
+        assert sum(simulated.values()) == 52
+
+
+def test_package_installs_no_log_handler():
+    assert logging.getLogger("multigrid_ilc.sweep").handlers == []
+    assert logging.getLogger("multigrid_ilc").handlers == []
 
 
 class TestHarness:
@@ -219,6 +366,12 @@ class TestHarness:
         assert worker_count(1) == 1
         monkeypatch.delenv("MULTIGRID_ILC_THREADS")
         assert worker_count(4) >= 1
+
+    @pytest.mark.parametrize("requested", [0, -2])
+    def test_worker_count_rejects_fewer_than_one(self, monkeypatch, requested):
+        monkeypatch.setenv("MULTIGRID_ILC_THREADS", "2")
+        with pytest.raises(ValidationError, match="at least 1"):
+            worker_count(requested)
 
     def test_worker_count_rejects_non_integer(self, monkeypatch):
         monkeypatch.setenv("MULTIGRID_ILC_THREADS", "abc")
@@ -299,7 +452,7 @@ class TestGainColumn:
             stable = stable_below(gains["K_omega1"] / k_omega)
             return Classification(STABLE if stable else UNSTABLE, None, "synthetic")
 
-        monkeypatch.setattr(sweep, "classify_stability", classify)
+        use_classifier(monkeypatch, classify)
         return k_omega, sweep._run_cell_safe((two_mg_resolved, self.ROW, "max_gain"))[2]
 
     def test_boundary_reports_the_gain(self, two_mg_resolved, monkeypatch):

@@ -8,6 +8,7 @@ Subcommands: ``simulate``, ``linearize``, ``passivity``, ``sweep``,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -158,6 +159,12 @@ def _cmd_table3(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read "-1e-3" as a number, not an option: the default pattern of
+        # Python 3.11's argparse matches only the forms "-1" and "-1.5"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)

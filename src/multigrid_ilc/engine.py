@@ -61,16 +61,6 @@ def scales_and_atols(
 
 
 @dataclass(frozen=True)
-class Component:
-    """One block of the flattened state vector."""
-
-    kind: str  # "mg" or "ilc"
-    index: int
-    offset: int
-    state_names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class EquilibriumPoint:
     """A state where the assembled derivative vanishes."""
 
@@ -94,49 +84,30 @@ class OdeSystem:
         self.net = net
         self.models = tuple(models)
         self.units = tuple(units)
-
-        components: list[Component] = []
-        offset = 0
-        for j, model in enumerate(self.models):
-            components.append(Component("mg", j, offset, model.state_names))
-            offset += len(model.state_names)
-        for l, unit in enumerate(self.units):
-            names = sim_state_names(unit)
-            components.append(Component("ilc", l, offset, names))
-            offset += len(names)
-        self.components = tuple(components)
-        self.dim = offset
-        self.mg_components = self.components[: net.n_mgs]
-        self.ilc_components = self.components[net.n_mgs :]
-
         self.base_loads = tuple(m.p_load for m in self.models)
+
+        # the state vector: every MG's states, then every ILC's, each named
+        # "<kind><1-based index>.<state>"
+        names, scales, atols, spans = [], [], [], []
+        for kind, owners, states_of in (("mg", self.models, lambda m: m.state_names),
+                                        ("ilc", self.units, sim_state_names)):
+            for k, owner in enumerate(owners):
+                states = states_of(owner)
+                spans.append((len(names), len(names) + len(states)))
+                names += [f"{kind}{k + 1}.{name}" for name in states]
+                owner_scales, owner_atols = scales_and_atols(owner, states)
+                scales += owner_scales
+                atols += owner_atols
+        self.state_names = tuple(names)
+        self.state_scales = np.array(scales)
+        self.state_atols = np.array(atols)
+        self.dim = len(names)
+
         self._mg_rhs = [mg_rhs(m) for m in self.models]
-        spans = [(c.offset, c.offset + len(c.state_names)) for c in self.components]
         self._mg_spans = spans[: net.n_mgs]
         self._ilc_rhs = [make_sim_derivative(u) for u in self.units]
         self._ilc_spans = spans[net.n_mgs :]
-        self._ilc_ends = [(net.ilcs[l].mg_a, net.ilcs[l].mg_b) for l in range(net.n_ilcs)]
-
-        scales = []
-        atols = []
-        names = []
-        for comp in self.components:
-            owner = self.models[comp.index] if comp.kind == "mg" else self.units[comp.index]
-            comp_scales, comp_atols = scales_and_atols(owner, comp.state_names)
-            scales += comp_scales
-            atols += comp_atols
-            names += [f"{comp.kind}{comp.index + 1}.{name}" for name in comp.state_names]
-        self.state_scales = np.array(scales)
-        self.state_atols = np.array(atols)
-        self.state_names = tuple(names)
-
-        # indices of filter-angle states, for the |eta| < pi/2 guard
-        self._eta_indices = tuple(
-            i for i, n in enumerate(names) if n.split(".")[1].startswith("eta")
-        )
-        self._vdc_index_by_ilc = {
-            c.index: c.offset + c.state_names.index("vdc") for c in self.ilc_components
-        }
+        self._ilc_ends = [(ilc.mg_a, ilc.mg_b) for ilc in net.ilcs]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -164,16 +135,13 @@ class OdeSystem:
             out.append((pa, pb))
         return out
 
-    def column(self, comp_kind: str, index: int, name: str) -> int:
-        for comp in self.components:
-            if comp.kind == comp_kind and comp.index == index and name in comp.state_names:
-                return comp.offset + comp.state_names.index(name)
-        raise KeyError(f"no state {comp_kind}{index + 1}.{name}")
-
-
-def assemble(net: ValidatedNetwork, models, units) -> OdeSystem:
-    """Wire MG models and ILC units into the interconnected ODE."""
-    return OdeSystem(net, models, units)
+    def column(self, kind: str, index: int, name: str) -> int:
+        """Position of state ``name`` of MG or ILC ``index`` (0-based) in
+        the state vector."""
+        label = f"{kind}{index + 1}.{name}"
+        if label not in self.state_names:
+            raise KeyError(f"no state {label}")
+        return self.state_names.index(label)
 
 
 def finite_difference_jacobian(
@@ -585,14 +553,19 @@ def integrate(
     # from the models, not ode.base_loads: duck-typed systems carry only models
     loads = [m.p_load for m in ode.models]
 
-    # state bounds: (index, limit) pairs
+    # divergence bounds (MG frequencies, then ILC DC voltages) and filter
+    # angles, found by state name
     bound_checks: list[tuple[int, float, str]] = []
-    for comp in ode.mg_components:
-        bound_checks.append((comp.offset, _OMEGA_BOUND, f"mg{comp.index + 1}.omega"))
-    for l, idx in ode._vdc_index_by_ilc.items():
-        limit = _VDC_BOUND_FRAC * ode.units[l].physical.v_dc_ref
-        bound_checks.append((idx, limit, f"ilc{l + 1}.vdc"))
-    eta_indices = ode._eta_indices
+    eta_indices = []
+    for idx, label in enumerate(ode.state_names):
+        owner, _, name = label.partition(".")
+        if owner.startswith("mg") and name == "omega":
+            bound_checks.append((idx, _OMEGA_BOUND, label))
+        elif owner.startswith("ilc") and name == "vdc":
+            unit = ode.units[int(owner.removeprefix("ilc")) - 1]
+            bound_checks.append((idx, _VDC_BOUND_FRAC * unit.physical.v_dc_ref, label))
+        elif name.startswith("eta"):
+            eta_indices.append(idx)
 
     ts: list[float] = [t0]
     ys: list[Sequence[float]] = [list(map(float, x0))]
@@ -620,7 +593,6 @@ def integrate(
             return False
         return True
 
-    eta_cols = list(eta_indices)
     bound_cols = [idx for idx, _, _ in bound_checks]
     bound_limits = np.array([limit for _, limit, _ in bound_checks])
 
@@ -629,7 +601,7 @@ def integrate(
         passes blocks that :func:`emit` would accept row by row; any other
         block goes through :func:`emit` itself."""
         with np.errstate(invalid="ignore"):
-            clean = (np.all(np.abs(block[:, eta_cols]) < math.pi / 2)
+            clean = (np.all(np.abs(block[:, eta_indices]) < math.pi / 2)
                      and np.all(np.abs(block[:, bound_cols]) <= bound_limits)
                      and np.all(np.isfinite(block)))
         if clean:

@@ -160,8 +160,3 @@ def mg_linearize(model: MgModel) -> LinearSystem:
         input_labels=("p",),
         output_labels=("omega",),
     )
-
-
-def dc_gain(model: MgModel) -> float:
-    """Steady-state rad/s per W: 1/D or 1/(D + 1/R)."""
-    return 1.0 / model.droop_total

@@ -1,9 +1,8 @@
-"""Multi-grid topology and incidence-matrix construction.
+"""Multi-grid topology: MG/ILC graph validation.
 
 A network is a connected graph whose vertices are microgrids (MGs) and whose
-edges are interlinking converters (ILCs).  Each ILC has two connection
-points; connections are enumerated pairwise in ILC order, so connection
-``2*l`` and ``2*l + 1`` (0-based) belong to ILC ``l``.
+edges are interlinking converters (ILCs); each ILC joins two distinct MGs,
+its side 1 and side 2.
 
 Indices are 0-based throughout this module; scenario files and error
 messages use 1-based numbering.
@@ -13,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DanglingEndpoint, DisconnectedGraph, ValidationError
+from .errors import DanglingEndpoint, DisconnectedGraph
 
 
 @dataclass(frozen=True)
@@ -43,24 +40,11 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class Connection:
-    """One ILC connection point: ILC ``ilc``, side 0 or 1, attached to ``mg``."""
-
-    ilc: int
-    side: int
-    mg: int
-
-    def label(self) -> str:
-        return f"c{2 * self.ilc + self.side + 1}@MG{self.mg + 1}"
-
-
-@dataclass(frozen=True)
 class ValidatedNetwork:
-    """A topology that passed validation, with connection enumeration."""
+    """A topology that passed validation."""
 
     mgs: tuple[MgSpec, ...]
     ilcs: tuple[IlcSpec, ...]
-    connections: tuple[Connection, ...]
 
     @property
     def n_mgs(self) -> int:
@@ -70,26 +54,9 @@ class ValidatedNetwork:
     def n_ilcs(self) -> int:
         return len(self.ilcs)
 
-    @property
-    def n_connections(self) -> int:
-        return len(self.connections)
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Dense incidence matrix with semantic row/column labels."""
-
-    data: np.ndarray
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.data.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ValidationError("incidence matrix labels do not match shape")
-
 
 def validate_topology(spec: NetworkSpec | ValidatedNetwork) -> ValidatedNetwork:
-    """Validate a topology and compute its connection enumeration.
+    """Validate a topology.
 
     Re-validating an already validated network is idempotent.  Raises
     :class:`DanglingEndpoint` for out-of-range endpoints (self-loops are
@@ -130,23 +97,4 @@ def validate_topology(spec: NetworkSpec | ValidatedNetwork) -> ValidatedNetwork:
     if len(seen) != n:
         missing = sorted(i + 1 for i in range(n) if i not in seen)
         raise DisconnectedGraph(f"MGs {missing} are not reachable from MG 1")
-    connections = []
-    for l, ilc in enumerate(spec.ilcs):
-        connections.append(Connection(ilc=l, side=0, mg=ilc.mg_a))
-        connections.append(Connection(ilc=l, side=1, mg=ilc.mg_b))
-    return ValidatedNetwork(
-        mgs=tuple(spec.mgs), ilcs=tuple(spec.ilcs), connections=tuple(connections)
-    )
-
-
-def build_ilc_incidence(net: ValidatedNetwork) -> IncidenceMatrix:
-    """Connection-to-MG incidence: entry [i, rho] is 1 iff connection rho is at MG i."""
-    a = np.zeros((net.n_mgs, net.n_connections), dtype=int)
-    for rho, conn in enumerate(net.connections):
-        a[conn.mg, rho] = 1
-    return IncidenceMatrix(
-        data=a,
-        row_labels=tuple(f"MG{i + 1}" for i in range(net.n_mgs)),
-        col_labels=tuple(c.label() for c in net.connections),
-    )
-
+    return ValidatedNetwork(mgs=tuple(spec.mgs), ilcs=tuple(spec.ilcs))

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .engine import IntegrateOptions, LoadEvent, OdeSystem, assemble
+from .engine import IntegrateOptions, LoadEvent, OdeSystem
 from .errors import SchemaViolation, UnknownScheme, ValidationError
 from .ilc import Gains, IlcPhysical, IlcUnit, SCHEMES, filter_susceptance_power
 from .mg import FirstOrderDroop, MgModel, SwingGovernor, default_rating
@@ -93,9 +93,17 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Read a scenario document from disk (no validation)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """Read a scenario document from disk (no validation); a file that is
+    not UTF-8 JSON raises :class:`SchemaViolation` naming where it broke."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(str(path), f"not UTF-8 at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation(
+            str(path), f"not JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from exc
 
 
 def shipped_scenario(name: str) -> dict:
@@ -244,8 +252,13 @@ def resolve(raw: dict) -> dict:
         "atol_scale": _check_number(sim_in.get("atol_scale", 1.0),
                                     "scenario.sim.atol_scale"),
     }
+    _require(sim["rtol"] >= 0.0, "scenario.sim.rtol", "must be non-negative")
+    _require(sim["atol_scale"] > 0.0, "scenario.sim.atol_scale",
+             "must be strictly positive")
     if "max_step" in sim_in:
         sim["max_step"] = _check_number(sim_in["max_step"], "scenario.sim.max_step")
+        _require(sim["max_step"] > 0.0, "scenario.sim.max_step",
+                 "must be strictly positive")
     out["sim"] = sim
     return out
 
@@ -310,7 +323,7 @@ def build_system(resolved: dict) -> SystemBundle:
             ilcs=tuple(ilc_specs),
         )
     )
-    ode = assemble(net, models, units)
+    ode = OdeSystem(net, models, units)
     events = tuple(
         LoadEvent(time=ev["time"], mg=ev["mg"] - 1, delta_p_load=ev["delta_p_load"])
         for ev in resolved["events"]
@@ -344,11 +357,6 @@ def load_resolved(source: str | Path | dict) -> dict:
     return resolve(load_scenario(source))
 
 
-def parse_scenario(source: str | Path | dict) -> SystemBundle:
-    """One-stop: load (path or shipped name or dict), resolve, build."""
-    return build_system(load_resolved(source))
-
-
 def set_parameter(resolved: dict, path: str, value: float) -> dict:
     """Return a copy of a resolved scenario with one parameter replaced.
 
@@ -376,7 +384,6 @@ def set_parameter(resolved: dict, path: str, value: float) -> dict:
         "K_v": ("K_v1", "K_v2"),
         "m": ("m1", "m2"),
         "m_p": ("m_p1", "m_p2"),
-        "K_i_pair": ("K_i1", "K_i2"),
     }
     for l in indices:
         block = out["ilcs"][l]

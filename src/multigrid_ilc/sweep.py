@@ -134,12 +134,7 @@ def classify_spectrum(resolved: dict) -> Classification:
     return _spectrum(resolved)[0]
 
 
-def classify_stability(
-    resolved: dict,
-    disturbance_frac: float = 0.01,
-    horizon: float = 60.0,
-    sim_rtol: float = 1e-6,
-) -> Classification:
+def classify_stability(resolved: dict) -> Classification:
     """Classify one resolved scenario configuration.
 
     The scenario's own event list is ignored; the standardized disturbance
@@ -150,12 +145,12 @@ def classify_stability(
         return spectral
     ode, absc = bundle.ode, spectral.abscissa
 
-    t_event = 1.0
-    step = -disturbance_frac * bundle.rating(0)
+    t_event, horizon = 1.0, 60.0
+    step = -0.01 * bundle.rating(0)
     events = (LoadEvent(time=t_event, mg=0, delta_p_load=step),)
     # the step cap keeps the settling tail sampled once the integrator has
     # switched to large stiff steps
-    opts = IntegrateOptions(rtol=sim_rtol, atol_scale=10.0, max_step=horizon / 30.0)
+    opts = IntegrateOptions(rtol=1e-6, atol_scale=10.0, max_step=horizon / 30.0)
     try:
         traj = integrate(ode, eq0.x, events, (0.0, t_event + horizon), opts)
     except NumericalError as exc:
@@ -466,8 +461,8 @@ def _cache_key(args: tuple) -> str:
     """Content hash of a cell request, the code that computes it and the
     sweep constants it depends on, so a cache never serves a cell computed
     by other code or settings.  The source digest covers the disturbance,
-    whose settings are literal defaults of :func:`classify_stability`; the
-    module constants are read at call time, so they enter the key as well."""
+    whose settings are literals in :func:`classify_stability`; the module
+    constants are read at call time, so they enter the key as well."""
     resolved, row, column = args
     constants = [{name: asdict(spec) for name, spec in COLUMNS.items()},
                  GAIN_SPAN, _ABSCISSA_MARGIN]

@@ -8,6 +8,7 @@ the total CPU budget stays the same.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from multigrid_ilc.analysis import (
 from multigrid_ilc.engine import IntegrateOptions, LoadEvent, integrate
 from multigrid_ilc.ilc import SCHEMES
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_linearize
-from multigrid_ilc.scenario import build_system, parse_scenario
+from multigrid_ilc.scenario import build_system, load_resolved
 from multigrid_ilc.sweep import table3_harness, worker_count
 
 from test_ilc import unit_for
@@ -209,12 +210,19 @@ def test_criterion_5c_inductance_ordering(table3):
     )
 
 
+def test_table_text_matches_reference(table3):
+    """The boundary table's text is the committed seed-0 reference, byte for
+    byte, so a refactor that moves any cell shows here."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench/reference/table3-seed0.txt"
+    assert table3.to_text() + "\n" == reference.read_text(encoding="utf-8")
+
+
 def test_criterion_6_passivity_implies_stability():
     t0 = time.monotonic()
     counterexamples = []
     fired = 0
     for name in ("two-mg", "three-mg", "ieee39-reduced"):
-        bundle = parse_scenario(name)
+        bundle = build_system(load_resolved(name))
         mg_strict = all(
             passivity_sweep(linearize_mg(m)).min_eigs.min() > 0
             for m in bundle.models
@@ -297,12 +305,9 @@ def test_criterion_8_numerical_hygiene(two_mg_resolved):
         state_scales = np.append(ode.state_scales, 1e3)
         state_atols = np.append(ode.state_atols, 1e-3)
         state_names = ode.state_names + ("aux.energy",)
-        mg_components = ode.mg_components
         units = ode.units
         net = ode.net
         models = ode.models
-        _vdc_index_by_ilc = ode._vdc_index_by_ilc
-        _eta_indices = ode._eta_indices
 
         @staticmethod
         def derivative(t, y, loads=None):

@@ -200,3 +200,28 @@ def test_table3_non_positive_workers_exit_code(tmp_path, capsys, workers):
     assert main(["table3", f"--workers={workers}", "--out", str(tmp_path / "t3")]) == 2
     assert "worker count" in capsys.readouterr().err
     assert not (tmp_path / "t3").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{not json", "not JSON: Expecting property name enclosed in double quotes "
+                   "at line 1 column 2"),
+    (b"\xff\xfe{}", "not UTF-8 at byte 0"),
+])
+@pytest.mark.parametrize("command", ["simulate", "table3"])
+def test_undecodable_scenario_file_exit_code(tmp_path, capsys, content, message,
+                                             command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_sweep_negative_bound_in_exponent_form_reaches_validation(capsys):
+    code = main([
+        "sweep", "--scenario", "two-mg", "--param", "ilc.K_dc", "--lo", "-1e-3",
+        "--hi", "1", "--tol", "0.1",
+    ])
+    assert code == 2
+    assert "k_dc must be non-negative" in capsys.readouterr().err

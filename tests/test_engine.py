@@ -7,8 +7,8 @@ from multigrid_ilc.analysis import linearize_closed_loop, spectral_abscissa
 from multigrid_ilc.engine import (
     IntegrateOptions,
     LoadEvent,
+    OdeSystem,
     _rodas4_step,
-    assemble,
     find_equilibrium,
     integrate,
 )
@@ -49,23 +49,23 @@ def droop_models():
 
 
 def test_assemble_dimension_and_origin():
-    ode = assemble(two_mg_net(), droop_models(), [dacd_unit()])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
     assert ode.dim == 2 + 2 + 5
     assert ode.derivative(0.0, [0.0] * ode.dim, [0.0, 0.0]) == [0.0] * ode.dim
 
 
 def test_assemble_port_mismatch():
     with pytest.raises(PortMismatch):
-        assemble(two_mg_net(), droop_models()[:1], [dacd_unit()])
+        OdeSystem(two_mg_net(), droop_models()[:1], [dacd_unit()])
     with pytest.raises(PortMismatch):
-        assemble(two_mg_net(), droop_models(), [])
+        OdeSystem(two_mg_net(), droop_models(), [])
 
 
 def test_droop_sharing_equilibrium():
     """Load step shared in proportion to the total droop coefficients; with a
     lossless DC bus the ILC carries exactly the second MG's contribution."""
     models = droop_models()
-    ode = assemble(two_mg_net(), models, [dacd_unit(k_dc=0.0)])
+    ode = OdeSystem(two_mg_net(), models, [dacd_unit(k_dc=0.0)])
     eq = find_equilibrium(ode, loads=[-1e6, 0.0])
     droop_total = sum(m.D + m.inv_R for m in models)
     w_star = -1e6 / droop_total
@@ -80,7 +80,7 @@ def test_droop_sharing_equilibrium():
 
 
 def test_find_equilibrium_zero_loads_is_origin():
-    ode = assemble(two_mg_net(), droop_models(), [dacd_unit()])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
     eq = find_equilibrium(ode)
     assert np.max(np.abs(eq.x)) == 0.0
     assert eq.residual == 0.0
@@ -88,22 +88,22 @@ def test_find_equilibrium_zero_loads_is_origin():
 
 def test_infeasible_transfer_raises():
     # filter limit far below the required transfer
-    ode = assemble(two_mg_net(), droop_models(),
-                   [IlcUnit("dual-droop-matching", IlcPhysical(b=1e5),
-                            Gains(m1=1e-3, k_v2=2.5e4, k_omega2=2.5e7, k_i2=10.0))])
+    ode = OdeSystem(two_mg_net(), droop_models(),
+                    [IlcUnit("dual-droop-matching", IlcPhysical(b=1e5),
+                             Gains(m1=1e-3, k_v2=2.5e4, k_omega2=2.5e7, k_i2=10.0))])
     with pytest.raises((NewtonDivergence, AngleOutOfRange)):
         find_equilibrium(ode, loads=[-1e6, 0.0])
 
 
 def test_integrate_zero_stays_zero():
-    ode = assemble(two_mg_net(), droop_models(), [dacd_unit()])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
     traj = integrate(ode, [0.0] * ode.dim, t_span=(0.0, 5.0))
     assert np.max(np.abs(traj.y)) == 0.0
     assert not traj.truncated
 
 
 def test_tolerance_refinement():
-    ode = assemble(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
     events = (LoadEvent(0.5, 0, -1e6),)
     rtol = 1e-6
     finals = []
@@ -116,21 +116,21 @@ def test_tolerance_refinement():
 
 
 def test_event_restart_grid_contains_event_time():
-    ode = assemble(two_mg_net(), droop_models(), [dacd_unit()])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
     events = (LoadEvent(1.25, 0, -1e5),)
     traj = integrate(ode, [0.0] * ode.dim, events, (0.0, 3.0))
     assert 1.25 in traj.t.tolist()
 
 
 def test_events_must_be_sorted():
-    ode = assemble(two_mg_net(), droop_models(), [dacd_unit()])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
     events = (LoadEvent(2.0, 0, -1e5), LoadEvent(1.0, 1, -1e5))
     with pytest.raises(ValidationError):
         integrate(ode, [0.0] * ode.dim, events, (0.0, 3.0))
 
 
 def test_determinism_bit_identical():
-    ode = assemble(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
     events = (LoadEvent(0.5, 0, -1e6),)
     a = integrate(ode, [0.0] * ode.dim, events, (0.0, 5.0))
     b = integrate(ode, [0.0] * ode.dim, events, (0.0, 5.0))
@@ -149,7 +149,7 @@ def test_divergence_truncates_with_flag():
         SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7, rating=4e8),
         SwingGovernor(M=1.5e7, D=5e3, T_g=0.3, inv_R=2e7, rating=2e8),
     ]
-    ode = assemble(two_mg_net(), models, [unit])
+    ode = OdeSystem(two_mg_net(), models, [unit])
     events = (LoadEvent(0.5, 0, -4e6),)
     traj = integrate(ode, [0.0] * ode.dim, events, (0.0, 120.0))
     assert traj.truncated
@@ -218,9 +218,7 @@ def test_dc_energy_bookkeeping(two_mg_resolved):
     bundle = build_system(two_mg_resolved)
     ode = bundle.ode
     unit = bundle.units[0]
-    comp = ode.ilc_components[0]
-    names = list(comp.state_names)
-    vdc_idx = comp.offset + names.index("vdc")
+    vdc_idx = ode.column("ilc", 0, "vdc")
     phys = unit.physical
 
     class Augmented:
@@ -228,12 +226,9 @@ def test_dc_energy_bookkeeping(two_mg_resolved):
         state_scales = np.append(ode.state_scales, 1e3)
         state_atols = np.append(ode.state_atols, 1e-3)
         state_names = ode.state_names + ("aux.energy",)
-        mg_components = ode.mg_components
         units = ode.units
         net = ode.net
         models = ode.models
-        _vdc_index_by_ilc = ode._vdc_index_by_ilc
-        _eta_indices = ode._eta_indices
 
         @staticmethod
         def derivative(t, y, loads=None):
@@ -263,7 +258,7 @@ def test_first_order_droop_mg_in_system():
         FirstOrderDroop(T=2e7, D=2e7, rating=4e8),
         FirstOrderDroop(T=5e6, D=1e7, rating=2e8),
     ]
-    ode = assemble(two_mg_net(), models, [dacd_unit(k_dc=0.0)])
+    ode = OdeSystem(two_mg_net(), models, [dacd_unit(k_dc=0.0)])
     eq = find_equilibrium(ode, loads=[-1e6, 0.0])
     w_star = -1e6 / 3e7
     assert eq.x[ode.column("mg", 0, "omega")] == pytest.approx(w_star, rel=1e-8)

@@ -233,7 +233,7 @@ def test_gfm_dual_droop_reduces_to_matching():
     """With the power-feedback terms frozen (huge filter constants) and the
     integral gains effectively zero, the grid-forming dual droop collapses
     to matching control with m = m_p * K_v."""
-    from multigrid_ilc.engine import LoadEvent, assemble, integrate
+    from multigrid_ilc.engine import LoadEvent, OdeSystem, integrate
     from multigrid_ilc.mg import SwingGovernor
     from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
 
@@ -259,7 +259,7 @@ def test_gfm_dual_droop_reduces_to_matching():
     events = (LoadEvent(1.0, 0, -1e6),)
     trajectories = []
     for unit in (gfmdd, matching):
-        ode = assemble(net, models, [unit])
+        ode = OdeSystem(net, models, [unit])
         traj = integrate(ode, [0.0] * ode.dim, events, (0.0, 20.0))
         trajectories.append(traj)
     a, b = trajectories

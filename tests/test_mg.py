@@ -16,7 +16,6 @@ from multigrid_ilc.linear import transfer_matrix
 from multigrid_ilc.mg import (
     FirstOrderDroop,
     SwingGovernor,
-    dc_gain,
     mg_derivative,
     mg_linearize,
 )
@@ -57,7 +56,6 @@ def test_swing_governor_dc_gain():
     lin = mg_linearize(m)
     gain = float((-lin.c @ np.linalg.solve(lin.a, lin.b))[0, 0])
     assert gain == pytest.approx(1.0 / (m.D + m.inv_R), rel=1e-12)
-    assert gain == pytest.approx(dc_gain(m), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,7 +8,7 @@ from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, default_rating
 from multigrid_ilc.scenario import (
     build_system,
     dump_resolved,
-    parse_scenario,
+    load_resolved,
     resolve,
     set_parameter,
     shipped_scenario,
@@ -121,7 +121,7 @@ def test_round_trip_identity():
 
 def test_shipped_scenarios_build():
     for name in shipped_scenario_names():
-        bundle = parse_scenario(name)
+        bundle = build_system(load_resolved(name))
         assert bundle.ode.dim > 0
         assert bundle.t_end > 0
 
@@ -216,3 +216,18 @@ def test_non_positive_nominal_frequency_rejected():
     raw["f_nominal"] = 0.0
     with pytest.raises(SchemaViolation, match="f_nominal"):
         resolve(raw)
+
+
+@pytest.mark.parametrize("sim, key", [
+    ({"rtol": -1e-6}, "rtol"),
+    ({"atol_scale": -1.0}, "atol_scale"),
+    ({"rtol": 0.0, "atol_scale": 0.0}, "atol_scale"),
+    ({"max_step": 0.0}, "max_step"),
+    ({"max_step": -1.0}, "max_step"),
+])
+def test_out_of_range_sim_settings_rejected(sim, key):
+    raw = shipped_scenario("two-mg")
+    raw["sim"].update(sim)
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == f"scenario.sim.{key}"

@@ -426,12 +426,11 @@ def test_classifier_tail_window_is_sampled(scheme, scheme_scenario, monkeypatch)
         return seen[-1]
 
     monkeypatch.setattr(sweep, "integrate", recording_integrate)
-    horizon = 60.0
-    cls = classify_stability(scheme_scenario(scheme), horizon=horizon)
+    cls = classify_stability(scheme_scenario(scheme))
     assert cls.verdict == STABLE
     (traj,) = seen
     assert traj.stats.stiff_from is not None
-    assert int(np.sum(traj.t >= 1.0 + 2.0 * horizon / 3.0)) >= 10
+    assert int(np.sum(traj.t >= 1.0 + 2.0 * 60.0 / 3.0)) >= 10
 
 
 class TestGainColumn:

@@ -149,18 +149,17 @@ def finite_difference_jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian of ``f`` with per-variable scaled steps."""
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
+    columns = []
     for i in range(x.size):
         h = rel_step * max(scales[i], abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        jac[:, i] = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (
-            2.0 * h
+        columns.append(
+            (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h)
         )
-    return jac
+    return np.column_stack(columns)
 
 
 def find_equilibrium(
@@ -241,7 +240,8 @@ class IntegrationStats:
     ``accepted`` and ``rejected`` count the steps behind the returned
     samples; ``rhs_calls`` counts every derivative evaluation, Jacobian
     columns and rolled-back Rodas4 trials included.  ``stiff_from`` is the
-    time from which the call ran on Rodas4, or None when it stayed on DP45.
+    time from which the call ran on Rodas4, or None when it stayed on DP45;
+    ``rollbacks`` counts the Rodas4 trials that were rolled back.
     """
 
     accepted: int
@@ -249,6 +249,7 @@ class IntegrationStats:
     rhs_calls: int
     jacobian_calls: int
     stiff_from: float | None
+    rollbacks: int
 
 
 @dataclass
@@ -309,8 +310,8 @@ class Trajectory:
                 cols.append(self.omega(j) / pu_base)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(",".join(header) + "\n")
-            for k in range(len(self.t)):
-                handle.write(",".join(repr(float(col[k])) for col in cols) + "\n")
+            for row in np.column_stack(cols).tolist():
+                handle.write(",".join(map(repr, row)) + "\n")
 
 
 # Dormand-Prince 5(4) coefficients
@@ -342,11 +343,12 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _STIFF_EVERY = 10
 _STIFF_STREAK = 15
 _STIFF_HLAMBDA = 3.25
-# accepted Rodas4 steps after a switch before it is judged against DP45; a
-# failed trial pauses the stiffness test for _RETRY_STEPS accepted DP45
-# steps, doubling with every further failure
-_TRIAL_STEPS = 10
-_RETRY_STEPS = 200
+# accepted Rodas4 steps after a switch before it is judged against DP45
+# (Rodas4 first has to damp the fast mode DP45 left ringing); a failed trial
+# pauses the stiffness test for _RETRY_FACTOR times its overspend, counted
+# in DP45 steps
+_TRIAL_STEPS = 100
+_RETRY_FACTOR = 10
 # divergence bounds of a trajectory
 _OMEGA_BOUND = 5.0       # rad/s; beyond this an MG counts as diverged
 _VDC_BOUND_FRAC = 0.2    # fraction of V_dc_ref
@@ -523,16 +525,18 @@ def integrate(
     starts on DP45 until Hairer's stiffness test (:func:`_looks_stiff` on
     15 tests without 6 calm ones in between) fires; then the linearly
     implicit Rodas4 step takes over, with a fresh finite-difference
-    Jacobian per accepted step.  After 10 accepted Rodas4 steps the switch
-    is judged: if Rodas4 spent more RHS calls than DP45 at its stability
-    limit would have, the call rolls back to the switch point and resumes
-    DP45 exactly where it left off; otherwise it stays on Rodas4 for the
-    rest of the call.  Each accepted Rodas4 step also emits cubic Hermite
-    samples, dense enough that linear interpolation between samples stays
-    within the step's tolerance.  Divergence (any MG frequency or ILC DC
-    voltage beyond its bound, or a DC-bus collapse) truncates the
-    trajectory and sets the flag; a filter angle reaching |eta| >= pi/2
-    aborts with :class:`AngleOutOfRange`.
+    Jacobian per accepted step.  After 100 accepted Rodas4 steps, or at the
+    segment's end if that comes first, the switch is judged: if Rodas4
+    spent more RHS calls than DP45 at its stability limit would have, the
+    call rolls back to the switch point, resumes DP45 exactly where it left
+    off and pauses the stiffness test for ten times the overspend, counted
+    in DP45 steps; otherwise it stays on Rodas4 for the rest of the call.
+    Each accepted Rodas4 step also emits cubic Hermite samples, dense
+    enough that linear interpolation between samples stays within the
+    step's tolerance.  Divergence (any MG frequency or ILC DC voltage
+    beyond its bound, or a DC-bus collapse) truncates the trajectory and
+    sets the flag; a filter angle reaching |eta| >= pi/2 aborts with
+    :class:`AngleOutOfRange`.
     """
     opts = opts or IntegrateOptions()
     t0, t_end = t_span
@@ -630,10 +634,10 @@ def integrate(
         rhs_calls += 1
         return ode.derivative(tt, yy, current_loads)
 
-    accepted = rejected = jacobian_calls = 0
+    accepted = rejected = jacobian_calls = rollbacks = 0
     stiff_from: float | None = None
     streak = calm = 0  # stiffness tests above / below the bound
-    quiet_until = failures = 0  # back-off after failed Rodas4 trials
+    quiet_until = 0  # back-off after a failed Rodas4 trial
     switch: _Switch | None = None  # set while Rodas4 is on trial
     t = t0
     y = ys[0]
@@ -712,22 +716,20 @@ def integrate(
                     switch = _Switch(t, y, k1, h, len(ts), accepted, rejected,
                                      rhs_calls, h_done)
                 continue
-            trial_steps = accepted - switch.accepted
-            if trial_steps < _TRIAL_STEPS and t < boundary:
+            if accepted - switch.accepted < _TRIAL_STEPS and t < boundary:
                 continue
             # DP45 pinned at its stability limit takes 6 RHS calls per step
-            dp45_calls = 6 * (t - switch.t) / switch.dp45_step
-            if trial_steps < _TRIAL_STEPS or rhs_calls - switch.rhs_calls > dp45_calls:
-                # Rodas4 cost more than DP45 would have (or the segment ended
-                # before the trial did): resume DP45 at the switch
+            overspend = rhs_calls - switch.rhs_calls - 6 * (t - switch.t) / switch.dp45_step
+            if overspend > 0:
+                # Rodas4 cost more than DP45 would have: resume DP45 at the
+                # switch
                 t, y, k1, h = switch.t, switch.y, switch.k1, switch.h
                 accepted, rejected = switch.accepted, switch.rejected
                 del ts[switch.samples:], ys[switch.samples:]
                 stiff_from = None
                 streak = calm = 0
-                if trial_steps == _TRIAL_STEPS:
-                    failures += 1
-                    quiet_until = accepted + _RETRY_STEPS * 2 ** (failures - 1)
+                rollbacks += 1
+                quiet_until = accepted + _RETRY_FACTOR * overspend / 6
             switch = None
         if truncated:
             break
@@ -740,5 +742,6 @@ def integrate(
         events=events,
         truncated=truncated,
         truncation_reason=reason,
-        stats=IntegrationStats(accepted, rejected, rhs_calls, jacobian_calls, stiff_from),
+        stats=IntegrationStats(accepted, rejected, rhs_calls, jacobian_calls, stiff_from,
+                               rollbacks),
     )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multigrid_ilc import engine
 from multigrid_ilc.analysis import linearize_closed_loop, spectral_abscissa
 from multigrid_ilc.engine import (
     IntegrateOptions,
@@ -21,7 +22,7 @@ from multigrid_ilc.errors import (
 from multigrid_ilc.ilc import Gains, IlcPhysical, IlcUnit
 from multigrid_ilc.mg import SwingGovernor
 from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
-from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
+from multigrid_ilc.scenario import build_system, resolve, set_parameter, shipped_scenario
 
 
 def two_mg_net():
@@ -297,6 +298,41 @@ def test_failed_rodas4_trial_rolls_back_to_dp45():
     assert stats.jacobian_calls > 0  # the trials ran
     assert stats.accepted == 11235
     assert len(traj.t) == stats.accepted + 1
+
+
+def test_failed_trial_pauses_the_stiffness_test():
+    """The late-event ieee39 case fires the stiffness test once: its one
+    Rodas4 trial is rolled back, and the pause that follows (ten times the
+    trial's overspend) outlasts the ringing, so DP45's 11235 steps stand."""
+    doc = shipped_scenario("ieee39-reduced")
+    doc["events"] = [{"time": 155.91, "mg": 1, "delta_p_load": -54951242.0},
+                     {"time": 174.138, "mg": 3, "delta_p_load": 36920033.0}]
+    bundle = build_system(resolve(doc))
+    traj = integrate(bundle.ode, [0.0] * bundle.ode.dim, bundle.events,
+                     (0.0, bundle.t_end), bundle.options)
+    stats = traj.stats
+    assert stats.rollbacks == 1
+    assert stats.stiff_from is None
+    assert stats.accepted == 11235
+
+
+def test_trial_cut_short_by_segment_end_is_judged_on_cost(scheme_scenario):
+    """A Rodas4 trial that reaches the end of its segment before its
+    _TRIAL_STEPS steps is kept when it already spent fewer RHS calls than
+    DP45 at its stability limit would have."""
+    resolved = set_parameter(scheme_scenario("dual-acdc-droop"), "ilc.K_dc", 0.0)
+    bundle = build_system(resolved)
+    ode = bundle.ode
+    eq = find_equilibrium(ode)
+    events = (LoadEvent(1.0, 0, -0.01 * bundle.rating(0)),)
+    opts = IntegrateOptions(rtol=1e-6, atol_scale=10.0)
+    switch = integrate(ode, eq.x, events, (0.0, 61.0), opts).stats.stiff_from
+    assert switch is not None
+    # the trial takes about 90 Rodas4 steps to reach the end
+    stats = integrate(ode, eq.x, events, (0.0, switch + 2.6), opts).stats
+    assert stats.jacobian_calls < engine._TRIAL_STEPS
+    assert stats.rollbacks == 0
+    assert stats.stiff_from == switch
 
 
 def test_two_mg_disturbance_switches_to_rodas4(two_mg_resolved):

@@ -414,10 +414,9 @@ def test_log_sweep_rejects_non_positive_lo(two_mg_resolved):
                  direction="min-stable", tol=0.01)
 
 
-@pytest.mark.parametrize("scheme", ["matching", "gfl-gfm-dual-droop"])
-def test_classifier_tail_window_is_sampled(scheme, scheme_scenario, monkeypatch):
-    """Large stiff steps must not leave the settling tail to one sample:
-    the window t >= 1 + 2*horizon/3 holds at least ten."""
+@pytest.fixture
+def trajectories(monkeypatch):
+    """The trajectories ``sweep.integrate`` returns, in call order."""
     integrate = sweep.integrate
     seen = []
 
@@ -426,11 +425,31 @@ def test_classifier_tail_window_is_sampled(scheme, scheme_scenario, monkeypatch)
         return seen[-1]
 
     monkeypatch.setattr(sweep, "integrate", recording_integrate)
+    return seen
+
+
+@pytest.mark.parametrize("scheme", ["matching", "gfl-gfm-dual-droop"])
+def test_classifier_tail_window_is_sampled(scheme, scheme_scenario, trajectories):
+    """Large stiff steps must not leave the settling tail to one sample:
+    the window t >= 1 + 2*horizon/3 holds at least ten."""
     cls = classify_stability(scheme_scenario(scheme))
     assert cls.verdict == STABLE
-    (traj,) = seen
+    (traj,) = trajectories
     assert traj.stats.stiff_from is not None
     assert int(np.sum(traj.t >= 1.0 + 2.0 * 60.0 / 3.0)) >= 10
+
+
+def test_undamped_dc_bus_disturbance_stays_on_rodas4(scheme_scenario, trajectories):
+    """dual-acdc-droop at K_dc = 0 rings at -5 +- 316j, which pins DP45 to
+    its stability limit (about 9.7k steps).  Rodas4 needs tens of steps to
+    damp what DP45 left ringing before its step grows, and the trial lasts
+    long enough to see it: the run stays on Rodas4 and the verdict holds."""
+    resolved = set_parameter(scheme_scenario("dual-acdc-droop"), "ilc.K_dc", 0.0)
+    assert classify_stability(resolved).verdict == STABLE
+    (traj,) = trajectories
+    assert traj.stats.stiff_from is not None
+    assert traj.stats.rollbacks == 0
+    assert traj.stats.accepted < 1000
 
 
 class TestGainColumn:

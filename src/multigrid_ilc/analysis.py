@@ -16,21 +16,16 @@ overflows are still skipped point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .engine import (
-    EquilibriumPoint,
-    OdeSystem,
-    finite_difference_jacobian,
-    scales_and_atols,
-)
+from .engine import EquilibriumPoint, OdeSystem
 from .errors import SingularResolvent, ValidationError
-from .ilc import GFM, IlcUnit, ilc_derivative, ilc_output, unit_state_names
+from .ilc import GFM, IlcUnit, ilc_jacobian, unit_state_names
 from .linear import LinearSystem, transfer_matrix, transfer_stack
-from .mg import MgModel, mg_derivative
+from .mg import MgModel, mg_linearize
 
 __all__ = [
     "LinearSystem",
@@ -60,16 +55,10 @@ def default_grid(n_points: int = 400, w_min: float = 1e-2, w_max: float = 1e4) -
     return np.logspace(math.log10(w_min), math.log10(w_max), n_points)
 
 
-def _split_jacobian(f_aug: Callable, x0: np.ndarray, scales, n: int, p: int):
-    jac = finite_difference_jacobian(f_aug, x0, np.asarray(scales))
-    a = jac[:n, :n]
-    b = jac[:n, n:]
-    c = jac[n:, :n]
-    d = jac[n:, n:]
-    flags = ()
-    if n and np.linalg.cond(a) > _COND_FLAG_LIMIT:
-        flags = ("ill-conditioned-jacobian",)
-    return a, b, c, d, flags
+def _flags(a: np.ndarray) -> tuple[str, ...]:
+    if a.size and np.linalg.cond(a) > _COND_FLAG_LIMIT:
+        return ("ill-conditioned-jacobian",)
+    return ()
 
 
 def linearize_unit(
@@ -78,7 +67,7 @@ def linearize_unit(
     inputs: tuple[float, float] = (0.0, 0.0),
 ) -> LinearSystem:
     """Linearize one ILC about an equilibrium (default: the origin, where the
-    DC voltage sits at its nominal value).
+    DC voltage sits at its nominal value), from the scheme's exact Jacobian.
 
     Ports follow the passivity convention: grid-following and partial units
     take inputs (omega1, omega2) and emit (-p1, -p2); grid-forming units
@@ -87,77 +76,47 @@ def linearize_unit(
     """
     names = unit_state_names(unit)
     n = len(names)
-    x_state = np.zeros(n) if state is None else np.asarray(state, dtype=float)
-    x_eq = np.concatenate([x_state, np.asarray(inputs, dtype=float)])
-    gfm = unit.port_kind == GFM
-    if gfm:
+    x = np.zeros(n) if state is None else np.asarray(state, dtype=float)
+    u1, u2 = inputs
+    if unit.port_kind == GFM:
         in_labels, out_labels = ("-p1", "-p2"), ("omega1", "omega2")
+        jac = ilc_jacobian(unit, x, (-u1, -u2))
+        jac[:, n:] *= -1.0
     else:
         in_labels, out_labels = ("omega1", "omega2"), ("-p1", "-p2")
-    scales, _ = scales_and_atols(unit, names + in_labels)
-
-    def f_aug(z):
-        x, u = tuple(z[:n]), (z[n], z[n + 1])
-        raw = (-u[0], -u[1]) if gfm else u
-        rates = ilc_derivative(unit, x, raw)
-        outs = ilc_output(unit, x, raw)
-        return np.array(rates + outs)
-
-    a, b, c, d, flags = _split_jacobian(f_aug, x_eq, scales, n, 2)
+        jac = ilc_jacobian(unit, x, (u1, u2))
+        jac[n:] *= -1.0
+    a = jac[:n, :n]
     return LinearSystem(
-        a=a, b=b, c=c, d=d,
+        a=a, b=jac[:n, n:], c=jac[n:, :n], d=jac[n:, n:],
         state_labels=names, input_labels=in_labels, output_labels=out_labels,
-        flags=flags,
+        flags=_flags(a),
     )
 
 
 def linearize_mg(model: MgModel) -> LinearSystem:
-    """Finite-difference linearization of an MG model (input p, output omega)."""
-    names = model.state_names
-    n = len(names)
-    scales, _ = scales_and_atols(model, names + ("p",))
-
-    def f_aug(z):
-        rates = mg_derivative(model, tuple(z[:n]), z[n], p_load=0.0)
-        return np.array(rates + (z[0],))
-
-    a, b, c, d, flags = _split_jacobian(f_aug, np.zeros(n + 1), scales, n, 1)
-    return LinearSystem(
-        a=a, b=b, c=c, d=d,
-        state_labels=names, input_labels=("p",), output_labels=("omega",),
-        flags=flags,
-    )
+    """Linearization of an MG model (input p, output omega)."""
+    lin = mg_linearize(model)
+    return replace(lin, flags=_flags(lin.a))
 
 
 def linearize_closed_loop(
     ode: OdeSystem, eq: EquilibriumPoint | None = None
 ) -> LinearSystem:
-    """Linearize the assembled interconnection about an equilibrium.
+    """Linearize the assembled interconnection about an equilibrium
+    (default: the zero state) with its exact Jacobian.
 
     The result has no ports (inputs are the frozen load levels); it is the
     object whose spectral abscissa certifies local stability.
     """
-    if eq is None:
-        x0 = np.zeros(ode.dim)
-        loads = ode.base_loads
-    else:
-        x0 = np.asarray(eq.x, dtype=float)
-        loads = eq.loads
-
-    def f(x):
-        return np.asarray(ode.derivative(0.0, list(x), loads))
-
-    a = finite_difference_jacobian(f, x0, ode.state_scales)
-    flags = ()
-    if np.linalg.cond(a) > _COND_FLAG_LIMIT:
-        flags = ("ill-conditioned-jacobian",)
+    a = ode.jacobian(np.zeros(ode.dim) if eq is None else np.asarray(eq.x, dtype=float))
     return LinearSystem(
         a=a,
         b=np.zeros((ode.dim, 0)),
         c=np.zeros((0, ode.dim)),
         d=np.zeros((0, 0)),
         state_labels=ode.state_names,
-        flags=flags,
+        flags=_flags(a),
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .engine import integrate
+from .engine import find_equilibrium, integrate
 from .errors import MultigridError, NumericalError, ValidationError
 from .scenario import build_system, dump_resolved, load_resolved, shipped_scenario_names
 from .svg import Series, write_svg
@@ -82,7 +82,7 @@ def _cmd_linearize(args) -> int:
         lin = analysis.linearize_mg(bundle.models[args.mg - 1])
         label = f"mg{args.mg}"
     else:
-        lin = analysis.linearize_closed_loop(bundle.ode)
+        lin = analysis.linearize_closed_loop(bundle.ode, find_equilibrium(bundle.ode))
         label = "closed-loop"
     absc = analysis.spectral_abscissa(lin)
     print(f"{label}: {lin.n_states} states, spectral abscissa {absc:.6e}")

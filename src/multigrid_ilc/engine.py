@@ -11,8 +11,10 @@ angles are part of the simulated ILC state.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,8 +26,9 @@ from .errors import (
     StepSizeUnderflow,
     ValidationError,
 )
-from .ilc import GFM, PARTIAL, IlcUnit, make_sim_derivative, sim_state_names
-from .mg import MgModel, default_rating, mg_rhs
+from .ilc import (GFM, PARTIAL, IlcUnit, make_sim_derivative, make_sim_jacobian,
+                  sim_state_names)
+from .mg import MgModel, default_rating, mg_linearize, mg_rhs
 from .network import ValidatedNetwork
 
 def scales_and_atols(
@@ -127,6 +130,37 @@ class OdeSystem:
             rates[lo:hi] = rhs(y[lo:hi], p)
         return rates
 
+    @cached_property
+    def _jacobian_parts(self) -> tuple[np.ndarray, list]:
+        """The MG blocks, and per ILC its sim Jacobian with the maps that
+        place it: rows (its rates; its port powers through each MG's input
+        map) and columns (its state; the MG frequencies).  Built on first use."""
+        mg_jac = np.zeros((self.dim, self.dim))
+        mg_inputs = np.zeros((self.dim, self.net.n_mgs))
+        for j, (model, (lo, hi)) in enumerate(zip(self.models, self._mg_spans)):
+            lin = mg_linearize(model)
+            mg_jac[lo:hi, lo:hi] = lin.a
+            mg_inputs[lo:hi, j] = lin.b[:, 0]
+        ilcs = []
+        for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self._ilc_ends):
+            omegas = self._mg_spans[a][0], self._mg_spans[b][0]
+            rows = np.zeros((self.dim, hi - lo + 2))
+            rows[lo:hi, : hi - lo] = np.eye(hi - lo)
+            rows[:, hi - lo :] = mg_inputs[:, (a, b)]
+            cols = np.eye(self.dim)[[*range(lo, hi), *omegas]]
+            ilcs.append((make_sim_jacobian(unit), lo, hi, omegas, rows, cols))
+        return mg_jac, ilcs
+
+    def jacobian(self, y: Sequence[float]) -> np.ndarray:
+        """Exact Jacobian of :meth:`derivative` at ``y`` (the loads enter
+        additively and drop out).  Raises :class:`DcVoltageCollapse` wherever
+        the derivative does."""
+        mg_jac, ilcs = self._jacobian_parts
+        jac = mg_jac.copy()
+        for ilc_jac, lo, hi, (wa, wb), rows, cols in ilcs:
+            jac += rows @ ilc_jac(y[lo:hi], y[wa], y[wb]) @ cols
+        return jac
+
     def connection_powers(self, y: Sequence[float]) -> list[tuple[float, float]]:
         """Per-ILC (p1, p2): powers injected into the two connected MGs."""
         out = []
@@ -144,24 +178,6 @@ class OdeSystem:
         return self.state_names.index(label)
 
 
-def finite_difference_jacobian(
-    f: Callable, x: np.ndarray, scales: np.ndarray, rel_step: float = 6e-6
-) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` with per-variable scaled steps."""
-    x = np.asarray(x, dtype=float)
-    columns = []
-    for i in range(x.size):
-        h = rel_step * max(scales[i], abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        columns.append(
-            (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h)
-        )
-    return np.column_stack(columns)
-
-
 def find_equilibrium(
     ode: OdeSystem,
     loads: Sequence[float] | None = None,
@@ -169,7 +185,8 @@ def find_equilibrium(
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> EquilibriumPoint:
-    """Newton iteration with finite-difference Jacobian.
+    """Newton iteration with the exact Jacobian (:meth:`OdeSystem.jacobian`),
+    row-scaled by the state scales like the residual.
 
     Converged when the scaled residual infinity norm drops below
     ``tol * max(1, scaled state magnitude)``.
@@ -189,7 +206,7 @@ def find_equilibrium(
         threshold = tol * max(1.0, float(np.max(np.abs(x / scales))))
         if norm <= threshold:
             return EquilibriumPoint(x=x, residual=norm, loads=loads)
-        jac = finite_difference_jacobian(residual, x, scales)
+        jac = ode.jacobian(x) / scales[:, None]
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -238,8 +255,9 @@ class IntegrationStats:
     """What one :func:`integrate` call did.
 
     ``accepted`` and ``rejected`` count the steps behind the returned
-    samples; ``rhs_calls`` counts every derivative evaluation, Jacobian
-    columns and rolled-back Rodas4 trials included.  ``stiff_from`` is the
+    samples; ``rhs_calls`` counts every derivative evaluation and
+    ``jacobian_calls`` every exact Jacobian, rolled-back Rodas4 trials
+    included.  ``stiff_from`` is the
     time from which the call ran on Rodas4, or None when it stayed on DP45;
     ``rollbacks`` counts the Rodas4 trials that were rolled back.
     """
@@ -365,6 +383,7 @@ class _Switch(NamedTuple):
     accepted: int
     rejected: int
     rhs_calls: int
+    jacobian_calls: int
     dp45_step: float
 
 
@@ -524,10 +543,12 @@ def integrate(
     The integration restarts exactly at each event time.  Every segment
     starts on DP45 until Hairer's stiffness test (:func:`_looks_stiff` on
     15 tests without 6 calm ones in between) fires; then the linearly
-    implicit Rodas4 step takes over, with a fresh finite-difference
-    Jacobian per accepted step.  After 100 accepted Rodas4 steps, or at the
-    segment's end if that comes first, the switch is judged: if Rodas4
-    spent more RHS calls than DP45 at its stability limit would have, the
+    implicit Rodas4 step takes over, with a fresh exact Jacobian
+    (``ode.jacobian(y)``, which every system passed in must provide) per
+    accepted step.  After 100 accepted Rodas4 steps, or at the segment's
+    end if that comes first, the switch is judged: if Rodas4 spent more RHS
+    calls than DP45 at its stability limit would have, each Jacobian
+    charged at the 2*dim calls of a central-difference one, the
     call rolls back to the switch point, resumes DP45 exactly where it left
     off and pauses the stiffness test for ten times the overspend, counted
     in DP45 steps; otherwise it stays on Rodas4 for the rest of the call.
@@ -571,8 +592,11 @@ def integrate(
         elif name.startswith("eta"):
             eta_indices.append(idx)
 
-    ts: list[float] = [t0]
-    ys: list[Sequence[float]] = [list(map(float, x0))]
+    # the samples, appended to flat buffers of floats
+    dim = ode.dim
+    y = list(map(float, x0))
+    ts = array("d", [t0])
+    ys = array("d", y)
     truncated = False
     reason: str | None = None
 
@@ -580,7 +604,7 @@ def integrate(
         """Record one sample; False when it ends the trajectory."""
         nonlocal truncated, reason
         ts.append(t)
-        ys.append(y)
+        ys.extend(y)
         for idx in eta_indices:
             if abs(y[idx]) >= math.pi / 2:
                 raise AngleOutOfRange(
@@ -609,8 +633,8 @@ def integrate(
                      and np.all(np.abs(block[:, bound_cols]) <= bound_limits)
                      and np.all(np.isfinite(block)))
         if clean:
-            ts.extend(times.tolist())
-            ys.extend(block)
+            ts.frombytes(times.tobytes())
+            ys.frombytes(block.tobytes())
             return True
         return all(emit(tt, row) for tt, row in zip(times.tolist(), block.tolist()))
 
@@ -640,7 +664,6 @@ def integrate(
     quiet_until = 0  # back-off after a failed Rodas4 trial
     switch: _Switch | None = None  # set while Rodas4 is on trial
     t = t0
-    y = ys[0]
     segment_start = t0
     for boundary in boundaries:
         for ev in events:
@@ -670,9 +693,7 @@ def integrate(
                     y_new, k7, err_norm, k6, y6 = _dp45_step(f, t, y, k1, h, atol, rtol)
                 else:
                     if jac is None:
-                        jac = finite_difference_jacobian(
-                            lambda v: f(t, v.tolist()), np.array(y), ode.state_scales
-                        )
+                        jac = ode.jacobian(y)
                         jacobian_calls += 1
                     y_new, k7, err_norm = _rodas4_step(f, t, y, k1, jac, h, atol_vec, rtol)
             except (DcVoltageCollapse, ValueError, OverflowError, np.linalg.LinAlgError):
@@ -714,18 +735,21 @@ def integrate(
             if switch is None:
                 if stiff_from is not None and not stiff:  # the test just fired
                     switch = _Switch(t, y, k1, h, len(ts), accepted, rejected,
-                                     rhs_calls, h_done)
+                                     rhs_calls, jacobian_calls, h_done)
                 continue
             if accepted - switch.accepted < _TRIAL_STEPS and t < boundary:
                 continue
-            # DP45 pinned at its stability limit takes 6 RHS calls per step
-            overspend = rhs_calls - switch.rhs_calls - 6 * (t - switch.t) / switch.dp45_step
+            # DP45 pinned at its stability limit takes 6 RHS calls per step;
+            # a Jacobian is charged the 2*dim calls of a central-difference one
+            spent = (rhs_calls - switch.rhs_calls
+                     + 2 * dim * (jacobian_calls - switch.jacobian_calls))
+            overspend = spent - 6 * (t - switch.t) / switch.dp45_step
             if overspend > 0:
                 # Rodas4 cost more than DP45 would have: resume DP45 at the
                 # switch
                 t, y, k1, h = switch.t, switch.y, switch.k1, switch.h
                 accepted, rejected = switch.accepted, switch.rejected
-                del ts[switch.samples:], ys[switch.samples:]
+                del ts[switch.samples:], ys[switch.samples * dim:]
                 stiff_from = None
                 streak = calm = 0
                 rollbacks += 1
@@ -736,8 +760,8 @@ def integrate(
         segment_start = boundary
 
     return Trajectory(
-        t=np.array(ts),
-        y=np.array(ys),
+        t=np.frombuffer(ts),
+        y=np.frombuffer(ys).reshape(-1, dim),
         ode=ode,
         events=events,
         truncated=truncated,

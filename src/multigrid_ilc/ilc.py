@@ -34,8 +34,9 @@ gfl-gfm-dual-droop      mixed gfm-dual-droop on the forming side, dual
 
 Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
 its port kind, unit states, required gains, the builder of its equations
-(controller law, converter lags and DC bus in one closure) and its
-closed-form equilibrium.  Everything else in this module reads the record.
+(controller law, converter lags and DC bus in one closure), the builder of
+their exact Jacobian and its closed-form equilibrium.  Everything else in
+this module reads the record.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
+
+import numpy as np
 
 from .errors import (
     DcVoltageCollapse,
@@ -131,6 +134,12 @@ class IlcUnit:
         return SCHEME[self.scheme].port
 
 
+def _collapse(vdc: float, vref: float) -> DcVoltageCollapse:
+    return DcVoltageCollapse(
+        f"DC voltage collapsed: deviation {vdc:g} V at nominal {vref:g} V"
+    )
+
+
 def _dc_bus(phys: IlcPhysical) -> Callable:
     """The DC-bus law: dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the powers
     leaving the two VSCs."""
@@ -139,12 +148,42 @@ def _dc_bus(phys: IlcPhysical) -> Callable:
     def dc(p1, p2, vdc):
         v_total = vdc + vref
         if v_total <= 0.0:
-            raise DcVoltageCollapse(
-                f"DC voltage collapsed: deviation {vdc:g} V at nominal {vref:g} V"
-            )
+            raise _collapse(vdc, vref)
         return (-p1 / v_total - p2 / v_total - k_dc * vdc) / c
 
     return dc
+
+
+def _jacobian(rows: list, phys: IlcPhysical, dc_cols: tuple[int, int, int],
+              filter_angle: bool = False) -> Callable:
+    """jac(y, in1, in2) -> the partials of (rates, out1, out2) by (y, in1, in2).
+
+    ``rows`` are the constant partials, one row per rate or output, with
+    None for the DC-bus row; its partials by (p1, p2, vdc), which sit at
+    positions ``dc_cols`` of (y, in1, in2), are filled in per call.  With
+    ``filter_angle``, y[0] is a filter angle and column 0 of ``rows`` holds
+    the partials by p1 = B*sin(y[0]); the chain rule carries them over to
+    the angle.
+    """
+    r = next(i for i, row in enumerate(rows) if row is None)
+    base = np.array([np.zeros(len(rows)) if row is None else row for row in rows])
+    c_p1, c_p2, c_v = dc_cols
+    c, vref, k_dc, b = phys.c, phys.v_dc_ref, phys.k_dc, phys.b
+
+    def jac(y, u1, u2):
+        z = (*y, u1, u2)
+        p1 = b * math.sin(y[0]) if filter_angle else z[c_p1]
+        v_total = z[c_v] + vref
+        if v_total <= 0.0:
+            raise _collapse(z[c_v], vref)
+        m = base.copy()
+        m[r, c_p1] = m[r, c_p2] = -1.0 / (c * v_total)
+        m[r, c_v] = ((p1 + z[c_p2]) / (v_total * v_total) - k_dc) / c
+        if filter_angle:
+            m[:, 0] *= b * math.cos(y[0])
+        return m
+
+    return jac
 
 
 # --- equilibrium helpers -------------------------------------------------
@@ -183,11 +222,14 @@ def _asin_power(p: float, b: float, what: str) -> float:
 
 # --- the schemes ---------------------------------------------------------
 # Per scheme: an rhs builder (gains, physical) -> rhs(y, in1, in2) that
-# returns (rates, out1, out2), and the closed-form equilibrium
-# (gains, physical, w1, w2, p1) -> state in simulation order.  Inputs are
-# the two connection frequencies for GFL/partial units and the two powers
-# leaving the converter (p1, p2) for GFM units; outputs are those powers
-# for GFL/partial units and the frequency references for GFM units.
+# returns (rates, out1, out2); a jacobian builder with the same signature,
+# whose rows are the rhs's linear terms applied to the unit vectors of
+# (y, in1, in2) (see _jacobian for the DC bus and the filter angle); and
+# the closed-form equilibrium (gains, physical, w1, w2, p1) -> state in
+# simulation order.  Inputs are the two connection frequencies for
+# GFL/partial units and the two powers leaving the converter (p1, p2) for
+# GFM units; outputs are those powers for GFL/partial units and the
+# frequency references for GFM units.
 
 
 def _dfd1_rhs(g: Gains, phys: IlcPhysical) -> Callable:
@@ -206,6 +248,16 @@ def _dfd1_rhs(g: Gains, phys: IlcPhysical) -> Callable:
         )
 
     return rhs
+
+
+def _dfd1_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    p1, p2, vdc, xi, zeta, w1, w2 = np.eye(7)
+    droop = -g.k_omega1 * w1 + g.k_omega2 * w2
+    return _jacobian(
+        [(-p1 + droop + g.k_i * xi) / phys.tau1,
+         (-p2 + g.k_pdc * vdc + g.k_idc * zeta) / phys.tau2, None, droop, vdc, p1, p2],
+        phys, (0, 1, 2),
+    )
 
 
 def _dfd1_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
@@ -235,6 +287,17 @@ def _dfd2_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
+def _dfd2_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    p1, p2, vdc, xi, zeta, w1, w2 = np.eye(7)
+    p_dc = g.k_pdc * vdc + g.k_idc * zeta
+    base = -g.k_omega1 * w1 + g.k_omega2 * w2 + g.k_i * xi
+    return _jacobian(
+        [(-p1 + base + p_dc) / phys.tau1, (-p2 - base + p_dc) / phys.tau2, None,
+         -w1 + w2, vdc, p1, p2],
+        phys, (0, 1, 2),
+    )
+
+
 def _dfd2_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     _consistent(w1, w2, "w1 = w2")
     xi = (p1 + (g.k_omega1 - g.k_omega2) * w1) / g.k_i
@@ -260,6 +323,17 @@ def _dacd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
+def _dacd_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    p1, p2, vdc, xi1, xi2, w1, w2 = np.eye(7)
+    d1 = g.k_v1 * vdc - g.k_omega1 * w1
+    d2 = g.k_v2 * vdc - g.k_omega2 * w2
+    return _jacobian(
+        [(-p1 + d1 + g.k_i1 * xi1) / phys.tau1, (-p2 + d2 + g.k_i2 * xi2) / phys.tau2,
+         None, d1, d2, p1, p2],
+        phys, (0, 1, 2),
+    )
+
+
 def _dacd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = g.k_omega1 * w1 / g.k_v1
     _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
@@ -277,6 +351,11 @@ def _matching_rhs(g: Gains, phys: IlcPhysical) -> Callable:
         return ((dc(p1, p2, vdc),), m1 * vdc, m2 * vdc)
 
     return rhs
+
+
+def _matching_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    vdc, p1, p2 = np.eye(3)
+    return _jacobian([None, g.m1 * vdc, g.m2 * vdc], phys, (1, 2, 0))
 
 
 def _matching_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
@@ -308,6 +387,18 @@ def _gfmfd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
         )
 
     return rhs
+
+
+def _gfmfd_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    vdc, zeta, p_eq, pf1, pf2, p1, p2 = np.eye(7)
+    p_dc = g.k_pdc * vdc + g.k_idc * zeta
+    wref1 = -g.m_p1 * (pf1 - g.kappa_s1 * p_dc + g.k_i1 * p_eq)
+    wref2 = -g.m_p2 * (pf2 - g.kappa_s2 * p_dc - g.k_i2 * p_eq)
+    return _jacobian(
+        [None, vdc, wref1 - wref2, (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2,
+         wref1, wref2],
+        phys, (5, 6, 0),
+    )
 
 
 def _gfmfd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
@@ -346,6 +437,17 @@ def _gfmdd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
+def _gfmdd_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    vdc, xi1, xi2, pf1, pf2, p1, p2 = np.eye(7)
+    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
+    wref2 = g.m_p2 * (-pf2 + g.k_v2 * vdc + g.k_i2 * xi2)
+    return _jacobian(
+        [None, g.k_v1 * vdc - g.k_omega1 * wref1, g.k_v2 * vdc - g.k_omega2 * wref2,
+         (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2, wref1, wref2],
+        phys, (5, 6, 0),
+    )
+
+
 def _gfmdd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = g.k_omega1 * w1 / g.k_v1
     _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
@@ -373,6 +475,15 @@ def _ddm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
         )
 
     return rhs
+
+
+def _ddm_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    p1, xi2, p2, vdc, w1, w2 = np.eye(6)  # column 0: p1 = B*sin(eta)
+    d2 = g.k_v2 * vdc - g.k_omega2 * w2
+    return _jacobian(
+        [g.m1 * vdc - w1, d2, (-p2 + d2 + g.k_i2 * xi2) / phys.tau2, None, p1, p2],
+        phys, (0, 2, 3), filter_angle=True,
+    )
 
 
 def _ddm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
@@ -404,6 +515,17 @@ def _gflgfm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
+def _gflgfm_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
+    p1, xi1, pf1, xi2, p2, vdc, w1, w2 = np.eye(8)  # column 0: p1 = B*sin(eta)
+    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
+    d2 = g.k_v2 * vdc - g.k_omega2 * w2
+    return _jacobian(
+        [wref1 - w1, g.k_v1 * vdc - g.k_omega1 * wref1, (-pf1 + p1) / phys.tau1, d2,
+         (-p2 + d2 + g.k_i2 * xi2) / phys.tau2, None, p1, p2],
+        phys, (0, 4, 5), filter_angle=True,
+    )
+
+
 def _gflgfm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = g.k_omega1 * w1 / g.k_v1
     _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
@@ -421,13 +543,16 @@ class Scheme:
     ``states`` are the states of the converter unit itself (the object the
     passivity analysis sees); grid-forming units add one filter-angle state
     per connection in simulation.  ``gains`` are the :class:`Gains` fields
-    the scheme requires to be positive.
+    the scheme requires to be positive.  ``jacobian`` builds, like ``rhs``,
+    a function of (state, in1, in2); it returns the exact partials of
+    (rates, out1, out2) by (state, in1, in2) as one square matrix.
     """
 
     port: str
     states: tuple[str, ...]
     gains: tuple[str, ...]
     rhs: Callable[[Gains, IlcPhysical], Callable]
+    jacobian: Callable[[Gains, IlcPhysical], Callable]
     equilibrium: Callable[..., tuple[float, ...]]
 
 
@@ -435,39 +560,40 @@ SCHEME: dict[str, Scheme] = {
     "dual-freq-droop-1": Scheme(
         GFL, ("p1", "p2", "vdc", "xi", "zeta"),
         ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-        _dfd1_rhs, _dfd1_equilibrium,
+        _dfd1_rhs, _dfd1_jacobian, _dfd1_equilibrium,
     ),
     "dual-freq-droop-2": Scheme(
         GFL, ("p1", "p2", "vdc", "xi", "zeta"),
         ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-        _dfd2_rhs, _dfd2_equilibrium,
+        _dfd2_rhs, _dfd2_jacobian, _dfd2_equilibrium,
     ),
     "dual-acdc-droop": Scheme(
         GFL, ("p1", "p2", "vdc", "xi1", "xi2"),
         ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"),
-        _dacd_rhs, _dacd_equilibrium,
+        _dacd_rhs, _dacd_jacobian, _dacd_equilibrium,
     ),
     "matching": Scheme(
-        GFM, ("vdc",), ("m1", "m2"), _matching_rhs, _matching_equilibrium,
+        GFM, ("vdc",), ("m1", "m2"),
+        _matching_rhs, _matching_jacobian, _matching_equilibrium,
     ),
     "gfm-freq-droop": Scheme(
         GFM, ("vdc", "zeta", "p_eq", "pf1", "pf2"),
         ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2", "kappa_s1", "kappa_s2"),
-        _gfmfd_rhs, _gfmfd_equilibrium,
+        _gfmfd_rhs, _gfmfd_jacobian, _gfmfd_equilibrium,
     ),
     "gfm-dual-droop": Scheme(
         GFM, ("vdc", "xi1", "xi2", "pf1", "pf2"),
         ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2", "k_i1", "k_i2"),
-        _gfmdd_rhs, _gfmdd_equilibrium,
+        _gfmdd_rhs, _gfmdd_jacobian, _gfmdd_equilibrium,
     ),
     "dual-droop-matching": Scheme(
         PARTIAL, ("eta", "xi2", "p2", "vdc"), ("m1", "k_v2", "k_omega2", "k_i2"),
-        _ddm_rhs, _ddm_equilibrium,
+        _ddm_rhs, _ddm_jacobian, _ddm_equilibrium,
     ),
     "gfl-gfm-dual-droop": Scheme(
         PARTIAL, ("eta", "xi1", "pf1", "xi2", "p2", "vdc"),
         ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"),
-        _gflgfm_rhs, _gflgfm_equilibrium,
+        _gflgfm_rhs, _gflgfm_jacobian, _gflgfm_equilibrium,
     ),
 }
 
@@ -494,12 +620,18 @@ def _unit_rhs(unit: IlcUnit) -> Callable:
     return SCHEME[unit.scheme].rhs(unit.gains, unit.physical)
 
 
-def _check_state(unit: IlcUnit, state) -> None:
+def _check_state(unit: IlcUnit, state, inputs=None) -> None:
+    """The state's length, and with ``inputs``, that state and inputs are
+    finite."""
     names = unit_state_names(unit)
     if len(state) != len(names):
         raise SchemeStateMismatch(
             f"scheme {unit.scheme!r} expects {len(names)} states "
             f"{names}, got {len(state)}"
+        )
+    if inputs is not None and not all(math.isfinite(v) for v in (*state, *inputs)):
+        raise NonFiniteInput(
+            f"ILC state and inputs must be finite, got {state!r}, {inputs!r}"
         )
 
 
@@ -509,13 +641,8 @@ def ilc_derivative(unit: IlcUnit, state, inputs) -> tuple[float, ...]:
     ``inputs`` is ``(omega1, omega2)`` for GFL and partial schemes and
     ``(p1, p2)`` -- the powers leaving the converter -- for GFM schemes.
     """
-    _check_state(unit, state)
-    u1, u2 = inputs
-    if not all(math.isfinite(v) for v in (*state, u1, u2)):
-        raise NonFiniteInput(
-            f"ILC state and inputs must be finite, got {state!r}, {inputs!r}"
-        )
-    rates, _, _ = _unit_rhs(unit)(tuple(state), u1, u2)
+    _check_state(unit, state, inputs)
+    rates, _, _ = _unit_rhs(unit)(tuple(state), *inputs)
     return rates
 
 
@@ -530,6 +657,15 @@ def ilc_output(unit: IlcUnit, state, inputs=(0.0, 0.0)) -> tuple[float, float]:
     if unit.port_kind == GFM:
         return out1, out2
     return -out1, -out2
+
+
+def ilc_jacobian(unit: IlcUnit, state, inputs) -> np.ndarray:
+    """Exact partials of one unit's (rates, out1, out2) by (state, in1,
+    in2), with the raw inputs and outputs of :func:`ilc_derivative` (for
+    GFL and partial units the outputs are the powers leaving the
+    converter, not the port outputs of :func:`ilc_output`)."""
+    _check_state(unit, state, inputs)
+    return SCHEME[unit.scheme].jacobian(unit.gains, unit.physical)(tuple(state), *inputs)
 
 
 def make_sim_derivative(unit: IlcUnit) -> Callable:
@@ -553,6 +689,36 @@ def make_sim_derivative(unit: IlcUnit) -> Callable:
         return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
 
     return sim_rhs
+
+
+def make_sim_jacobian(unit: IlcUnit) -> Callable:
+    """jac(y, w1, w2) -> the partials of :func:`make_sim_derivative`'s
+    (rates, p1, p2) by (y, w1, w2).
+
+    Grid-forming units reorder their unit Jacobian into simulation order
+    (filter angles first) and carry the columns of p_i = B*sin(eta_i) over
+    to the angles.
+    """
+    jac = SCHEME[unit.scheme].jacobian(unit.gains, unit.physical)
+    if unit.port_kind != GFM:
+        return jac
+    b = unit.physical.b
+    n = len(unit_state_names(unit))
+    # unit rows (wref1, wref2, rates) and columns (p1, p2, state) in sim order
+    order = np.ix_(*[[n, n + 1, *range(n)]] * 2)
+
+    def sim_jac(y, w1, w2):
+        c1, c2 = b * math.cos(y[0]), b * math.cos(y[1])
+        unit_jac = jac(y[2:], b * math.sin(y[0]), b * math.sin(y[1]))
+        unit_jac[:, n] *= c1
+        unit_jac[:, n + 1] *= c2
+        m = np.zeros((n + 4, n + 4))
+        m[: n + 2, : n + 2] = unit_jac[order]
+        m[0, n + 2] = m[1, n + 3] = -1.0  # eta_i' = wref_i - w_i
+        m[n + 2, 0], m[n + 3, 1] = c1, c2
+        return m
+
+    return sim_jac
 
 
 def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float, ...]:

@@ -30,6 +30,7 @@ from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_linearize
 from multigrid_ilc.scenario import build_system, load_resolved
 from multigrid_ilc.sweep import table3_harness, worker_count
 
+from jacobian_reference import system_jacobian
 from test_ilc import unit_for
 
 
@@ -317,6 +318,8 @@ def test_criterion_8_numerical_hygiene(two_mg_resolved):
             flow = (-(p1 + p2) * v / (v + unit0.physical.v_dc_ref)
                     - unit0.physical.k_dc * v * v)
             return rates + [flow]
+
+    Augmented.jacobian = staticmethod(system_jacobian(Augmented))
 
     traj = integrate(Augmented, [0.0] * Augmented.dim,
                      (LoadEvent(1.0, 0, -1e6),), (0.0, 15.0),

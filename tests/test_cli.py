@@ -105,6 +105,34 @@ def test_linearize_closed_loop(tmp_path, capsys):
     assert (out / "cli-dfd1-closed-loop-A.csv").exists()
 
 
+def loaded_two_mg(tmp_path, scheme):
+    """The shipped two-MG scenario on one scheme with a 5 % load on MG1,
+    so that the zero state is not an equilibrium."""
+    from multigrid_ilc.scenario import shipped_scenario
+
+    doc = shipped_scenario("two-mg")
+    doc["ilcs"][0]["scheme"] = scheme
+    doc["mgs"][0]["p_load"] = -2e7
+    path = tmp_path / f"loaded-{scheme}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_linearize_closed_loop_at_the_equilibrium(tmp_path, capsys):
+    """About the equilibrium the abscissa is -0.8523; about the zero
+    state, which a nonzero load moves off equilibrium, it would be -0.8430."""
+    code = main(["linearize", "--scenario", str(loaded_two_mg(tmp_path, "matching"))])
+    assert code == 0
+    assert "spectral abscissa -8.5231" in capsys.readouterr().out
+
+
+def test_linearize_without_equilibrium_exit_code(tmp_path, capsys):
+    code = main(["linearize", "--scenario",
+                 str(loaded_two_mg(tmp_path, "dual-acdc-droop"))])
+    assert code == 3
+    assert "no convergence" in capsys.readouterr().err
+
+
 def test_sweep_bad_tolerance_exit_code(tmp_path, capsys):
     for tol in ("nan", "0"):
         code = main([

@@ -24,6 +24,8 @@ from multigrid_ilc.mg import SwingGovernor
 from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
 from multigrid_ilc.scenario import build_system, resolve, set_parameter, shipped_scenario
 
+from jacobian_reference import system_jacobian
+
 
 def two_mg_net():
     return validate_topology(
@@ -238,6 +240,8 @@ def test_dc_energy_bookkeeping(two_mg_resolved):
             v = y[vdc_idx]
             flow = -(p1 + p2) * v / (v + phys.v_dc_ref) - phys.k_dc * v * v
             return rates + [flow]
+
+    Augmented.jacobian = staticmethod(system_jacobian(Augmented))
 
     events = (LoadEvent(1.0, 0, -1e6),)
     traj = integrate(Augmented, [0.0] * Augmented.dim, events, (0.0, 20.0),

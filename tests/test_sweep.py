@@ -452,6 +452,18 @@ def test_undamped_dc_bus_disturbance_stays_on_rodas4(scheme_scenario, trajectori
     assert traj.stats.accepted < 1000
 
 
+def test_exact_jacobians_keep_the_trial_price(scheme_scenario, trajectories):
+    """The same run with exact Jacobians takes the same 536 steps, and the
+    trial, which charges each Jacobian the 2*dim RHS calls of a central
+    difference, sees the 7405 RHS calls the finite-difference code spent."""
+    resolved = set_parameter(scheme_scenario("dual-acdc-droop"), "ilc.K_dc", 0.0)
+    classify_stability(resolved)
+    (traj,) = trajectories
+    stats = traj.stats
+    assert stats.accepted == 536
+    assert stats.rhs_calls + 2 * traj.ode.dim * stats.jacobian_calls == 7405
+
+
 class TestGainColumn:
     """The gain column is a max-stable log sweep of the scale factor on the
     row's gain fields, run by ``bisect_boundary`` like every other column."""

@@ -67,7 +67,8 @@ def linearize_unit(
     inputs: tuple[float, float] = (0.0, 0.0),
 ) -> LinearSystem:
     """Linearize one ILC about an equilibrium (default: the origin, where the
-    DC voltage sits at its nominal value), from the scheme's exact Jacobian.
+    DC voltage sits at its nominal value), from the exact Jacobian derived
+    from the scheme's law.
 
     Ports follow the passivity convention: grid-following and partial units
     take inputs (omega1, omega2) and emit (-p1, -p2); grid-forming units

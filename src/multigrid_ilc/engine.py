@@ -70,6 +70,7 @@ class EquilibriumPoint:
     x: np.ndarray
     residual: float  # scaled infinity norm
     loads: tuple[float, ...]
+    iterations: int  # Newton iterations it took
 
 
 class OdeSystem:
@@ -201,11 +202,11 @@ def find_equilibrium(
         return np.asarray(ode.derivative(0.0, list(vec), loads)) / scales
 
     r = residual(x)
-    for _ in range(max_iter):
+    for iterations in range(max_iter):
         norm = float(np.max(np.abs(r)))
         threshold = tol * max(1.0, float(np.max(np.abs(x / scales))))
         if norm <= threshold:
-            return EquilibriumPoint(x=x, residual=norm, loads=loads)
+            return EquilibriumPoint(x=x, residual=norm, loads=loads, iterations=iterations)
         jac = ode.jacobian(x) / scales[:, None]
         try:
             step = np.linalg.solve(jac, -r)

@@ -34,16 +34,18 @@ gfl-gfm-dual-droop      mixed gfm-dual-droop on the forming side, dual
 
 Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
 its port kind, unit states, required gains, the builder of its equations
-(controller law, converter lags and DC bus in one closure), the builder of
-their exact Jacobian and its closed-form equilibrium.  Everything else in
-this module reads the record.
+(controller law and converter lags in one closure, on the DC-bus and
+filter power laws it is given) and its closed-form equilibrium.
+Everything else in this module reads the record: the exact Jacobians of
+the unit and of its simulated form are derived from the same equations,
+so a law is written once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -154,33 +156,62 @@ def _dc_bus(phys: IlcPhysical) -> Callable:
     return dc
 
 
-def _jacobian(rows: list, phys: IlcPhysical, dc_cols: tuple[int, int, int],
-              filter_angle: bool = False) -> Callable:
-    """jac(y, in1, in2) -> the partials of (rates, out1, out2) by (y, in1, in2).
+def _filter_power(b: float) -> Callable:
+    """The inductive filter's law: power(eta) -> B*sin(eta) (W)."""
 
-    ``rows`` are the constant partials, one row per rate or output, with
-    None for the DC-bus row; its partials by (p1, p2, vdc), which sit at
-    positions ``dc_cols`` of (y, in1, in2), are filled in per call.  With
-    ``filter_angle``, y[0] is a filter angle and column 0 of ``rows`` holds
-    the partials by p1 = B*sin(y[0]); the chain rule carries them over to
-    the angle.
+    def power(eta):
+        return b * math.sin(eta)
+
+    return power
+
+
+def _column(v: np.ndarray) -> int:
+    """The variable a unit vector stands for."""
+    (k,) = np.flatnonzero(v)
+    return int(k)
+
+
+def _derive(build: Callable, n: int, phys: IlcPhysical) -> Callable:
+    """jac(y, in1, in2) -> the exact partials of (rates, out1, out2) by
+    (y, in1, in2) of the law ``build(dc, power)`` with ``n`` states.
+
+    The law is evaluated once on the unit vectors of (y, in1, in2), which
+    gives its linear partials, with stubs for its only nonlinear parts: the
+    DC bus records which variables are p1, p2 and vdc and returns None for
+    its row, and the filter power B*sin(eta) passes eta's unit vector
+    through.  Each call fills in the DC-bus row and multiplies every
+    filter-angle column by B*cos(eta).  Apart from those two laws, a law
+    must be linear in its variables: a constant term or a product of two
+    variables would derive silently wrong rows.
     """
+    dc_cols, angles = [], set()
+
+    def dc(p1, p2, vdc):
+        dc_cols.extend(_column(v) for v in (p1, p2, vdc))
+
+    def power(eta):
+        angles.add(_column(eta))
+        return eta
+
+    eye = np.eye(n + 2)
+    rates, out1, out2 = build(dc, power)(eye[:n], eye[n], eye[n + 1])
+    rows = [*rates, out1, out2]
     r = next(i for i, row in enumerate(rows) if row is None)
-    base = np.array([np.zeros(len(rows)) if row is None else row for row in rows])
+    base = np.array([np.zeros(n + 2) if row is None else row for row in rows])
     c_p1, c_p2, c_v = dc_cols
     c, vref, k_dc, b = phys.c, phys.v_dc_ref, phys.k_dc, phys.b
 
     def jac(y, u1, u2):
         z = (*y, u1, u2)
-        p1 = b * math.sin(y[0]) if filter_angle else z[c_p1]
+        p1, p2 = (b * math.sin(z[k]) if k in angles else z[k] for k in (c_p1, c_p2))
         v_total = z[c_v] + vref
         if v_total <= 0.0:
             raise _collapse(z[c_v], vref)
         m = base.copy()
         m[r, c_p1] = m[r, c_p2] = -1.0 / (c * v_total)
-        m[r, c_v] = ((p1 + z[c_p2]) / (v_total * v_total) - k_dc) / c
-        if filter_angle:
-            m[:, 0] *= b * math.cos(y[0])
+        m[r, c_v] = ((p1 + p2) / (v_total * v_total) - k_dc) / c
+        for k in angles:
+            m[:, k] *= b * math.cos(z[k])
         return m
 
     return jac
@@ -221,21 +252,20 @@ def _asin_power(p: float, b: float, what: str) -> float:
 
 
 # --- the schemes ---------------------------------------------------------
-# Per scheme: an rhs builder (gains, physical) -> rhs(y, in1, in2) that
-# returns (rates, out1, out2); a jacobian builder with the same signature,
-# whose rows are the rhs's linear terms applied to the unit vectors of
-# (y, in1, in2) (see _jacobian for the DC bus and the filter angle); and
-# the closed-form equilibrium (gains, physical, w1, w2, p1) -> state in
-# simulation order.  Inputs are the two connection frequencies for
-# GFL/partial units and the two powers leaving the converter (p1, p2) for
-# GFM units; outputs are those powers for GFL/partial units and the
-# frequency references for GFM units.
+# Per scheme: an rhs builder (gains, physical, dc, power) -> rhs(y, in1,
+# in2) that returns (rates, out1, out2), written on the DC-bus law dc(p1,
+# p2, vdc) and the filter power law power(eta) it is given, from which
+# _derive takes its Jacobians; and the closed-form equilibrium (gains,
+# physical, w1, w2, p1) -> state in simulation order.  Inputs are the two
+# connection frequencies for GFL/partial units and the two powers leaving
+# the converter (p1, p2) for GFM units; outputs are those powers for
+# GFL/partial units and the frequency references for GFM units.
 
 
-def _dfd1_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+def _dfd1_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     k_omega1, k_omega2, k_i = g.k_omega1, g.k_omega2, g.k_i
     k_pdc, k_idc = g.k_pdc, g.k_idc
-    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+    tau1, tau2 = phys.tau1, phys.tau2
 
     def rhs(y, w1, w2):
         p1, p2, vdc, xi, zeta = y
@@ -250,26 +280,16 @@ def _dfd1_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
-def _dfd1_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    p1, p2, vdc, xi, zeta, w1, w2 = np.eye(7)
-    droop = -g.k_omega1 * w1 + g.k_omega2 * w2
-    return _jacobian(
-        [(-p1 + droop + g.k_i * xi) / phys.tau1,
-         (-p2 + g.k_pdc * vdc + g.k_idc * zeta) / phys.tau2, None, droop, vdc, p1, p2],
-        phys, (0, 1, 2),
-    )
-
-
 def _dfd1_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     _consistent(g.k_omega1 * w1, g.k_omega2 * w2, "k_omega1*w1 = k_omega2*w2")
     p2 = -p1
     return (p1, p2, 0.0, p1 / g.k_i, p2 / g.k_idc)
 
 
-def _dfd2_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+def _dfd2_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     k_omega1, k_omega2, k_i = g.k_omega1, g.k_omega2, g.k_i
     k_pdc, k_idc = g.k_pdc, g.k_idc
-    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+    tau1, tau2 = phys.tau1, phys.tau2
 
     def rhs(y, w1, w2):
         p1, p2, vdc, xi, zeta = y
@@ -287,27 +307,16 @@ def _dfd2_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
-def _dfd2_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    p1, p2, vdc, xi, zeta, w1, w2 = np.eye(7)
-    p_dc = g.k_pdc * vdc + g.k_idc * zeta
-    base = -g.k_omega1 * w1 + g.k_omega2 * w2 + g.k_i * xi
-    return _jacobian(
-        [(-p1 + base + p_dc) / phys.tau1, (-p2 - base + p_dc) / phys.tau2, None,
-         -w1 + w2, vdc, p1, p2],
-        phys, (0, 1, 2),
-    )
-
-
 def _dfd2_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     _consistent(w1, w2, "w1 = w2")
     xi = (p1 + (g.k_omega1 - g.k_omega2) * w1) / g.k_i
     return (p1, -p1, 0.0, xi, 0.0)
 
 
-def _dacd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+def _dacd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     k_omega1, k_omega2, k_v1, k_v2 = g.k_omega1, g.k_omega2, g.k_v1, g.k_v2
     k_i1, k_i2 = g.k_i1, g.k_i2
-    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+    tau1, tau2 = phys.tau1, phys.tau2
 
     def rhs(y, w1, w2):
         p1, p2, vdc, xi1, xi2 = y
@@ -323,17 +332,6 @@ def _dacd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
-def _dacd_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    p1, p2, vdc, xi1, xi2, w1, w2 = np.eye(7)
-    d1 = g.k_v1 * vdc - g.k_omega1 * w1
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    return _jacobian(
-        [(-p1 + d1 + g.k_i1 * xi1) / phys.tau1, (-p2 + d2 + g.k_i2 * xi2) / phys.tau2,
-         None, d1, d2, p1, p2],
-        phys, (0, 1, 2),
-    )
-
-
 def _dacd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = g.k_omega1 * w1 / g.k_v1
     _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
@@ -343,19 +341,14 @@ def _dacd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     return (p1, p2, vdc, xi1, xi2)
 
 
-def _matching_rhs(g: Gains, phys: IlcPhysical) -> Callable:
-    m1, m2, dc = g.m1, g.m2, _dc_bus(phys)
+def _matching_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
+    m1, m2 = g.m1, g.m2
 
     def rhs(y, p1, p2):
         (vdc,) = y
         return ((dc(p1, p2, vdc),), m1 * vdc, m2 * vdc)
 
     return rhs
-
-
-def _matching_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    vdc, p1, p2 = np.eye(3)
-    return _jacobian([None, g.m1 * vdc, g.m2 * vdc], phys, (1, 2, 0))
 
 
 def _matching_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
@@ -367,10 +360,10 @@ def _matching_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     return (eta1, eta2, vdc)
 
 
-def _gfmfd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+def _gfmfd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     m_p1, m_p2, k_pdc, k_idc = g.m_p1, g.m_p2, g.k_pdc, g.k_idc
     k_i1, k_i2, kappa_s1, kappa_s2 = g.k_i1, g.k_i2, g.kappa_s1, g.kappa_s2
-    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+    tau1, tau2 = phys.tau1, phys.tau2
 
     def rhs(y, p1, p2):
         vdc, zeta, p_eq, pf1, pf2 = y
@@ -387,18 +380,6 @@ def _gfmfd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
         )
 
     return rhs
-
-
-def _gfmfd_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    vdc, zeta, p_eq, pf1, pf2, p1, p2 = np.eye(7)
-    p_dc = g.k_pdc * vdc + g.k_idc * zeta
-    wref1 = -g.m_p1 * (pf1 - g.kappa_s1 * p_dc + g.k_i1 * p_eq)
-    wref2 = -g.m_p2 * (pf2 - g.kappa_s2 * p_dc - g.k_i2 * p_eq)
-    return _jacobian(
-        [None, vdc, wref1 - wref2, (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2,
-         wref1, wref2],
-        phys, (5, 6, 0),
-    )
 
 
 def _gfmfd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
@@ -419,10 +400,10 @@ def _gfmfd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     return (eta1, eta2, 0.0, zeta, p_eq, p1, p2)
 
 
-def _gfmdd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+def _gfmdd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     m_p1, m_p2, k_v1, k_v2 = g.m_p1, g.m_p2, g.k_v1, g.k_v2
     k_omega1, k_omega2, k_i1, k_i2 = g.k_omega1, g.k_omega2, g.k_i1, g.k_i2
-    tau1, tau2, dc = phys.tau1, phys.tau2, _dc_bus(phys)
+    tau1, tau2 = phys.tau1, phys.tau2
 
     def rhs(y, p1, p2):
         vdc, xi1, xi2, pf1, pf2 = y
@@ -437,17 +418,6 @@ def _gfmdd_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
-def _gfmdd_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    vdc, xi1, xi2, pf1, pf2, p1, p2 = np.eye(7)
-    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
-    wref2 = g.m_p2 * (-pf2 + g.k_v2 * vdc + g.k_i2 * xi2)
-    return _jacobian(
-        [None, g.k_v1 * vdc - g.k_omega1 * wref1, g.k_v2 * vdc - g.k_omega2 * wref2,
-         (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2, wref1, wref2],
-        phys, (5, 6, 0),
-    )
-
-
 def _gfmdd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = g.k_omega1 * w1 / g.k_v1
     _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
@@ -459,13 +429,13 @@ def _gfmdd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     return (eta1, eta2, vdc, xi1, xi2, p1, p2)
 
 
-def _ddm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+def _ddm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     m1, k_v2, k_omega2, k_i2 = g.m1, g.k_v2, g.k_omega2, g.k_i2
-    tau2, b, dc = phys.tau2, phys.b, _dc_bus(phys)
+    tau2 = phys.tau2
 
     def rhs(y, w1, w2):
         eta, xi2, p2, vdc = y
-        p1 = b * math.sin(eta)
+        p1 = power(eta)
         wref1 = m1 * vdc
         d2 = k_v2 * vdc - k_omega2 * w2
         pref2 = d2 + k_i2 * xi2
@@ -477,15 +447,6 @@ def _ddm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
     return rhs
 
 
-def _ddm_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    p1, xi2, p2, vdc, w1, w2 = np.eye(6)  # column 0: p1 = B*sin(eta)
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    return _jacobian(
-        [g.m1 * vdc - w1, d2, (-p2 + d2 + g.k_i2 * xi2) / phys.tau2, None, p1, p2],
-        phys, (0, 2, 3), filter_angle=True,
-    )
-
-
 def _ddm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = w1 / g.m1
     _consistent(g.k_v2 * vdc, g.k_omega2 * w2, "normalized frequencies")
@@ -495,14 +456,14 @@ def _ddm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     return (eta, xi2, p2, vdc)
 
 
-def _gflgfm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
+def _gflgfm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     m_p1, k_v1, k_omega1, k_i1 = g.m_p1, g.k_v1, g.k_omega1, g.k_i1
     k_v2, k_omega2, k_i2 = g.k_v2, g.k_omega2, g.k_i2
-    tau1, tau2, b, dc = phys.tau1, phys.tau2, phys.b, _dc_bus(phys)
+    tau1, tau2 = phys.tau1, phys.tau2
 
     def rhs(y, w1, w2):
         eta, xi1, pf1, xi2, p2, vdc = y
-        p1 = b * math.sin(eta)
+        p1 = power(eta)
         wref1 = m_p1 * (-pf1 + k_v1 * vdc + k_i1 * xi1)
         d2 = k_v2 * vdc - k_omega2 * w2
         pref2 = d2 + k_i2 * xi2
@@ -513,17 +474,6 @@ def _gflgfm_rhs(g: Gains, phys: IlcPhysical) -> Callable:
         )
 
     return rhs
-
-
-def _gflgfm_jacobian(g: Gains, phys: IlcPhysical) -> Callable:
-    p1, xi1, pf1, xi2, p2, vdc, w1, w2 = np.eye(8)  # column 0: p1 = B*sin(eta)
-    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    return _jacobian(
-        [wref1 - w1, g.k_v1 * vdc - g.k_omega1 * wref1, (-pf1 + p1) / phys.tau1, d2,
-         (-p2 + d2 + g.k_i2 * xi2) / phys.tau2, None, p1, p2],
-        phys, (0, 4, 5), filter_angle=True,
-    )
 
 
 def _gflgfm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
@@ -543,16 +493,15 @@ class Scheme:
     ``states`` are the states of the converter unit itself (the object the
     passivity analysis sees); grid-forming units add one filter-angle state
     per connection in simulation.  ``gains`` are the :class:`Gains` fields
-    the scheme requires to be positive.  ``jacobian`` builds, like ``rhs``,
-    a function of (state, in1, in2); it returns the exact partials of
-    (rates, out1, out2) by (state, in1, in2) as one square matrix.
+    the scheme requires to be positive.  ``rhs`` builds the equations from
+    the gains, the physical parameters, the DC-bus law and the filter power
+    law; every Jacobian of the scheme is derived from them (:func:`_derive`).
     """
 
     port: str
     states: tuple[str, ...]
     gains: tuple[str, ...]
-    rhs: Callable[[Gains, IlcPhysical], Callable]
-    jacobian: Callable[[Gains, IlcPhysical], Callable]
+    rhs: Callable[[Gains, IlcPhysical, Callable, Callable], Callable]
     equilibrium: Callable[..., tuple[float, ...]]
 
 
@@ -560,40 +509,40 @@ SCHEME: dict[str, Scheme] = {
     "dual-freq-droop-1": Scheme(
         GFL, ("p1", "p2", "vdc", "xi", "zeta"),
         ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-        _dfd1_rhs, _dfd1_jacobian, _dfd1_equilibrium,
+        _dfd1_rhs, _dfd1_equilibrium,
     ),
     "dual-freq-droop-2": Scheme(
         GFL, ("p1", "p2", "vdc", "xi", "zeta"),
         ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-        _dfd2_rhs, _dfd2_jacobian, _dfd2_equilibrium,
+        _dfd2_rhs, _dfd2_equilibrium,
     ),
     "dual-acdc-droop": Scheme(
         GFL, ("p1", "p2", "vdc", "xi1", "xi2"),
         ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"),
-        _dacd_rhs, _dacd_jacobian, _dacd_equilibrium,
+        _dacd_rhs, _dacd_equilibrium,
     ),
     "matching": Scheme(
         GFM, ("vdc",), ("m1", "m2"),
-        _matching_rhs, _matching_jacobian, _matching_equilibrium,
+        _matching_rhs, _matching_equilibrium,
     ),
     "gfm-freq-droop": Scheme(
         GFM, ("vdc", "zeta", "p_eq", "pf1", "pf2"),
         ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2", "kappa_s1", "kappa_s2"),
-        _gfmfd_rhs, _gfmfd_jacobian, _gfmfd_equilibrium,
+        _gfmfd_rhs, _gfmfd_equilibrium,
     ),
     "gfm-dual-droop": Scheme(
         GFM, ("vdc", "xi1", "xi2", "pf1", "pf2"),
         ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2", "k_i1", "k_i2"),
-        _gfmdd_rhs, _gfmdd_jacobian, _gfmdd_equilibrium,
+        _gfmdd_rhs, _gfmdd_equilibrium,
     ),
     "dual-droop-matching": Scheme(
         PARTIAL, ("eta", "xi2", "p2", "vdc"), ("m1", "k_v2", "k_omega2", "k_i2"),
-        _ddm_rhs, _ddm_jacobian, _ddm_equilibrium,
+        _ddm_rhs, _ddm_equilibrium,
     ),
     "gfl-gfm-dual-droop": Scheme(
         PARTIAL, ("eta", "xi1", "pf1", "xi2", "p2", "vdc"),
         ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"),
-        _gflgfm_rhs, _gflgfm_jacobian, _gflgfm_equilibrium,
+        _gflgfm_rhs, _gflgfm_equilibrium,
     ),
 }
 
@@ -612,12 +561,38 @@ def sim_state_names(unit: IlcUnit) -> tuple[str, ...]:
     return unit_state_names(unit)
 
 
+def _unit_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
+    """rhs(state, in1, in2) -> (rates, out1, out2) of one unit, on the given
+    DC-bus and filter power laws."""
+    return SCHEME[unit.scheme].rhs(unit.gains, unit.physical, dc, power)
+
+
+def _sim_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
+    """rhs(y, w1, w2) -> (rates, p1, p2) of one unit as the engine integrates
+    it, on the given laws: grid-forming units put the two filter angles
+    first and feed the unit the filter powers."""
+    rhs = _unit_law(unit, dc, power)
+    if unit.port_kind != GFM:
+        return rhs
+
+    def sim_rhs(y, w1, w2):
+        p1, p2 = power(y[0]), power(y[1])
+        rates, wref1, wref2 = rhs(y[2:], p1, p2)
+        return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
+
+    return sim_rhs
+
+
 @lru_cache(maxsize=None)
 def _unit_rhs(unit: IlcUnit) -> Callable:
-    """rhs(state, in1, in2) -> (rates, out1, out2) of one unit; the single
-    source of the unit equations, shared by the public operations and the
-    simulation engine."""
-    return SCHEME[unit.scheme].rhs(unit.gains, unit.physical)
+    """The unit equations on the real DC bus and filter, built once per unit
+    for the public operations."""
+    return _unit_law(unit, _dc_bus(unit.physical), _filter_power(unit.physical.b))
+
+
+@lru_cache(maxsize=None)
+def _unit_jacobian(unit: IlcUnit) -> Callable:
+    return _derive(partial(_unit_law, unit), len(unit_state_names(unit)), unit.physical)
 
 
 def _check_state(unit: IlcUnit, state, inputs=None) -> None:
@@ -661,11 +636,12 @@ def ilc_output(unit: IlcUnit, state, inputs=(0.0, 0.0)) -> tuple[float, float]:
 
 def ilc_jacobian(unit: IlcUnit, state, inputs) -> np.ndarray:
     """Exact partials of one unit's (rates, out1, out2) by (state, in1,
-    in2), with the raw inputs and outputs of :func:`ilc_derivative` (for
-    GFL and partial units the outputs are the powers leaving the
-    converter, not the port outputs of :func:`ilc_output`)."""
+    in2), derived from its law, as a new matrix.  Inputs and outputs are
+    the raw ones of :func:`ilc_derivative` (for GFL and partial units the
+    outputs are the powers leaving the converter, not the port outputs of
+    :func:`ilc_output`)."""
     _check_state(unit, state, inputs)
-    return SCHEME[unit.scheme].jacobian(unit.gains, unit.physical)(tuple(state), *inputs)
+    return _unit_jacobian(unit)(tuple(state), *inputs)
 
 
 def make_sim_derivative(unit: IlcUnit) -> Callable:
@@ -676,49 +652,14 @@ def make_sim_derivative(unit: IlcUnit) -> Callable:
     the inductive filter: the returned state starts with the two filter
     angles and p_i = B*sin(eta_i).
     """
-    rhs = _unit_rhs(unit)
-    if unit.port_kind != GFM:
-        return rhs
-    b = unit.physical.b
-
-    def sim_rhs(y, w1, w2):
-        eta1, eta2 = y[0], y[1]
-        p1 = b * math.sin(eta1)
-        p2 = b * math.sin(eta2)
-        rates, wref1, wref2 = rhs(y[2:], p1, p2)
-        return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
-
-    return sim_rhs
+    return _sim_law(unit, _dc_bus(unit.physical), _filter_power(unit.physical.b))
 
 
+@lru_cache(maxsize=None)
 def make_sim_jacobian(unit: IlcUnit) -> Callable:
-    """jac(y, w1, w2) -> the partials of :func:`make_sim_derivative`'s
-    (rates, p1, p2) by (y, w1, w2).
-
-    Grid-forming units reorder their unit Jacobian into simulation order
-    (filter angles first) and carry the columns of p_i = B*sin(eta_i) over
-    to the angles.
-    """
-    jac = SCHEME[unit.scheme].jacobian(unit.gains, unit.physical)
-    if unit.port_kind != GFM:
-        return jac
-    b = unit.physical.b
-    n = len(unit_state_names(unit))
-    # unit rows (wref1, wref2, rates) and columns (p1, p2, state) in sim order
-    order = np.ix_(*[[n, n + 1, *range(n)]] * 2)
-
-    def sim_jac(y, w1, w2):
-        c1, c2 = b * math.cos(y[0]), b * math.cos(y[1])
-        unit_jac = jac(y[2:], b * math.sin(y[0]), b * math.sin(y[1]))
-        unit_jac[:, n] *= c1
-        unit_jac[:, n + 1] *= c2
-        m = np.zeros((n + 4, n + 4))
-        m[: n + 2, : n + 2] = unit_jac[order]
-        m[0, n + 2] = m[1, n + 3] = -1.0  # eta_i' = wref_i - w_i
-        m[n + 2, 0], m[n + 3, 1] = c1, c2
-        return m
-
-    return sim_jac
+    """jac(y, w1, w2) -> the exact partials of :func:`make_sim_derivative`'s
+    (rates, p1, p2) by (y, w1, w2), derived from the same law."""
+    return _derive(partial(_sim_law, unit), len(sim_state_names(unit)), unit.physical)
 
 
 def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float, ...]:

@@ -131,32 +131,17 @@ def mg_derivative(
 
 
 def mg_linearize(model: MgModel) -> LinearSystem:
-    """Exact linearization with input p (W) and output omega (rad/s)."""
-    if isinstance(model, FirstOrderDroop):
-        return LinearSystem(
-            a=np.array([[-model.D / model.T]]),
-            b=np.array([[1.0 / model.T]]),
-            c=np.array([[1.0]]),
-            d=np.array([[0.0]]),
-            state_labels=("omega",),
-            input_labels=("p",),
-            output_labels=("omega",),
-        )
-    a = np.array(
-        [
-            [-model.D / model.M, 1.0 / model.M],
-            [-model.inv_R / model.T_g, -1.0 / model.T_g],
-        ]
-    )
-    b = np.array([[1.0 / model.M], [0.0]])
-    c = np.array([[1.0, 0.0]])
-    d = np.array([[0.0]])
+    """Exact linearization with input p (W) and output omega (rad/s).
+
+    A and B are derived from :func:`mg_rhs`, the equations the engine
+    integrates, evaluated on the unit vectors of (state, p); the model is
+    linear in them.  Adding 0.0 turns the signed zeros of that evaluation
+    into plain zeros.
+    """
+    n = len(model.state_names)
+    eye = np.eye(n + 1)
+    ab = np.array(mg_rhs(model)(eye[:n], eye[n])) + 0.0
     return LinearSystem(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        state_labels=("omega", "p_m"),
-        input_labels=("p",),
-        output_labels=("omega",),
+        a=ab[:, :n], b=ab[:, n:], c=eye[:1, :n], d=np.zeros((1, 1)),
+        state_labels=model.state_names, input_labels=("p",), output_labels=("omega",),
     )

@@ -89,6 +89,15 @@ def test_find_equilibrium_zero_loads_is_origin():
     assert eq.residual == 0.0
 
 
+def test_find_equilibrium_counts_its_newton_iterations():
+    doc = shipped_scenario("two-mg")
+    doc["mgs"][0]["p_load"] = -1e6
+    ode = build_system(resolve(doc)).ode
+    eq = find_equilibrium(ode)
+    assert eq.iterations >= 1
+    assert find_equilibrium(ode, guess=eq.x).iterations == 0
+
+
 def test_infeasible_transfer_raises():
     # filter limit far below the required transfer
     ode = OdeSystem(two_mg_net(), droop_models(),

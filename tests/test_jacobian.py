@@ -13,14 +13,20 @@ import math
 import numpy as np
 import pytest
 
+from multigrid_ilc import ilc
 from multigrid_ilc.analysis import linearize_closed_loop, linearize_mg, linearize_unit
 from multigrid_ilc.engine import OdeSystem, find_equilibrium, scales_and_atols
 from multigrid_ilc.errors import DcVoltageCollapse, NonFiniteInput
 from multigrid_ilc.ilc import (
+    GFL,
     GFM,
-    SCHEME,
     SCHEMES,
+    Gains,
+    IlcPhysical,
+    IlcUnit,
+    Scheme,
     ilc_derivative,
+    ilc_jacobian,
     ilc_output,
     make_sim_derivative,
     make_sim_jacobian,
@@ -72,14 +78,12 @@ def port_names(unit):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_scheme_record_jacobian(scheme):
-    """The record's jacobian builder against its rhs builder: partials of
-    (rates, out1, out2) by (state, in1, in2)."""
+    """ilc_jacobian against the record's rhs law: partials of (rates, out1,
+    out2) by (state, in1, in2)."""
     unit = unit_for(scheme)
-    rec = SCHEME[scheme]
-    rhs = rec.rhs(unit.gains, unit.physical)
-    jac = rec.jacobian(unit.gains, unit.physical)
-    n = len(rec.states)
-    names = rec.states + port_names(unit)
+    rhs = ilc._unit_rhs(unit)
+    n = len(unit_state_names(unit))
+    names = unit_state_names(unit) + port_names(unit)
     scales, _ = scales_and_atols(unit, names)
 
     def f(z):
@@ -87,7 +91,7 @@ def test_scheme_record_jacobian(scheme):
         return (*rates, out1, out2)
 
     for z in random_points(names, scales, seed=1):
-        assert_matches(f, jac(tuple(z[:n]), z[n], z[n + 1]), z, scales)
+        assert_matches(f, ilc_jacobian(unit, tuple(z[:n]), (z[n], z[n + 1])), z, scales)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -108,11 +112,9 @@ def test_sim_jacobian(scheme):
         assert_matches(f, jac(list(z[:n]), z[n], z[n + 1]), z, scales)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_linearize_unit_port_convention(scheme):
+def check_port_linearization(unit, seed):
     """linearize_unit away from the origin against the central difference
     of ilc_derivative and ilc_output in the passivity port convention."""
-    unit = unit_for(scheme)
     n = len(unit_state_names(unit))
     gfm = unit.port_kind == GFM
     names = unit_state_names(unit) + port_names(unit)
@@ -123,9 +125,14 @@ def test_linearize_unit_port_convention(scheme):
         x = tuple(z[:n])
         return ilc_derivative(unit, x, raw) + ilc_output(unit, x, raw)
 
-    for z in random_points(names, scales, seed=3):
+    for z in random_points(names, scales, seed):
         lin = linearize_unit(unit, z[:n], (z[n], z[n + 1]))
         assert_matches(f, np.block([[lin.a, lin.b], [lin.c, lin.d]]), z, scales)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_linearize_unit_port_convention(scheme):
+    check_port_linearization(unit_for(scheme), seed=3)
 
 
 @pytest.mark.parametrize("model", [FirstOrderDroop(T=2e7, D=2e7, rating=4e8),
@@ -160,11 +167,7 @@ def test_closed_loop_of_shipped_scenarios(name):
 def test_closed_loop_per_scheme(scheme):
     """Every scheme between a swing-governor and a first-order-droop MG, so
     both MG forms and every port kind meet the ILC-MG coupling."""
-    net = validate_topology(
-        NetworkSpec(mgs=(MgSpec("MG1"), MgSpec("MG2")), ilcs=(IlcSpec(0, 1),)))
-    models = [SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7, rating=4e8),
-              FirstOrderDroop(T=2e7, D=2e7, rating=2e8)]
-    check_system(OdeSystem(net, models, [unit_for(scheme)]), seed=6)
+    check_two_mg_system(unit_for(scheme), seed=6)
 
 
 def test_closed_loop_linearization_is_the_jacobian_at_the_equilibrium():
@@ -194,3 +197,77 @@ def test_jacobian_raises_where_the_derivative_collapses(scheme):
 def test_linearize_unit_rejects_non_finite_state():
     with pytest.raises(NonFiniteInput):
         linearize_unit(unit_for("matching"), (math.inf,))
+
+
+def check_two_mg_system(unit, seed):
+    """The closed loop of ``unit`` between a swing-governor and a
+    first-order-droop MG."""
+    net = validate_topology(
+        NetworkSpec(mgs=(MgSpec("MG1"), MgSpec("MG2")), ilcs=(IlcSpec(0, 1),)))
+    models = [SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7, rating=4e8),
+              FirstOrderDroop(T=2e7, D=2e7, rating=2e8)]
+    check_system(OdeSystem(net, models, [unit]), seed)
+
+
+def _lag_rhs(g, phys, dc, power):
+    """Grid-following toy: one power lag per side, driven by frequency droop."""
+
+    def rhs(y, w1, w2):
+        p1, p2, vdc = y
+        return (
+            ((-p1 - g.k_omega1 * w1) / phys.tau1, (-p2 - g.k_omega2 * w2) / phys.tau2,
+             dc(p1, p2, vdc)),
+            p1, p2,
+        )
+
+    return rhs
+
+
+def _filter_rhs(g, phys, dc, power):
+    """Grid-forming toy: frequency references from the DC voltage, drooped
+    by a lagged measurement of each side's power."""
+
+    def rhs(y, p1, p2):
+        vdc, pf1, pf2 = y
+        return (
+            (dc(p1, p2, vdc), (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2),
+            g.m1 * vdc - g.m_p1 * pf1, g.m2 * vdc - g.m_p2 * pf2,
+        )
+
+    return rhs
+
+
+def _no_equilibrium(g, phys, w1, w2, p1):
+    raise NotImplementedError("the toy schemes have no closed-form equilibrium")
+
+
+TOYS = {
+    "toy-lag": (GFL, ("p1", "p2", "vdc"), _lag_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
+    "toy-filter": (GFM, ("vdc", "pf1", "pf2"), _filter_rhs,
+                   Gains(m1=1e-3, m2=1e-3, m_p1=4e-8, m_p2=4e-8)),
+}
+
+
+@pytest.mark.parametrize("tag", TOYS)
+def test_a_scheme_given_by_its_law_alone_gets_exact_jacobians(tag, monkeypatch):
+    """A new record carries no Jacobian: the closed loop and the port
+    linearization are derived from its rhs law."""
+    port, states, rhs, gains = TOYS[tag]
+    monkeypatch.setitem(ilc.SCHEME, tag, Scheme(port, states, (), rhs, _no_equilibrium))
+    unit = IlcUnit(tag, IlcPhysical(), gains)
+    check_two_mg_system(unit, seed=7)
+    check_port_linearization(unit, seed=8)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_linearize_unit_leaves_the_derived_jacobian_intact(scheme):
+    """linearize_unit flips signs in the matrix ilc_jacobian returns; the
+    per-unit derivation must hand out a new matrix on every call."""
+    unit = unit_for(scheme)
+    names = unit_state_names(unit)
+    scales, _ = scales_and_atols(unit, names)
+    x = random_points(names, scales, seed=9)[0]
+    first = ilc_jacobian(unit, x, (0.0, 0.0)).copy()
+    linearize_unit(unit, x)
+    linearize_unit(unit, x)
+    assert ilc_jacobian(unit, x, (0.0, 0.0)).tobytes() == first.tobytes()

@@ -46,13 +46,18 @@ __all__ = [
 ]
 
 _COND_FLAG_LIMIT = 1e12
+# the frequency grid's span (rad/s), and the imaginary-axis samples of the
+# Rosenbrock ranks
+_GRID_W_MIN = 1e-2
+_GRID_W_MAX = 1e4
+_ROSENBROCK_SAMPLES = 32
 
 
-def default_grid(n_points: int = 400, w_min: float = 1e-2, w_max: float = 1e4) -> np.ndarray:
-    """Log-spaced frequency grid (rad/s) used by all sweeps."""
+def default_grid(n_points: int = 400) -> np.ndarray:
+    """Log-spaced frequency grid (rad/s) from 1e-2 to 1e4, used by all sweeps."""
     if n_points < 1:
         raise ValidationError(f"a frequency grid needs at least 1 point, got {n_points}")
-    return np.logspace(math.log10(w_min), math.log10(w_max), n_points)
+    return np.logspace(math.log10(_GRID_W_MIN), math.log10(_GRID_W_MAX), n_points)
 
 
 def _flags(a: np.ndarray) -> tuple[str, ...]:
@@ -320,9 +325,9 @@ def _normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.where(norms > 0, norms, 1.0)
 
 
-def observability_report(lin: LinearSystem, n_samples: int = 32) -> ObservabilityReport:
+def observability_report(lin: LinearSystem) -> ObservabilityReport:
     """Rank of the stacked observability matrix and of the Rosenbrock pencil
-    [sI-A, -B; C, D] at log-spaced imaginary-axis samples.
+    [sI-A, -B; C, D] at 32 log-spaced imaginary-axis samples.
 
     Blocks are row/column normalized before the SVD so that widely scaled
     physical units do not mask rank deficiencies.
@@ -337,7 +342,7 @@ def observability_report(lin: LinearSystem, n_samples: int = 32) -> Observabilit
     obs_rank = int(np.linalg.matrix_rank(obs)) if obs.size else 0
 
     m = lin.n_inputs
-    omegas = default_grid(n_samples)
+    omegas = default_grid(_ROSENBROCK_SAMPLES)
     pencils = np.empty((omegas.size, n + lin.n_outputs, n + m), dtype=complex)
     pencils[:, :n, :n] = 1j * omegas[:, None, None] * np.eye(n) - lin.a
     pencils[:, :n, n:] = -lin.b

@@ -26,7 +26,7 @@ from .errors import (
     StepSizeUnderflow,
     ValidationError,
 )
-from .ilc import (GFM, PARTIAL, IlcUnit, make_sim_derivative, make_sim_jacobian,
+from .ilc import (IlcUnit, injected_powers, make_sim_derivative, make_sim_jacobian,
                   sim_state_names)
 from .mg import MgModel, default_rating, mg_linearize, mg_rhs
 from .network import ValidatedNetwork
@@ -162,14 +162,6 @@ class OdeSystem:
             jac += rows @ ilc_jac(y[lo:hi], y[wa], y[wb]) @ cols
         return jac
 
-    def connection_powers(self, y: Sequence[float]) -> list[tuple[float, float]]:
-        """Per-ILC (p1, p2): powers injected into the two connected MGs."""
-        out = []
-        for rhs, (lo, hi), (a, b) in zip(self._ilc_rhs, self._ilc_spans, self._ilc_ends):
-            _, pa, pb = rhs(y[lo:hi], 0.0, 0.0)
-            out.append((pa, pb))
-        return out
-
     def column(self, kind: str, index: int, name: str) -> int:
         """Position of state ``name`` of MG or ILC ``index`` (0-based) in
         the state vector."""
@@ -179,18 +171,21 @@ class OdeSystem:
         return self.state_names.index(label)
 
 
+# Newton: convergence tolerance on the scaled residual, and iteration cap
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 50
+
+
 def find_equilibrium(
     ode: OdeSystem,
     loads: Sequence[float] | None = None,
     guess: Sequence[float] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
 ) -> EquilibriumPoint:
     """Newton iteration with the exact Jacobian (:meth:`OdeSystem.jacobian`),
     row-scaled by the state scales like the residual.
 
     Converged when the scaled residual infinity norm drops below
-    ``tol * max(1, scaled state magnitude)``.
+    ``1e-8 * max(1, scaled state magnitude)``; at most 50 iterations.
     """
     loads = tuple(ode.base_loads if loads is None else loads)
     x = np.zeros(ode.dim) if guess is None else np.asarray(guess, dtype=float).copy()
@@ -202,9 +197,9 @@ def find_equilibrium(
         return np.asarray(ode.derivative(0.0, list(vec), loads)) / scales
 
     r = residual(x)
-    for iterations in range(max_iter):
+    for iterations in range(_NEWTON_MAX_ITER):
         norm = float(np.max(np.abs(r)))
-        threshold = tol * max(1.0, float(np.max(np.abs(x / scales))))
+        threshold = _NEWTON_TOL * max(1.0, float(np.max(np.abs(x / scales))))
         if norm <= threshold:
             return EquilibriumPoint(x=x, residual=norm, loads=loads, iterations=iterations)
         jac = ode.jacobian(x) / scales[:, None]
@@ -231,7 +226,7 @@ def find_equilibrium(
             raise NewtonDivergence("line search failed")
         x, r = x_new, r_new
     raise NewtonDivergence(
-        f"no convergence after {max_iter} iterations (residual {np.max(np.abs(r)):.3e})"
+        f"no convergence after {_NEWTON_MAX_ITER} iterations (residual {np.max(np.abs(r)):.3e})"
     )
 
 
@@ -295,14 +290,8 @@ class Trajectory:
 
     def connection_power(self, ilc_index: int, side: int) -> np.ndarray:
         """Power the ILC injects into the side-1 or side-2 MG over time."""
-        unit = self.ode.units[ilc_index]
-        if unit.port_kind == GFM:
-            angle = f"eta{side + 1}"
-        elif unit.port_kind == PARTIAL and side == 0:
-            angle = "eta"
-        else:
-            return self.y[:, self.ode.column("ilc", ilc_index, f"p{side + 1}")]
-        return unit.physical.b * np.sin(self.y[:, self.ode.column("ilc", ilc_index, angle)])
+        lo, hi = self.ode._ilc_spans[ilc_index]
+        return injected_powers(self.ode.units[ilc_index], self.y[:, lo:hi])[side]
 
     def to_csv(self, path, pu_base: float | None = None) -> None:
         """Write `t, mg<i>.omega, ilc<l>.p1, ilc<l>.p2, ilc<l>.vdc, ...` in SI units.

@@ -65,10 +65,6 @@ class NewtonDivergence(NumericalError):
     """Newton iteration failed to reach the residual tolerance."""
 
 
-class NoEquilibrium(NumericalError):
-    """The requested boundary conditions admit no equilibrium."""
-
-
 class StepSizeUnderflow(NumericalError):
     """The adaptive integrator step size collapsed below machine resolution."""
 

@@ -33,12 +33,16 @@ gfl-gfm-dual-droop      mixed gfm-dual-droop on the forming side, dual
 ======================  ====  ==========================================
 
 Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
-its port kind, unit states, required gains, the builder of its equations
-(controller law and converter lags in one closure, on the DC-bus and
-filter power laws it is given) and its closed-form equilibrium.
-Everything else in this module reads the record: the exact Jacobians of
-the unit and of its simulated form are derived from the same equations,
-so a law is written once.
+its port kind, unit states, required gains and the builder of its
+equations (controller law and converter lags in one closure, on the DC-bus
+and filter power laws it is given).  Everything else in this module reads
+the record: the simulated equations, the exact Jacobians of the unit and
+of its simulated form, and the powers a simulated unit injects into its
+grids all come from the same equations, so a law is written once.
+
+The converter catalogue, :data:`PHYSICAL_DEFAULTS` and
+:data:`GAIN_DEFAULTS` in scenario-file spelling, gives the defaults of
+:class:`IlcPhysical` and :class:`Gains` and of every scenario file.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ import numpy as np
 
 from .errors import (
     DcVoltageCollapse,
-    NoEquilibrium,
     NonFiniteInput,
     SchemeStateMismatch,
     UnknownScheme,
@@ -71,16 +74,46 @@ def filter_susceptance_power(v_ac: float, l: float, f_nominal: float = 50.0) -> 
     return v_ac * v_ac / (2.0 * math.pi * f_nominal * l)
 
 
+PHYSICAL_DEFAULTS = {
+    "C": 1e-3,           # F
+    "V_dc_ref": 1e4,     # V
+    "K_dc": 1.0,         # A/V
+    "V_ac": 3300.0,      # V
+    "L": 1e-3,           # H
+    "tau1": 0.05,        # s
+    "tau2": 0.05,        # s
+}
+
+GAIN_DEFAULTS = {
+    "K_omega1": 2.5e7,
+    "K_omega2": 2.5e7,
+    "K_v1": 2.5e4,
+    "K_v2": 2.5e4,
+    "K_i": 10.0,
+    "K_i1": 10.0,
+    "K_i2": 10.0,
+    "m1": 1e-3,
+    "m2": 1e-3,
+    "m_p1": 5e-8,
+    "m_p2": 5e-8,
+    "kappa_s1": 0.5,
+    "kappa_s2": 0.5,
+    # K_pdc defaults to the resolved K_v1 and K_idc to 10*K_pdc; handled in
+    # the scenario module
+}
+
+
 @dataclass(frozen=True)
 class IlcPhysical:
     """Physical converter parameters (SI units)."""
 
-    c: float = 1e-3          # DC capacitance (F)
-    v_dc_ref: float = 1e4    # nominal DC voltage (V)
-    k_dc: float = 1.0        # DC support/load coefficient (A/V)
-    tau1: float = 0.05       # side-1 converter lag (s)
-    tau2: float = 0.05       # side-2 converter lag (s)
-    b: float = filter_susceptance_power(3300.0, 1e-3)  # filter power constant (W)
+    c: float = PHYSICAL_DEFAULTS["C"]                # DC capacitance (F)
+    v_dc_ref: float = PHYSICAL_DEFAULTS["V_dc_ref"]  # nominal DC voltage (V)
+    k_dc: float = PHYSICAL_DEFAULTS["K_dc"]          # DC support/load coefficient (A/V)
+    tau1: float = PHYSICAL_DEFAULTS["tau1"]          # side-1 converter lag (s)
+    tau2: float = PHYSICAL_DEFAULTS["tau2"]          # side-2 converter lag (s)
+    # filter power constant (W)
+    b: float = filter_susceptance_power(PHYSICAL_DEFAULTS["V_ac"], PHYSICAL_DEFAULTS["L"])
 
     def __post_init__(self):
         for name in ("c", "v_dc_ref", "tau1", "tau2", "b"):
@@ -108,8 +141,8 @@ class Gains:
     m2: float = 0.0
     m_p1: float = 0.0        # power-frequency droop gain (rad/(s*W))
     m_p2: float = 0.0
-    kappa_s1: float = 0.5    # DC-regulation sharing factors
-    kappa_s2: float = 0.5
+    kappa_s1: float = GAIN_DEFAULTS["kappa_s1"]  # DC-regulation sharing factors
+    kappa_s2: float = GAIN_DEFAULTS["kappa_s2"]
 
 
 @dataclass(frozen=True)
@@ -217,49 +250,16 @@ def _derive(build: Callable, n: int, phys: IlcPhysical) -> Callable:
     return jac
 
 
-# --- equilibrium helpers -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquilibriumBoundary:
-    """Boundary conditions for an ILC equilibrium.
-
-    ``omega1, omega2`` are the steady frequencies of the two connected MGs;
-    ``p1`` is the steady power the ILC injects into the side-1 MG (the
-    side-2 power follows from the DC balance).
-    """
-
-    omega1: float = 0.0
-    omega2: float = 0.0
-    p1: float = 0.0
-
-
-def _consistent(a: float, b: float, what: str) -> None:
-    tol = 1e-9 * max(abs(a), abs(b)) + 1e-15
-    if abs(a - b) > tol:
-        raise NoEquilibrium(f"inconsistent boundary: {what} ({a:g} vs {b:g})")
-
-
-def _steady_vdc_balance(phys: IlcPhysical, vdc: float, p1: float) -> float:
-    """Side-2 power that holds the DC bus at ``vdc`` given side-1 power."""
-    return -p1 - phys.k_dc * vdc * (vdc + phys.v_dc_ref)
-
-
-def _asin_power(p: float, b: float, what: str) -> float:
-    if abs(p) > b:
-        raise NoEquilibrium(f"required transfer {p:g} W exceeds filter limit {b:g} W ({what})")
-    return math.asin(p / b)
-
-
 # --- the schemes ---------------------------------------------------------
 # Per scheme: an rhs builder (gains, physical, dc, power) -> rhs(y, in1,
 # in2) that returns (rates, out1, out2), written on the DC-bus law dc(p1,
-# p2, vdc) and the filter power law power(eta) it is given, from which
-# _derive takes its Jacobians; and the closed-form equilibrium (gains,
-# physical, w1, w2, p1) -> state in simulation order.  Inputs are the two
-# connection frequencies for GFL/partial units and the two powers leaving
-# the converter (p1, p2) for GFM units; outputs are those powers for
-# GFL/partial units and the frequency references for GFM units.
+# p2, vdc) and the filter power law power(eta) it is given.  The simulation
+# runs it on the real laws, _derive on stubs that give its Jacobians, and
+# injected_powers on array stubs that give its port powers over a
+# trajectory.  Inputs are the two connection frequencies for GFL/partial
+# units and the two powers leaving the converter (p1, p2) for GFM units;
+# outputs are those powers for GFL/partial units and the frequency
+# references for GFM units.
 
 
 def _dfd1_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
@@ -278,12 +278,6 @@ def _dfd1_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Cal
         )
 
     return rhs
-
-
-def _dfd1_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    _consistent(g.k_omega1 * w1, g.k_omega2 * w2, "k_omega1*w1 = k_omega2*w2")
-    p2 = -p1
-    return (p1, p2, 0.0, p1 / g.k_i, p2 / g.k_idc)
 
 
 def _dfd2_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
@@ -307,12 +301,6 @@ def _dfd2_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Cal
     return rhs
 
 
-def _dfd2_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    _consistent(w1, w2, "w1 = w2")
-    xi = (p1 + (g.k_omega1 - g.k_omega2) * w1) / g.k_i
-    return (p1, -p1, 0.0, xi, 0.0)
-
-
 def _dacd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     k_omega1, k_omega2, k_v1, k_v2 = g.k_omega1, g.k_omega2, g.k_v1, g.k_v2
     k_i1, k_i2 = g.k_i1, g.k_i2
@@ -332,15 +320,6 @@ def _dacd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Cal
     return rhs
 
 
-def _dacd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = g.k_omega1 * w1 / g.k_v1
-    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
-    p2 = _steady_vdc_balance(phys, vdc, p1)
-    xi1 = (p1 - g.k_v1 * vdc + g.k_omega1 * w1) / g.k_i1
-    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
-    return (p1, p2, vdc, xi1, xi2)
-
-
 def _matching_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     m1, m2 = g.m1, g.m2
 
@@ -349,15 +328,6 @@ def _matching_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) ->
         return ((dc(p1, p2, vdc),), m1 * vdc, m2 * vdc)
 
     return rhs
-
-
-def _matching_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = w1 / g.m1
-    _consistent(vdc, w2 / g.m2, "w1/m1 = w2/m2")
-    p2 = _steady_vdc_balance(phys, vdc, p1)
-    eta1 = _asin_power(p1, phys.b, "side 1")
-    eta2 = _asin_power(p2, phys.b, "side 2")
-    return (eta1, eta2, vdc)
 
 
 def _gfmfd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
@@ -382,24 +352,6 @@ def _gfmfd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Ca
     return rhs
 
 
-def _gfmfd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    _consistent(w1, w2, "w1 = w2")
-    p2 = -p1
-    # two linear steady-state relations in (zeta, p_eq)
-    a11, a12 = -g.kappa_s1 * g.k_idc, g.k_i1
-    a21, a22 = -g.kappa_s2 * g.k_idc, -g.k_i2
-    r1 = -w1 / g.m_p1 - p1
-    r2 = -w2 / g.m_p2 - p2
-    det = a11 * a22 - a12 * a21
-    if abs(det) < 1e-300:
-        raise NoEquilibrium("degenerate DC/equalization gain combination")
-    zeta = (r1 * a22 - a12 * r2) / det
-    p_eq = (a11 * r2 - r1 * a21) / det
-    eta1 = _asin_power(p1, phys.b, "side 1")
-    eta2 = _asin_power(p2, phys.b, "side 2")
-    return (eta1, eta2, 0.0, zeta, p_eq, p1, p2)
-
-
 def _gfmdd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     m_p1, m_p2, k_v1, k_v2 = g.m_p1, g.m_p2, g.k_v1, g.k_v2
     k_omega1, k_omega2, k_i1, k_i2 = g.k_omega1, g.k_omega2, g.k_i1, g.k_i2
@@ -418,17 +370,6 @@ def _gfmdd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Ca
     return rhs
 
 
-def _gfmdd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = g.k_omega1 * w1 / g.k_v1
-    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
-    p2 = _steady_vdc_balance(phys, vdc, p1)
-    xi1 = (w1 / g.m_p1 + p1 - g.k_v1 * vdc) / g.k_i1
-    xi2 = (w2 / g.m_p2 + p2 - g.k_v2 * vdc) / g.k_i2
-    eta1 = _asin_power(p1, phys.b, "side 1")
-    eta2 = _asin_power(p2, phys.b, "side 2")
-    return (eta1, eta2, vdc, xi1, xi2, p1, p2)
-
-
 def _ddm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
     m1, k_v2, k_omega2, k_i2 = g.m1, g.k_v2, g.k_omega2, g.k_i2
     tau2 = phys.tau2
@@ -445,15 +386,6 @@ def _ddm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Call
         )
 
     return rhs
-
-
-def _ddm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = w1 / g.m1
-    _consistent(g.k_v2 * vdc, g.k_omega2 * w2, "normalized frequencies")
-    p2 = _steady_vdc_balance(phys, vdc, p1)
-    eta = _asin_power(p1, phys.b, "side 1")
-    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
-    return (eta, xi2, p2, vdc)
 
 
 def _gflgfm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
@@ -476,16 +408,6 @@ def _gflgfm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> C
     return rhs
 
 
-def _gflgfm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = g.k_omega1 * w1 / g.k_v1
-    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
-    p2 = _steady_vdc_balance(phys, vdc, p1)
-    eta = _asin_power(p1, phys.b, "side 1")
-    xi1 = (w1 / g.m_p1 + p1 - g.k_v1 * vdc) / g.k_i1
-    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
-    return (eta, xi1, p1, xi2, p2, vdc)
-
-
 @dataclass(frozen=True)
 class Scheme:
     """The one definition of an ILC control scheme.
@@ -502,47 +424,38 @@ class Scheme:
     states: tuple[str, ...]
     gains: tuple[str, ...]
     rhs: Callable[[Gains, IlcPhysical, Callable, Callable], Callable]
-    equilibrium: Callable[..., tuple[float, ...]]
 
 
 SCHEME: dict[str, Scheme] = {
     "dual-freq-droop-1": Scheme(
         GFL, ("p1", "p2", "vdc", "xi", "zeta"),
-        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-        _dfd1_rhs, _dfd1_equilibrium,
+        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd1_rhs,
     ),
     "dual-freq-droop-2": Scheme(
         GFL, ("p1", "p2", "vdc", "xi", "zeta"),
-        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"),
-        _dfd2_rhs, _dfd2_equilibrium,
+        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd2_rhs,
     ),
     "dual-acdc-droop": Scheme(
         GFL, ("p1", "p2", "vdc", "xi1", "xi2"),
-        ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"),
-        _dacd_rhs, _dacd_equilibrium,
+        ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"), _dacd_rhs,
     ),
-    "matching": Scheme(
-        GFM, ("vdc",), ("m1", "m2"),
-        _matching_rhs, _matching_equilibrium,
-    ),
+    "matching": Scheme(GFM, ("vdc",), ("m1", "m2"), _matching_rhs),
     "gfm-freq-droop": Scheme(
         GFM, ("vdc", "zeta", "p_eq", "pf1", "pf2"),
         ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2", "kappa_s1", "kappa_s2"),
-        _gfmfd_rhs, _gfmfd_equilibrium,
+        _gfmfd_rhs,
     ),
     "gfm-dual-droop": Scheme(
         GFM, ("vdc", "xi1", "xi2", "pf1", "pf2"),
         ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2", "k_i1", "k_i2"),
-        _gfmdd_rhs, _gfmdd_equilibrium,
+        _gfmdd_rhs,
     ),
     "dual-droop-matching": Scheme(
-        PARTIAL, ("eta", "xi2", "p2", "vdc"), ("m1", "k_v2", "k_omega2", "k_i2"),
-        _ddm_rhs, _ddm_equilibrium,
+        PARTIAL, ("eta", "xi2", "p2", "vdc"), ("m1", "k_v2", "k_omega2", "k_i2"), _ddm_rhs,
     ),
     "gfl-gfm-dual-droop": Scheme(
         PARTIAL, ("eta", "xi1", "pf1", "xi2", "p2", "vdc"),
-        ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"),
-        _gflgfm_rhs, _gflgfm_equilibrium,
+        ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"), _gflgfm_rhs,
     ),
 }
 
@@ -584,13 +497,6 @@ def _sim_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
 
 
 @lru_cache(maxsize=None)
-def _unit_rhs(unit: IlcUnit) -> Callable:
-    """The unit equations on the real DC bus and filter, built once per unit
-    for the public operations."""
-    return _unit_law(unit, _dc_bus(unit.physical), _filter_power(unit.physical.b))
-
-
-@lru_cache(maxsize=None)
 def _unit_jacobian(unit: IlcUnit) -> Callable:
     return _derive(partial(_unit_law, unit), len(unit_state_names(unit)), unit.physical)
 
@@ -610,36 +516,13 @@ def _check_state(unit: IlcUnit, state, inputs=None) -> None:
         )
 
 
-def ilc_derivative(unit: IlcUnit, state, inputs) -> tuple[float, ...]:
-    """Full state derivative of one ILC unit.
-
-    ``inputs`` is ``(omega1, omega2)`` for GFL and partial schemes and
-    ``(p1, p2)`` -- the powers leaving the converter -- for GFM schemes.
-    """
-    _check_state(unit, state, inputs)
-    rates, _, _ = _unit_rhs(unit)(tuple(state), *inputs)
-    return rates
-
-
-def ilc_output(unit: IlcUnit, state, inputs=(0.0, 0.0)) -> tuple[float, float]:
-    """Port outputs of one ILC unit.
-
-    GFL/partial: the powers *entering* the ILC, ``(-p1, -p2)``.
-    GFM: the frequency references ``(omega_ref1, omega_ref2)``.
-    """
-    _check_state(unit, state)
-    _, out1, out2 = _unit_rhs(unit)(tuple(state), *inputs)
-    if unit.port_kind == GFM:
-        return out1, out2
-    return -out1, -out2
-
-
 def ilc_jacobian(unit: IlcUnit, state, inputs) -> np.ndarray:
     """Exact partials of one unit's (rates, out1, out2) by (state, in1,
     in2), derived from its law, as a new matrix.  Inputs and outputs are
-    the raw ones of :func:`ilc_derivative` (for GFL and partial units the
-    outputs are the powers leaving the converter, not the port outputs of
-    :func:`ilc_output`)."""
+    the law's own: GFL and partial units take (omega1, omega2) and put out
+    the powers leaving the converter, GFM units take those powers and put
+    out their frequency references (``linearize_unit`` turns them into the
+    passivity port convention)."""
     _check_state(unit, state, inputs)
     return _unit_jacobian(unit)(tuple(state), *inputs)
 
@@ -662,13 +545,18 @@ def make_sim_jacobian(unit: IlcUnit) -> Callable:
     return _derive(partial(_sim_law, unit), len(sim_state_names(unit)), unit.physical)
 
 
-def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float, ...]:
-    """Closed-form equilibrium of one ILC in simulation state order.
+def injected_powers(unit: IlcUnit, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p1, p2): the powers the unit injects into its two MGs at each row of
+    ``y``, its simulated states over time, from the simulated law evaluated
+    on the columns with array stubs for the DC bus and B*sin(eta)."""
+    b = unit.physical.b
 
-    Raises :class:`NoEquilibrium` when the boundary violates the scheme's
-    steady-state constraints (e.g. inconsistent normalized frequencies, or
-    a transfer beyond the filter limit of a grid-forming side).
-    """
-    return SCHEME[unit.scheme].equilibrium(
-        unit.gains, unit.physical, boundary.omega1, boundary.omega2, boundary.p1
-    )
+    def dc(p1, p2, vdc):
+        return None
+
+    def power(eta):
+        return b * np.sin(eta)
+
+    with np.errstate(all="ignore"):  # a truncated run may end on a non-finite sample
+        _, p1, p2 = _sim_law(unit, dc, power)(y.T, 0.0, 0.0)
+    return p1, p2

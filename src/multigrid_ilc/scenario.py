@@ -2,8 +2,9 @@
 
 A scenario is a JSON document with sections ``mgs``, ``ilcs``, ``events``,
 ``sim``, plus an optional ``defaults`` section applied to every ILC.  Any
-omitted converter parameter falls back to the catalogue defaults below
-(per-unit-consistent set used by all shipped scenarios); resolved
+omitted converter parameter falls back to the converter catalogue in
+:mod:`multigrid_ilc.ilc` (``PHYSICAL_DEFAULTS`` and ``GAIN_DEFAULTS``, the
+per-unit-consistent set used by all shipped scenarios); resolved
 configurations echo every value so they can be re-parsed bit-identically.
 
 Two integral gains get scheme-specific defaults: the shared-regulation
@@ -27,36 +28,10 @@ from typing import Any
 
 from .engine import IntegrateOptions, LoadEvent, OdeSystem
 from .errors import SchemaViolation, UnknownScheme, ValidationError
-from .ilc import Gains, IlcPhysical, IlcUnit, SCHEMES, filter_susceptance_power
+from .ilc import (GAIN_DEFAULTS, PHYSICAL_DEFAULTS, SCHEMES, Gains, IlcPhysical, IlcUnit,
+                  filter_susceptance_power)
 from .mg import FirstOrderDroop, MgModel, SwingGovernor, default_rating
 from .network import IlcSpec, MgSpec, NetworkSpec, ValidatedNetwork, validate_topology
-
-PHYSICAL_DEFAULTS = {
-    "C": 1e-3,           # F
-    "V_dc_ref": 1e4,     # V
-    "K_dc": 1.0,         # A/V
-    "V_ac": 3300.0,      # V
-    "L": 1e-3,           # H
-    "tau1": 0.05,        # s
-    "tau2": 0.05,        # s
-}
-
-GAIN_DEFAULTS = {
-    "K_omega1": 2.5e7,
-    "K_omega2": 2.5e7,
-    "K_v1": 2.5e4,
-    "K_v2": 2.5e4,
-    "K_i": 10.0,
-    "K_i1": 10.0,
-    "K_i2": 10.0,
-    "m1": 1e-3,
-    "m2": 1e-3,
-    "m_p1": 5e-8,
-    "m_p2": 5e-8,
-    "kappa_s1": 0.5,
-    "kappa_s2": 0.5,
-    # K_pdc defaults to the resolved K_v1 and K_idc to 10*K_pdc; handled in code
-}
 
 _GAIN_KEYS = tuple(GAIN_DEFAULTS) + ("K_pdc", "K_idc")
 _PHYS_KEYS = tuple(PHYSICAL_DEFAULTS) + ("B",)
@@ -235,7 +210,8 @@ def resolve(raw: dict) -> dict:
         _require(time >= last_time, f"{path}.time", "events must be sorted by time")
         last_time = time
         mg = ev.get("mg")
-        _require(isinstance(mg, int) and 1 <= mg <= len(out_mgs), f"{path}.mg",
+        _require(isinstance(mg, int) and not isinstance(mg, bool)
+                 and 1 <= mg <= len(out_mgs), f"{path}.mg",
                  f"expected a 1-based MG index, got {mg!r}")
         out_events.append(
             {"time": time, "mg": mg,

@@ -31,6 +31,7 @@ from multigrid_ilc.scenario import build_system, load_resolved
 from multigrid_ilc.sweep import table3_harness, worker_count
 
 from jacobian_reference import system_jacobian
+from model_reference import connection_powers
 from test_ilc import unit_for
 
 
@@ -313,7 +314,7 @@ def test_criterion_8_numerical_hygiene(two_mg_resolved):
         @staticmethod
         def derivative(t, y, loads=None):
             rates = ode.derivative(t, y[:-1], loads)
-            p1, p2 = ode.connection_powers(y[:-1])[0]
+            p1, p2 = connection_powers(ode, y[:-1])[0]
             v = y[vdc_idx]
             flow = (-(p1 + p2) * v / (v + unit0.physical.v_dc_ref)
                     - unit0.physical.k_dc * v * v)

@@ -213,6 +213,18 @@ def test_zero_inductance_scenario_exit_code(tmp_path, capsys):
     assert "filter inductance L" in capsys.readouterr().err
 
 
+def test_boolean_event_mg_exit_code(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["events"][0]["mg"] = True
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out),
+                 "--dump-config"]) == 2
+    assert "scenario.events[0].mg" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("param", ["ilc[a].K_dc", "ilc[].K_dc"])
 def test_sweep_malformed_ilc_index_exit_code(tmp_path, capsys, param):
     code = main([

@@ -19,12 +19,13 @@ from multigrid_ilc.errors import (
     PortMismatch,
     ValidationError,
 )
-from multigrid_ilc.ilc import Gains, IlcPhysical, IlcUnit
+from multigrid_ilc.ilc import SCHEMES, Gains, IlcPhysical, IlcUnit
 from multigrid_ilc.mg import SwingGovernor
 from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
 from multigrid_ilc.scenario import build_system, resolve, set_parameter, shipped_scenario
 
 from jacobian_reference import system_jacobian
+from model_reference import connection_powers
 
 
 def two_mg_net():
@@ -225,6 +226,20 @@ def test_trajectory_csv_round_trip(tmp_path, two_mg_resolved):
     assert np.array_equal(data[:, 1], traj.omega(0))
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_connection_power_follows_the_scalar_law(scheme, scheme_scenario):
+    """Trajectory.connection_power, the law evaluated on whole columns,
+    against the scalar simulated law at every sample of a load-step run."""
+    bundle = build_system(scheme_scenario(scheme))
+    traj = integrate(bundle.ode, [0.0] * bundle.ode.dim, bundle.events, (0.0, 10.0),
+                     bundle.options)
+    reference = np.array([connection_powers(bundle.ode, y)[0] for y in traj.y.tolist()])
+    assert np.max(np.abs(reference)) > 0.0
+    for side in (0, 1):
+        np.testing.assert_allclose(traj.connection_power(0, side), reference[:, side],
+                                   rtol=1e-14, atol=0.0)
+
+
 def test_dc_energy_bookkeeping(two_mg_resolved):
     """d/dt(C V^2 / 2) must equal the bus power balance along trajectories."""
     bundle = build_system(two_mg_resolved)
@@ -245,7 +260,7 @@ def test_dc_energy_bookkeeping(two_mg_resolved):
         @staticmethod
         def derivative(t, y, loads=None):
             rates = ode.derivative(t, y[:-1], loads)
-            (p1, p2) = ode.connection_powers(y[:-1])[0]
+            (p1, p2) = connection_powers(ode, y[:-1])[0]
             v = y[vdc_idx]
             flow = -(p1 + p2) * v / (v + phys.v_dc_ref) - phys.k_dc * v * v
             return rates + [flow]

@@ -6,7 +6,6 @@ import pytest
 
 from multigrid_ilc.errors import (
     DcVoltageCollapse,
-    NoEquilibrium,
     NonFiniteInput,
     SchemeStateMismatch,
     UnknownScheme,
@@ -14,18 +13,23 @@ from multigrid_ilc.errors import (
 )
 from multigrid_ilc.ilc import (
     SCHEME,
-    EquilibriumBoundary,
     Gains,
     IlcPhysical,
     IlcUnit,
     SCHEMES,
     filter_susceptance_power,
-    ilc_derivative,
-    ilc_equilibrium,
-    ilc_output,
+    ilc_jacobian,
     make_sim_derivative,
     sim_state_names,
     unit_state_names,
+)
+
+from model_reference import (
+    EquilibriumBoundary,
+    NoEquilibrium,
+    ilc_derivative,
+    ilc_equilibrium,
+    ilc_output,
 )
 
 PHYS = IlcPhysical()
@@ -111,12 +115,12 @@ class TestControllers:
         # the DC integrator state zeta is missing
         u = unit_for("dual-freq-droop-1")
         with pytest.raises(SchemeStateMismatch):
-            ilc_derivative(u, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0))
+            ilc_jacobian(u, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0))
 
     def test_nonfinite(self):
         u = unit_for("matching")
         with pytest.raises(NonFiniteInput):
-            ilc_derivative(u, (math.inf,), (0.0, 0.0))
+            ilc_jacobian(u, (math.inf,), (0.0, 0.0))
 
 
 class TestDerivativeAndOutput:
@@ -152,7 +156,7 @@ class TestDerivativeAndOutput:
     def test_state_length_checked(self):
         u = unit_for("matching")
         with pytest.raises(SchemeStateMismatch):
-            ilc_derivative(u, (0.0, 0.0), (0.0, 0.0))
+            ilc_jacobian(u, (0.0, 0.0), (0.0, 0.0))
 
     def test_unknown_scheme(self):
         with pytest.raises(UnknownScheme):

@@ -25,9 +25,7 @@ from multigrid_ilc.ilc import (
     IlcPhysical,
     IlcUnit,
     Scheme,
-    ilc_derivative,
     ilc_jacobian,
-    ilc_output,
     make_sim_derivative,
     make_sim_jacobian,
     sim_state_names,
@@ -38,6 +36,7 @@ from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topolog
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
 from jacobian_reference import finite_difference_jacobian
+from model_reference import ilc_derivative, ilc_output, unit_rhs
 from test_ilc import unit_for
 
 N_STATES = 20
@@ -81,7 +80,7 @@ def test_scheme_record_jacobian(scheme):
     """ilc_jacobian against the record's rhs law: partials of (rates, out1,
     out2) by (state, in1, in2)."""
     unit = unit_for(scheme)
-    rhs = ilc._unit_rhs(unit)
+    rhs = unit_rhs(unit)
     n = len(unit_state_names(unit))
     names = unit_state_names(unit) + port_names(unit)
     scales, _ = scales_and_atols(unit, names)
@@ -237,10 +236,6 @@ def _filter_rhs(g, phys, dc, power):
     return rhs
 
 
-def _no_equilibrium(g, phys, w1, w2, p1):
-    raise NotImplementedError("the toy schemes have no closed-form equilibrium")
-
-
 TOYS = {
     "toy-lag": (GFL, ("p1", "p2", "vdc"), _lag_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
     "toy-filter": (GFM, ("vdc", "pf1", "pf2"), _filter_rhs,
@@ -253,7 +248,7 @@ def test_a_scheme_given_by_its_law_alone_gets_exact_jacobians(tag, monkeypatch):
     """A new record carries no Jacobian: the closed loop and the port
     linearization are derived from its rhs law."""
     port, states, rhs, gains = TOYS[tag]
-    monkeypatch.setitem(ilc.SCHEME, tag, Scheme(port, states, (), rhs, _no_equilibrium))
+    monkeypatch.setitem(ilc.SCHEME, tag, Scheme(port, states, (), rhs))
     unit = IlcUnit(tag, IlcPhysical(), gains)
     check_two_mg_system(unit, seed=7)
     check_port_linearization(unit, seed=8)

@@ -91,6 +91,14 @@ def test_event_mg_range():
         resolve(raw)
 
 
+def test_event_mg_boolean_rejected():
+    """JSON true is not MG 1, as for the endpoints."""
+    raw = minimal()
+    raw["events"] = [{"time": 1.0, "mg": True, "delta_p_load": -1.0}]
+    with pytest.raises(SchemaViolation, match=r"events\[0\]\.mg"):
+        resolve(raw)
+
+
 def test_filter_constant_derived_from_inductance():
     resolved = resolve(minimal())
     phys = resolved["ilcs"][0]["physical"]

@@ -16,7 +16,7 @@ overflows are still skipped point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .engine import EquilibriumPoint, OdeSystem
 from .errors import SingularResolvent, ValidationError
 from .ilc import GFM, IlcUnit, ilc_jacobian, unit_state_names
 from .linear import LinearSystem, transfer_matrix, transfer_stack
-from .mg import MgModel, mg_linearize
 
 __all__ = [
     "LinearSystem",
@@ -33,7 +32,6 @@ __all__ = [
     "transfer_stack",
     "default_grid",
     "linearize_unit",
-    "linearize_mg",
     "linearize_closed_loop",
     "passivity_sweep",
     "PassivityReport",
@@ -45,7 +43,6 @@ __all__ = [
     "spectral_abscissa",
 ]
 
-_COND_FLAG_LIMIT = 1e12
 # the frequency grid's span (rad/s), and the imaginary-axis samples of the
 # Rosenbrock ranks
 _GRID_W_MIN = 1e-2
@@ -58,12 +55,6 @@ def default_grid(n_points: int = 400) -> np.ndarray:
     if n_points < 1:
         raise ValidationError(f"a frequency grid needs at least 1 point, got {n_points}")
     return np.logspace(math.log10(_GRID_W_MIN), math.log10(_GRID_W_MAX), n_points)
-
-
-def _flags(a: np.ndarray) -> tuple[str, ...]:
-    if a.size and np.linalg.cond(a) > _COND_FLAG_LIMIT:
-        return ("ill-conditioned-jacobian",)
-    return ()
 
 
 def linearize_unit(
@@ -92,18 +83,10 @@ def linearize_unit(
         in_labels, out_labels = ("omega1", "omega2"), ("-p1", "-p2")
         jac = ilc_jacobian(unit, x, (u1, u2))
         jac[n:] *= -1.0
-    a = jac[:n, :n]
     return LinearSystem(
-        a=a, b=jac[:n, n:], c=jac[n:, :n], d=jac[n:, n:],
+        a=jac[:n, :n], b=jac[:n, n:], c=jac[n:, :n], d=jac[n:, n:],
         state_labels=names, input_labels=in_labels, output_labels=out_labels,
-        flags=_flags(a),
     )
-
-
-def linearize_mg(model: MgModel) -> LinearSystem:
-    """Linearization of an MG model (input p, output omega)."""
-    lin = mg_linearize(model)
-    return replace(lin, flags=_flags(lin.a))
 
 
 def linearize_closed_loop(
@@ -115,14 +98,12 @@ def linearize_closed_loop(
     The result has no ports (inputs are the frozen load levels); it is the
     object whose spectral abscissa certifies local stability.
     """
-    a = ode.jacobian(np.zeros(ode.dim) if eq is None else np.asarray(eq.x, dtype=float))
     return LinearSystem(
-        a=a,
+        a=ode.jacobian(np.zeros(ode.dim) if eq is None else np.asarray(eq.x, dtype=float)),
         b=np.zeros((ode.dim, 0)),
         c=np.zeros((0, ode.dim)),
         d=np.zeros((0, 0)),
         state_labels=ode.state_names,
-        flags=_flags(a),
     )
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import analysis
 from .engine import find_equilibrium, integrate
 from .errors import MultigridError, NumericalError, ValidationError
+from .mg import mg_linearize
 from .scenario import build_system, dump_resolved, load_resolved, shipped_scenario_names
 from .svg import Series, write_svg
 from .sweep import SweepRequest, bisect_boundary, table3_harness
@@ -79,7 +80,7 @@ def _cmd_linearize(args) -> int:
         label = f"ilc{args.ilc}"
     elif args.mg is not None:
         _check_index(args.mg, bundle.network.n_mgs, "MG")
-        lin = analysis.linearize_mg(bundle.models[args.mg - 1])
+        lin = mg_linearize(bundle.models[args.mg - 1])
         label = f"mg{args.mg}"
     else:
         lin = analysis.linearize_closed_loop(bundle.ode, find_equilibrium(bundle.ode))
@@ -167,7 +168,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,8 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linearize", help="linearize the closed loop, an ILC, or an MG")
     p.add_argument("--scenario", required=True, help=scen_help)
-    p.add_argument("--ilc", type=int, help="1-based ILC index")
-    p.add_argument("--mg", type=int, help="1-based MG index")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--ilc", type=int, help="1-based ILC index")
+    one.add_argument("--mg", type=int, help="1-based MG index")
     p.add_argument("--out", help="directory for A,B,C,D matrices")
     p.set_defaults(func=_cmd_linearize)
 

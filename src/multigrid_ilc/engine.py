@@ -111,7 +111,6 @@ class OdeSystem:
         self._mg_spans = spans[: net.n_mgs]
         self._ilc_rhs = [make_sim_derivative(u) for u in self.units]
         self._ilc_spans = spans[net.n_mgs :]
-        self._ilc_ends = [(ilc.mg_a, ilc.mg_b) for ilc in net.ilcs]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -122,7 +121,7 @@ class OdeSystem:
         omegas = [y[lo] for lo, _ in self._mg_spans]
         p_in = list(loads)
         rates = [0.0] * self.dim
-        for rhs, (lo, hi), (a, b) in zip(self._ilc_rhs, self._ilc_spans, self._ilc_ends):
+        for rhs, (lo, hi), (a, b) in zip(self._ilc_rhs, self._ilc_spans, self.net.ends):
             seg_rates, pa, pb = rhs(y[lo:hi], omegas[a], omegas[b])
             rates[lo:hi] = seg_rates
             p_in[a] += pa
@@ -143,7 +142,7 @@ class OdeSystem:
             mg_jac[lo:hi, lo:hi] = lin.a
             mg_inputs[lo:hi, j] = lin.b[:, 0]
         ilcs = []
-        for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self._ilc_ends):
+        for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self.net.ends):
             omegas = self._mg_spans[a][0], self._mg_spans[b][0]
             rows = np.zeros((self.dim, hi - lo + 2))
             rows[lo:hi, : hi - lo] = np.eye(hi - lo)

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import SingularResolvent, ValidationError
 
+_COND_FLAG_LIMIT = 1e12
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -25,7 +27,6 @@ class LinearSystem:
     state_labels: tuple[str, ...] = ()
     input_labels: tuple[str, ...] = ()
     output_labels: tuple[str, ...] = ()
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
@@ -56,6 +57,13 @@ class LinearSystem:
     @property
     def n_outputs(self) -> int:
         return self.c.shape[0]
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Numerical warnings; computed on read, as it costs an SVD of A."""
+        if self.a.size and np.linalg.cond(self.a) > _COND_FLAG_LIMIT:
+            return ("ill-conditioned-jacobian",)
+        return ()
 
 
 def transfer_stack(lin: LinearSystem, omegas) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ from .errors import SchemaViolation, UnknownScheme, ValidationError
 from .ilc import (GAIN_DEFAULTS, PHYSICAL_DEFAULTS, SCHEMES, Gains, IlcPhysical, IlcUnit,
                   filter_susceptance_power)
 from .mg import FirstOrderDroop, MgModel, SwingGovernor, default_rating
-from .network import IlcSpec, MgSpec, NetworkSpec, ValidatedNetwork, validate_topology
+from .network import ValidatedNetwork
 
 _GAIN_KEYS = tuple(GAIN_DEFAULTS) + ("K_pdc", "K_idc")
 _PHYS_KEYS = tuple(PHYSICAL_DEFAULTS) + ("B",)
@@ -279,7 +279,6 @@ def build_system(resolved: dict) -> SystemBundle:
     """Construct the validated network, models, units, and assembled ODE."""
     models = [_mg_model(block) for block in resolved["mgs"]]
     units = []
-    ilc_specs = []
     for block in resolved["ilcs"]:
         phys = IlcPhysical(
             c=block["physical"]["C"],
@@ -291,14 +290,8 @@ def build_system(resolved: dict) -> SystemBundle:
         )
         gains = Gains(**{_GAIN_FIELD[k]: v for k, v in block["gains"].items()})
         units.append(IlcUnit(block["scheme"], phys, gains, name=block["name"]))
-        a, b = block["endpoints"]
-        ilc_specs.append(IlcSpec(mg_a=a - 1, mg_b=b - 1, name=block["name"]))
-    net = validate_topology(
-        NetworkSpec(
-            mgs=tuple(MgSpec(m["name"]) for m in resolved["mgs"]),
-            ilcs=tuple(ilc_specs),
-        )
-    )
+    net = ValidatedNetwork(len(models), tuple(tuple(e - 1 for e in block["endpoints"])
+                                              for block in resolved["ilcs"]))
     ode = OdeSystem(net, models, units)
     events = tuple(
         LoadEvent(time=ev["time"], mg=ev["mg"] - 1, delta_p_load=ev["delta_p_load"])
@@ -337,10 +330,11 @@ def set_parameter(resolved: dict, path: str, value: float) -> dict:
     """Return a copy of a resolved scenario with one parameter replaced.
 
     Paths address every ILC at once: ``ilc.K_dc``, ``ilc.tau`` (both lags),
-    ``ilc.L`` (re-derives the filter constant B), ``ilc.gains.K_omega``
-    (both sides; likewise ``K_v``, ``m``, ``m_p``), or any exact
-    ``ilc.gains.<name>`` / ``ilc.physical.<name>`` field.  A single ILC is
-    addressed as ``ilc[2].K_dc`` (1-based).
+    ``ilc.gains.K_omega`` (both sides; likewise ``K_v``, ``m``, ``m_p``), or
+    any exact ``ilc.gains.<name>`` / ``ilc.physical.<name>`` field, the
+    ``physical.`` prefix being optional.  Setting ``L`` or ``V_ac``
+    re-derives the filter constant B; B itself can be set directly.  A
+    single ILC is addressed as ``ilc[2].K_dc`` (1-based).
     """
     out = copy.deepcopy(resolved)
     head, _, rest = path.partition(".")
@@ -361,23 +355,18 @@ def set_parameter(resolved: dict, path: str, value: float) -> dict:
         "m": ("m1", "m2"),
         "m_p": ("m_p1", "m_p2"),
     }
+    phys_key = rest.removeprefix("physical.")
     for l in indices:
         block = out["ilcs"][l]
+        phys = block["physical"]
         if rest == "tau":
-            block["physical"]["tau1"] = value
-            block["physical"]["tau2"] = value
-        elif rest == "L":
-            block["physical"]["L"] = value
-            block["physical"]["B"] = filter_susceptance_power(
-                block["physical"]["V_ac"], value, out["f_nominal"]
-            )
-        elif rest in PHYSICAL_DEFAULTS or rest == "B":
-            block["physical"][rest] = value
-        elif rest.startswith("physical."):
-            key = rest.split(".", 1)[1]
-            if key not in block["physical"]:
-                raise SchemaViolation(path, f"unknown physical field {key!r}")
-            block["physical"][key] = value
+            phys["tau1"] = phys["tau2"] = value
+        elif phys_key in phys:
+            phys[phys_key] = value
+            if phys_key in ("L", "V_ac"):
+                phys["B"] = filter_susceptance_power(phys["V_ac"], phys["L"], out["f_nominal"])
+        elif phys_key != rest:
+            raise SchemaViolation(path, f"unknown physical field {phys_key!r}")
         elif rest.startswith("gains."):
             key = rest.split(".", 1)[1]
             for field in bundles.get(key, (key,)):

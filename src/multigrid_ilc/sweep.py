@@ -497,7 +497,8 @@ def table3_harness(
 
     Cells run as independent jobs (process pool when more than one worker
     is available) and are cached by a content hash of the cell request and
-    the code, so an interrupted run resumes where it left off.  Individual
+    the code, so an interrupted run resumes where it left off; an entry
+    that cannot be read is computed again.  Individual
     cell failures, a crashed worker included, are recorded as error cells
     and never cached; the harness continues.
     """
@@ -510,18 +511,20 @@ def table3_harness(
     results: dict[tuple[str, str], Cell] = {}
     pending = []
     for job in jobs:
-        stash = cache / f"{_cache_key(job)}.json" if cache else None
-        if stash and stash.exists():
-            payload = json.loads(stash.read_text())
-            payload["probes"] = tuple(map(tuple, payload["probes"]))
-            results[(payload["scheme"], payload["column"])] = Cell(**payload)
-        else:
+        cell = _cached_cell(cache / f"{_cache_key(job)}.json") if cache else None
+        if cell is None:
             pending.append(job)
+        else:
+            results[(cell.scheme, cell.column)] = cell
 
     def store(scheme: str, column: str, cell: Cell, job) -> None:
         results[(scheme, column)] = cell
         if cache and cell.status != "error":
-            (cache / f"{_cache_key(job)}.json").write_text(json.dumps(asdict(cell)))
+            # write aside and rename, so an interrupted run leaves no partial entry
+            stash = cache / f"{_cache_key(job)}.json"
+            partial = stash.with_suffix(f".{os.getpid()}.tmp")
+            partial.write_text(json.dumps(asdict(cell)))
+            os.replace(partial, stash)
 
     if n_workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -542,6 +545,17 @@ def table3_harness(
         {"scheme": row["scheme"], **{c: results[(row["scheme"], c)] for c in columns}}
         for row in rows
     ))
+
+
+def _cached_cell(stash: Path) -> Cell | None:
+    """The cell stored at ``stash``; None when it is missing or unreadable,
+    so the cell is computed again and the entry overwritten."""
+    try:
+        payload = json.loads(stash.read_text())
+        payload["probes"] = tuple(map(tuple, payload["probes"]))
+        return Cell(**payload)
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
 
 
 def _error_outcome(args: tuple, exc: BaseException) -> tuple:

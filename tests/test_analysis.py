@@ -24,6 +24,13 @@ def lag_system(tau):
     return LinearSystem(a=[[-1.0 / tau]], b=[[1.0 / tau]], c=[[1.0]], d=[[0.0]])
 
 
+def test_conditioning_flag_is_read_from_a():
+    assert lag_system(0.1).flags == ()
+    singular = LinearSystem(a=[[1.0, 0.0], [0.0, 1e-13]], b=[[0.0], [1.0]],
+                            c=[[1.0, 0.0]], d=[[0.0]])
+    assert singular.flags == ("ill-conditioned-jacobian",)
+
+
 def undamped_oscillator():
     """1/(s^2 + 1): jw I - A is singular at w = 1."""
     return LinearSystem(a=[[0.0, 1.0], [-1.0, 0.0]], b=[[0.0], [1.0]],

@@ -24,8 +24,20 @@ def dfd1_scenario(tmp_path):
 
 
 def test_usage_error_exit_code(capsys):
-    assert main([]) == 1
-    assert main(["simulate"]) == 1
+    """A usage error exits 1 and says why on stderr."""
+    for argv, message in [
+        ([], "multigrid-ilc: error: the following arguments are required: command"),
+        (["simulate"], "multigrid-ilc simulate: error: the following arguments are "
+                       "required: --scenario, --out"),
+        (["passivity", "--scenario", "two-mg", "--ilc", "abc", "--out", "x"],
+         "multigrid-ilc passivity: error: argument --ilc: invalid int value: 'abc'"),
+        (["linearize", "--scenario", "two-mg", "--ilc", "1", "--mg", "1"],
+         "multigrid-ilc linearize: error: argument --mg: not allowed with argument --ilc"),
+    ]:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -186,6 +198,32 @@ def test_table3_plumbing(tmp_path, monkeypatch, capsys):
     assert captured_args["workers"] == 2
     assert (out / "table3.csv").exists()
     assert (out / "table3.txt").exists()
+
+
+def test_table3_recomputes_a_truncated_cache_entry(tmp_path, monkeypatch, capsys):
+    """A cache entry cut short by an interrupted run is a miss: the cell is
+    computed again, the entry rewritten, and the command succeeds."""
+    from multigrid_ilc import sweep
+    from multigrid_ilc.scenario import load_resolved
+
+    def run_cell(args):
+        _, row, column = args
+        return (row["scheme"], column,
+                sweep.Cell(row["scheme"], column, "stable-throughout", 0.0, "fresh",
+                           row["paper"][column]))
+
+    monkeypatch.setattr(sweep, "_run_cell", run_cell)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    job = (load_resolved("two-mg"), sweep.TABLE3_ROWS[0], "min_kdc")
+    entry = cache / f"{sweep._cache_key(job)}.json"
+    entry.write_text('{"scheme": "dual-freq-droop-1", "column": "min')
+    code = main(["table3", "--scenario", "two-mg", "--workers", "1",
+                 "--cache", str(cache)])
+    assert code == 0
+    assert json.loads(entry.read_text())["display"] == "fresh"
+    assert "fresh" in capsys.readouterr().out
+    assert not list(cache.glob("*.tmp"))
 
 
 def test_non_integer_thread_cap_exit_code(tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ from multigrid_ilc.errors import (
 )
 from multigrid_ilc.ilc import SCHEMES, Gains, IlcPhysical, IlcUnit
 from multigrid_ilc.mg import SwingGovernor
-from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
+from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, set_parameter, shipped_scenario
 
 from jacobian_reference import system_jacobian
@@ -29,9 +29,7 @@ from model_reference import connection_powers
 
 
 def two_mg_net():
-    return validate_topology(
-        NetworkSpec(mgs=(MgSpec("MG1"), MgSpec("MG2")), ilcs=(IlcSpec(0, 1),))
-    )
+    return ValidatedNetwork(2, ((0, 1),))
 
 
 def dacd_unit(k_dc=0.0, b=None):

@@ -239,11 +239,9 @@ def test_gfm_dual_droop_reduces_to_matching():
     to matching control with m = m_p * K_v."""
     from multigrid_ilc.engine import LoadEvent, OdeSystem, integrate
     from multigrid_ilc.mg import SwingGovernor
-    from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
+    from multigrid_ilc.network import ValidatedNetwork
 
-    net = validate_topology(
-        NetworkSpec(mgs=(MgSpec(), MgSpec()), ilcs=(IlcSpec(0, 1),))
-    )
+    net = ValidatedNetwork(2, ((0, 1),))
     models = [
         SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7, rating=4e8),
         SwingGovernor(M=1.5e7, D=5e3, T_g=0.3, inv_R=2e7, rating=2e8),

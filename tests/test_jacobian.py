@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from multigrid_ilc import ilc
-from multigrid_ilc.analysis import linearize_closed_loop, linearize_mg, linearize_unit
+from multigrid_ilc.analysis import linearize_closed_loop, linearize_unit
 from multigrid_ilc.engine import OdeSystem, find_equilibrium, scales_and_atols
 from multigrid_ilc.errors import DcVoltageCollapse, NonFiniteInput
 from multigrid_ilc.ilc import (
@@ -31,8 +31,8 @@ from multigrid_ilc.ilc import (
     sim_state_names,
     unit_state_names,
 )
-from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_derivative
-from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_derivative, mg_linearize
+from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
 from jacobian_reference import finite_difference_jacobian
@@ -140,7 +140,7 @@ def test_mg_linearization(model):
     n = len(model.state_names)
     names = model.state_names + ("p",)
     scales, _ = scales_and_atols(model, names)
-    lin = linearize_mg(model)
+    lin = mg_linearize(model)
     exact = np.block([[lin.a, lin.b], [lin.c, lin.d]])
 
     def f(z):
@@ -180,8 +180,7 @@ def test_closed_loop_linearization_is_the_jacobian_at_the_equilibrium():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_jacobian_raises_where_the_derivative_collapses(scheme):
-    net = validate_topology(
-        NetworkSpec(mgs=(MgSpec("MG1"), MgSpec("MG2")), ilcs=(IlcSpec(0, 1),)))
+    net = ValidatedNetwork(2, ((0, 1),))
     models = [SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7, rating=4e8)] * 2
     unit = unit_for(scheme)
     ode = OdeSystem(net, models, [unit])
@@ -201,8 +200,7 @@ def test_linearize_unit_rejects_non_finite_state():
 def check_two_mg_system(unit, seed):
     """The closed loop of ``unit`` between a swing-governor and a
     first-order-droop MG."""
-    net = validate_topology(
-        NetworkSpec(mgs=(MgSpec("MG1"), MgSpec("MG2")), ilcs=(IlcSpec(0, 1),)))
+    net = ValidatedNetwork(2, ((0, 1),))
     models = [SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7, rating=4e8),
               FirstOrderDroop(T=2e7, D=2e7, rating=2e8)]
     check_system(OdeSystem(net, models, [unit]), seed)

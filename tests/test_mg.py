@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigrid_ilc.analysis import (
-    linearize_mg,
-    observability_report,
-    passivity_sweep,
-    spectral_abscissa,
-)
+from multigrid_ilc.analysis import observability_report, passivity_sweep, spectral_abscissa
 from multigrid_ilc.errors import NonFiniteInput, ValidationError
 from multigrid_ilc.linear import transfer_matrix
 from multigrid_ilc.mg import (
@@ -19,6 +14,8 @@ from multigrid_ilc.mg import (
     mg_derivative,
     mg_linearize,
 )
+
+from jacobian_reference import mg_port_jacobian
 
 positive = st.floats(min_value=1e-3, max_value=1e9, allow_nan=False)
 
@@ -85,12 +82,10 @@ def test_input_observability_rosenbrock():
 
 def test_linearize_matches_finite_differences():
     m = SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7)
-    analytic = mg_linearize(m)
-    numeric = linearize_mg(m)
-    for a, b in ((analytic.a, numeric.a), (analytic.b, numeric.b),
-                 (analytic.c, numeric.c), (analytic.d, numeric.d)):
-        scale = max(1.0, float(np.max(np.abs(a))))
-        assert np.max(np.abs(a - b)) / scale < 1e-6
+    lin = mg_linearize(m)
+    analytic = np.block([[lin.a, lin.b], [lin.c, lin.d]])
+    scale = max(1.0, float(np.max(np.abs(analytic))))
+    assert np.max(np.abs(analytic - mg_port_jacobian(m))) / scale < 1e-6
 
 
 def test_nonfinite_input_rejected():

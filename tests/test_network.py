@@ -3,34 +3,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multigrid_ilc.errors import DanglingEndpoint, DisconnectedGraph
-from multigrid_ilc.network import IlcSpec, MgSpec, NetworkSpec, validate_topology
-
-
-def chain(n_mgs, edges):
-    return NetworkSpec(
-        mgs=tuple(MgSpec(f"MG{i+1}") for i in range(n_mgs)),
-        ilcs=tuple(IlcSpec(a, b) for a, b in edges),
-    )
+from multigrid_ilc.network import ValidatedNetwork
 
 
 def test_dangling_endpoint():
     with pytest.raises(DanglingEndpoint):
-        validate_topology(chain(2, [(0, 2)]))
+        ValidatedNetwork(2, ((0, 2),))
 
 
 def test_self_loop_rejected():
     with pytest.raises(DanglingEndpoint):
-        validate_topology(chain(2, [(1, 1)]))
+        ValidatedNetwork(2, ((1, 1),))
 
 
 def test_disconnected():
     with pytest.raises(DisconnectedGraph):
-        validate_topology(chain(4, [(0, 1)]))
+        ValidatedNetwork(4, ((0, 1),))
 
 
-def test_revalidation_idempotent():
-    net = validate_topology(chain(2, [(0, 1)]))
-    assert validate_topology(net) is net
+def test_no_microgrids():
+    with pytest.raises(DisconnectedGraph, match="no microgrids"):
+        ValidatedNetwork(0, ())
 
 
 @settings(max_examples=50, deadline=None)
@@ -46,6 +39,7 @@ def test_random_connected_multigraphs_validate(data):
         b = data.draw(st.integers(0, n - 1))
         if a != b:
             edges.append((a, b))
-    net = validate_topology(chain(n, edges))
+    net = ValidatedNetwork(n, tuple(edges))
     assert net.n_mgs == n
-    assert [(ilc.mg_a, ilc.mg_b) for ilc in net.ilcs] == edges
+    assert net.n_ilcs == len(edges)
+    assert list(net.ends) == edges

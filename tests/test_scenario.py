@@ -162,6 +162,23 @@ def test_set_parameter_paths(two_mg_resolved):
     assert two_mg_resolved["ilcs"][0]["physical"]["K_dc"] == 1.0
 
 
+def test_set_parameter_rederives_the_filter_constant(two_mg_resolved):
+    """Every path that sets L or V_ac re-derives B; B itself is set directly."""
+    def filter_b(path, value):
+        return set_parameter(two_mg_resolved, path, value)["ilcs"][0]["physical"]["B"]
+
+    b0 = two_mg_resolved["ilcs"][0]["physical"]["B"]
+    assert filter_b("ilc.physical.L", 2e-3) == filter_b("ilc.L", 2e-3) == pytest.approx(b0 / 2)
+    assert filter_b("ilc.V_ac", 6600.0) == filter_b("ilc.physical.V_ac", 6600.0)
+    assert filter_b("ilc.V_ac", 6600.0) == pytest.approx(4 * b0)
+    assert filter_b("ilc[1].V_ac", 6600.0) == pytest.approx(4 * b0)
+    assert filter_b("ilc.B", 1e7) == filter_b("ilc.physical.B", 1e7) == 1e7
+    with pytest.raises(SchemaViolation, match="unknown physical field 'tau'"):
+        set_parameter(two_mg_resolved, "ilc.physical.tau", 0.1)
+    with pytest.raises(SchemaViolation, match="unknown parameter path 'bogus'"):
+        set_parameter(two_mg_resolved, "ilc.bogus", 0.1)
+
+
 def test_build_system_structure(two_mg_resolved):
     bundle = build_system(two_mg_resolved)
     assert bundle.network.n_mgs == 2
@@ -193,6 +210,9 @@ def test_set_parameter_single_ilc():
     assert out["ilcs"][1]["physical"]["K_dc"] == 0.3
     with pytest.raises(SchemaViolation):
         set_parameter(resolved, "ilc[9].K_dc", 0.3)
+    # an unprefixed path reaches every ILC
+    out = set_parameter(resolved, "ilc.gains.K_omega", 5e7)
+    assert [block["gains"]["K_omega2"] for block in out["ilcs"]] == [5e7, 5e7]
 
 
 @pytest.mark.parametrize("path", ["ilc[a].K_dc", "ilc[].K_dc"])

@@ -240,9 +240,19 @@ class LoadEvent:
 
 @dataclass
 class IntegrateOptions:
+    """Settings of one :func:`integrate` call.
+
+    ``rtol`` and ``atol_scale`` (a factor on the per-state absolute
+    tolerances) set the error control and ``max_step`` caps the step size.
+    ``dense`` keeps the cubic Hermite samples inside each Rodas4 step; without
+    it the trajectory keeps only the step endpoints and the per-step
+    envelope (:attr:`Trajectory.envelope`).
+    """
+
     rtol: float = 1e-7
     atol_scale: float = 1.0
     max_step: float = math.inf
+    dense: bool = True
 
 
 @dataclass(frozen=True)
@@ -250,7 +260,8 @@ class IntegrationStats:
     """What one :func:`integrate` call did.
 
     ``accepted`` and ``rejected`` count the steps behind the returned
-    samples; ``rhs_calls`` counts every derivative evaluation and
+    samples, plus any the call took past a step whose envelope then
+    truncated it; ``rhs_calls`` counts every derivative evaluation and
     ``jacobian_calls`` every exact Jacobian, rolled-back Rodas4 trials
     included.  ``stiff_from`` is the
     time from which the call ran on Rodas4, or None when it stayed on DP45;
@@ -267,7 +278,12 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """Adaptive-step solution samples plus derived per-component outputs."""
+    """Adaptive-step solution samples plus derived per-component outputs.
+
+    ``envelope``, set only by a call without dense output, is the pair
+    (lo, hi) of arrays with one row per step, from ``t[k]`` to ``t[k + 1]``:
+    the per-component minimum and maximum of the state over that step.
+    """
 
     t: np.ndarray
     y: np.ndarray
@@ -276,6 +292,7 @@ class Trajectory:
     truncated: bool = False
     truncation_reason: str | None = None
     stats: IntegrationStats | None = None
+    envelope: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -369,6 +386,7 @@ class _Switch(NamedTuple):
     k1: list
     h: float
     samples: int
+    stiff_steps: int
     accepted: int
     rejected: int
     rhs_calls: int
@@ -519,6 +537,36 @@ def _hermite_samples(y0, f0, y1, f1, h, atol, rtol):
     return s[:, 0], states
 
 
+def _when(t: float, t_next: float | None) -> str:
+    if t_next is None:
+        return f"at t = {t:.4f} s"
+    return f"between t = {t:.4f} and {t_next:.4f} s"
+
+
+def _hermite_extrema(y0, f0, y1, f1, h):
+    """Per-component minimum and maximum of the cubic Hermite interpolant of
+    each step (one row per step, ``h`` a column of step sizes), in closed
+    form: the extrema lie at the step's ends or at the roots in (0, 1) of
+    the cubic's quadratic derivative.  Non-finite input gives NaN."""
+    m0, m1, d = h * f0, h * f1, y1 - y0
+    # p(s) = y0 + s*m0 + s^2*c2 + s^3*c3, so p'(s) = m0 + 2*c2*s + 3*c3*s^2
+    c2 = 3.0 * d - 2.0 * m0 - m1
+    c3 = m0 + m1 - 2.0 * d
+    a, b = 3.0 * c3, 2.0 * c2
+    lo, hi = np.minimum(y0, y1), np.maximum(y0, y1)
+    with np.errstate(all="ignore"):
+        # roots q/a and m0/q without cancellation; m0/q is the root of the
+        # linear derivative when a vanishes.  A root that is complex or
+        # outside (0, 1) becomes s = 0, where p is y0, or NaN if any
+        # coefficient is not finite
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * m0), b))
+        for s in (q / a, m0 / q):
+            s = np.where((s > 0.0) & (s < 1.0), s, 0.0)
+            p = y0 + s * (m0 + s * (c2 + s * c3))
+            lo, hi = np.minimum(lo, p), np.maximum(hi, p)
+    return lo, hi
+
+
 def integrate(
     ode: OdeSystem,
     x0: Sequence[float],
@@ -541,12 +589,20 @@ def integrate(
     call rolls back to the switch point, resumes DP45 exactly where it left
     off and pauses the stiffness test for ten times the overspend, counted
     in DP45 steps; otherwise it stays on Rodas4 for the rest of the call.
-    Each accepted Rodas4 step also emits cubic Hermite samples, dense
-    enough that linear interpolation between samples stays within the
-    step's tolerance.  Divergence (any MG frequency or ILC DC voltage
-    beyond its bound, or a DC-bus collapse) truncates the trajectory and
-    sets the flag; a filter angle reaching |eta| >= pi/2 aborts with
-    :class:`AngleOutOfRange`.
+    With ``opts.dense`` (the default) each accepted Rodas4 step also emits
+    cubic Hermite samples, dense enough that linear interpolation between
+    samples stays within the step's tolerance.  Without it the trajectory
+    keeps only the step endpoints, and :attr:`Trajectory.envelope` bounds the state over each
+    step: a DP45 step by its endpoints, a Rodas4 step by the closed-form
+    extrema of the same cubic, computed for all steps after the loop from
+    the end rates the step already has.  Divergence (any MG frequency or
+    ILC DC voltage beyond its bound, a non-finite state or a DC-bus
+    collapse) truncates the trajectory and sets the flag; a filter angle
+    reaching |eta| >= pi/2 aborts with :class:`AngleOutOfRange`.  Samples
+    are screened for both; without dense output the Rodas4 envelopes are
+    screened instead, and the first step whose envelope fails ends the
+    trajectory, so every divergence a dense call sees truncates at the same
+    step or earlier.
     """
     opts = opts or IntegrateOptions()
     t0, t_end = t_span
@@ -581,47 +637,56 @@ def integrate(
         elif name.startswith("eta"):
             eta_indices.append(idx)
 
-    # the samples, appended to flat buffers of floats
+    # the samples, appended to flat buffers of floats; without dense output,
+    # the index of each Rodas4 step's first sample and its end rates
     dim = ode.dim
     y = list(map(float, x0))
     ts = array("d", [t0])
     ys = array("d", y)
+    stiff_starts = array("q")
+    stiff_rates = array("d")
     truncated = False
     reason: str | None = None
+
+    def violation(y, t, t_next=None) -> str | None:
+        """Why ``y`` ends the trajectory, or None: ``y`` is the state at ``t``
+        or, given ``t_next``, the largest magnitude of each state over the
+        step from ``t`` to ``t_next``.  A filter angle at pi/2 raises."""
+        for idx in eta_indices:
+            if abs(y[idx]) >= math.pi / 2:
+                raise AngleOutOfRange(
+                    f"{ode.state_names[idx]} = {y[idx]:.4f} rad {_when(t, t_next)}")
+        for idx, limit, label in bound_checks:
+            if abs(y[idx]) > limit:
+                return f"{label} exceeded {limit:g} {_when(t, t_next)}"
+        if not all(math.isfinite(v) for v in y):
+            return f"non-finite state {_when(t, t_next)}"
+        return None
 
     def emit(t, y) -> bool:
         """Record one sample; False when it ends the trajectory."""
         nonlocal truncated, reason
         ts.append(t)
         ys.extend(y)
-        for idx in eta_indices:
-            if abs(y[idx]) >= math.pi / 2:
-                raise AngleOutOfRange(
-                    f"{ode.state_names[idx]} = {y[idx]:.4f} rad at t = {t:.4f} s"
-                )
-        for idx, limit, label in bound_checks:
-            if abs(y[idx]) > limit:
-                truncated = True
-                reason = f"{label} exceeded {limit:g} at t = {t:.4f} s"
-                return False
-        if not all(math.isfinite(v) for v in y):
-            truncated = True
-            reason = f"non-finite state at t = {t:.4f} s"
-            return False
-        return True
+        reason = violation(y, t)
+        truncated = reason is not None
+        return not truncated
 
     bound_cols = [idx for idx, _, _ in bound_checks]
     bound_limits = np.array([limit for _, limit, _ in bound_checks])
 
-    def emit_block(times, block) -> bool:
-        """Record the rows of ``block`` as samples.  A vectorised screen
-        passes blocks that :func:`emit` would accept row by row; any other
-        block goes through :func:`emit` itself."""
+    def passes(block) -> np.ndarray:
+        """Per row of ``block``: whether :func:`violation` lets it pass."""
         with np.errstate(invalid="ignore"):
-            clean = (np.all(np.abs(block[:, eta_indices]) < math.pi / 2)
-                     and np.all(np.abs(block[:, bound_cols]) <= bound_limits)
-                     and np.all(np.isfinite(block)))
-        if clean:
+            return (np.all(np.abs(block[:, eta_indices]) < math.pi / 2, axis=1)
+                    & np.all(np.abs(block[:, bound_cols]) <= bound_limits, axis=1)
+                    & np.all(np.isfinite(block), axis=1))
+
+    def emit_block(times, block) -> bool:
+        """Record the rows of ``block`` as samples.  A block whose rows all
+        pass is stored at once; any other goes through :func:`emit` row by
+        row."""
+        if np.all(passes(block)):
             ts.frombytes(times.tobytes())
             ys.frombytes(block.tobytes())
             return True
@@ -700,9 +765,14 @@ def integrate(
             accepted += 1
             if stiff:
                 jac = None
-                fractions, states = _hermite_samples(y, k1, y_new, k7, h, atol_vec, rtol)
-                if not emit_block(t + fractions * h, states):
-                    break
+                if opts.dense:
+                    fractions, states = _hermite_samples(y, k1, y_new, k7, h, atol_vec, rtol)
+                    if not emit_block(t + fractions * h, states):
+                        break
+                else:
+                    stiff_starts.append(len(ts) - 1)
+                    stiff_rates.extend(k1)
+                    stiff_rates.extend(k7)
             elif accepted >= quiet_until and (streak or accepted % _STIFF_EVERY == 0):
                 if _looks_stiff(h, k6, k7, y6, y_new, scales):
                     streak += 1
@@ -723,8 +793,8 @@ def integrate(
             h *= max(0.2, factor)
             if switch is None:
                 if stiff_from is not None and not stiff:  # the test just fired
-                    switch = _Switch(t, y, k1, h, len(ts), accepted, rejected,
-                                     rhs_calls, jacobian_calls, h_done)
+                    switch = _Switch(t, y, k1, h, len(ts), len(stiff_starts), accepted,
+                                     rejected, rhs_calls, jacobian_calls, h_done)
                 continue
             if accepted - switch.accepted < _TRIAL_STEPS and t < boundary:
                 continue
@@ -739,6 +809,8 @@ def integrate(
                 t, y, k1, h = switch.t, switch.y, switch.k1, switch.h
                 accepted, rejected = switch.accepted, switch.rejected
                 del ts[switch.samples:], ys[switch.samples * dim:]
+                del stiff_starts[switch.stiff_steps:]
+                del stiff_rates[switch.stiff_steps * 2 * dim:]
                 stiff_from = None
                 streak = calm = 0
                 rollbacks += 1
@@ -748,13 +820,36 @@ def integrate(
             break
         segment_start = boundary
 
+    t_out = np.frombuffer(ts)
+    y_out = np.frombuffer(ys).reshape(-1, dim)
+    envelope = None
+    if not opts.dense:
+        lo, hi = np.minimum(y_out[:-1], y_out[1:]), np.maximum(y_out[:-1], y_out[1:])
+        starts = np.frombuffer(stiff_starts, dtype=np.int64)
+        rates = np.frombuffer(stiff_rates).reshape(-1, 2, dim)
+        lo[starts], hi[starts] = _hermite_extrema(
+            y_out[starts], rates[:, 0], y_out[starts + 1], rates[:, 1],
+            (t_out[starts + 1] - t_out[starts])[:, None])
+        # the screen of emit(), on the larger magnitude of each Rodas4
+        # step's extrema
+        peak = np.maximum(np.abs(lo[starts]), np.abs(hi[starts]))
+        fails = ~passes(peak)
+        if np.any(fails):
+            k = int(np.argmax(fails))
+            i = int(starts[k])
+            reason = violation(peak[k].tolist(), t_out[i], t_out[i + 1])
+            truncated = True
+            t_out, y_out, lo, hi = t_out[: i + 2], y_out[: i + 2], lo[: i + 1], hi[: i + 1]
+        envelope = (lo, hi)
+
     return Trajectory(
-        t=np.frombuffer(ts),
-        y=np.frombuffer(ys).reshape(-1, dim),
+        t=t_out,
+        y=y_out,
         ode=ode,
         events=events,
         truncated=truncated,
         truncation_reason=reason,
         stats=IntegrationStats(accepted, rejected, rhs_calls, jacobian_calls, stiff_from,
                                rollbacks),
+        envelope=envelope,
     )

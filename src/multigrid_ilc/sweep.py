@@ -44,13 +44,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .analysis import linearize_closed_loop, spectral_abscissa
-from .engine import (EquilibriumPoint, IntegrateOptions, LoadEvent, find_equilibrium,
-                     integrate)
+from .engine import (EquilibriumPoint, IntegrateOptions, IntegrationStats, LoadEvent,
+                     find_equilibrium, integrate)
 from .errors import NonBracketing, NumericalError, ValidationError
 from .ilc import GFL, SCHEME
 from .scenario import SystemBundle, build_system, resolve, set_parameter
@@ -68,11 +69,17 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Classification:
+    """A verdict with its evidence.  ``sim_stats`` and ``sim_seconds``
+    describe the disturbance simulation when one ran (``sim_stats`` stays
+    None when it aborted)."""
+
     verdict: str
     abscissa: float | None
     cause: str
     sim_peak: float | None = None
     sim_tail: float | None = None
+    sim_stats: IntegrationStats | None = None
+    sim_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -149,40 +156,63 @@ def classify_stability(resolved: dict) -> Classification:
     step = -0.01 * bundle.rating(0)
     events = (LoadEvent(time=t_event, mg=0, delta_p_load=step),)
     # the step cap keeps the settling tail sampled once the integrator has
-    # switched to large stiff steps
-    opts = IntegrateOptions(rtol=1e-6, atol_scale=10.0, max_step=horizon / 30.0)
+    # switched to large stiff steps; the verdict reads only step endpoints
+    # and step envelopes, so no dense output
+    opts = IntegrateOptions(rtol=1e-6, atol_scale=10.0, max_step=horizon / 30.0,
+                            dense=False)
+    start = perf_counter()
     try:
         traj = integrate(ode, eq0.x, events, (0.0, t_event + horizon), opts)
     except NumericalError as exc:
-        return Classification(INDETERMINATE, absc, f"simulation aborted: {exc}")
+        return Classification(INDETERMINATE, absc, f"simulation aborted: {exc}",
+                              sim_seconds=perf_counter() - start)
+    sim = {"sim_stats": traj.stats, "sim_seconds": perf_counter() - start}
     if traj.truncated:
         return Classification(
-            INDETERMINATE, absc, f"simulation diverged: {traj.truncation_reason}"
+            INDETERMINATE, absc, f"simulation diverged: {traj.truncation_reason}", **sim
         )
     stepped = list(ode.base_loads)
     stepped[0] += step
     try:
         eq1 = find_equilibrium(ode, loads=stepped, guess=traj.final_state)
     except NumericalError as exc:
-        return Classification(INDETERMINATE, absc, f"no post-step equilibrium: {exc}")
-    dev = np.max(
-        np.abs(traj.y - eq1.x[None, :]) / ode.state_scales[None, :], axis=1
-    )
-    post = traj.t >= t_event
-    t_post = traj.t[post]
-    d_post = dev[post]
-    third = t_event + horizon / 3.0
-    peak = float(np.max(d_post[t_post <= third]))
-    tail = float(np.max(d_post[t_post >= t_event + 2.0 * horizon / 3.0]))
+        return Classification(INDETERMINATE, absc, f"no post-step equilibrium: {exc}",
+                              **sim)
+    # scaled deviation from the post-step equilibrium: the peak from the step
+    # endpoints in the first third of the window (it can only under-read),
+    # the tail from the envelope of every step that reaches into the last
+    # third (it can only over-read), so no verdict is easier than exact
+    # maxima would make it
+    t, scales, (lo, hi) = traj.t, ode.state_scales, traj.envelope
+    early = (t >= t_event) & (t <= t_event + horizon / 3.0)
+    peak = float(np.max(np.abs(traj.y[early] - eq1.x) / scales))
+    late = t[1:] >= t_event + 2.0 * horizon / 3.0
+    tail = float(np.max(np.maximum(hi[late] - eq1.x, eq1.x - lo[late]) / scales))
     floor = 1e-9
     if tail <= max(peak, floor):
         return Classification(STABLE, absc, "spectral and simulation agree",
-                              sim_peak=peak, sim_tail=tail)
+                              sim_peak=peak, sim_tail=tail, **sim)
     return Classification(
         INDETERMINATE, absc,
         "simulation deviation grew while spectrum predicts decay",
-        sim_peak=peak, sim_tail=tail,
+        sim_peak=peak, sim_tail=tail, **sim,
     )
+
+
+def _simulation_note(cls: Classification) -> str:
+    """Whether a simulation backs ``cls`` and, when it ran, what it did."""
+    # only the simulation gives stable or indeterminate
+    if cls.verdict not in (STABLE, INDETERMINATE):
+        return "not simulated"
+    note = "simulated"
+    if cls.sim_stats is not None:
+        s = cls.sim_stats
+        note += (f": {s.accepted} accepted and {s.rejected} rejected steps, "
+                 f"{s.rhs_calls} RHS and {s.jacobian_calls} Jacobian calls, "
+                 f"stiff from {s.stiff_from!r}")
+    if cls.sim_seconds is not None:
+        note += f", {cls.sim_seconds:.3f} s"
+    return note
 
 
 def bisect_boundary(
@@ -213,10 +243,8 @@ def bisect_boundary(
 
     def classify_at(classify: Callable[[dict], Classification], value: float):
         cls = classify(configure(value))
-        # only the simulation gives stable or indeterminate
         _log.debug("%s=%r: %s (%s), abscissa %r, %s", req.path, value, cls.verdict,
-                   cls.cause, cls.abscissa, "simulated"
-                   if cls.verdict in (STABLE, INDETERMINATE) else "not simulated")
+                   cls.cause, cls.abscissa, _simulation_note(cls))
         return cls
 
     stable_end_is_hi = req.direction == "min-stable"

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multigrid_ilc import engine
 from multigrid_ilc.analysis import linearize_closed_loop, spectral_abscissa
@@ -9,6 +12,7 @@ from multigrid_ilc.engine import (
     IntegrateOptions,
     LoadEvent,
     OdeSystem,
+    _hermite_extrema,
     _rodas4_step,
     find_equilibrium,
     integrate,
@@ -342,6 +346,24 @@ def test_failed_trial_pauses_the_stiffness_test():
     assert stats.accepted == 11235
 
 
+def test_rolled_back_trial_leaves_no_envelope():
+    """Without dense output, the late-event ieee39 run drops its rolled-back
+    Rodas4 steps with their end rates: it keeps the dense run's DP45 samples,
+    and every step's envelope is the span of its endpoints."""
+    doc = shipped_scenario("ieee39-reduced")
+    doc["events"] = [{"time": 155.91, "mg": 1, "delta_p_load": -54951242.0},
+                     {"time": 174.138, "mg": 3, "delta_p_load": 36920033.0}]
+    bundle = build_system(resolve(doc))
+    run = (bundle.ode, [0.0] * bundle.ode.dim, bundle.events, (0.0, bundle.t_end))
+    dense = integrate(*run, bundle.options)
+    sparse = integrate(*run, dataclasses.replace(bundle.options, dense=False))
+    assert sparse.stats == dense.stats and sparse.stats.rollbacks == 1
+    assert np.array_equal(sparse.t, dense.t) and np.array_equal(sparse.y, dense.y)
+    lo, hi = sparse.envelope
+    assert np.array_equal(lo, np.minimum(sparse.y[:-1], sparse.y[1:]))
+    assert np.array_equal(hi, np.maximum(sparse.y[:-1], sparse.y[1:]))
+
+
 def test_trial_cut_short_by_segment_end_is_judged_on_cost(scheme_scenario):
     """A Rodas4 trial that reaches the end of its segment before its
     _TRIAL_STEPS steps is kept when it already spent fewer RHS calls than
@@ -397,3 +419,134 @@ def test_rodas4_step_orders():
         estimates.append(estimate)
     assert math.log2(errors[0] / errors[1]) > 4.5
     assert 3.5 < math.log2(estimates[0] / estimates[1]) < 4.5
+
+
+def classification_run(resolved, **options):
+    """The system, start state, event and options of the disturbance run
+    that ``classify_stability`` integrates on ``resolved``."""
+    bundle = build_system(resolved)
+    ode = bundle.ode
+    events = (LoadEvent(1.0, 0, -0.01 * bundle.rating(0)),)
+    opts = IntegrateOptions(rtol=1e-6, atol_scale=10.0, max_step=2.0, **options)
+    return ode, find_equilibrium(ode).x, events, (0.0, 61.0), opts
+
+
+def test_sparse_run_takes_the_dense_run_steps(scheme_scenario):
+    """Without dense output, the pinned 536-step classification run takes the
+    same steps, keeps exactly their endpoints, and its envelope holds every
+    Hermite sample the dense run emits inside each step."""
+    resolved = set_parameter(scheme_scenario("dual-acdc-droop"), "ilc.K_dc", 0.0)
+    ode, x0, events, t_span, opts = classification_run(resolved)
+    dense = integrate(ode, x0, events, t_span, opts)
+    opts.dense = False
+    sparse = integrate(ode, x0, events, t_span, opts)
+    assert dense.envelope is None
+    assert sparse.stats == dense.stats
+    assert sparse.stats.accepted == 536 and sparse.stats.stiff_from is not None
+    assert len(sparse.t) == sparse.stats.accepted + 1
+    assert len(dense.t) > 4 * len(sparse.t)  # the samples the sweep never read
+    ends = np.searchsorted(dense.t, sparse.t)
+    assert np.array_equal(dense.t[ends], sparse.t)
+    assert np.array_equal(dense.y[ends], sparse.y)
+    lo, hi = sparse.envelope
+    assert lo.shape == hi.shape == (sparse.stats.accepted, ode.dim)
+    step = np.minimum(np.searchsorted(sparse.t, dense.t, side="right") - 1, len(lo) - 1)
+    assert np.all(lo[step] <= dense.y) and np.all(dense.y <= hi[step])
+
+
+def cubic(y0, f0, y1, f1, h, s):
+    """The cubic Hermite interpolant at step fractions ``s`` (a column)."""
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0 + s * (1.0 - s) ** 2 * (h * f0)
+            + s * s * (3.0 - 2.0 * s) * y1 + s * s * (s - 1.0) * (h * f1))
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite, min_size=4, max_size=4), st.floats(1e-3, 10.0))
+def test_hermite_extrema_bound_the_cubic(values, h):
+    """The closed-form extrema hold the cubic at 20001 points of the step and
+    come within the grid's resolution of its extremes there."""
+    y0, f0, y1, f1 = (np.array([[v]]) for v in values)
+    lo, hi = _hermite_extrema(y0, f0, y1, f1, np.array([[h]]))
+    fine = cubic(*values, h, np.linspace(0.0, 1.0, 20001))
+    size = 1.0 + abs(values[0]) + abs(values[2]) + h * (abs(values[1]) + abs(values[3]))
+    assert lo[0, 0] <= fine.min() + 1e-12 * size and fine.max() - 1e-12 * size <= hi[0, 0]
+    assert fine.min() - lo[0, 0] <= 1e-7 * size and hi[0, 0] - fine.max() <= 1e-7 * size
+
+
+@pytest.mark.parametrize("y0, f0, y1, f1, lo, hi", [
+    # cubic coefficient exactly 0 (linear derivative): s - s^2 peaks at s = 1/2
+    (0.0, 1.0, 0.0, -1.0, 0.0, 0.25),
+    # ... and nearly 0
+    (0.0, 1.0, 0.0, -1.0 + 1e-15, 0.0, 0.25),
+    # f0 = f1 = 0: monotone between the ends
+    (2.0, 0.0, -1.0, 0.0, -1.0, 2.0),
+    (3.0, 0.0, 3.0, 0.0, 3.0, 3.0),
+    # two interior extrema: 3s(1 - s)(1 - 2s), checked against the fine grid
+    (0.0, 3.0, 0.0, 3.0, None, None),
+])
+def test_hermite_extrema_special_steps(y0, f0, y1, f1, lo, hi):
+    got_lo, got_hi = _hermite_extrema(*(np.array([[v]]) for v in (y0, f0, y1, f1)),
+                                      np.array([[1.0]]))
+    fine = cubic(y0, f0, y1, f1, 1.0, np.linspace(0.0, 1.0, 20001))
+    if lo is None:
+        lo, hi = fine.min(), fine.max()
+        assert lo < min(y0, y1) and max(y0, y1) < hi
+    assert got_lo[0, 0] == pytest.approx(lo, abs=1e-7)
+    assert got_hi[0, 0] == pytest.approx(hi, abs=1e-7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hermite_extrema_of_non_finite_input_are_nan(bad):
+    for k in range(4):
+        values = [0.5, 1.0, 0.25, -1.0]
+        values[k] = bad
+        lo, hi = _hermite_extrema(*(np.array([[v, 0.0]]) for v in values),
+                                  np.array([[1.0]]))
+        assert np.isnan(lo[0, 0]) and np.isnan(hi[0, 0])
+        assert lo[0, 1] == hi[0, 1] == 0.0
+
+
+def test_non_finite_end_rate_truncates_the_sparse_run(two_mg_resolved, monkeypatch):
+    """A Rodas4 step whose end rate is not finite fails the envelope screen,
+    even when it is the last step and every endpoint is finite."""
+    rodas4_step = engine._rodas4_step
+
+    def last_rate_nan(f, t, y, f0, jac, h, atol, rtol):
+        y_new, f_new, err = rodas4_step(f, t, y, f0, jac, h, atol, rtol)
+        if y_new is not None and t + h == 61.0:
+            f_new = [math.nan] * len(f_new)
+        return y_new, f_new, err
+
+    monkeypatch.setattr(engine, "_rodas4_step", last_rate_nan)
+    traj = integrate(*classification_run(two_mg_resolved, dense=False))
+    assert traj.stats.stiff_from is not None
+    assert np.all(np.isfinite(traj.y))
+    assert traj.truncated
+    assert traj.truncation_reason.startswith("non-finite state between t = ")
+    assert traj.t[-1] == 61.0
+
+
+def test_dense_truncation_is_a_sparse_truncation(two_mg_resolved, monkeypatch):
+    """An MG frequency bound just above every step endpoint but below the
+    Hermite samples of one Rodas4 step truncates the dense run inside that
+    step; the sparse run truncates at that step or earlier."""
+    run = classification_run(two_mg_resolved)
+    ode, opts = run[0], run[4]
+    omegas = [ode.column("mg", j, "omega") for j in range(2)]
+    dense = integrate(*run)
+    opts.dense = False
+    sparse = integrate(*run)
+    at_ends = np.max(np.abs(sparse.y[:, omegas]))
+    inside = np.max(np.abs(dense.y[:, omegas]))
+    assert at_ends < inside
+    monkeypatch.setattr(engine, "_OMEGA_BOUND", 0.5 * (at_ends + inside))
+    cut = integrate(*run)
+    opts.dense = True
+    dense_cut = integrate(*run)
+    assert dense_cut.truncated and dense_cut.t[-1] not in sparse.t
+    step_end = sparse.t[np.searchsorted(sparse.t, dense_cut.t[-1])]
+    assert cut.truncated and cut.t[-1] <= step_end
+    assert cut.truncation_reason.startswith("mg1.omega exceeded")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multigrid_ilc import sweep
+from multigrid_ilc import engine, sweep
 from multigrid_ilc.errors import NonBracketing, ValidationError
 from multigrid_ilc.scenario import set_parameter
 from multigrid_ilc.sweep import (
@@ -209,6 +209,25 @@ class TestSpectralBisection:
         assert len(events) == 12
         assert sum(e.endswith(", not simulated") for e in events) == 11
         assert events[-1].startswith(f"ilc.tau={cell.value!r}: stable")
+
+    def test_simulated_probe_events_report_the_run(self, two_mg_resolved, trajectories,
+                                                   caplog):
+        """The event of each confirming simulation gives its steps, calls,
+        switch time and seconds, as its Classification does."""
+        with caplog.at_level(logging.DEBUG, logger="multigrid_ilc.sweep"):
+            cell = self.cell(two_mg_resolved, "dual-acdc-droop", "min_kdc")
+        assert cell.status == "stable-throughout"
+        events = [r.getMessage() for r in caplog.records if r.name == "multigrid_ilc.sweep"]
+        simulated = [e for e in events if not e.endswith(", not simulated")]
+        assert len(simulated) == len(trajectories) == 2
+        for event, traj in zip(simulated, trajectories):
+            s = traj.stats
+            head, seconds = event.rsplit(", ", 1)
+            assert head.endswith(
+                f"simulated: {s.accepted} accepted and {s.rejected} rejected steps, "
+                f"{s.rhs_calls} RHS and {s.jacobian_calls} Jacobian calls, "
+                f"stiff from {s.stiff_from!r}")
+            assert seconds.endswith(" s") and float(seconds[:-2]) > 0.0
 
     def test_stable_throughout_cell_simulates_both_ends(self, two_mg_resolved, simulations):
         cell = self.cell(two_mg_resolved, "dual-freq-droop-1", "min_kdc")
@@ -462,6 +481,32 @@ def test_exact_jacobians_keep_the_trial_price(scheme_scenario, trajectories):
     stats = traj.stats
     assert stats.accepted == 536
     assert stats.rhs_calls + 2 * traj.ode.dim * stats.jacobian_calls == 7405
+
+
+def test_classification_carries_its_simulation(scheme_scenario, trajectories):
+    resolved = set_parameter(scheme_scenario("dual-acdc-droop"), "ilc.K_dc", 0.0)
+    cls = classify_stability(resolved)
+    (traj,) = trajectories
+    assert cls.sim_stats == traj.stats
+    assert cls.sim_stats.accepted == 536
+    assert cls.sim_seconds > 0.0
+
+
+def test_sweep_computes_no_hermite_samples(two_mg_resolved, trajectories, monkeypatch):
+    """The classifier reads step endpoints and step envelopes only: a cell
+    whose confirming simulations run on Rodas4 never samples the cubic."""
+    hermite, calls = engine._hermite_samples, []
+
+    def counting_hermite(*args):
+        calls.append(args)
+        return hermite(*args)
+
+    monkeypatch.setattr(engine, "_hermite_samples", counting_hermite)
+    row = next(r for r in TABLE3_ROWS if r["scheme"] == "dual-acdc-droop")
+    cell = sweep._run_cell((two_mg_resolved, row, "min_kdc"))[2]
+    assert cell.status == "stable-throughout"
+    assert [t.stats.stiff_from is not None for t in trajectories] == [True, True]
+    assert calls == []
 
 
 class TestGainColumn:

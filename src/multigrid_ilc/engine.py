@@ -244,9 +244,9 @@ class IntegrateOptions:
 
     ``rtol`` and ``atol_scale`` (a factor on the per-state absolute
     tolerances) set the error control and ``max_step`` caps the step size.
-    ``dense`` keeps the cubic Hermite samples inside each Rodas4 step; without
-    it the trajectory keeps only the step endpoints and the per-step
-    envelope (:attr:`Trajectory.envelope`).
+    ``dense`` inserts cubic Hermite samples inside each Rodas4 step; without
+    it the trajectory keeps the step endpoints and their envelope
+    (:attr:`Trajectory.envelope`).
     """
 
     rtol: float = 1e-7
@@ -385,7 +385,7 @@ class _Switch(NamedTuple):
     y: list
     k1: list
     h: float
-    samples: int
+    endpoints: int
     stiff_steps: int
     accepted: int
     rejected: int
@@ -589,25 +589,29 @@ def integrate(
     call rolls back to the switch point, resumes DP45 exactly where it left
     off and pauses the stiffness test for ten times the overspend, counted
     in DP45 steps; otherwise it stays on Rodas4 for the rest of the call.
-    With ``opts.dense`` (the default) each accepted Rodas4 step also emits
-    cubic Hermite samples, dense enough that linear interpolation between
-    samples stays within the step's tolerance.  Without it the trajectory
-    keeps only the step endpoints, and :attr:`Trajectory.envelope` bounds the state over each
-    step: a DP45 step by its endpoints, a Rodas4 step by the closed-form
-    extrema of the same cubic, computed for all steps after the loop from
-    the end rates the step already has.  Divergence (any MG frequency or
-    ILC DC voltage beyond its bound, a non-finite state or a DC-bus
-    collapse) truncates the trajectory and sets the flag; a filter angle
-    reaching |eta| >= pi/2 aborts with :class:`AngleOutOfRange`.  Samples
-    are screened for both; without dense output the Rodas4 envelopes are
-    screened instead, and the first step whose envelope fails ends the
-    trajectory, so every divergence a dense call sees truncates at the same
-    step or earlier.
+    Divergence (any MG frequency or ILC DC voltage beyond its bound, a
+    non-finite state or a DC-bus collapse) truncates the trajectory and sets
+    the flag; a filter angle reaching |eta| >= pi/2 aborts with
+    :class:`AngleOutOfRange`.  The loop screens every step endpoint, all a
+    DP45 step is screened on; after it, each Rodas4 step is screened on the
+    closed-form extrema of its cubic Hermite interpolant, and the first step
+    that fails ends the trajectory.  Then ``opts.dense`` (the default)
+    inserts samples of that cubic inside each kept Rodas4 step, dense enough
+    that linear interpolation between them stays within the step's
+    tolerance; without it, :attr:`Trajectory.envelope` holds the extrema.
     """
     opts = opts or IntegrateOptions()
-    t0, t_end = t_span
-    if t_end <= t0:
-        raise ValidationError("t_span must be increasing")
+    t0, t_end = map(float, t_span)
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValidationError("t_span must be finite and increasing")
+    y = list(map(float, x0))
+    if len(y) != ode.dim or not all(map(math.isfinite, y)):
+        raise ValidationError(f"x0 must hold {ode.dim} finite values")
+    for name, ok in (("rtol", 0.0 <= opts.rtol < math.inf),
+                     ("atol_scale", 0.0 < opts.atol_scale < math.inf),
+                     ("max_step", opts.max_step > 0.0)):
+        if not ok:
+            raise ValidationError(f"{name} out of range: {getattr(opts, name)!r}")
     events = tuple(events)
     for earlier, later in zip(events, events[1:]):
         if later.time < earlier.time:
@@ -637,15 +641,14 @@ def integrate(
         elif name.startswith("eta"):
             eta_indices.append(idx)
 
-    # the samples, appended to flat buffers of floats; without dense output,
-    # the index of each Rodas4 step's first sample and its end rates
+    # the step endpoints, appended to flat buffers of floats, and of each
+    # Rodas4 step the index of its start, its size and its end rates
     dim = ode.dim
-    y = list(map(float, x0))
     ts = array("d", [t0])
     ys = array("d", y)
     stiff_starts = array("q")
+    stiff_h = array("d")
     stiff_rates = array("d")
-    truncated = False
     reason: str | None = None
 
     def violation(y, t, t_next=None) -> str | None:
@@ -662,35 +665,6 @@ def integrate(
         if not all(math.isfinite(v) for v in y):
             return f"non-finite state {_when(t, t_next)}"
         return None
-
-    def emit(t, y) -> bool:
-        """Record one sample; False when it ends the trajectory."""
-        nonlocal truncated, reason
-        ts.append(t)
-        ys.extend(y)
-        reason = violation(y, t)
-        truncated = reason is not None
-        return not truncated
-
-    bound_cols = [idx for idx, _, _ in bound_checks]
-    bound_limits = np.array([limit for _, limit, _ in bound_checks])
-
-    def passes(block) -> np.ndarray:
-        """Per row of ``block``: whether :func:`violation` lets it pass."""
-        with np.errstate(invalid="ignore"):
-            return (np.all(np.abs(block[:, eta_indices]) < math.pi / 2, axis=1)
-                    & np.all(np.abs(block[:, bound_cols]) <= bound_limits, axis=1)
-                    & np.all(np.isfinite(block), axis=1))
-
-    def emit_block(times, block) -> bool:
-        """Record the rows of ``block`` as samples.  A block whose rows all
-        pass is stored at once; any other goes through :func:`emit` row by
-        row."""
-        if np.all(passes(block)):
-            ts.frombytes(times.tobytes())
-            ys.frombytes(block.tobytes())
-            return True
-        return all(emit(tt, row) for tt, row in zip(times.tolist(), block.tolist()))
 
     # event boundaries split the horizon into constant-load segments
     boundaries: list[float] = []
@@ -765,14 +739,10 @@ def integrate(
             accepted += 1
             if stiff:
                 jac = None
-                if opts.dense:
-                    fractions, states = _hermite_samples(y, k1, y_new, k7, h, atol_vec, rtol)
-                    if not emit_block(t + fractions * h, states):
-                        break
-                else:
-                    stiff_starts.append(len(ts) - 1)
-                    stiff_rates.extend(k1)
-                    stiff_rates.extend(k7)
+                stiff_starts.append(len(ts) - 1)
+                stiff_h.append(h)
+                stiff_rates.extend(k1)
+                stiff_rates.extend(k7)
             elif accepted >= quiet_until and (streak or accepted % _STIFF_EVERY == 0):
                 if _looks_stiff(h, k6, k7, y6, y_new, scales):
                     streak += 1
@@ -786,7 +756,10 @@ def integrate(
             t += h
             y = y_new
             k1 = k7
-            if not emit(t, y):
+            ts.append(t)
+            ys.extend(y)
+            reason = violation(y, t)
+            if reason is not None:
                 break
             h_done = h
             factor = growth if err_norm == 0.0 else min(growth, 0.9 * err_norm ** -exponent)
@@ -808,46 +781,65 @@ def integrate(
                 # switch
                 t, y, k1, h = switch.t, switch.y, switch.k1, switch.h
                 accepted, rejected = switch.accepted, switch.rejected
-                del ts[switch.samples:], ys[switch.samples * dim:]
-                del stiff_starts[switch.stiff_steps:]
+                del ts[switch.endpoints:], ys[switch.endpoints * dim:]
+                del stiff_starts[switch.stiff_steps:], stiff_h[switch.stiff_steps:]
                 del stiff_rates[switch.stiff_steps * 2 * dim:]
                 stiff_from = None
                 streak = calm = 0
                 rollbacks += 1
                 quiet_until = accepted + _RETRY_FACTOR * overspend / 6
             switch = None
-        if truncated:
+        if reason is not None:
             break
         segment_start = boundary
 
     t_out = np.frombuffer(ts)
     y_out = np.frombuffer(ys).reshape(-1, dim)
+    starts = np.frombuffer(stiff_starts, dtype=np.int64)
+    steps = np.frombuffer(stiff_h)
+    rates = np.frombuffer(stiff_rates).reshape(-1, 2, dim)
+    lo, hi = _hermite_extrema(y_out[starts], rates[:, 0], y_out[starts + 1], rates[:, 1],
+                              steps[:, None])
+    # the screen of violation(), on the larger magnitude of each Rodas4
+    # step's extrema
+    peak = np.maximum(np.abs(lo), np.abs(hi))
+    bound_cols = [idx for idx, _, _ in bound_checks]
+    bound_limits = np.array([limit for _, limit, _ in bound_checks])
+    with np.errstate(invalid="ignore"):
+        fails = ~(np.all(peak[:, eta_indices] < math.pi / 2, axis=1)
+                  & np.all(peak[:, bound_cols] <= bound_limits, axis=1)
+                  & np.all(np.isfinite(peak), axis=1))
+    if np.any(fails):
+        k = int(np.argmax(fails))
+        i = int(starts[k])
+        reason = violation(peak[k].tolist(), t_out[i], t_out[i + 1])
+        t_out, y_out = t_out[: i + 2], y_out[: i + 2]
+        starts, steps, rates, lo, hi = (v[: k + 1] for v in (starts, steps, rates, lo, hi))
     envelope = None
-    if not opts.dense:
-        lo, hi = np.minimum(y_out[:-1], y_out[1:]), np.maximum(y_out[:-1], y_out[1:])
-        starts = np.frombuffer(stiff_starts, dtype=np.int64)
-        rates = np.frombuffer(stiff_rates).reshape(-1, 2, dim)
-        lo[starts], hi[starts] = _hermite_extrema(
-            y_out[starts], rates[:, 0], y_out[starts + 1], rates[:, 1],
-            (t_out[starts + 1] - t_out[starts])[:, None])
-        # the screen of emit(), on the larger magnitude of each Rodas4
-        # step's extrema
-        peak = np.maximum(np.abs(lo[starts]), np.abs(hi[starts]))
-        fails = ~passes(peak)
-        if np.any(fails):
-            k = int(np.argmax(fails))
-            i = int(starts[k])
-            reason = violation(peak[k].tolist(), t_out[i], t_out[i + 1])
-            truncated = True
-            t_out, y_out, lo, hi = t_out[: i + 2], y_out[: i + 2], lo[: i + 1], hi[: i + 1]
-        envelope = (lo, hi)
+    if opts.dense:
+        # each kept Rodas4 step's samples go in after its start
+        ts, ys, done = array("d"), array("d"), 0
+        for i, h, (f0, f1) in zip(starts.tolist(), steps.tolist(), rates):
+            fractions, states = _hermite_samples(y_out[i], f0, y_out[i + 1], f1, h,
+                                                 atol_vec, rtol)
+            ts.frombytes(t_out[done : i + 1].tobytes())
+            ys.frombytes(y_out[done : i + 1].tobytes())
+            ts.frombytes((t_out[i] + fractions * h).tobytes())
+            ys.frombytes(states.tobytes())
+            done = i + 1
+        ts.frombytes(t_out[done:].tobytes())
+        ys.frombytes(y_out[done:].tobytes())
+        t_out, y_out = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim)
+    else:
+        envelope = (np.minimum(y_out[:-1], y_out[1:]), np.maximum(y_out[:-1], y_out[1:]))
+        envelope[0][starts], envelope[1][starts] = lo, hi
 
     return Trajectory(
         t=t_out,
         y=y_out,
         ode=ode,
         events=events,
-        truncated=truncated,
+        truncated=reason is not None,
         truncation_reason=reason,
         stats=IntegrationStats(accepted, rejected, rhs_calls, jacobian_calls, stiff_from,
                                rollbacks),

@@ -228,6 +228,7 @@ def resolve(raw: dict) -> dict:
         "atol_scale": _check_number(sim_in.get("atol_scale", 1.0),
                                     "scenario.sim.atol_scale"),
     }
+    _require(sim["t_end"] > 0.0, "scenario.sim.t_end", "must be strictly positive")
     _require(sim["rtol"] >= 0.0, "scenario.sim.rtol", "must be non-negative")
     _require(sim["atol_scale"] > 0.0, "scenario.sim.atol_scale",
              "must be strictly positive")

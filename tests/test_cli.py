@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from multigrid_ilc.cli import main
+from multigrid_ilc.scenario import dump_resolved, set_parameter
 
 
 def dfd1_scenario(tmp_path):
@@ -68,6 +70,22 @@ def test_simulate_outputs(tmp_path, capsys):
     assert (out / "cli-dfd1-resolved.json").exists()
     header = (out / "cli-dfd1-trajectory.csv").read_text().split("\n")[0]
     assert header.startswith("t,mg1.omega,mg2.omega,ilc1.p1,ilc1.p2,ilc1.vdc")
+
+
+def test_simulate_reports_a_truncated_run(tmp_path, capsys, scheme_scenario):
+    """dual-acdc-droop with both converter lags at 0.4 s, past its max_tau
+    boundary, diverges on Rodas4: simulate still writes the trajectory and
+    exits 0, and names the step that ended it."""
+    scenario = tmp_path / "unstable.json"
+    scenario.write_text(dump_resolved(
+        set_parameter(scheme_scenario("dual-acdc-droop"), "ilc.tau", 0.4)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    status, reason = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"truncated: \d+ samples to t = [\d.]+ s -> .*", status)
+    assert re.fullmatch(r"truncation: mg2\.omega exceeded 5 between t = [\d.]+ and [\d.]+ s",
+                        reason)
+    assert (out / "two-mg-trajectory.csv").exists()
 
 
 def test_passivity_verdict_line(tmp_path, capsys):

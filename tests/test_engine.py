@@ -144,6 +144,32 @@ def test_events_must_be_sorted():
         integrate(ode, [0.0] * ode.dim, events, (0.0, 3.0))
 
 
+def zeros(dim):
+    return [0.0] * dim
+
+
+@pytest.mark.parametrize("x0, t_span, options, message", [
+    (lambda dim: zeros(dim - 1), (0.0, 61.0), {}, "x0 must hold"),
+    (lambda dim: zeros(dim + 1), (0.0, 61.0), {}, "x0 must hold"),
+    (lambda dim: [math.nan] + zeros(dim - 1), (0.0, 61.0), {}, "x0 must hold"),
+    (zeros, (0.0, math.nan), {}, "t_span"),
+    (zeros, (0.0, math.inf), {}, "t_span"),
+    (zeros, (0.0, 0.0), {}, "t_span"),
+    (zeros, (0.0, 61.0), {"rtol": -1.0}, "rtol"),
+    (zeros, (0.0, 61.0), {"atol_scale": 0.0}, "atol_scale"),
+    (zeros, (0.0, 61.0), {"max_step": 0.0}, "max_step"),
+], ids=["x0-short", "x0-long", "x0-nan", "t_end-nan", "t_end-inf", "t_end-t0",
+        "rtol-negative", "atol_scale-zero", "max_step-zero"])
+def test_integrate_rejects_bad_input(two_mg_resolved, x0, t_span, options, message):
+    """A start state of the wrong length or with a NaN, a horizon that is not
+    finite and increasing, or an option out of range raises ValidationError
+    before any step."""
+    bundle = build_system(two_mg_resolved)
+    with pytest.raises(ValidationError, match=message):
+        integrate(bundle.ode, x0(bundle.ode.dim), bundle.events, t_span,
+                  dataclasses.replace(bundle.options, **options))
+
+
 def test_determinism_bit_identical():
     ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
     events = (LoadEvent(0.5, 0, -1e6),)
@@ -531,8 +557,8 @@ def test_non_finite_end_rate_truncates_the_sparse_run(two_mg_resolved, monkeypat
 
 def test_dense_truncation_is_a_sparse_truncation(two_mg_resolved, monkeypatch):
     """An MG frequency bound just above every step endpoint but below the
-    Hermite samples of one Rodas4 step truncates the dense run inside that
-    step; the sparse run truncates at that step or earlier."""
+    Hermite samples of one Rodas4 step truncates the dense and the sparse
+    run of one call at the same step end, with the same reason and stats."""
     run = classification_run(two_mg_resolved)
     ode, opts = run[0], run[4]
     omegas = [ode.column("mg", j, "omega") for j in range(2)]
@@ -546,7 +572,10 @@ def test_dense_truncation_is_a_sparse_truncation(two_mg_resolved, monkeypatch):
     cut = integrate(*run)
     opts.dense = True
     dense_cut = integrate(*run)
-    assert dense_cut.truncated and dense_cut.t[-1] not in sparse.t
-    step_end = sparse.t[np.searchsorted(sparse.t, dense_cut.t[-1])]
-    assert cut.truncated and cut.t[-1] <= step_end
-    assert cut.truncation_reason.startswith("mg1.omega exceeded")
+    assert cut.truncated and dense_cut.truncated
+    assert cut.t[-1] in sparse.t[:-1] and dense_cut.t[-1] == cut.t[-1]
+    assert np.array_equal(dense_cut.y[-1], cut.y[-1])
+    assert dense_cut.truncation_reason == cut.truncation_reason
+    assert cut.truncation_reason.startswith("mg1.omega exceeded 0.")
+    assert f"and {cut.t[-1]:.4f} s" in cut.truncation_reason
+    assert dense_cut.stats == cut.stats

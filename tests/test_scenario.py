@@ -247,6 +247,8 @@ def test_non_positive_nominal_frequency_rejected():
 
 
 @pytest.mark.parametrize("sim, key", [
+    ({"t_end": 0.0}, "t_end"),
+    ({"t_end": -5.0}, "t_end"),
     ({"rtol": -1e-6}, "rtol"),
     ({"atol_scale": -1.0}, "atol_scale"),
     ({"rtol": 0.0, "atol_scale": 0.0}, "atol_scale"),

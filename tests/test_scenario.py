@@ -246,9 +246,16 @@ def test_non_positive_nominal_frequency_rejected():
         resolve(raw)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -5.0])
+def test_non_positive_t_end_rejected(t_end):
+    raw = shipped_scenario("two-mg")
+    raw["sim"]["t_end"] = t_end
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == "scenario.sim.t_end"
+
+
 @pytest.mark.parametrize("sim, key", [
-    ({"t_end": 0.0}, "t_end"),
-    ({"t_end": -5.0}, "t_end"),
     ({"rtol": -1e-6}, "rtol"),
     ({"atol_scale": -1.0}, "atol_scale"),
     ({"rtol": 0.0, "atol_scale": 0.0}, "atol_scale"),

@@ -5,7 +5,8 @@ negative feedback: each ILC reads the frequencies of the two MGs it
 connects, and each MG receives the scheduled load deviation plus the sum of
 the connection powers injected by its ILCs.  Grid-forming ILC sides couple
 through their inductive filter (angle state, power B*sin(eta)); the filter
-angles are part of the simulated ILC state.
+angles are part of the simulated ILC state.  The system's derivative is
+compiled once per system from the laws (see ``_Tape``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from numbers import Number
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .errors import (
     StepSizeUnderflow,
     ValidationError,
 )
-from .ilc import (IlcUnit, injected_powers, make_sim_derivative, make_sim_jacobian,
-                  sim_state_names)
+from .ilc import (IlcPhysical, IlcUnit, _collapse, injected_powers, make_sim_jacobian,
+                  sim_law, sim_state_names)
 from .mg import MgModel, default_rating, mg_linearize, mg_rhs
 from .network import ValidatedNetwork
 
@@ -73,6 +75,129 @@ class EquilibriumPoint:
     iterations: int  # Newton iterations it took
 
 
+# --- the compiled derivative ---------------------------------------------
+# OdeSystem.derivative runs one straight-line function per system, built by
+# evaluating every ILC's sim_law and every MG's mg_rhs once on traced
+# variables.  Each arithmetic operation on a traced variable appends one
+# assignment to the tape, in evaluation order, so the function performs the
+# laws' float operations in their order and raises what they raise.
+# Constants are bound by name, never written into the source, so the source
+# depends only on the system's structure and is compiled once per structure.
+
+
+def _binary(sign: str) -> tuple[Callable, Callable]:
+    """An operator of traced variables and its reflection."""
+    return (lambda self, other: self.tape.op(self, sign, other),
+            lambda self, other: self.tape.op(other, sign, self))
+
+
+class _Traced:
+    """A variable of a law being traced; see :class:`_Tape`."""
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, tape: _Tape, name: str):
+        self.tape, self.name = tape, name
+
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+
+    def __neg__(self):
+        return self.tape.assign(f"-{self.name}")
+
+    def _untraceable(self, *args):
+        raise TypeError("a comparison, bool, abs, ** or math call on a variable "
+                        "cannot be replayed")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _untraceable
+    __abs__ = __pow__ = __rpow__ = __round__ = __trunc__ = __floor__ = __ceil__ = _untraceable
+    __float__ = __int__ = __index__ = __complex__ = _untraceable
+
+
+class _Tape:
+    """The recorded lines and bound constants of one compiled derivative."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: list = []
+
+    def inputs(self, prefix: str, n: int) -> tuple[_Traced, ...]:
+        return tuple(_Traced(self, f"{prefix}{k}") for k in range(n))
+
+    def operand(self, value) -> str | None:
+        """The name of a traced variable or of a newly bound constant."""
+        if isinstance(value, _Traced):
+            return value.name
+        if isinstance(value, Number):
+            self.consts.append(value)
+            return f"c{len(self.consts) - 1}"
+        return None
+
+    def assign(self, expr: str) -> _Traced:
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return _Traced(self, name)
+
+    def op(self, left, sign: str, right):
+        a, b = self.operand(left), self.operand(right)
+        if a is None or b is None:
+            return NotImplemented
+        return self.assign(f"{a} {sign} {b}")
+
+    def dc_bus(self, phys: IlcPhysical) -> Callable:
+        """The DC-bus law dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the
+        powers leaving the two VSCs, and its collapse guard where it runs."""
+        c, vref, k_dc = phys.c, phys.v_dc_ref, phys.k_dc
+
+        def dc(p1, p2, vdc):
+            v_total = vdc + vref
+            self.lines.append(f"if {self.operand(v_total)} <= 0.0: "
+                              f"raise collapse({self.operand(vdc)}, {self.operand(vref)})")
+            return (-p1 / v_total - p2 / v_total - k_dc * vdc) / c
+
+        return dc
+
+    def filter_power(self, b: float) -> Callable:
+        """The inductive filter's law: power(eta) -> B*sin(eta) (W)."""
+        return lambda eta: b * self.assign(f"sin({self.operand(eta)})")
+
+    def function(self, n_y: int, n_loads: int, rates: list) -> Callable:
+        """derivative(y, loads) -> rates, running the recorded lines."""
+        returns = ", ".join(map(self.operand, rates))
+        params = ", ".join(["sin", "collapse", *(f"c{k}" for k in range(len(self.consts)))])
+        source = "\n".join([
+            f"def make({params}):",
+            "    def derivative(y, loads):",
+            "        " + "".join(f"y{k}, " for k in range(n_y)) + "= y",
+            "        " + "".join(f"l{k}, " for k in range(n_loads)) + "= loads",
+            *("        " + line for line in self.lines),
+            f"        return [{returns}]",
+            "    return derivative",
+        ])
+        return _factory(source)(math.sin, _collapse, *self.consts)
+
+
+@lru_cache(maxsize=64)
+def _factory(source: str) -> Callable:
+    """The ``make`` function that ``source`` defines, compiled once per text
+    (a process sees a few system structures, one text each)."""
+    namespace: dict = {}
+    exec(compile(source, "<compiled derivative>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _trace(owner: str, law: Callable, *args):
+    """``law(*args)`` on traced variables; an operation the tape cannot
+    replay raises TypeError naming ``owner``."""
+    try:
+        return law(*args)
+    except TypeError as exc:
+        raise TypeError(f"{owner}: its law cannot be compiled: {exc}") from exc
+
+
 class OdeSystem:
     """The assembled interconnection, ready to evaluate and integrate."""
 
@@ -107,28 +232,35 @@ class OdeSystem:
         self.state_atols = np.array(atols)
         self.dim = len(names)
 
-        self._mg_rhs = [mg_rhs(m) for m in self.models]
         self._mg_spans = spans[: net.n_mgs]
-        self._ilc_rhs = [make_sim_derivative(u) for u in self.units]
         self._ilc_spans = spans[net.n_mgs :]
 
     # -- evaluation ---------------------------------------------------------
 
     def derivative(self, t: float, y: Sequence[float], loads: Sequence[float] | None = None):
         """Full state derivative; ``loads`` are per-MG load deviations (W)."""
-        if loads is None:
-            loads = self.base_loads
-        omegas = [y[lo] for lo, _ in self._mg_spans]
-        p_in = list(loads)
+        return self._rhs(y, self.base_loads if loads is None else loads)
+
+    @cached_property
+    def _rhs(self) -> Callable:
+        """rhs(y, loads) -> rates, compiled from every ILC's and then every
+        MG's law, each port power added into its MG's input in ILC order.
+        Built on first use."""
+        tape = _Tape()
+        y = tape.inputs("y", self.dim)
+        p_in = list(tape.inputs("l", self.net.n_mgs))
         rates = [0.0] * self.dim
-        for rhs, (lo, hi), (a, b) in zip(self._ilc_rhs, self._ilc_spans, self.net.ends):
-            seg_rates, pa, pb = rhs(y[lo:hi], omegas[a], omegas[b])
+        for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self.net.ends):
+            law = sim_law(unit, tape.dc_bus(unit.physical), tape.filter_power(unit.physical.b))
+            seg_rates, pa, pb = _trace(f"scheme {unit.scheme!r}", law, y[lo:hi],
+                                       y[self._mg_spans[a][0]], y[self._mg_spans[b][0]])
             rates[lo:hi] = seg_rates
             p_in[a] += pa
             p_in[b] += pb
-        for rhs, (lo, hi), p in zip(self._mg_rhs, self._mg_spans, p_in):
-            rates[lo:hi] = rhs(y[lo:hi], p)
-        return rates
+        for model, (lo, hi), p in zip(self.models, self._mg_spans, p_in):
+            rates[lo:hi] = _trace(f"MG model {type(model).__name__}", mg_rhs(model),
+                                  y[lo:hi], p)
+        return tape.function(self.dim, self.net.n_mgs, rates)
 
     @cached_property
     def _jacobian_parts(self) -> tuple[np.ndarray, list]:
@@ -185,11 +317,15 @@ def find_equilibrium(
 
     Converged when the scaled residual infinity norm drops below
     ``1e-8 * max(1, scaled state magnitude)``; at most 50 iterations.
+    Loads that are not one finite value per MG, or a guess that is not
+    ``ode.dim`` finite values, raise :class:`ValidationError`.
     """
     loads = tuple(ode.base_loads if loads is None else loads)
+    if len(loads) != ode.net.n_mgs or not all(map(math.isfinite, loads)):
+        raise ValidationError(f"loads must hold {ode.net.n_mgs} finite values")
     x = np.zeros(ode.dim) if guess is None else np.asarray(guess, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("equilibrium guess must be finite")
+    if x.shape != (ode.dim,) or not np.all(np.isfinite(x)):
+        raise ValidationError(f"equilibrium guess must hold {ode.dim} finite values")
     scales = ode.state_scales
 
     def residual(vec):
@@ -537,6 +673,12 @@ def _hermite_samples(y0, f0, y1, f1, h, atol, rtol):
     return s[:, 0], states
 
 
+def _all_finite(values: list[float]) -> bool:
+    """Whether every value is finite: a finite sum proves it, and only a
+    non-finite one (a non-finite entry, or an overflow) is scanned."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def _when(t: float, t_next: float | None) -> str:
     if t_next is None:
         return f"at t = {t:.4f} s"
@@ -617,6 +759,8 @@ def integrate(
         if later.time < earlier.time:
             raise ValidationError("events must be sorted by time")
     for ev in events:
+        if not (math.isfinite(ev.time) and math.isfinite(ev.delta_p_load)):
+            raise ValidationError(f"event time and load step must be finite: {ev}")
         if not (0 <= ev.mg < ode.net.n_mgs):
             raise ValidationError(f"event references MG {ev.mg + 1}")
 
@@ -662,7 +806,7 @@ def integrate(
         for idx, limit, label in bound_checks:
             if abs(y[idx]) > limit:
                 return f"{label} exceeded {limit:g} {_when(t, t_next)}"
-        if not all(math.isfinite(v) for v in y):
+        if not _all_finite(y):
             return f"non-finite state {_when(t, t_next)}"
         return None
 

@@ -35,10 +35,11 @@ gfl-gfm-dual-droop      mixed gfm-dual-droop on the forming side, dual
 Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
 its port kind, unit states, required gains and the builder of its
 equations (controller law and converter lags in one closure, on the DC-bus
-and filter power laws it is given).  Everything else in this module reads
-the record: the simulated equations, the exact Jacobians of the unit and
-of its simulated form, and the powers a simulated unit injects into its
-grids all come from the same equations, so a law is written once.
+and filter power laws it is given).  Everything reads the record: the
+simulation's derivative (compiled once per system from the laws, in
+``engine``), the exact Jacobians of the unit and of its simulated form, and
+the powers a simulated unit injects into its grids all come from the same
+equations, so a law is written once.
 
 The converter catalogue, :data:`PHYSICAL_DEFAULTS` and
 :data:`GAIN_DEFAULTS` in scenario-file spelling, gives the defaults of
@@ -175,29 +176,6 @@ def _collapse(vdc: float, vref: float) -> DcVoltageCollapse:
     )
 
 
-def _dc_bus(phys: IlcPhysical) -> Callable:
-    """The DC-bus law: dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the powers
-    leaving the two VSCs."""
-    c, vref, k_dc = phys.c, phys.v_dc_ref, phys.k_dc
-
-    def dc(p1, p2, vdc):
-        v_total = vdc + vref
-        if v_total <= 0.0:
-            raise _collapse(vdc, vref)
-        return (-p1 / v_total - p2 / v_total - k_dc * vdc) / c
-
-    return dc
-
-
-def _filter_power(b: float) -> Callable:
-    """The inductive filter's law: power(eta) -> B*sin(eta) (W)."""
-
-    def power(eta):
-        return b * math.sin(eta)
-
-    return power
-
-
 def _column(v: np.ndarray) -> int:
     """The variable a unit vector stands for."""
     (k,) = np.flatnonzero(v)
@@ -215,7 +193,12 @@ def _derive(build: Callable, n: int, phys: IlcPhysical) -> Callable:
     through.  Each call fills in the DC-bus row and multiplies every
     filter-angle column by B*cos(eta).  Apart from those two laws, a law
     must be linear in its variables: a constant term or a product of two
-    variables would derive silently wrong rows.
+    variables would derive silently wrong rows.  The engine's compiled
+    derivative traces the same law once per system, and asks of it that it
+    apply only + - * / and unary minus to its variables, besides the two
+    laws, and never branch on a variable: a comparison, ``bool``, ``abs``,
+    ``**`` or a math call on a variable raises when the derivative is
+    built.
     """
     dc_cols, angles = [], set()
 
@@ -253,13 +236,13 @@ def _derive(build: Callable, n: int, phys: IlcPhysical) -> Callable:
 # --- the schemes ---------------------------------------------------------
 # Per scheme: an rhs builder (gains, physical, dc, power) -> rhs(y, in1,
 # in2) that returns (rates, out1, out2), written on the DC-bus law dc(p1,
-# p2, vdc) and the filter power law power(eta) it is given.  The simulation
-# runs it on the real laws, _derive on stubs that give its Jacobians, and
-# injected_powers on array stubs that give its port powers over a
-# trajectory.  Inputs are the two connection frequencies for GFL/partial
-# units and the two powers leaving the converter (p1, p2) for GFM units;
-# outputs are those powers for GFL/partial units and the frequency
-# references for GFM units.
+# p2, vdc) and the filter power law power(eta) it is given.  The engine
+# traces it on hooks for the two laws into its compiled derivative, _derive
+# evaluates it on stubs that give its Jacobians, and injected_powers on
+# array stubs that give its port powers over a trajectory.  Inputs are the
+# two connection frequencies for GFL/partial units and the two powers
+# leaving the converter (p1, p2) for GFM units; outputs are those powers for
+# GFL/partial units and the frequency references for GFM units.
 
 
 def _dfd1_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
@@ -480,7 +463,7 @@ def _unit_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
     return SCHEME[unit.scheme].rhs(unit.gains, unit.physical, dc, power)
 
 
-def _sim_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
+def sim_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
     """rhs(y, w1, w2) -> (rates, p1, p2) of one unit as the engine integrates
     it, on the given laws: grid-forming units put the two filter angles
     first and feed the unit the filter powers."""
@@ -527,22 +510,11 @@ def ilc_jacobian(unit: IlcUnit, state, inputs) -> np.ndarray:
     return _unit_jacobian(unit)(tuple(state), *inputs)
 
 
-def make_sim_derivative(unit: IlcUnit) -> Callable:
-    """Simulation-facing derivative: rhs(y, w1, w2) -> (rates, p1, p2).
-
-    ``w1, w2`` are the frequencies of the two connected MGs; ``p1, p2`` are
-    the powers the ILC injects into them.  Grid-forming sides go through
-    the inductive filter: the returned state starts with the two filter
-    angles and p_i = B*sin(eta_i).
-    """
-    return _sim_law(unit, _dc_bus(unit.physical), _filter_power(unit.physical.b))
-
-
 @lru_cache(maxsize=None)
 def make_sim_jacobian(unit: IlcUnit) -> Callable:
-    """jac(y, w1, w2) -> the exact partials of :func:`make_sim_derivative`'s
-    (rates, p1, p2) by (y, w1, w2), derived from the same law."""
-    return _derive(partial(_sim_law, unit), len(sim_state_names(unit)), unit.physical)
+    """jac(y, w1, w2) -> the exact partials of :func:`sim_law`'s (rates,
+    p1, p2) by (y, w1, w2)."""
+    return _derive(partial(sim_law, unit), len(sim_state_names(unit)), unit.physical)
 
 
 def injected_powers(unit: IlcUnit, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -558,5 +530,5 @@ def injected_powers(unit: IlcUnit, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return b * np.sin(eta)
 
     with np.errstate(all="ignore"):  # a truncated run may end on a non-finite sample
-        _, p1, p2 = _sim_law(unit, dc, power)(y.T, 0.0, 0.0)
+        _, p1, p2 = sim_law(unit, dc, power)(y.T, 0.0, 0.0)
     return p1, p2

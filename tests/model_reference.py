@@ -4,7 +4,9 @@ The package defines each scheme by its law alone (``ilc.SCHEME``).  This
 module states each scheme's steady state a second time, in closed form and
 derived by hand, so that the tests can check the law and the numeric
 equilibria against it.  It also keeps the scalar wrappers of the unit and
-simulated laws that only the tests call.
+simulated laws that only the tests call, and the interpreted derivative of
+an ``OdeSystem`` (every law run on the real DC bus and filter at each
+call), the reference the compiled derivative must equal bit for bit.
 """
 
 import math
@@ -14,7 +16,8 @@ from typing import Callable
 
 from multigrid_ilc import ilc
 from multigrid_ilc.errors import NumericalError
-from multigrid_ilc.ilc import GFM, Gains, IlcPhysical, IlcUnit, make_sim_derivative
+from multigrid_ilc.ilc import GFM, Gains, IlcPhysical, IlcUnit
+from multigrid_ilc.mg import mg_rhs
 
 
 class NoEquilibrium(NumericalError):
@@ -157,10 +160,62 @@ def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float
     )
 
 
+def dc_bus(phys: IlcPhysical) -> Callable:
+    """The DC-bus law: dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the powers
+    leaving the two VSCs."""
+    c, vref, k_dc = phys.c, phys.v_dc_ref, phys.k_dc
+
+    def dc(p1, p2, vdc):
+        v_total = vdc + vref
+        if v_total <= 0.0:
+            raise ilc._collapse(vdc, vref)
+        return (-p1 / v_total - p2 / v_total - k_dc * vdc) / c
+
+    return dc
+
+
+def filter_power(b: float) -> Callable:
+    """The inductive filter's law: power(eta) -> B*sin(eta) (W)."""
+
+    def power(eta):
+        return b * math.sin(eta)
+
+    return power
+
+
 @lru_cache(maxsize=None)
 def unit_rhs(unit: IlcUnit) -> Callable:
     """The unit equations on the real DC bus and filter, built once per unit."""
-    return ilc._unit_law(unit, ilc._dc_bus(unit.physical), ilc._filter_power(unit.physical.b))
+    return ilc._unit_law(unit, dc_bus(unit.physical), filter_power(unit.physical.b))
+
+
+def make_sim_derivative(unit: IlcUnit) -> Callable:
+    """Simulation-facing derivative: rhs(y, w1, w2) -> (rates, p1, p2).
+
+    ``w1, w2`` are the frequencies of the two connected MGs; ``p1, p2`` are
+    the powers the ILC injects into them.  Grid-forming sides go through
+    the inductive filter: the returned state starts with the two filter
+    angles and p_i = B*sin(eta_i).
+    """
+    return ilc.sim_law(unit, dc_bus(unit.physical), filter_power(unit.physical.b))
+
+
+def reference_derivative(ode, t, y, loads=None) -> list:
+    """The interpreted ``ode.derivative``: each ILC's simulated law, its port
+    powers added into its MGs' inputs, then each MG's law."""
+    if loads is None:
+        loads = ode.base_loads
+    omegas = [y[lo] for lo, _ in ode._mg_spans]
+    p_in = list(loads)
+    rates = [0.0] * ode.dim
+    for unit, (lo, hi), (a, b) in zip(ode.units, ode._ilc_spans, ode.net.ends):
+        seg_rates, pa, pb = make_sim_derivative(unit)(y[lo:hi], omegas[a], omegas[b])
+        rates[lo:hi] = seg_rates
+        p_in[a] += pa
+        p_in[b] += pb
+    for model, (lo, hi), p in zip(ode.models, ode._mg_spans, p_in):
+        rates[lo:hi] = mg_rhs(model)(y[lo:hi], p)
+    return rates
 
 
 def ilc_derivative(unit: IlcUnit, state, inputs) -> tuple[float, ...]:

@@ -170,6 +170,65 @@ def test_integrate_rejects_bad_input(two_mg_resolved, x0, t_span, options, messa
                   dataclasses.replace(bundle.options, **options))
 
 
+@pytest.mark.parametrize("event", [
+    LoadEvent(math.nan, 0, -1e6),
+    LoadEvent(2.0, 0, math.nan),
+    LoadEvent(2.0, 0, math.inf),
+], ids=["time-nan", "delta-nan", "delta-inf"])
+def test_integrate_rejects_non_finite_events(two_mg_resolved, monkeypatch, event):
+    """An event time or load step that is not finite raises ValidationError
+    before the first derivative call."""
+    ode = build_system(two_mg_resolved).ode
+    monkeypatch.setattr(ode, "derivative", None)
+    with pytest.raises(ValidationError, match="must be finite"):
+        integrate(ode, [0.0] * ode.dim, (event,), (0.0, 5.0))
+
+
+@pytest.mark.parametrize("loads, guess, message", [
+    (None, lambda dim: zeros(dim + 1), "guess must hold"),
+    (None, lambda dim: zeros(dim - 1), "guess must hold"),
+    ([0.0, 0.0, 0.0], None, "loads must hold"),
+    ([0.0], None, "loads must hold"),
+    ([math.nan, 0.0], None, "loads must hold"),
+], ids=["guess-long", "guess-short", "loads-long", "loads-short", "loads-nan"])
+def test_find_equilibrium_rejects_bad_input(two_mg_resolved, loads, guess, message):
+    """A guess of the wrong length, or loads that are not one finite value
+    per MG, raise ValidationError."""
+    ode = build_system(two_mg_resolved).ode
+    with pytest.raises(ValidationError, match=message):
+        find_equilibrium(ode, loads, None if guess is None else guess(ode.dim))
+
+
+def test_finiteness_screen_is_exact():
+    """The endpoint screen proves finiteness from the sum and scans only when
+    the sum is not finite: an overflowing sum of finite entries passes, and
+    any NaN or infinite entry fails."""
+    assert engine._all_finite([1e308, 1e308, 0.0])
+    assert not engine._all_finite([1e308, math.nan, 1e308])
+    assert not engine._all_finite([0.0, math.nan])
+    assert not engine._all_finite([math.inf, -math.inf])
+
+
+def test_overflowing_state_sum_is_not_a_non_finite_state():
+    """Two power states at 1e308 (finite, with an infinite sum) do not
+    truncate a run."""
+
+    class Still:
+        dim = 2
+        state_names = ("ilc1.p1", "ilc1.p2")
+        state_scales = np.array([1e5, 1e5])
+        state_atols = np.array([1e-3, 1e-3])
+        models = ()
+
+        @staticmethod
+        def derivative(t, y, loads=None):
+            return [0.0, 0.0]
+
+    traj = integrate(Still, [1e308, 1e308], (), (0.0, 1.0))
+    assert not traj.truncated
+    assert traj.t[-1] == 1.0 and traj.y[-1].tolist() == [1e308, 1e308]
+
+
 def test_determinism_bit_identical():
     ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
     events = (LoadEvent(0.5, 0, -1e6),)

@@ -26,7 +26,6 @@ from multigrid_ilc.ilc import (
     IlcUnit,
     Scheme,
     ilc_jacobian,
-    make_sim_derivative,
     make_sim_jacobian,
     sim_state_names,
     unit_state_names,
@@ -36,7 +35,7 @@ from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
 from jacobian_reference import finite_difference_jacobian
-from model_reference import ilc_derivative, ilc_output, unit_rhs
+from model_reference import ilc_derivative, ilc_output, make_sim_derivative, unit_rhs
 from test_ilc import unit_for
 
 N_STATES = 20

@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import EquilibriumPoint, OdeSystem
+from .engine import EquilibriumPoint, OdeSystem, ilc_jacobian
 from .errors import SingularResolvent, ValidationError
-from .ilc import GFM, IlcUnit, ilc_jacobian, unit_state_names
+from .ilc import GFM, IlcUnit, unit_state_names
 from .linear import LinearSystem, transfer_matrix, transfer_stack
 
 __all__ = [

@@ -5,8 +5,9 @@ negative feedback: each ILC reads the frequencies of the two MGs it
 connects, and each MG receives the scheduled load deviation plus the sum of
 the connection powers injected by its ILCs.  Grid-forming ILC sides couple
 through their inductive filter (angle state, power B*sin(eta)); the filter
-angles are part of the simulated ILC state.  The system's derivative is
-compiled once per system from the laws (see ``_Tape``).
+angles are part of the simulated ILC state.  The system's derivative and
+its exact Jacobian are compiled from one trace of the laws, and each ILC
+unit's Jacobian from a trace of its law (see ``_Tape``).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .errors import (
     StepSizeUnderflow,
     ValidationError,
 )
-from .ilc import (IlcPhysical, IlcUnit, _collapse, injected_powers, make_sim_jacobian,
-                  sim_law, sim_state_names)
-from .mg import MgModel, default_rating, mg_linearize, mg_rhs
+from .ilc import (IlcPhysical, IlcUnit, _check_state, _collapse, _unit_law, injected_powers,
+                  sim_law, sim_state_names, unit_state_names)
+from .mg import MgModel, default_rating, mg_rhs
 from .network import ValidatedNetwork
 
 def scales_and_atols(
@@ -75,7 +76,7 @@ class EquilibriumPoint:
     iterations: int  # Newton iterations it took
 
 
-# --- the compiled derivative ---------------------------------------------
+# --- the compiled derivative and Jacobian --------------------------------
 # OdeSystem.derivative runs one straight-line function per system, built by
 # evaluating every ILC's sim_law and every MG's mg_rhs once on traced
 # variables.  Each arithmetic operation on a traced variable appends one
@@ -83,6 +84,14 @@ class EquilibriumPoint:
 # laws' float operations in their order and raises what they raise.
 # Constants are bound by name, never written into the source, so the source
 # depends only on the system's structure and is compiled once per structure.
+# The trace also differentiates the laws in forward mode (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., ch. 3): each operation records its
+# result's partials by the sum, product and quotient rules, and the DC-bus
+# and filter laws their own, as lines only the Jacobian runs.  Constant
+# factors fold into a partial's coefficient, so a law linear but for the two
+# laws gets, bit for bit, the partials of its evaluation on unit vectors.  A
+# law may apply only + - * / and unary minus to its variables, besides the
+# two laws, and never branch on a variable.
 
 
 def _binary(sign: str) -> tuple[Callable, Callable]:
@@ -92,13 +101,13 @@ def _binary(sign: str) -> tuple[Callable, Callable]:
 
 
 class _Traced:
-    """A variable of a law being traced; see :class:`_Tape`."""
+    """A variable of a law being traced, with its partials (see :class:`_Tape`)."""
 
-    __slots__ = ("tape", "name")
+    __slots__ = ("tape", "name", "grad")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
-    def __init__(self, tape: _Tape, name: str):
-        self.tape, self.name = tape, name
+    def __init__(self, tape: _Tape, name: str, grad: dict):
+        self.tape, self.name, self.grad = tape, name, grad
 
     __add__, __radd__ = _binary("+")
     __sub__, __rsub__ = _binary("-")
@@ -106,7 +115,7 @@ class _Traced:
     __truediv__, __rtruediv__ = _binary("/")
 
     def __neg__(self):
-        return self.tape.assign(f"-{self.name}")
+        return self.tape.assign(f"-{self.name}", {k: (-c, f) for k, (c, f) in self.grad.items()})
 
     def _untraceable(self, *args):
         raise TypeError("a comparison, bool, abs, ** or math call on a variable "
@@ -117,15 +126,39 @@ class _Traced:
     __float__ = __int__ = __index__ = __complex__ = _untraceable
 
 
-class _Tape:
-    """The recorded lines and bound constants of one compiled derivative."""
+def _grad(x) -> dict:
+    return x.grad if isinstance(x, _Traced) else {}
 
-    def __init__(self):
+
+def _value(d: tuple):
+    """A partial's value from its pair (see :class:`_Tape`)."""
+    c, f = d
+    return c if f is None else c * f
+
+
+class _Tape:
+    """The recorded lines and bound constants of one traced law, and in
+    ``d`` those of its partials, a tape of its own.  A traced variable's
+    partials map the Jacobian column of each variable it depends on to a
+    pair (coefficient, factor): a number, times a variable of ``d`` unless
+    that is None.
+    """
+
+    def __init__(self, names: str = "vc"):
         self.lines: list[str] = []
         self.consts: list = []
+        self.var, self.const = names  # prefixes of line and constant names
+        self.d = _Tape("dk") if names == "vc" else None
 
-    def inputs(self, prefix: str, n: int) -> tuple[_Traced, ...]:
-        return tuple(_Traced(self, f"{prefix}{k}") for k in range(n))
+    def inputs(self, prefix: str, n: int, first: int | None = None) -> tuple[_Traced, ...]:
+        """``n`` variables: given ``first``, those of the Jacobian's columns
+        from ``first`` on, else inputs that its partials ignore."""
+        return tuple(_Traced(self, f"{prefix}{k}", {} if first is None else {first + k: (1.0, None)})
+                     for k in range(n))
+
+    def ref(self, x):
+        """A traced variable as one of this tape with no partials."""
+        return _Traced(self, x.name, {}) if isinstance(x, _Traced) else x
 
     def operand(self, value) -> str | None:
         """The name of a traced variable or of a newly bound constant."""
@@ -133,57 +166,128 @@ class _Tape:
             return value.name
         if isinstance(value, Number):
             self.consts.append(value)
-            return f"c{len(self.consts) - 1}"
+            return f"{self.const}{len(self.consts) - 1}"
         return None
 
-    def assign(self, expr: str) -> _Traced:
-        name = f"v{len(self.lines)}"
+    def assign(self, expr: str, grad: dict) -> _Traced:
+        name = f"{self.var}{len(self.lines)}"
         self.lines.append(f"{name} = {expr}")
-        return _Traced(self, name)
+        return _Traced(self, name, grad)
 
     def op(self, left, sign: str, right):
         a, b = self.operand(left), self.operand(right)
         if a is None or b is None:
             return NotImplemented
-        return self.assign(f"{a} {sign} {b}")
+        out = self.assign(f"{a} {sign} {b}", {})
+        da, db = _grad(left), _grad(right)
+        if not (da or db):
+            return out
+        if sign == "-":
+            db = self.chain(db, "*", -1.0)
+        elif sign == "*":
+            da, db = self.chain(da, "*", right), self.chain(db, "*", left)
+        elif sign == "/":  # d(a/b) = da/b - (a/b)/b * db
+            ratio = self.d.ref(out) / self.d.ref(right) if db else None
+            da, db = self.chain(da, "/", right), self.chain(self.chain(db, "*", ratio), "*", -1.0)
+        out.grad = self.combine(da, db)
+        return out
+
+    def chain(self, grad: dict, sign: str, x) -> dict:
+        """The partials ``grad`` times or over ``x``: a number folds into
+        their coefficients, a traced variable into their factors."""
+        if isinstance(x, Number):
+            return {k: (c * x if sign == "*" else c / x, f) for k, (c, f) in grad.items()}
+        x = self.d.ref(x)
+        if sign == "*":
+            return {k: (c, x if f is None else f * x) for k, (c, f) in grad.items()}
+        return {k: (1.0, _value(d) / x) for k, d in grad.items()}
+
+    @staticmethod
+    def combine(*grads: dict) -> dict:
+        """The sum of partials."""
+        out: dict = {}
+        for grad in grads:
+            for k, (c, f) in grad.items():
+                if k in out and out[k][1] is not f:
+                    out[k] = (1.0, _value(out[k]) + _value((c, f)))
+                else:
+                    out[k] = (out[k][0] + c if k in out else c, f)
+        return out
 
     def dc_bus(self, phys: IlcPhysical) -> Callable:
         """The DC-bus law dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the
-        powers leaving the two VSCs, and its collapse guard where it runs."""
+        powers leaving the two VSCs, its collapse guard where it runs, and
+        its partials."""
         c, vref, k_dc = phys.c, phys.v_dc_ref, phys.k_dc
 
         def dc(p1, p2, vdc):
-            v_total = vdc + vref
+            q1, q2, v = map(self.ref, (p1, p2, vdc))
+            v_total = v + vref
             self.lines.append(f"if {self.operand(v_total)} <= 0.0: "
-                              f"raise collapse({self.operand(vdc)}, {self.operand(vref)})")
-            return (-p1 / v_total - p2 / v_total - k_dc * vdc) / c
+                              f"raise collapse({self.operand(v)}, {self.operand(vref)})")
+            out = (-q1 / v_total - q2 / v_total - k_dc * v) / c
+            r1, r2, vt = map(self.d.ref, (q1, q2, v_total))
+            by_p = -1.0 / (c * vt)
+            by_v = ((r1 + r2) / (vt * vt) - k_dc) / c
+            out.grad = self.combine(*(self.chain(_grad(x), "*", d)
+                                      for x, d in ((p1, by_p), (p2, by_p), (vdc, by_v))))
+            return out
 
         return dc
 
     def filter_power(self, b: float) -> Callable:
-        """The inductive filter's law: power(eta) -> B*sin(eta) (W)."""
-        return lambda eta: b * self.assign(f"sin({self.operand(eta)})")
+        """The inductive filter's law: power(eta) -> B*sin(eta) (W), with
+        the partial B*cos(eta)."""
 
-    def function(self, n_y: int, n_loads: int, rates: list) -> Callable:
-        """derivative(y, loads) -> rates, running the recorded lines."""
-        returns = ", ".join(map(self.operand, rates))
-        params = ", ".join(["sin", "collapse", *(f"c{k}" for k in range(len(self.consts)))])
+        def power(eta):
+            name = self.operand(eta)
+            out = b * self.assign(f"sin({name})", {})
+            if _grad(eta):
+                out.grad = self.chain(eta.grad, "*", b * self.d.assign(f"cos({name})", {}))
+            return out
+
+        return power
+
+    def finish(self, outputs: list) -> None:
+        """Record the traced law's outputs."""
+        self.returns = ", ".join(map(self.operand, outputs))
+        self.rows = [_grad(v) for v in outputs]
+
+    def derivative(self, n_y: int, n_loads: int) -> Callable:
+        """derivative(y, loads) -> the outputs, running the recorded lines."""
+        return self._compile("derivative", n_y, n_loads, [f"return [{self.returns}]"],
+                             {"sin": math.sin, "collapse": _collapse})
+
+    def jacobian(self, n_y: int, n_loads: int, n_cols: int) -> Callable:
+        """jacobian(y, loads) -> the partials of the outputs, as a new matrix
+        of ``n_cols`` columns written at its structural nonzeros only."""
+        entries = [(i * n_cols + k, d) for i, row in enumerate(self.rows) for k, d in row.items()]
+        values = ", ".join(self.d.operand(_value(d)) for _, d in entries)
+        bound = {"sin": math.sin, "cos": math.cos, "collapse": _collapse, "zeros": np.zeros,
+                 "index": np.array([i for i, _ in entries], dtype=np.intp),
+                 **{f"k{k}": v for k, v in enumerate(self.d.consts)}}
+        return self._compile("jacobian", n_y, n_loads, [
+            *self.d.lines, f"jac = zeros(({len(self.rows)}, {n_cols}))",
+            f"jac.put(index, [{values}])", "return jac"], bound)
+
+    def _compile(self, name: str, n_y: int, n_loads: int, tail: list, bound: dict):
+        bound.update((f"c{k}", v) for k, v in enumerate(self.consts))
         source = "\n".join([
-            f"def make({params}):",
-            "    def derivative(y, loads):",
+            f"def make({', '.join(bound)}):",
+            f"    def {name}(y, loads):",
             "        " + "".join(f"y{k}, " for k in range(n_y)) + "= y",
             "        " + "".join(f"l{k}, " for k in range(n_loads)) + "= loads",
-            *("        " + line for line in self.lines),
-            f"        return [{returns}]",
-            "    return derivative",
+            *("        " + line for line in [*self.lines, *tail]),
+            f"    return {name}",
         ])
-        return _factory(source)(math.sin, _collapse, *self.consts)
+        return _factory(source)(*bound.values())
 
 
 @lru_cache(maxsize=64)
 def _factory(source: str) -> Callable:
     """The ``make`` function that ``source`` defines, compiled once per text
-    (a process sees a few system structures, one text each)."""
+    (a process sees a few system structures, two texts each, and one text
+    per unit Jacobian)."""
     namespace: dict = {}
     exec(compile(source, "<compiled derivative>", "exec"), namespace)
     return namespace["make"]
@@ -196,6 +300,30 @@ def _trace(owner: str, law: Callable, *args):
         return law(*args)
     except TypeError as exc:
         raise TypeError(f"{owner}: its law cannot be compiled: {exc}") from exc
+
+
+@lru_cache(maxsize=None)
+def _unit_law_jacobian(unit: IlcUnit) -> Callable:
+    """jacobian(state, inputs), compiled from the unit's law traced with
+    its state and both inputs as the variables of the Jacobian."""
+    tape = _Tape()
+    n = len(unit_state_names(unit))
+    law = _unit_law(unit, tape.dc_bus(unit.physical), tape.filter_power(unit.physical.b))
+    rates, out1, out2 = _trace(f"scheme {unit.scheme!r}", law, tape.inputs("y", n, 0),
+                               *tape.inputs("l", 2, n))
+    tape.finish([*rates, out1, out2])
+    return tape.jacobian(n, 2, n + 2)
+
+
+def ilc_jacobian(unit: IlcUnit, state, inputs) -> np.ndarray:
+    """Exact partials of one unit's (rates, out1, out2) by (state, in1,
+    in2), derived from its law, as a new matrix.  Inputs and outputs are
+    the law's own: GFL and partial units take (omega1, omega2) and put out
+    the powers leaving the converter, GFM units take those powers and put
+    out their frequency references (``linearize_unit`` turns them into the
+    passivity port convention)."""
+    _check_state(unit, state, inputs)
+    return _unit_law_jacobian(unit)(list(map(float, state)), list(map(float, inputs)))
 
 
 class OdeSystem:
@@ -242,12 +370,13 @@ class OdeSystem:
         return self._rhs(y, self.base_loads if loads is None else loads)
 
     @cached_property
-    def _rhs(self) -> Callable:
-        """rhs(y, loads) -> rates, compiled from every ILC's and then every
-        MG's law, each port power added into its MG's input in ILC order.
-        Built on first use."""
+    def _tape(self) -> _Tape:
+        """Every ILC's and then every MG's law traced once on the state as
+        the variables of the Jacobian, each port power added into its MG's
+        input in ILC order; the loads are not variables, so they drop out
+        of the Jacobian.  Built on first use."""
         tape = _Tape()
-        y = tape.inputs("y", self.dim)
+        y = tape.inputs("y", self.dim, 0)
         p_in = list(tape.inputs("l", self.net.n_mgs))
         rates = [0.0] * self.dim
         for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self.net.ends):
@@ -260,38 +389,24 @@ class OdeSystem:
         for model, (lo, hi), p in zip(self.models, self._mg_spans, p_in):
             rates[lo:hi] = _trace(f"MG model {type(model).__name__}", mg_rhs(model),
                                   y[lo:hi], p)
-        return tape.function(self.dim, self.net.n_mgs, rates)
+        tape.finish(rates)
+        return tape
 
     @cached_property
-    def _jacobian_parts(self) -> tuple[np.ndarray, list]:
-        """The MG blocks, and per ILC its sim Jacobian with the maps that
-        place it: rows (its rates; its port powers through each MG's input
-        map) and columns (its state; the MG frequencies).  Built on first use."""
-        mg_jac = np.zeros((self.dim, self.dim))
-        mg_inputs = np.zeros((self.dim, self.net.n_mgs))
-        for j, (model, (lo, hi)) in enumerate(zip(self.models, self._mg_spans)):
-            lin = mg_linearize(model)
-            mg_jac[lo:hi, lo:hi] = lin.a
-            mg_inputs[lo:hi, j] = lin.b[:, 0]
-        ilcs = []
-        for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self.net.ends):
-            omegas = self._mg_spans[a][0], self._mg_spans[b][0]
-            rows = np.zeros((self.dim, hi - lo + 2))
-            rows[lo:hi, : hi - lo] = np.eye(hi - lo)
-            rows[:, hi - lo :] = mg_inputs[:, (a, b)]
-            cols = np.eye(self.dim)[[*range(lo, hi), *omegas]]
-            ilcs.append((make_sim_jacobian(unit), lo, hi, omegas, rows, cols))
-        return mg_jac, ilcs
+    def _rhs(self) -> Callable:
+        """rhs(y, loads) -> rates, compiled from the traced laws on first use."""
+        return self._tape.derivative(self.dim, self.net.n_mgs)
+
+    @cached_property
+    def _jacobian(self) -> Callable:
+        """jacobian(y, loads), compiled from the traced laws on first use."""
+        return self._tape.jacobian(self.dim, self.net.n_mgs, self.dim)
 
     def jacobian(self, y: Sequence[float]) -> np.ndarray:
         """Exact Jacobian of :meth:`derivative` at ``y`` (the loads enter
         additively and drop out).  Raises :class:`DcVoltageCollapse` wherever
         the derivative does."""
-        mg_jac, ilcs = self._jacobian_parts
-        jac = mg_jac.copy()
-        for ilc_jac, lo, hi, (wa, wb), rows, cols in ilcs:
-            jac += rows @ ilc_jac(y[lo:hi], y[wa], y[wb]) @ cols
-        return jac
+        return self._jacobian(np.asarray(y, dtype=float).tolist(), self.base_loads)
 
     def column(self, kind: str, index: int, name: str) -> int:
         """Position of state ``name`` of MG or ILC ``index`` (0-based) in

@@ -36,10 +36,10 @@ Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
 its port kind, unit states, required gains and the builder of its
 equations (controller law and converter lags in one closure, on the DC-bus
 and filter power laws it is given).  Everything reads the record: the
-simulation's derivative (compiled once per system from the laws, in
-``engine``), the exact Jacobians of the unit and of its simulated form, and
-the powers a simulated unit injects into its grids all come from the same
-equations, so a law is written once.
+simulation's derivative and the exact Jacobians of the unit and of the
+system (compiled from traces of the laws, in ``engine``), and the powers
+a simulated unit injects into its grids all come from the same equations,
+so a law is written once.
 
 The converter catalogue, :data:`PHYSICAL_DEFAULTS` and
 :data:`GAIN_DEFAULTS` in scenario-file spelling, gives the defaults of
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -176,70 +175,13 @@ def _collapse(vdc: float, vref: float) -> DcVoltageCollapse:
     )
 
 
-def _column(v: np.ndarray) -> int:
-    """The variable a unit vector stands for."""
-    (k,) = np.flatnonzero(v)
-    return int(k)
-
-
-def _derive(build: Callable, n: int, phys: IlcPhysical) -> Callable:
-    """jac(y, in1, in2) -> the exact partials of (rates, out1, out2) by
-    (y, in1, in2) of the law ``build(dc, power)`` with ``n`` states.
-
-    The law is evaluated once on the unit vectors of (y, in1, in2), which
-    gives its linear partials, with stubs for its only nonlinear parts: the
-    DC bus records which variables are p1, p2 and vdc and returns None for
-    its row, and the filter power B*sin(eta) passes eta's unit vector
-    through.  Each call fills in the DC-bus row and multiplies every
-    filter-angle column by B*cos(eta).  Apart from those two laws, a law
-    must be linear in its variables: a constant term or a product of two
-    variables would derive silently wrong rows.  The engine's compiled
-    derivative traces the same law once per system, and asks of it that it
-    apply only + - * / and unary minus to its variables, besides the two
-    laws, and never branch on a variable: a comparison, ``bool``, ``abs``,
-    ``**`` or a math call on a variable raises when the derivative is
-    built.
-    """
-    dc_cols, angles = [], set()
-
-    def dc(p1, p2, vdc):
-        dc_cols.extend(_column(v) for v in (p1, p2, vdc))
-
-    def power(eta):
-        angles.add(_column(eta))
-        return eta
-
-    eye = np.eye(n + 2)
-    rates, out1, out2 = build(dc, power)(eye[:n], eye[n], eye[n + 1])
-    rows = [*rates, out1, out2]
-    r = next(i for i, row in enumerate(rows) if row is None)
-    base = np.array([np.zeros(n + 2) if row is None else row for row in rows])
-    c_p1, c_p2, c_v = dc_cols
-    c, vref, k_dc, b = phys.c, phys.v_dc_ref, phys.k_dc, phys.b
-
-    def jac(y, u1, u2):
-        z = (*y, u1, u2)
-        p1, p2 = (b * math.sin(z[k]) if k in angles else z[k] for k in (c_p1, c_p2))
-        v_total = z[c_v] + vref
-        if v_total <= 0.0:
-            raise _collapse(z[c_v], vref)
-        m = base.copy()
-        m[r, c_p1] = m[r, c_p2] = -1.0 / (c * v_total)
-        m[r, c_v] = ((p1 + p2) / (v_total * v_total) - k_dc) / c
-        for k in angles:
-            m[:, k] *= b * math.cos(z[k])
-        return m
-
-    return jac
-
-
 # --- the schemes ---------------------------------------------------------
 # Per scheme: an rhs builder (gains, physical, dc, power) -> rhs(y, in1,
 # in2) that returns (rates, out1, out2), written on the DC-bus law dc(p1,
 # p2, vdc) and the filter power law power(eta) it is given.  The engine
-# traces it on hooks for the two laws into its compiled derivative, _derive
-# evaluates it on stubs that give its Jacobians, and injected_powers on
-# array stubs that give its port powers over a trajectory.  Inputs are the
+# traces it on hooks for the two laws into its compiled derivative and
+# Jacobians, and injected_powers evaluates it on array stubs that give its
+# port powers over a trajectory.  Inputs are the
 # two connection frequencies for GFL/partial units and the two powers
 # leaving the converter (p1, p2) for GFM units; outputs are those powers for
 # GFL/partial units and the frequency references for GFM units.
@@ -400,7 +342,10 @@ class Scheme:
     per connection in simulation.  ``gains`` are the :class:`Gains` fields
     the scheme requires to be positive.  ``rhs`` builds the equations from
     the gains, the physical parameters, the DC-bus law and the filter power
-    law; every Jacobian of the scheme is derived from them (:func:`_derive`).
+    law.  The engine's trace derives every Jacobian of the scheme from them;
+    it lets a law apply only + - * / and unary minus to its variables,
+    besides the two laws, and never branch on a variable (products of
+    variables included).
     """
 
     port: str
@@ -479,11 +424,6 @@ def sim_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
     return sim_rhs
 
 
-@lru_cache(maxsize=None)
-def _unit_jacobian(unit: IlcUnit) -> Callable:
-    return _derive(partial(_unit_law, unit), len(unit_state_names(unit)), unit.physical)
-
-
 def _check_state(unit: IlcUnit, state, inputs=None) -> None:
     """The state's length, and with ``inputs``, that state and inputs are
     finite."""
@@ -497,24 +437,6 @@ def _check_state(unit: IlcUnit, state, inputs=None) -> None:
         raise NonFiniteInput(
             f"ILC state and inputs must be finite, got {state!r}, {inputs!r}"
         )
-
-
-def ilc_jacobian(unit: IlcUnit, state, inputs) -> np.ndarray:
-    """Exact partials of one unit's (rates, out1, out2) by (state, in1,
-    in2), derived from its law, as a new matrix.  Inputs and outputs are
-    the law's own: GFL and partial units take (omega1, omega2) and put out
-    the powers leaving the converter, GFM units take those powers and put
-    out their frequency references (``linearize_unit`` turns them into the
-    passivity port convention)."""
-    _check_state(unit, state, inputs)
-    return _unit_jacobian(unit)(tuple(state), *inputs)
-
-
-@lru_cache(maxsize=None)
-def make_sim_jacobian(unit: IlcUnit) -> Callable:
-    """jac(y, w1, w2) -> the exact partials of :func:`sim_law`'s (rates,
-    p1, p2) by (y, w1, w2)."""
-    return _derive(partial(sim_law, unit), len(sim_state_names(unit)), unit.physical)
 
 
 def injected_powers(unit: IlcUnit, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from multigrid_ilc import engine, ilc
+from multigrid_ilc.analysis import linearize_unit
 from multigrid_ilc.engine import OdeSystem
 from multigrid_ilc.ilc import GFL, SCHEMES, IlcUnit, Scheme
 from multigrid_ilc.mg import SwingGovernor
@@ -103,8 +104,9 @@ def _truth(p1, p2, vdc):
 ], ids=["comparison", "bool", "abs", "pow", "math", "numpy", "max", "unary-plus"])
 def test_untraceable_law_raises_when_built(monkeypatch, law):
     """A law that applies to a variable anything but + - * / and unary
-    minus cannot be compiled: building the derivative raises and names the
-    scheme, and no function is built from it."""
+    minus cannot be compiled: building the derivative, the system's
+    Jacobian or the unit's Jacobian raises and names the scheme, and no
+    function is built from it."""
 
     def toy_rhs(g, phys, dc, power):
         def rhs(y, w1, w2):
@@ -119,6 +121,11 @@ def test_untraceable_law_raises_when_built(monkeypatch, law):
     with pytest.raises(TypeError, match="scheme 'toy'"):
         ode.derivative(0.0, [0.0] * ode.dim)
     assert "_rhs" not in vars(ode)
+    fresh = OdeSystem(ValidatedNetwork(2, ((0, 1),)), models, [IlcUnit("toy")])
+    with pytest.raises(TypeError, match="scheme 'toy'"):
+        fresh.jacobian(np.zeros(fresh.dim))
+    with pytest.raises(TypeError, match="scheme 'toy'"):
+        linearize_unit(IlcUnit("toy"))
 
 
 def test_one_compile_per_structure(monkeypatch, scheme_scenario):

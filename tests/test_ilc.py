@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from multigrid_ilc.engine import ilc_jacobian
 from multigrid_ilc.errors import (
     DcVoltageCollapse,
     NonFiniteInput,
@@ -18,7 +19,6 @@ from multigrid_ilc.ilc import (
     IlcUnit,
     SCHEMES,
     filter_susceptance_power,
-    ilc_jacobian,
     sim_state_names,
     unit_state_names,
 )

@@ -15,7 +15,7 @@ import pytest
 
 from multigrid_ilc import ilc
 from multigrid_ilc.analysis import linearize_closed_loop, linearize_unit
-from multigrid_ilc.engine import OdeSystem, find_equilibrium, scales_and_atols
+from multigrid_ilc.engine import OdeSystem, find_equilibrium, ilc_jacobian, scales_and_atols
 from multigrid_ilc.errors import DcVoltageCollapse, NonFiniteInput
 from multigrid_ilc.ilc import (
     GFL,
@@ -25,9 +25,6 @@ from multigrid_ilc.ilc import (
     IlcPhysical,
     IlcUnit,
     Scheme,
-    ilc_jacobian,
-    make_sim_jacobian,
-    sim_state_names,
     unit_state_names,
 )
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_derivative, mg_linearize
@@ -35,7 +32,7 @@ from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
 from jacobian_reference import finite_difference_jacobian
-from model_reference import ilc_derivative, ilc_output, make_sim_derivative, unit_rhs
+from model_reference import ilc_derivative, ilc_output, unit_rhs
 from test_ilc import unit_for
 
 N_STATES = 20
@@ -90,24 +87,6 @@ def test_scheme_record_jacobian(scheme):
 
     for z in random_points(names, scales, seed=1):
         assert_matches(f, ilc_jacobian(unit, tuple(z[:n]), (z[n], z[n + 1])), z, scales)
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_sim_jacobian(scheme):
-    """make_sim_jacobian against make_sim_derivative; for grid-forming
-    units this is the filter wrapper (angles first, p = B*sin(eta))."""
-    unit = unit_for(scheme)
-    rhs, jac = make_sim_derivative(unit), make_sim_jacobian(unit)
-    n = len(sim_state_names(unit))
-    names = sim_state_names(unit) + ("omega1", "omega2")
-    scales, _ = scales_and_atols(unit, names)
-
-    def f(z):
-        rates, p1, p2 = rhs(list(z[:n]), z[n], z[n + 1])
-        return (*rates, p1, p2)
-
-    for z in random_points(names, scales, seed=2):
-        assert_matches(f, jac(list(z[:n]), z[n], z[n + 1]), z, scales)
 
 
 def check_port_linearization(unit, seed):
@@ -233,8 +212,43 @@ def _filter_rhs(g, phys, dc, power):
     return rhs
 
 
+def _product_rhs(g, phys, dc, power):
+    """Grid-following toy whose first power lag is driven by the product of
+    its own power and the DC voltage."""
+
+    def rhs(y, w1, w2):
+        p1, p2, vdc = y
+        return (
+            ((-p1 - g.k_omega1 * w1 + 1e-4 * p1 * vdc) / phys.tau1,
+             (-p2 - g.k_omega2 * w2) / phys.tau2, dc(p1, p2, vdc)),
+            p1, p2,
+        )
+
+    return rhs
+
+
+def _quotient_rhs(g, phys, dc, power):
+    """Grid-following toy whose second power lag is driven by its own power
+    over the DC voltage."""
+
+    def rhs(y, w1, w2):
+        p1, p2, vdc = y
+        return (
+            ((-p1 - g.k_omega1 * w1) / phys.tau1,
+             (-p2 - g.k_omega2 * w2 + 1e3 * p2 / (vdc + phys.v_dc_ref)) / phys.tau2,
+             dc(p1, p2, vdc)),
+            p1, p2,
+        )
+
+    return rhs
+
+
 TOYS = {
     "toy-lag": (GFL, ("p1", "p2", "vdc"), _lag_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
+    "toy-product": (GFL, ("p1", "p2", "vdc"), _product_rhs,
+                    Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
+    "toy-quotient": (GFL, ("p1", "p2", "vdc"), _quotient_rhs,
+                     Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
     "toy-filter": (GFM, ("vdc", "pf1", "pf2"), _filter_rhs,
                    Gains(m1=1e-3, m2=1e-3, m_p1=4e-8, m_p2=4e-8)),
 }

@@ -242,8 +242,7 @@ class _Tape:
         def power(eta):
             name = self.operand(eta)
             out = b * self.assign(f"sin({name})", {})
-            if _grad(eta):
-                out.grad = self.chain(eta.grad, "*", b * self.d.assign(f"cos({name})", {}))
+            out.grad = self.chain(_grad(eta), "*", b * self.d.assign(f"cos({name})", {}))
             return out
 
         return power

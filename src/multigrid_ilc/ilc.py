@@ -342,10 +342,8 @@ class Scheme:
     per connection in simulation.  ``gains`` are the :class:`Gains` fields
     the scheme requires to be positive.  ``rhs`` builds the equations from
     the gains, the physical parameters, the DC-bus law and the filter power
-    law.  The engine's trace derives every Jacobian of the scheme from them;
-    it lets a law apply only + - * / and unary minus to its variables,
-    besides the two laws, and never branch on a variable (products of
-    variables included).
+    law; the engine's trace derives every Jacobian of the scheme from them
+    (see ``engine._Tape`` for the one rule a law obeys).
     """
 
     port: str

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import EquilibriumPoint, OdeSystem, ilc_jacobian
+from .engine import EquilibriumPoint, OdeSystem, ilc_jacobian, write_csv
 from .errors import SingularResolvent, ValidationError
 from .ilc import GFM, IlcUnit, unit_state_names
 from .linear import LinearSystem, transfer_matrix, transfer_stack
@@ -125,11 +125,7 @@ class PassivityReport:
     def to_csv(self, path) -> None:
         n_ports = self.diag_real.shape[1]
         header = ["omega", "min_eig"] + [f"diag{k + 1}_re" for k in range(n_ports)]
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for i, w in enumerate(self.omegas):
-                row = [w, self.min_eigs[i]] + list(self.diag_real[i])
-                handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, header, [self.omegas, self.min_eigs, self.diag_real])
 
 
 def passivity_sweep(

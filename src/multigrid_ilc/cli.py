@@ -8,9 +8,11 @@ Subcommands: ``simulate``, ``linearize``, ``passivity``, ``sweep``,
 from __future__ import annotations
 
 import argparse
+import logging
 import re
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -27,6 +29,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+_log = logging.getLogger(__name__)
+
 
 def _cmd_simulate(args) -> int:
     resolved = load_resolved(args.scenario)
@@ -37,6 +41,7 @@ def _cmd_simulate(args) -> int:
         (out / f"{bundle.name}-resolved.json").write_text(
             dump_resolved(resolved), encoding="utf-8"
         )
+    marks = [perf_counter()]
     traj = integrate(
         bundle.ode,
         [0.0] * bundle.ode.dim,
@@ -44,22 +49,25 @@ def _cmd_simulate(args) -> int:
         (0.0, bundle.t_end),
         bundle.options,
     )
+    marks.append(perf_counter())
     csv_path = out / f"{bundle.name}-trajectory.csv"
     traj.to_csv(csv_path, pu_base=bundle.omega_nominal)
-    series = [
-        Series(f"MG{j + 1}", traj.t.tolist(), traj.omega(j).tolist())
-        for j in range(bundle.network.n_mgs)
-    ]
+    marks.append(perf_counter())
+    series = [Series(f"MG{j + 1}", traj.t, traj.omega(j))
+              for j in range(bundle.network.n_mgs)]
     write_svg(out / f"{bundle.name}-frequencies.svg", series,
               "time (s)", "frequency deviation (rad/s)",
               title=f"{bundle.name}: MG frequencies")
-    vdc_series = [
-        Series(f"ILC{l + 1}", traj.t.tolist(), traj.vdc(l).tolist())
-        for l in range(bundle.network.n_ilcs)
-    ]
+    marks.append(perf_counter())
+    vdc_series = [Series(f"ILC{l + 1}", traj.t, traj.vdc(l))
+                  for l in range(bundle.network.n_ilcs)]
     write_svg(out / f"{bundle.name}-dc-voltages.svg", vdc_series,
               "time (s)", "DC voltage deviation (V)",
               title=f"{bundle.name}: DC-bus voltages")
+    marks.append(perf_counter())
+    _log.debug("simulate %s: %d samples; integrate %.3f s, CSV %.3f s, "
+               "frequencies SVG %.3f s, DC-voltages SVG %.3f s", bundle.name,
+               len(traj.t), *(b - a for a, b in zip(marks, marks[1:])))
     status = "truncated" if traj.truncated else "completed"
     print(f"{status}: {len(traj.t)} samples to t = {traj.t[-1]:g} s -> {csv_path}")
     if traj.truncated:
@@ -111,8 +119,7 @@ def _cmd_passivity(args) -> int:
     report.to_csv(csv_path)
     write_svg(
         out / f"{bundle.name}-ilc{args.ilc}-passivity.svg",
-        [Series("min eig G(jw)+G(jw)*", report.omegas.tolist(),
-                report.min_eigs.tolist())],
+        [Series("min eig G(jw)+G(jw)*", report.omegas, report.min_eigs)],
         "frequency (rad/s)", "min Hermitian eigenvalue",
         title=f"{unit.scheme} passivity sweep",
     )

@@ -582,10 +582,21 @@ class Trajectory:
             for j in range(n_mgs):
                 header.append(f"mg{j + 1}.omega_pu")
                 cols.append(self.omega(j) / pu_base)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in np.column_stack(cols).tolist():
-                handle.write(",".join(map(repr, row)) + "\n")
+        write_csv(path, header, cols)
+
+
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write ``header`` and then one row per index of the equal-length
+    ``columns`` (2-D ones add their columns), each value as its ``repr``.
+    The rows are formatted per block of ``_BLOCK`` rows of one stacked array,
+    one C-level %-format per block."""
+    table = np.column_stack(columns)
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(table), _BLOCK):
+            block = table[start : start + _BLOCK]
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # Dormand-Prince 5(4) coefficients
@@ -666,6 +677,9 @@ _R_C[5] = (8.083246795921522, -7.981132988064893, -31.52159432874371,
            16.31930543123136, -6.058818238834054)
 # upper bound on Hermite samples per Rodas4 step
 _MAX_PIECES = 1000
+# rows per block of the dense samples and of a CSV file: bounds the
+# temporaries of their array evaluation and formatting
+_BLOCK = 1024
 
 
 def _initial_step(f, t0, y0, scale, max_step):
@@ -767,24 +781,48 @@ def _rodas4_step(f, t, y, f0, jac, h, atol, rtol):
     return y_new, f(t + h, y_new), err_norm
 
 
-def _hermite_samples(y0, f0, y1, f1, h, atol, rtol):
-    """Interior points of the cubic Hermite interpolant on one step, spaced
-    so that linear interpolation between consecutive samples stays within
-    the step's error norm: (step fractions, states)."""
-    y0, f0, y1, f1 = (np.asarray(v, dtype=float) for v in (y0, f0, y1, f1))
+def _hermite_samples(t, y, starts, steps, rates, atol, rtol):
+    """The endpoints ``t``, ``y`` with interior points of each Rodas4 step's
+    cubic Hermite interpolant inserted after its start, spaced so that linear
+    interpolation between consecutive samples stays within the step's error
+    norm.  Step ``k`` runs from endpoint ``starts[k]`` to the next, with size
+    ``steps[k]`` and end rates ``rates[k]``; the samples are evaluated in
+    blocks of ``_BLOCK`` and scattered to their places in the output."""
+    y0, y1, f0, f1, h = y[starts], y[starts + 1], rates[:, 0], rates[:, 1], steps[:, None]
     d = y1 - y0
     # |p''| is linear in the step fraction, so its maximum sits at an end
     curv = np.maximum(np.abs(6.0 * d - h * (4.0 * f0 + 2.0 * f1)),
                       np.abs(6.0 * d - h * (2.0 * f0 + 4.0 * f1)))
     sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    worst = float(np.sqrt(np.mean((curv / sc) ** 2)))
-    if not worst > 8.0:  # one piece suffices (also catches NaN)
-        return np.empty(0), np.empty((0, y0.size))
-    pieces = min(math.ceil(math.sqrt(worst / 8.0)), _MAX_PIECES)
-    s = np.arange(1, pieces)[:, None] / pieces
-    states = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0 + s * (1.0 - s) ** 2 * (h * f0)
-              + s * s * (3.0 - 2.0 * s) * y1 + s * s * (s - 1.0) * (h * f1))
-    return s[:, 0], states
+    # each row of a C-contiguous array reduces as np.mean of that row alone
+    worst = np.sqrt(np.mean((curv / sc) ** 2, axis=1))
+    # one piece suffices where worst <= 8; a NaN or infinite worst (a
+    # non-finite end rate) has no finite interior and gets one piece too
+    split = (worst > 8.0) & (worst < math.inf)
+    pieces = np.ones(len(starts), dtype=np.int64)
+    pieces[split] = np.minimum(np.ceil(np.sqrt(worst[split] / 8.0)), _MAX_PIECES)
+    counts = pieces - 1
+    n_samples = int(counts.sum())
+    # endpoint j moves back by the samples of every step that starts before it
+    shift = np.zeros(len(t), dtype=np.int64)
+    shift[starts + 1] = counts
+    at = np.arange(len(t)) + np.cumsum(shift)
+    t_out = np.empty(len(t) + n_samples)
+    y_out = np.empty((len(t_out), y.shape[1]))
+    t_out[at], y_out[at] = t, y
+    ends = np.cumsum(counts)
+    for first in range(0, n_samples, _BLOCK):
+        n = np.arange(first, min(first + _BLOCK, n_samples))
+        k = np.searchsorted(ends, n, side="right")  # the step of each sample
+        j = n - ends[k] + pieces[k]  # its index in the step, from 1
+        i, hk = starts[k], steps[k][:, None]
+        s = j[:, None] / pieces[k][:, None]
+        t_out[at[i] + j] = t[i] + s[:, 0] * steps[k]
+        y_out[at[i] + j] = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y[i]
+                            + s * (1.0 - s) ** 2 * (hk * rates[k, 0])
+                            + s * s * (3.0 - 2.0 * s) * y[i + 1]
+                            + s * s * (s - 1.0) * (hk * rates[k, 1]))
+    return t_out, y_out
 
 
 def _all_finite(values: list[float]) -> bool:
@@ -1075,19 +1113,7 @@ def integrate(
         starts, steps, rates, lo, hi = (v[: k + 1] for v in (starts, steps, rates, lo, hi))
     envelope = None
     if opts.dense:
-        # each kept Rodas4 step's samples go in after its start
-        ts, ys, done = array("d"), array("d"), 0
-        for i, h, (f0, f1) in zip(starts.tolist(), steps.tolist(), rates):
-            fractions, states = _hermite_samples(y_out[i], f0, y_out[i + 1], f1, h,
-                                                 atol_vec, rtol)
-            ts.frombytes(t_out[done : i + 1].tobytes())
-            ys.frombytes(y_out[done : i + 1].tobytes())
-            ts.frombytes((t_out[i] + fractions * h).tobytes())
-            ys.frombytes(states.tobytes())
-            done = i + 1
-        ts.frombytes(t_out[done:].tobytes())
-        ys.frombytes(y_out[done:].tobytes())
-        t_out, y_out = np.frombuffer(ts), np.frombuffer(ys).reshape(-1, dim)
+        t_out, y_out = _hermite_samples(t_out, y_out, starts, steps, rates, atol_vec, rtol)
     else:
         envelope = (np.minimum(y_out[:-1], y_out[1:]), np.maximum(y_out[:-1], y_out[1:]))
         envelope[0][starts], envelope[1][starts] = lo, hi

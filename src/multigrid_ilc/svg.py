@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EmptySeries
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -18,6 +20,8 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 WIDTH, HEIGHT = 960, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 40, 56
+# points per C-level %-format of a polyline
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -33,10 +37,11 @@ def _fmt(value: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    # a span near the subnormal range has no representable decade: one tick
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if mag == 0.0:
+        return [lo]
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
@@ -46,6 +51,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     value = first
     while value <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
+        if value + step == value:  # the step is below the resolution of value
+            break
         value += step
     return ticks
 
@@ -56,36 +63,44 @@ def render_line_chart(
     y_label: str,
     title: str | None = None,
 ) -> str:
-    """Render series as polylines; raises :class:`EmptySeries` on empty or
-    non-finite data."""
+    """Render series (lists or arrays) as polylines; raises
+    :class:`EmptySeries` on empty or non-finite data, or when the data's
+    span overflows the float range."""
     if not series:
         raise EmptySeries("no series to plot")
+    data = []
     for s in series:
-        if len(s.x) == 0 or len(s.x) != len(s.y):
+        x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
+        if x.ndim != 1 or len(x) == 0 or x.shape != y.shape:
             raise EmptySeries(f"series {s.label!r} is empty or ragged")
-        for v in (*s.x, *s.y):
-            if not math.isfinite(v):
-                raise EmptySeries(f"series {s.label!r} contains non-finite values")
-    x_lo = min(min(s.x) for s in series)
-    x_hi = max(max(s.x) for s in series)
-    y_lo = min(min(s.y) for s in series)
-    y_hi = max(max(s.y) for s in series)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise EmptySeries(f"series {s.label!r} contains non-finite values")
+        data.append((x, y))
+    x_lo = min(float(x.min()) for x, _ in data)
+    x_hi = max(float(x.max()) for x, _ in data)
+    y_lo = min(float(y.min()) for _, y in data)
+    y_hi = max(float(y.max()) for _, y in data)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+        if x_hi == x_lo:  # 1.0 is below the resolution of x_lo
+            x_hi = x_lo + abs(x_lo) * 0.1
     if y_hi == y_lo:
-        pad = 1.0 if y_lo == 0 else abs(y_lo) * 0.1
+        pad = abs(y_lo) * 0.1 or 1.0
         y_lo, y_hi = y_lo - pad, y_hi + pad
     else:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise EmptySeries("the data's span overflows the float range")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    # one coordinate or an array of them, in the same float operations
+    def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -137,11 +152,10 @@ def render_line_chart(
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">{_escape(y_label)}</text>'
     )
-    for i, s in enumerate(series):
+    for i, (x, y) in enumerate(data):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.x, s.y))
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
+            f'<polyline points="{_points(px(x), py(y))}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
     # legend
@@ -160,6 +174,16 @@ def render_line_chart(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """The pairs ``x,y`` as :func:`_fmt` writes them, one C-level %-format per
+    block: every coordinate is at least a margin, so none is -0."""
+    blocks = []
+    for start in range(0, len(x), _BLOCK):
+        xy = np.column_stack((x[start : start + _BLOCK], y[start : start + _BLOCK]))
+        blocks.append(" ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist()))
+    return " ".join(blocks)
 
 
 def _escape(text: str) -> str:

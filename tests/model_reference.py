@@ -6,15 +6,21 @@ derived by hand, so that the tests can check the law and the numeric
 equilibria against it.  It also keeps the scalar wrappers of the unit and
 simulated laws that only the tests call, and the interpreted derivative of
 an ``OdeSystem`` (every law run on the real DC bus and filter at each
-call), the reference the compiled derivative must equal bit for bit.
+call), the reference the compiled derivative must equal bit for bit, and
+the per-step dense output of a Rodas4 run, the reference of the vectorised
+``engine._hermite_samples``.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from multigrid_ilc import ilc
+from multigrid_ilc.engine import _MAX_PIECES
 from multigrid_ilc.errors import NumericalError
 from multigrid_ilc.ilc import GFM, Gains, IlcPhysical, IlcUnit
 from multigrid_ilc.mg import mg_rhs
@@ -253,3 +259,39 @@ def connection_powers(ode, y) -> list[tuple[float, float]]:
         _, pa, pb = make_sim_derivative(unit)(y[lo:lo + len(names)], 0.0, 0.0)
         out.append((pa, pb))
     return out
+
+
+def step_samples(y0, f0, y1, f1, h, atol, rtol):
+    """Interior points of the cubic Hermite interpolant on one step, spaced
+    so that linear interpolation between consecutive samples stays within
+    the step's error norm: (step fractions, states)."""
+    y0, f0, y1, f1 = (np.asarray(v, dtype=float) for v in (y0, f0, y1, f1))
+    d = y1 - y0
+    # |p''| is linear in the step fraction, so its maximum sits at an end
+    curv = np.maximum(np.abs(6.0 * d - h * (4.0 * f0 + 2.0 * f1)),
+                      np.abs(6.0 * d - h * (2.0 * f0 + 4.0 * f1)))
+    sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+    worst = float(np.sqrt(np.mean((curv / sc) ** 2)))
+    if not worst > 8.0:  # one piece suffices (also catches NaN)
+        return np.empty(0), np.empty((0, y0.size))
+    pieces = min(math.ceil(math.sqrt(worst / 8.0)), _MAX_PIECES)
+    s = np.arange(1, pieces)[:, None] / pieces
+    states = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0 + s * (1.0 - s) ** 2 * (h * f0)
+              + s * s * (3.0 - 2.0 * s) * y1 + s * s * (s - 1.0) * (h * f1))
+    return s[:, 0], states
+
+
+def dense_output(t, y, starts, steps, rates, atol, rtol):
+    """The dense output of ``engine._hermite_samples`` (same arguments), one
+    Rodas4 step at a time: each step's samples go in after its start."""
+    ts, ys, done = array("d"), array("d"), 0
+    for i, h, (f0, f1) in zip(starts.tolist(), steps.tolist(), rates):
+        fractions, states = step_samples(y[i], f0, y[i + 1], f1, h, atol, rtol)
+        ts.frombytes(t[done : i + 1].tobytes())
+        ys.frombytes(y[done : i + 1].tobytes())
+        ts.frombytes((t[i] + fractions * h).tobytes())
+        ys.frombytes(states.tobytes())
+        done = i + 1
+    ts.frombytes(t[done:].tobytes())
+    ys.frombytes(y[done:].tobytes())
+    return np.frombuffer(ts), np.frombuffer(ys).reshape(-1, y.shape[1])

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 
 import pytest
@@ -70,6 +71,26 @@ def test_simulate_outputs(tmp_path, capsys):
     assert (out / "cli-dfd1-resolved.json").exists()
     header = (out / "cli-dfd1-trajectory.csv").read_text().split("\n")[0]
     assert header.startswith("t,mg1.omega,mg2.omega,ilc1.p1,ilc1.p2,ilc1.vdc")
+
+
+def test_simulate_logs_where_its_time_goes(tmp_path, capsys, caplog):
+    """One DEBUG event gives the sample count and the seconds of each layer;
+    the package installs no handler, and stdout does not change."""
+    assert logging.getLogger("multigrid_ilc.cli").handlers == []
+    out = tmp_path / "out"
+    with caplog.at_level(logging.DEBUG, logger="multigrid_ilc.cli"):
+        code = main(["simulate", "--scenario", str(dfd1_scenario(tmp_path)), "--out", str(out)])
+    assert code == 0
+    [record] = [r for r in caplog.records if r.name == "multigrid_ilc.cli"]
+    assert record.levelno == logging.DEBUG
+    samples = len((out / "cli-dfd1-trajectory.csv").read_text().splitlines()) - 1
+    match = re.fullmatch(r"simulate cli-dfd1: (\d+) samples; integrate (\S+) s, CSV (\S+) s, "
+                         r"frequencies SVG (\S+) s, DC-voltages SVG (\S+) s",
+                         record.getMessage())
+    assert match and int(match[1]) == samples
+    assert all(float(v) >= 0.0 for v in match.groups()[1:])
+    assert capsys.readouterr().out == f"completed: {samples} samples to t = 5 s -> " \
+        f"{out / 'cli-dfd1-trajectory.csv'}\n"
 
 
 def test_simulate_reports_a_truncated_run(tmp_path, capsys, scheme_scenario):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, set_parameter, shipped_scenario
 
 from jacobian_reference import system_jacobian
-from model_reference import connection_powers
+from model_reference import connection_powers, dense_output
 
 
 def two_mg_net():
@@ -431,10 +432,11 @@ def test_failed_trial_pauses_the_stiffness_test():
     assert stats.accepted == 11235
 
 
-def test_rolled_back_trial_leaves_no_envelope():
+def test_rolled_back_trial_leaves_no_envelope(dense_calls):
     """Without dense output, the late-event ieee39 run drops its rolled-back
     Rodas4 steps with their end rates: it keeps the dense run's DP45 samples,
-    and every step's envelope is the span of its endpoints."""
+    and every step's envelope is the span of its endpoints.  The dense run's
+    output is the per-step reference's."""
     doc = shipped_scenario("ieee39-reduced")
     doc["events"] = [{"time": 155.91, "mg": 1, "delta_p_load": -54951242.0},
                      {"time": 174.138, "mg": 3, "delta_p_load": 36920033.0}]
@@ -444,6 +446,7 @@ def test_rolled_back_trial_leaves_no_envelope():
     sparse = integrate(*run, dataclasses.replace(bundle.options, dense=False))
     assert sparse.stats == dense.stats and sparse.stats.rollbacks == 1
     assert np.array_equal(sparse.t, dense.t) and np.array_equal(sparse.y, dense.y)
+    assert_bitwise_equal(dense_calls)
     lo, hi = sparse.envelope
     assert np.array_equal(lo, np.minimum(sparse.y[:-1], sparse.y[1:]))
     assert np.array_equal(hi, np.maximum(sparse.y[:-1], sparse.y[1:]))
@@ -614,10 +617,11 @@ def test_non_finite_end_rate_truncates_the_sparse_run(two_mg_resolved, monkeypat
     assert traj.t[-1] == 61.0
 
 
-def test_dense_truncation_is_a_sparse_truncation(two_mg_resolved, monkeypatch):
+def test_dense_truncation_is_a_sparse_truncation(two_mg_resolved, monkeypatch, dense_calls):
     """An MG frequency bound just above every step endpoint but below the
     Hermite samples of one Rodas4 step truncates the dense and the sparse
-    run of one call at the same step end, with the same reason and stats."""
+    run of one call at the same step end, with the same reason and stats.
+    Both dense runs' output is the per-step reference's."""
     run = classification_run(two_mg_resolved)
     ode, opts = run[0], run[4]
     omegas = [ode.column("mg", j, "omega") for j in range(2)]
@@ -638,3 +642,137 @@ def test_dense_truncation_is_a_sparse_truncation(two_mg_resolved, monkeypatch):
     assert cut.truncation_reason.startswith("mg1.omega exceeded 0.")
     assert f"and {cut.t[-1]:.4f} s" in cut.truncation_reason
     assert dense_cut.stats == cut.stats
+    assert len(dense_calls) == 2
+    assert_bitwise_equal(dense_calls)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Every dense pass of ``integrate``, run beside the per-step reference:
+    a list of (vectorised, reference) pairs of (t, y)."""
+    hermite, calls = engine._hermite_samples, []
+
+    def both(*args):
+        calls.append((hermite(*args), dense_output(*args)))
+        return calls[-1][0]
+
+    monkeypatch.setattr(engine, "_hermite_samples", both)
+    return calls
+
+
+def assert_bitwise_equal(calls):
+    assert calls
+    for (t, y), (t_ref, y_ref) in calls:
+        assert t.shape == t_ref.shape and y.shape == y_ref.shape
+        assert t.tobytes() == t_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("name", ["two-mg", "three-mg", "ieee39-reduced"])
+def test_dense_output_matches_the_per_step_reference(name, block, dense_calls,
+                                                      monkeypatch):
+    """The vectorised dense output of each shipped scenario is the per-step
+    one bit for bit, also with blocks of 7 samples that split steps."""
+    if block is not None:
+        monkeypatch.setattr(engine, "_BLOCK", block)
+    bundle = build_system(resolve(shipped_scenario(name)))
+    traj = integrate(bundle.ode, [0.0] * bundle.ode.dim, bundle.events,
+                     (0.0, bundle.t_end), bundle.options)
+    assert_bitwise_equal(dense_calls)
+    assert traj.t is dense_calls[0][0][0]
+
+
+def test_non_finite_end_rate_gives_no_samples(two_mg_resolved, dense_calls, monkeypatch):
+    """The last Rodas4 step of the dense run gets NaN end rates: it ends the
+    run and adds no sample, as in the per-step reference."""
+    rodas4_step = engine._rodas4_step
+
+    def last_rate_nan(f, t, y, f0, jac, h, atol, rtol):
+        y_new, f_new, err = rodas4_step(f, t, y, f0, jac, h, atol, rtol)
+        if y_new is not None and t + h == 61.0:
+            f_new = [math.nan] * len(f_new)
+        return y_new, f_new, err
+
+    monkeypatch.setattr(engine, "_rodas4_step", last_rate_nan)
+    traj = integrate(*classification_run(two_mg_resolved))
+    assert traj.truncated and traj.t[-1] == 61.0
+    assert_bitwise_equal(dense_calls)
+    sparse = integrate(*classification_run(two_mg_resolved, dense=False))
+    assert traj.stats.stiff_from is not None and np.array_equal(traj.t[-2:], sparse.t[-2:])
+
+
+def test_dense_output_of_synthetic_steps():
+    """Three Rodas4 steps between DP45 ones: one that hits _MAX_PIECES, one of
+    a few pieces and one of a single piece; then an infinite end rate, where
+    the per-step sampler raised, gives no samples."""
+    t = np.arange(6.0)
+    y = np.array([[0.0, 1.0], [1.0, 2.0], [1.5, 2.0], [2.0, 2.5], [2.1, 2.5], [3.0, 3.0]])
+    starts = np.array([0, 2, 3])
+    steps = np.ones(3)
+    rates = np.array([[[1e9, 0.0], [-1e9, 1.0]],
+                      [[0.5 + 1e-4, 0.5], [0.5, 0.5]],
+                      [[0.1, 0.0], [0.1, 0.0]]])
+    atol, rtol = np.full(2, 1e-6), 1e-7
+    args = (t, y, starts, steps, rates, atol, rtol)
+    dense_t, dense_y = engine._hermite_samples(*args)
+    assert_bitwise_equal([((dense_t, dense_y), dense_output(*args))])
+    assert np.count_nonzero(dense_t < 1.0) == engine._MAX_PIECES
+    assert np.count_nonzero((dense_t > 2.0) & (dense_t < 3.0)) == 5
+    assert len(dense_t) == len(t) + engine._MAX_PIECES - 1 + 5
+    rates[0, 1, 0] = math.inf
+    with pytest.raises(OverflowError):
+        dense_output(*args)
+    dense_t, dense_y = engine._hermite_samples(*args)
+    assert np.count_nonzero(dense_t < 1.0) == 1
+
+
+def traced_peak(call, *args, **kwargs):
+    """The result of ``call`` and the peak bytes traced during it, above what
+    was traced before it."""
+    tracemalloc.start()
+    try:
+        return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def long_three_mg_run():
+    """A 32,929-row three-MG run: dual-freq-droop-1 and dual-droop-matching,
+    two load steps on MG3."""
+    doc = shipped_scenario("three-mg")
+    doc["ilcs"][0]["scheme"], doc["ilcs"][1]["scheme"] = "dual-freq-droop-1", "dual-droop-matching"
+    doc["events"] = [{"time": 6.145, "mg": 2, "delta_p_load": 1038963},
+                     {"time": 23.23, "mg": 2, "delta_p_load": -700252}]
+    bundle = build_system(resolve(doc))
+    return bundle, (bundle.ode, [0.0] * bundle.ode.dim, bundle.events,
+                    (0.0, bundle.t_end), bundle.options)
+
+
+def test_dense_pass_memory_is_bounded_by_the_block(monkeypatch):
+    """What the dense pass traces beyond its output arrays stays within a
+    dozen per-step and per-block arrays, not a multiple of the row count."""
+    hermite, seen = engine._hermite_samples, []
+
+    def traced_hermite(*args):
+        out, peak = traced_peak(hermite, *args)
+        seen.append((peak, len(args[2])))
+        return out
+
+    monkeypatch.setattr(engine, "_hermite_samples", traced_hermite)
+    _, run = long_three_mg_run()
+    traj = integrate(*run)
+    rows, dim = traj.y.shape
+    assert rows == 32929
+    [(peak, n_steps)] = seen
+    assert peak <= traj.t.nbytes + traj.y.nbytes + 12 * (n_steps + engine._BLOCK) * dim * 8
+
+
+def test_csv_memory_is_bounded_by_the_block(tmp_path):
+    """``Trajectory.to_csv`` traces its derived columns and their stack, plus
+    the formatting of one block (its floats, their tuple and the text, about
+    ten times the block's bytes), not a list of every row."""
+    bundle, run = long_three_mg_run()
+    traj = integrate(*run)
+    cols = 1 + 3 + 2 * 3 + 3  # t, 3 MG frequencies, 3 per ILC, 3 per-unit frequencies
+    _, peak = traced_peak(traj.to_csv, tmp_path / "run.csv", pu_base=bundle.omega_nominal)
+    assert peak <= 2 * len(traj.t) * cols * 8 + 10 * engine._BLOCK * cols * 8

@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Number
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,40 +30,45 @@ from .errors import (
     ValidationError,
 )
 from .ilc import (IlcPhysical, IlcUnit, _check_state, _collapse, _unit_law, injected_powers,
-                  sim_law, sim_state_names, unit_state_names)
+                  sim_law, sim_states, unit_state_names)
 from .mg import MgModel, default_rating, mg_rhs
 from .network import ValidatedNetwork
 
-def scales_and_atols(
-    owner: MgModel | IlcUnit, names: Sequence[str]
-) -> tuple[list[float], list[float]]:
-    """Scale and absolute integration tolerance of each named state (or port
-    variable) of one MG model or ILC unit, by kind of quantity.
+class Kind(NamedTuple):
+    """What a state's kind sets (see :data:`KINDS`): its scale, 1 (rad,
+    rad/s) or its owner's ``"dc"`` or ``"power"`` scale (:func:`kind_scales`);
+    its absolute tolerance; and its divergence guard, a magnitude in scales
+    (None: unguarded) beyond which :func:`integrate` truncates the run, or at
+    which it raises :class:`AngleOutOfRange` if the guard ``aborts``."""
 
-    Angles and frequencies (rad, rad/s) scale with 1 and get atol 1e-9.  The
-    DC voltage and its integral scale with 1 % of the nominal DC voltage and
-    get atol 1e-6.  Everything else is a power or a power integral: it scales
-    with 1 % of the MG rating, or with the larger of 1e5 W and 1e-3 of the
-    ILC's filter power constant, and gets atol 1e-3.
-    """
+    scale: str
+    atol: float
+    bound: float | None = None
+    aborts: bool = False
+
+
+# every kind declared by ilc.Scheme.states, ilc.sim_states and the MG models
+KINDS = {
+    "frequency": Kind("one", 1e-9, 5.0),  # of an MG: 5 rad/s
+    "filter-angle": Kind("one", 1e-9, math.pi / 2, aborts=True),
+    "angle": Kind("one", 1e-9),
+    "dc-voltage": Kind("dc", 1e-6, 20.0),  # 0.2 V_dc_ref
+    "dc-integral": Kind("dc", 1e-6),
+    "power": Kind("power", 1e-3),  # and power integrals
+}
+
+
+def kind_scales(owner: MgModel | IlcUnit, kinds: Iterable[str]) -> list[float]:
+    """The scale of each state (or port variable) of one MG model or ILC unit,
+    by its kind.  An ILC's DC scale is 1 % of its nominal DC voltage and its
+    power scale the larger of 1e5 W and 1e-3 of its filter power constant;
+    an MG's power scale is 1 % of its rating."""
     if isinstance(owner, IlcUnit):
-        v_scale = 0.01 * owner.physical.v_dc_ref
-        p_scale = max(1e5, 1e-3 * owner.physical.b)
+        scale = {"one": 1.0, "dc": 0.01 * owner.physical.v_dc_ref,
+                 "power": max(1e5, 1e-3 * owner.physical.b)}
     else:
-        v_scale = None
-        p_scale = 0.01 * default_rating(owner)
-    scales, atols = [], []
-    for name in names:
-        if name.startswith(("omega", "eta")):
-            scales.append(1.0)
-            atols.append(1e-9)
-        elif name in ("vdc", "zeta"):
-            scales.append(v_scale)
-            atols.append(1e-6)
-        else:
-            scales.append(p_scale)
-            atols.append(1e-3)
-    return scales, atols
+        scale = {"one": 1.0, "power": 0.01 * default_rating(owner)}
+    return [scale[KINDS[kind].scale] for kind in kinds]
 
 
 @dataclass(frozen=True)
@@ -343,20 +348,20 @@ class OdeSystem:
         self.base_loads = tuple(m.p_load for m in self.models)
 
         # the state vector: every MG's states, then every ILC's, each named
-        # "<kind><1-based index>.<state>"
-        names, scales, atols, spans = [], [], [], []
-        for kind, owners, states_of in (("mg", self.models, lambda m: m.state_names),
-                                        ("ilc", self.units, sim_state_names)):
+        # "<mg or ilc><1-based index>.<state>" and of its declared kind
+        names, kinds, scales, spans = [], [], [], []
+        for prefix, owners, states_of in (("mg", self.models, lambda m: m.states),
+                                          ("ilc", self.units, sim_states)):
             for k, owner in enumerate(owners):
                 states = states_of(owner)
                 spans.append((len(names), len(names) + len(states)))
-                names += [f"{kind}{k + 1}.{name}" for name in states]
-                owner_scales, owner_atols = scales_and_atols(owner, states)
-                scales += owner_scales
-                atols += owner_atols
+                names += [f"{prefix}{k + 1}.{name}" for name in states]
+                kinds += states.values()
+                scales += kind_scales(owner, states.values())
         self.state_names = tuple(names)
+        self.state_kinds = tuple(kinds)
         self.state_scales = np.array(scales)
-        self.state_atols = np.array(atols)
+        self.state_atols = np.array([KINDS[kind].atol for kind in kinds])
         self.dim = len(names)
 
         self._mg_spans = spans[: net.n_mgs]
@@ -634,9 +639,6 @@ _STIFF_HLAMBDA = 3.25
 # in DP45 steps
 _TRIAL_STEPS = 100
 _RETRY_FACTOR = 10
-# divergence bounds of a trajectory
-_OMEGA_BOUND = 5.0       # rad/s; beyond this an MG counts as diverged
-_VDC_BOUND_FRAC = 0.2    # fraction of V_dc_ref
 
 
 class _Switch(NamedTuple):
@@ -923,19 +925,14 @@ def integrate(
     # from the models, not ode.base_loads: duck-typed systems carry only models
     loads = [m.p_load for m in ode.models]
 
-    # divergence bounds (MG frequencies, then ILC DC voltages) and filter
-    # angles, found by state name
-    bound_checks: list[tuple[int, float, str]] = []
-    eta_indices = []
-    for idx, label in enumerate(ode.state_names):
-        owner, _, name = label.partition(".")
-        if owner.startswith("mg") and name == "omega":
-            bound_checks.append((idx, _OMEGA_BOUND, label))
-        elif owner.startswith("ilc") and name == "vdc":
-            unit = ode.units[int(owner.removeprefix("ilc")) - 1]
-            bound_checks.append((idx, _VDC_BOUND_FRAC * unit.physical.v_dc_ref, label))
-        elif name.startswith("eta"):
-            eta_indices.append(idx)
+    # the divergence guards of the states' kinds, each (index, limit, label):
+    # bounds that truncate the run and bounds that abort it
+    bound_checks, abort_checks = [], []
+    for idx, (kind, scale) in enumerate(zip(ode.state_kinds, scales)):
+        guard = KINDS[kind]
+        if guard.bound is not None:
+            (abort_checks if guard.aborts else bound_checks).append(
+                (idx, float(guard.bound * scale), ode.state_names[idx]))
 
     # the step endpoints, appended to flat buffers of floats, and of each
     # Rodas4 step the index of its start, its size and its end rates
@@ -950,11 +947,10 @@ def integrate(
     def violation(y, t, t_next=None) -> str | None:
         """Why ``y`` ends the trajectory, or None: ``y`` is the state at ``t``
         or, given ``t_next``, the largest magnitude of each state over the
-        step from ``t`` to ``t_next``.  A filter angle at pi/2 raises."""
-        for idx in eta_indices:
-            if abs(y[idx]) >= math.pi / 2:
-                raise AngleOutOfRange(
-                    f"{ode.state_names[idx]} = {y[idx]:.4f} rad {_when(t, t_next)}")
+        step from ``t`` to ``t_next``.  A filter angle at its bound raises."""
+        for idx, limit, label in abort_checks:
+            if abs(y[idx]) >= limit:
+                raise AngleOutOfRange(f"{label} = {y[idx]:.4f} rad {_when(t, t_next)}")
         for idx, limit, label in bound_checks:
             if abs(y[idx]) > limit:
                 return f"{label} exceeded {limit:g} {_when(t, t_next)}"
@@ -1099,10 +1095,10 @@ def integrate(
     # the screen of violation(), on the larger magnitude of each Rodas4
     # step's extrema
     peak = np.maximum(np.abs(lo), np.abs(hi))
-    bound_cols = [idx for idx, _, _ in bound_checks]
-    bound_limits = np.array([limit for _, limit, _ in bound_checks])
+    abort_cols, abort_limits = [c[0] for c in abort_checks], [c[1] for c in abort_checks]
+    bound_cols, bound_limits = [c[0] for c in bound_checks], [c[1] for c in bound_checks]
     with np.errstate(invalid="ignore"):
-        fails = ~(np.all(peak[:, eta_indices] < math.pi / 2, axis=1)
+        fails = ~(np.all(peak[:, abort_cols] < abort_limits, axis=1)
                   & np.all(peak[:, bound_cols] <= bound_limits, axis=1)
                   & np.all(np.isfinite(peak), axis=1))
     if np.any(fails):

@@ -33,13 +33,13 @@ gfl-gfm-dual-droop      mixed gfm-dual-droop on the forming side, dual
 ======================  ====  ==========================================
 
 Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
-its port kind, unit states, required gains and the builder of its
-equations (controller law and converter lags in one closure, on the DC-bus
-and filter power laws it is given).  Everything reads the record: the
-simulation's derivative and the exact Jacobians of the unit and of the
-system (compiled from traces of the laws, in ``engine``), and the powers
-a simulated unit injects into its grids all come from the same equations,
-so a law is written once.
+its port kind, unit states with their kinds, required gains and the
+builder of its equations (controller law and converter lags in one
+closure, on the DC-bus and filter power laws it is given).  Everything
+reads the record: the simulation's derivative and the exact Jacobians of
+the unit and of the system (compiled from traces of the laws, in
+``engine``), and the powers a simulated unit injects into its grids all
+come from the same equations, so a law is written once.
 
 The converter catalogue, :data:`PHYSICAL_DEFAULTS` and
 :data:`GAIN_DEFAULTS` in scenario-file spelling, gives the defaults of
@@ -337,50 +337,52 @@ def _gflgfm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> C
 class Scheme:
     """The one definition of an ILC control scheme.
 
-    ``states`` are the states of the converter unit itself (the object the
-    passivity analysis sees); grid-forming units add one filter-angle state
-    per connection in simulation.  ``gains`` are the :class:`Gains` fields
-    the scheme requires to be positive.  ``rhs`` builds the equations from
-    the gains, the physical parameters, the DC-bus law and the filter power
-    law; the engine's trace derives every Jacobian of the scheme from them
-    (see ``engine._Tape`` for the one rule a law obeys).
+    ``states`` maps each state of the converter unit itself (the object the
+    passivity analysis sees) to its kind, a key of ``engine.KINDS``; a
+    grid-forming unit adds two filter angles in simulation.  ``gains`` are
+    the :class:`Gains` fields the scheme requires to be positive.  ``rhs``
+    builds the equations from the gains, the physical parameters, the DC-bus
+    law and the filter power law; the engine's trace derives every Jacobian
+    of the scheme from them (see ``engine._Tape`` for the rule a law obeys).
     """
 
     port: str
-    states: tuple[str, ...]
+    states: dict[str, str]
     gains: tuple[str, ...]
     rhs: Callable[[Gains, IlcPhysical, Callable, Callable], Callable]
 
 
 SCHEME: dict[str, Scheme] = {
     "dual-freq-droop-1": Scheme(
-        GFL, ("p1", "p2", "vdc", "xi", "zeta"),
+        GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi="power", zeta="dc-integral"),
         ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd1_rhs,
     ),
     "dual-freq-droop-2": Scheme(
-        GFL, ("p1", "p2", "vdc", "xi", "zeta"),
+        GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi="angle", zeta="dc-integral"),
         ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd2_rhs,
     ),
     "dual-acdc-droop": Scheme(
-        GFL, ("p1", "p2", "vdc", "xi1", "xi2"),
+        GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi1="power", xi2="power"),
         ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"), _dacd_rhs,
     ),
-    "matching": Scheme(GFM, ("vdc",), ("m1", "m2"), _matching_rhs),
+    "matching": Scheme(GFM, dict(vdc="dc-voltage"), ("m1", "m2"), _matching_rhs),
     "gfm-freq-droop": Scheme(
-        GFM, ("vdc", "zeta", "p_eq", "pf1", "pf2"),
+        GFM, dict(vdc="dc-voltage", zeta="dc-integral", p_eq="angle", pf1="power", pf2="power"),
         ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2", "kappa_s1", "kappa_s2"),
         _gfmfd_rhs,
     ),
     "gfm-dual-droop": Scheme(
-        GFM, ("vdc", "xi1", "xi2", "pf1", "pf2"),
+        GFM, dict(vdc="dc-voltage", xi1="power", xi2="power", pf1="power", pf2="power"),
         ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2", "k_i1", "k_i2"),
         _gfmdd_rhs,
     ),
     "dual-droop-matching": Scheme(
-        PARTIAL, ("eta", "xi2", "p2", "vdc"), ("m1", "k_v2", "k_omega2", "k_i2"), _ddm_rhs,
+        PARTIAL, dict(eta="filter-angle", xi2="power", p2="power", vdc="dc-voltage"),
+        ("m1", "k_v2", "k_omega2", "k_i2"), _ddm_rhs,
     ),
     "gfl-gfm-dual-droop": Scheme(
-        PARTIAL, ("eta", "xi1", "pf1", "xi2", "p2", "vdc"),
+        PARTIAL, dict(eta="filter-angle", xi1="power", pf1="power", xi2="power", p2="power",
+                      vdc="dc-voltage"),
         ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"), _gflgfm_rhs,
     ),
 }
@@ -390,14 +392,14 @@ SCHEMES = tuple(SCHEME)
 
 def unit_state_names(unit: IlcUnit) -> tuple[str, ...]:
     """States of the converter unit (passivity-analysis state vector)."""
-    return SCHEME[unit.scheme].states
+    return tuple(SCHEME[unit.scheme].states)
 
 
-def sim_state_names(unit: IlcUnit) -> tuple[str, ...]:
-    """States the engine integrates; grid-forming sides add filter angles."""
-    if unit.port_kind == GFM:
-        return ("eta1", "eta2") + unit_state_names(unit)
-    return unit_state_names(unit)
+def sim_states(unit: IlcUnit) -> dict[str, str]:
+    """States the engine integrates, each mapped to its kind; grid-forming
+    sides add filter angles."""
+    angles = {"eta1": "filter-angle", "eta2": "filter-angle"} if unit.port_kind == GFM else {}
+    return {**angles, **SCHEME[unit.scheme].states}
 
 
 def _unit_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:

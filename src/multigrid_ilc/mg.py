@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import NonFiniteInput, ValidationError
+from .errors import ValidationError
 from .linear import LinearSystem
 
 
@@ -48,7 +48,8 @@ class FirstOrderDroop:
         if self.rating is not None:
             _require_positive(rating=self.rating)
 
-    state_names = ("omega",)
+    states = dict(omega="frequency")  # each state's kind (see engine.KINDS)
+    state_names = tuple(states)
 
     @property
     def droop_total(self) -> float:
@@ -76,7 +77,8 @@ class SwingGovernor:
         if self.rating is not None:
             _require_positive(rating=self.rating)
 
-    state_names = ("omega", "p_m")
+    states = dict(omega="frequency", p_m="power")
+    state_names = tuple(states)
 
     @property
     def droop_total(self) -> float:
@@ -114,20 +116,6 @@ def mg_rhs(model: MgModel) -> Callable:
         return ((-d * w + p_m + p) / m, (-p_m - inv_r * w) / t_g)
 
     return rhs
-
-
-def mg_derivative(
-    model: MgModel, state: tuple[float, ...], p_in: float, p_load: float | None = None
-) -> tuple[float, ...]:
-    """State derivative of one MG given the net power entering it.
-
-    ``p_load`` overrides the model's baseline load deviation when given
-    (the engine schedules load steps this way).
-    """
-    if not math.isfinite(p_in):
-        raise NonFiniteInput(f"p_in={p_in!r}")
-    load = model.p_load if p_load is None else p_load
-    return mg_rhs(model)(tuple(state), p_in + load)
 
 
 def mg_linearize(model: MgModel) -> LinearSystem:

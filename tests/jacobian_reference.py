@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from multigrid_ilc.engine import scales_and_atols
-from multigrid_ilc.mg import mg_derivative
+from multigrid_ilc.engine import kind_scales
+
+from model_reference import mg_derivative
 
 
 def finite_difference_jacobian(f, x, scales, rel_step=6e-6):
@@ -37,9 +38,8 @@ def system_jacobian(system):
 def mg_port_jacobian(model):
     """Central difference of an MG model's (rates, omega) in (state, p) at
     the zero state: the block matrix [[A, B], [C, D]] of its linearization."""
-    names = model.state_names + ("p",)
     n = len(model.state_names)
     return finite_difference_jacobian(
         lambda z: (*mg_derivative(model, tuple(z[:n]), z[n], p_load=0.0), z[0]),
-        np.zeros(n + 1), scales_and_atols(model, names)[0],
+        np.zeros(n + 1), kind_scales(model, (*model.states.values(), "power")),
     )

@@ -3,12 +3,12 @@
 The package defines each scheme by its law alone (``ilc.SCHEME``).  This
 module states each scheme's steady state a second time, in closed form and
 derived by hand, so that the tests can check the law and the numeric
-equilibria against it.  It also keeps the scalar wrappers of the unit and
-simulated laws that only the tests call, and the interpreted derivative of
-an ``OdeSystem`` (every law run on the real DC bus and filter at each
-call), the reference the compiled derivative must equal bit for bit, and
-the per-step dense output of a Rodas4 run, the reference of the vectorised
-``engine._hermite_samples``.
+equilibria against it.  It also keeps the scalar wrappers of the unit,
+simulated and MG laws that only the tests call, and the interpreted
+derivative of an ``OdeSystem`` (every law run on the real DC bus and filter
+at each call), the reference the compiled derivative must equal bit for
+bit, and the per-step dense output of a Rodas4 run, the reference of the
+vectorised ``engine._hermite_samples``.
 """
 
 import math
@@ -21,9 +21,9 @@ import numpy as np
 
 from multigrid_ilc import ilc
 from multigrid_ilc.engine import _MAX_PIECES
-from multigrid_ilc.errors import NumericalError
+from multigrid_ilc.errors import NonFiniteInput, NumericalError
 from multigrid_ilc.ilc import GFM, Gains, IlcPhysical, IlcUnit
-from multigrid_ilc.mg import mg_rhs
+from multigrid_ilc.mg import MgModel, mg_rhs
 
 
 class NoEquilibrium(NumericalError):
@@ -248,13 +248,31 @@ def ilc_output(unit: IlcUnit, state, inputs=(0.0, 0.0)) -> tuple[float, float]:
     return -out1, -out2
 
 
+def sim_state_names(unit: IlcUnit) -> tuple[str, ...]:
+    """The names of the states the engine integrates for ``unit``."""
+    return tuple(ilc.sim_states(unit))
+
+
+def mg_derivative(
+    model: MgModel, state: tuple[float, ...], p_in: float, p_load: float | None = None
+) -> tuple[float, ...]:
+    """State derivative of one MG given the net power entering it.
+
+    ``p_load`` overrides the model's baseline load deviation when given.
+    """
+    if not math.isfinite(p_in):
+        raise NonFiniteInput(f"p_in={p_in!r}")
+    load = model.p_load if p_load is None else p_load
+    return mg_rhs(model)(tuple(state), p_in + load)
+
+
 def connection_powers(ode, y) -> list[tuple[float, float]]:
     """Per-ILC (p1, p2) at the state ``y`` of an ``OdeSystem``: the powers
     injected into the two connected MGs, from each unit's scalar simulated
     law (the reference for ``Trajectory.connection_power``)."""
     out = []
     for l, unit in enumerate(ode.units):
-        names = ilc.sim_state_names(unit)
+        names = sim_state_names(unit)
         lo = ode.column("ilc", l, names[0])
         _, pa, pb = make_sim_derivative(unit)(y[lo:lo + len(names)], 0.0, 0.0)
         out.append((pa, pb))

@@ -305,6 +305,7 @@ def test_criterion_8_numerical_hygiene(two_mg_resolved):
         state_scales = np.append(ode.state_scales, 1e3)
         state_atols = np.append(ode.state_atols, 1e-3)
         state_names = ode.state_names + ("aux.energy",)
+        state_kinds = ode.state_kinds + ("power",)
         units = ode.units
         net = ode.net
         models = ode.models

@@ -36,8 +36,8 @@ def outcome(derivative, y, loads):
 def random_states(ode, rng: random.Random, count: int):
     """States spread over many state scales, with loads; some with the DC
     bus pushed through collapse and some with a non-finite filter angle."""
-    vdcs = [k for k, name in enumerate(ode.state_names) if name.endswith(".vdc")]
-    etas = [k for k, name in enumerate(ode.state_names) if ".eta" in name]
+    vdcs = [k for k, kind in enumerate(ode.state_kinds) if kind == "dc-voltage"]
+    etas = [k for k, kind in enumerate(ode.state_kinds) if kind == "filter-angle"]
     for i in range(count):
         spread = 10.0 ** rng.uniform(-3, 2)
         y = [rng.gauss(0.0, spread) * s for s in ode.state_scales]
@@ -115,7 +115,8 @@ def test_untraceable_law_raises_when_built(monkeypatch, law):
 
         return rhs
 
-    monkeypatch.setitem(ilc.SCHEME, "toy", Scheme(GFL, ("p1", "p2", "vdc"), (), toy_rhs))
+    states = dict(p1="power", p2="power", vdc="dc-voltage")
+    monkeypatch.setitem(ilc.SCHEME, "toy", Scheme(GFL, states, (), toy_rhs))
     models = [SwingGovernor(M=1e7, D=1e3, T_g=0.3, inv_R=2e7, rating=4e8)] * 2
     ode = OdeSystem(ValidatedNetwork(2, ((0, 1),)), models, [IlcUnit("toy")])
     with pytest.raises(TypeError, match="scheme 'toy'"):

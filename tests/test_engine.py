@@ -217,6 +217,7 @@ def test_overflowing_state_sum_is_not_a_non_finite_state():
     class Still:
         dim = 2
         state_names = ("ilc1.p1", "ilc1.p2")
+        state_kinds = ("power", "power")
         state_scales = np.array([1e5, 1e5])
         state_atols = np.array([1e-3, 1e-3])
         models = ()
@@ -341,6 +342,7 @@ def test_dc_energy_bookkeeping(two_mg_resolved):
         state_scales = np.append(ode.state_scales, 1e3)
         state_atols = np.append(ode.state_atols, 1e-3)
         state_names = ode.state_names + ("aux.energy",)
+        state_kinds = ode.state_kinds + ("power",)
         units = ode.units
         net = ode.net
         models = ode.models
@@ -631,7 +633,8 @@ def test_dense_truncation_is_a_sparse_truncation(two_mg_resolved, monkeypatch, d
     at_ends = np.max(np.abs(sparse.y[:, omegas]))
     inside = np.max(np.abs(dense.y[:, omegas]))
     assert at_ends < inside
-    monkeypatch.setattr(engine, "_OMEGA_BOUND", 0.5 * (at_ends + inside))
+    monkeypatch.setitem(engine.KINDS, "frequency",
+                        engine.KINDS["frequency"]._replace(bound=0.5 * (at_ends + inside)))
     cut = integrate(*run)
     opts.dense = True
     dense_cut = integrate(*run)

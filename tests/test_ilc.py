@@ -19,7 +19,6 @@ from multigrid_ilc.ilc import (
     IlcUnit,
     SCHEMES,
     filter_susceptance_power,
-    sim_state_names,
     unit_state_names,
 )
 
@@ -30,6 +29,7 @@ from model_reference import (
     ilc_equilibrium,
     ilc_output,
     make_sim_derivative,
+    sim_state_names,
 )
 
 PHYS = IlcPhysical()

@@ -15,7 +15,7 @@ import pytest
 
 from multigrid_ilc import ilc
 from multigrid_ilc.analysis import linearize_closed_loop, linearize_unit
-from multigrid_ilc.engine import OdeSystem, find_equilibrium, ilc_jacobian, scales_and_atols
+from multigrid_ilc.engine import OdeSystem, find_equilibrium, ilc_jacobian, kind_scales
 from multigrid_ilc.errors import DcVoltageCollapse, NonFiniteInput
 from multigrid_ilc.ilc import (
     GFL,
@@ -27,12 +27,12 @@ from multigrid_ilc.ilc import (
     Scheme,
     unit_state_names,
 )
-from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_derivative, mg_linearize
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_linearize
 from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
 from jacobian_reference import finite_difference_jacobian
-from model_reference import ilc_derivative, ilc_output, unit_rhs
+from model_reference import ilc_derivative, ilc_output, mg_derivative, unit_rhs
 from test_ilc import unit_for
 
 N_STATES = 20
@@ -57,18 +57,21 @@ def assert_matches(f, exact, z, scales):
     )
 
 
-def random_points(names, scales, seed):
-    """Random nonzero values of the named variables, of either sign, with
-    magnitudes log-uniform over the four decades up to 3 times their scale
-    (up to 1.2 rad for angles)."""
+def random_points(kinds, scales, seed):
+    """Random nonzero values of variables of the given kinds, of either
+    sign, with magnitudes log-uniform over the four decades up to 3 times
+    their scale (up to 1.2 rad for filter angles)."""
     rng = np.random.default_rng(seed)
-    top = np.array([1.2 if n.startswith("eta") else 3.0 for n in names])
-    magnitude = top * 10.0 ** rng.uniform(-4.0, 0.0, (N_STATES, len(names)))
+    top = np.array([1.2 if kind == "filter-angle" else 3.0 for kind in kinds])
+    magnitude = top * 10.0 ** rng.uniform(-4.0, 0.0, (N_STATES, len(kinds)))
     return magnitude * rng.choice((-1.0, 1.0), magnitude.shape) * np.asarray(scales)
 
 
-def port_names(unit):
-    return ("p1", "p2") if unit.port_kind == GFM else ("omega1", "omega2")
+def unit_kinds(unit):
+    """The kinds of the unit's states and of its two port inputs: powers
+    into a grid-forming unit, frequencies into the others."""
+    inputs = ("power",) * 2 if unit.port_kind == GFM else ("frequency",) * 2
+    return (*ilc.SCHEME[unit.scheme].states.values(), *inputs)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -78,14 +81,14 @@ def test_scheme_record_jacobian(scheme):
     unit = unit_for(scheme)
     rhs = unit_rhs(unit)
     n = len(unit_state_names(unit))
-    names = unit_state_names(unit) + port_names(unit)
-    scales, _ = scales_and_atols(unit, names)
+    kinds = unit_kinds(unit)
+    scales = kind_scales(unit, kinds)
 
     def f(z):
         rates, out1, out2 = rhs(tuple(z[:n]), z[n], z[n + 1])
         return (*rates, out1, out2)
 
-    for z in random_points(names, scales, seed=1):
+    for z in random_points(kinds, scales, seed=1):
         assert_matches(f, ilc_jacobian(unit, tuple(z[:n]), (z[n], z[n + 1])), z, scales)
 
 
@@ -94,15 +97,15 @@ def check_port_linearization(unit, seed):
     of ilc_derivative and ilc_output in the passivity port convention."""
     n = len(unit_state_names(unit))
     gfm = unit.port_kind == GFM
-    names = unit_state_names(unit) + port_names(unit)
-    scales, _ = scales_and_atols(unit, names)
+    kinds = unit_kinds(unit)
+    scales = kind_scales(unit, kinds)
 
     def f(z):
         raw = (-z[n], -z[n + 1]) if gfm else (z[n], z[n + 1])
         x = tuple(z[:n])
         return ilc_derivative(unit, x, raw) + ilc_output(unit, x, raw)
 
-    for z in random_points(names, scales, seed):
+    for z in random_points(kinds, scales, seed):
         lin = linearize_unit(unit, z[:n], (z[n], z[n + 1]))
         assert_matches(f, np.block([[lin.a, lin.b], [lin.c, lin.d]]), z, scales)
 
@@ -116,21 +119,20 @@ def test_linearize_unit_port_convention(scheme):
                                    SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7)])
 def test_mg_linearization(model):
     n = len(model.state_names)
-    names = model.state_names + ("p",)
-    scales, _ = scales_and_atols(model, names)
+    kinds = (*model.states.values(), "power")
+    scales = kind_scales(model, kinds)
     lin = mg_linearize(model)
     exact = np.block([[lin.a, lin.b], [lin.c, lin.d]])
 
     def f(z):
         return (*mg_derivative(model, tuple(z[:n]), z[n], p_load=0.0), z[0])
 
-    for z in random_points(names, scales, seed=4):
+    for z in random_points(kinds, scales, seed=4):
         assert_matches(f, exact, z, scales)
 
 
 def check_system(ode, seed):
-    names = [label.partition(".")[2] for label in ode.state_names]
-    for y in random_points(names, ode.state_scales, seed):
+    for y in random_points(ode.state_kinds, ode.state_scales, seed):
         assert_matches(lambda v: ode.derivative(0.0, v.tolist()), ode.jacobian(y), y,
                        ode.state_scales)
 
@@ -243,13 +245,12 @@ def _quotient_rhs(g, phys, dc, power):
     return rhs
 
 
+LAG_STATES = dict(p1="power", p2="power", vdc="dc-voltage")
 TOYS = {
-    "toy-lag": (GFL, ("p1", "p2", "vdc"), _lag_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
-    "toy-product": (GFL, ("p1", "p2", "vdc"), _product_rhs,
-                    Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
-    "toy-quotient": (GFL, ("p1", "p2", "vdc"), _quotient_rhs,
-                     Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
-    "toy-filter": (GFM, ("vdc", "pf1", "pf2"), _filter_rhs,
+    "toy-lag": (GFL, LAG_STATES, _lag_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
+    "toy-product": (GFL, LAG_STATES, _product_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
+    "toy-quotient": (GFL, LAG_STATES, _quotient_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
+    "toy-filter": (GFM, dict(vdc="dc-voltage", pf1="power", pf2="power"), _filter_rhs,
                    Gains(m1=1e-3, m2=1e-3, m_p1=4e-8, m_p2=4e-8)),
 }
 
@@ -270,9 +271,9 @@ def test_linearize_unit_leaves_the_derived_jacobian_intact(scheme):
     """linearize_unit flips signs in the matrix ilc_jacobian returns; the
     per-unit derivation must hand out a new matrix on every call."""
     unit = unit_for(scheme)
-    names = unit_state_names(unit)
-    scales, _ = scales_and_atols(unit, names)
-    x = random_points(names, scales, seed=9)[0]
+    kinds = ilc.SCHEME[scheme].states.values()
+    scales = kind_scales(unit, kinds)
+    x = random_points(kinds, scales, seed=9)[0]
     first = ilc_jacobian(unit, x, (0.0, 0.0)).copy()
     linearize_unit(unit, x)
     linearize_unit(unit, x)

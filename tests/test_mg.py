@@ -11,11 +11,11 @@ from multigrid_ilc.linear import transfer_matrix
 from multigrid_ilc.mg import (
     FirstOrderDroop,
     SwingGovernor,
-    mg_derivative,
     mg_linearize,
 )
 
 from jacobian_reference import mg_port_jacobian
+from model_reference import mg_derivative
 
 positive = st.floats(min_value=1e-3, max_value=1e9, allow_nan=False)
 

@@ -21,10 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import EquilibriumPoint, OdeSystem, ilc_jacobian, write_csv
+from .engine import EquilibriumPoint, OdeSystem, ilc_jacobian, law_jacobian, write_csv
 from .errors import SingularResolvent, ValidationError
 from .ilc import GFM, IlcUnit, unit_state_names
 from .linear import LinearSystem, transfer_matrix, transfer_stack
+from .mg import MgModel
 
 __all__ = [
     "LinearSystem",
@@ -32,6 +33,7 @@ __all__ = [
     "transfer_stack",
     "default_grid",
     "linearize_unit",
+    "mg_linearize",
     "linearize_closed_loop",
     "passivity_sweep",
     "PassivityReport",
@@ -86,6 +88,20 @@ def linearize_unit(
     return LinearSystem(
         a=jac[:n, :n], b=jac[:n, n:], c=jac[n:, :n], d=jac[n:, n:],
         state_labels=names, input_labels=in_labels, output_labels=out_labels,
+    )
+
+
+def mg_linearize(model: MgModel) -> LinearSystem:
+    """Exact linearization of one MG with input p (W) and output omega
+    (rad/s), compiled from a trace of its law, the equations the engine
+    integrates (see ``engine.law_jacobian``); the model is linear, so the
+    point does not matter."""
+    n = len(model.state_names)
+    jac = law_jacobian(f"MG model {type(model).__name__}",
+                       lambda tape, y, p: (model.law(y, p), y[0]), n, 1)([0.0] * n, [0.0])
+    return LinearSystem(
+        a=jac[:n, :n], b=jac[:n, n:], c=jac[n:, :n], d=jac[n:, n:],
+        state_labels=model.state_names, input_labels=("p",), output_labels=("omega",),
     )
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import analysis
 from .engine import find_equilibrium, integrate
 from .errors import MultigridError, NumericalError, ValidationError
-from .mg import mg_linearize
 from .scenario import build_system, dump_resolved, load_resolved, shipped_scenario_names
 from .svg import Series, write_svg
 from .sweep import SweepRequest, bisect_boundary, table3_harness
@@ -88,7 +87,7 @@ def _cmd_linearize(args) -> int:
         label = f"ilc{args.ilc}"
     elif args.mg is not None:
         _check_index(args.mg, bundle.network.n_mgs, "MG")
-        lin = mg_linearize(bundle.models[args.mg - 1])
+        lin = analysis.mg_linearize(bundle.models[args.mg - 1])
         label = f"mg{args.mg}"
     else:
         lin = analysis.linearize_closed_loop(bundle.ode, find_equilibrium(bundle.ode))

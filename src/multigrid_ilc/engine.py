@@ -6,8 +6,9 @@ connects, and each MG receives the scheduled load deviation plus the sum of
 the connection powers injected by its ILCs.  Grid-forming ILC sides couple
 through their inductive filter (angle state, power B*sin(eta)); the filter
 angles are part of the simulated ILC state.  The system's derivative and
-its exact Jacobian are compiled from one trace of the laws, and each ILC
-unit's Jacobian from a trace of its law (see ``_Tape``).
+its exact Jacobian are compiled from one trace of the laws, and the
+Jacobian of any single law, such as one ILC unit's, from a trace of that
+law (see ``_Tape`` and :func:`law_jacobian`).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .errors import (
     StepSizeUnderflow,
     ValidationError,
 )
-from .ilc import (IlcPhysical, IlcUnit, _check_state, _collapse, _unit_law, injected_powers,
+from .ilc import (SCHEME, IlcPhysical, IlcUnit, _check_state, _collapse, injected_powers,
                   sim_law, sim_states, unit_state_names)
-from .mg import MgModel, default_rating, mg_rhs
+from .mg import MgModel, default_rating
 from .network import ValidatedNetwork
 
 class Kind(NamedTuple):
@@ -83,7 +84,7 @@ class EquilibriumPoint:
 
 # --- the compiled derivative and Jacobian --------------------------------
 # OdeSystem.derivative runs one straight-line function per system, built by
-# evaluating every ILC's sim_law and every MG's mg_rhs once on traced
+# evaluating every ILC's sim_law and every MG's law once on traced
 # variables.  Each arithmetic operation on a traced variable appends one
 # assignment to the tape, in evaluation order, so the function performs the
 # laws' float operations in their order and raises what they raise.
@@ -306,17 +307,29 @@ def _trace(owner: str, law: Callable, *args):
         raise TypeError(f"{owner}: its law cannot be compiled: {exc}") from exc
 
 
+def law_jacobian(owner: str, law: Callable, n: int, n_inputs: int) -> Callable:
+    """jacobian(state, inputs), compiled from ``law(tape, state, *inputs)``
+    -> (rates, *outputs) traced with the ``n`` states and then the
+    ``n_inputs`` inputs as the variables of its columns; its rows are the
+    rates and then the outputs.  A law the tape cannot replay raises
+    TypeError naming ``owner``."""
+    tape = _Tape()
+    rates, *outputs = _trace(owner, law, tape, tape.inputs("y", n, 0),
+                             *tape.inputs("l", n_inputs, n))
+    tape.finish([*rates, *outputs])
+    return tape.jacobian(n, n_inputs, n + n_inputs)
+
+
 @lru_cache(maxsize=None)
 def _unit_law_jacobian(unit: IlcUnit) -> Callable:
-    """jacobian(state, inputs), compiled from the unit's law traced with
-    its state and both inputs as the variables of the Jacobian."""
-    tape = _Tape()
-    n = len(unit_state_names(unit))
-    law = _unit_law(unit, tape.dc_bus(unit.physical), tape.filter_power(unit.physical.b))
-    rates, out1, out2 = _trace(f"scheme {unit.scheme!r}", law, tape.inputs("y", n, 0),
-                               *tape.inputs("l", 2, n))
-    tape.finish([*rates, out1, out2])
-    return tape.jacobian(n, 2, n + 2)
+    """jacobian(state, inputs) of the unit's law, by its state and both
+    inputs."""
+    law, phys = SCHEME[unit.scheme].law, unit.physical
+
+    def traced(tape, y, in1, in2):
+        return law(unit.gains, phys, tape.dc_bus(phys), tape.filter_power(phys.b), y, in1, in2)
+
+    return law_jacobian(f"scheme {unit.scheme!r}", traced, len(unit_state_names(unit)), 2)
 
 
 def ilc_jacobian(unit: IlcUnit, state, inputs) -> np.ndarray:
@@ -384,15 +397,15 @@ class OdeSystem:
         p_in = list(tape.inputs("l", self.net.n_mgs))
         rates = [0.0] * self.dim
         for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self.net.ends):
-            law = sim_law(unit, tape.dc_bus(unit.physical), tape.filter_power(unit.physical.b))
-            seg_rates, pa, pb = _trace(f"scheme {unit.scheme!r}", law, y[lo:hi],
+            seg_rates, pa, pb = _trace(f"scheme {unit.scheme!r}", sim_law, unit,
+                                       tape.dc_bus(unit.physical),
+                                       tape.filter_power(unit.physical.b), y[lo:hi],
                                        y[self._mg_spans[a][0]], y[self._mg_spans[b][0]])
             rates[lo:hi] = seg_rates
             p_in[a] += pa
             p_in[b] += pb
         for model, (lo, hi), p in zip(self.models, self._mg_spans, p_in):
-            rates[lo:hi] = _trace(f"MG model {type(model).__name__}", mg_rhs(model),
-                                  y[lo:hi], p)
+            rates[lo:hi] = _trace(f"MG model {type(model).__name__}", model.law, y[lo:hi], p)
         tape.finish(rates)
         return tape
 
@@ -649,7 +662,6 @@ class _Switch(NamedTuple):
     k1: list
     h: float
     endpoints: int
-    stiff_steps: int
     accepted: int
     rejected: int
     rhs_calls: int
@@ -935,11 +947,10 @@ def integrate(
                 (idx, float(guard.bound * scale), ode.state_names[idx]))
 
     # the step endpoints, appended to flat buffers of floats, and of each
-    # Rodas4 step the index of its start, its size and its end rates
+    # Rodas4 step its size and its end rates
     dim = ode.dim
     ts = array("d", [t0])
     ys = array("d", y)
-    stiff_starts = array("q")
     stiff_h = array("d")
     stiff_rates = array("d")
     reason: str | None = None
@@ -1031,7 +1042,6 @@ def integrate(
             accepted += 1
             if stiff:
                 jac = None
-                stiff_starts.append(len(ts) - 1)
                 stiff_h.append(h)
                 stiff_rates.extend(k1)
                 stiff_rates.extend(k7)
@@ -1058,8 +1068,8 @@ def integrate(
             h *= max(0.2, factor)
             if switch is None:
                 if stiff_from is not None and not stiff:  # the test just fired
-                    switch = _Switch(t, y, k1, h, len(ts), len(stiff_starts), accepted,
-                                     rejected, rhs_calls, jacobian_calls, h_done)
+                    switch = _Switch(t, y, k1, h, len(ts), accepted, rejected, rhs_calls,
+                                     jacobian_calls, h_done)
                 continue
             if accepted - switch.accepted < _TRIAL_STEPS and t < boundary:
                 continue
@@ -1074,8 +1084,7 @@ def integrate(
                 t, y, k1, h = switch.t, switch.y, switch.k1, switch.h
                 accepted, rejected = switch.accepted, switch.rejected
                 del ts[switch.endpoints:], ys[switch.endpoints * dim:]
-                del stiff_starts[switch.stiff_steps:], stiff_h[switch.stiff_steps:]
-                del stiff_rates[switch.stiff_steps * 2 * dim:]
+                del stiff_h[:], stiff_rates[:]
                 stiff_from = None
                 streak = calm = 0
                 rollbacks += 1
@@ -1087,8 +1096,10 @@ def integrate(
 
     t_out = np.frombuffer(ts)
     y_out = np.frombuffer(ys).reshape(-1, dim)
-    starts = np.frombuffer(stiff_starts, dtype=np.int64)
     steps = np.frombuffer(stiff_h)
+    # the Rodas4 steps are the last len(steps) steps: a trial rolled back
+    # leaves none, and one that passes stays on Rodas4 to the end of the call
+    starts = np.arange(len(t_out) - 1 - len(steps), len(t_out) - 1)
     rates = np.frombuffer(stiff_rates).reshape(-1, 2, dim)
     lo, hi = _hermite_extrema(y_out[starts], rates[:, 0], y_out[starts + 1], rates[:, 1],
                               steps[:, None])

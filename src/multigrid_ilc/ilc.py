@@ -33,13 +33,13 @@ gfl-gfm-dual-droop      mixed gfm-dual-droop on the forming side, dual
 ======================  ====  ==========================================
 
 Each scheme is defined by one :class:`Scheme` record in :data:`SCHEME`:
-its port kind, unit states with their kinds, required gains and the
-builder of its equations (controller law and converter lags in one
-closure, on the DC-bus and filter power laws it is given).  Everything
-reads the record: the simulation's derivative and the exact Jacobians of
-the unit and of the system (compiled from traces of the laws, in
-``engine``), and the powers a simulated unit injects into its grids all
-come from the same equations, so a law is written once.
+its port kind, unit states with their kinds, required gains and its law
+(controller and converter lags in one plain function of the gains, the
+physical parameters, the DC-bus and filter power laws, the state and the
+two inputs).  Everything reads the record: the simulation's derivative and
+the exact Jacobians of the unit and of the system (compiled from traces of
+the laws, in ``engine``), and the powers a simulated unit injects into its
+grids all come from the same equations, so a law is written once.
 
 The converter catalogue, :data:`PHYSICAL_DEFAULTS` and
 :data:`GAIN_DEFAULTS` in scenario-file spelling, gives the defaults of
@@ -176,161 +176,107 @@ def _collapse(vdc: float, vref: float) -> DcVoltageCollapse:
 
 
 # --- the schemes ---------------------------------------------------------
-# Per scheme: an rhs builder (gains, physical, dc, power) -> rhs(y, in1,
-# in2) that returns (rates, out1, out2), written on the DC-bus law dc(p1,
-# p2, vdc) and the filter power law power(eta) it is given.  The engine
-# traces it on hooks for the two laws into its compiled derivative and
-# Jacobians, and injected_powers evaluates it on array stubs that give its
-# port powers over a trajectory.  Inputs are the
+# Per scheme: its law (gains, physical, dc, power, y, in1, in2) -> (rates,
+# out1, out2), written on the DC-bus law dc(p1, p2, vdc) and the filter power
+# law power(eta) it is given.  The engine traces it on hooks for the two laws
+# into its compiled derivative and Jacobians, and injected_powers evaluates it
+# on array stubs that give its port powers over a trajectory.  Inputs are the
 # two connection frequencies for GFL/partial units and the two powers
 # leaving the converter (p1, p2) for GFM units; outputs are those powers for
 # GFL/partial units and the frequency references for GFM units.
 
 
-def _dfd1_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    k_omega1, k_omega2, k_i = g.k_omega1, g.k_omega2, g.k_i
-    k_pdc, k_idc = g.k_pdc, g.k_idc
-    tau1, tau2 = phys.tau1, phys.tau2
-
-    def rhs(y, w1, w2):
-        p1, p2, vdc, xi, zeta = y
-        droop = -k_omega1 * w1 + k_omega2 * w2
-        pref1 = droop + k_i * xi
-        pref2 = k_pdc * vdc + k_idc * zeta
-        return (
-            ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc), droop, vdc),
-            p1, p2,
-        )
-
-    return rhs
+def _dfd1_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
+    p1, p2, vdc, xi, zeta = y
+    droop = -g.k_omega1 * w1 + g.k_omega2 * w2
+    pref1 = droop + g.k_i * xi
+    pref2 = g.k_pdc * vdc + g.k_idc * zeta
+    return (
+        ((-p1 + pref1) / phys.tau1, (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc), droop, vdc),
+        p1, p2,
+    )
 
 
-def _dfd2_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    k_omega1, k_omega2, k_i = g.k_omega1, g.k_omega2, g.k_i
-    k_pdc, k_idc = g.k_pdc, g.k_idc
-    tau1, tau2 = phys.tau1, phys.tau2
-
-    def rhs(y, w1, w2):
-        p1, p2, vdc, xi, zeta = y
-        # the DC PI term is shared by both references
-        p_dc = k_pdc * vdc + k_idc * zeta
-        base = -k_omega1 * w1 + k_omega2 * w2 + k_i * xi
-        pref1 = base + p_dc
-        pref2 = -base + p_dc
-        return (
-            ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc),
-             -w1 + w2, vdc),
-            p1, p2,
-        )
-
-    return rhs
+def _dfd2_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
+    p1, p2, vdc, xi, zeta = y
+    # the DC PI term is shared by both references
+    p_dc = g.k_pdc * vdc + g.k_idc * zeta
+    base = -g.k_omega1 * w1 + g.k_omega2 * w2 + g.k_i * xi
+    pref1 = base + p_dc
+    pref2 = -base + p_dc
+    return (
+        ((-p1 + pref1) / phys.tau1, (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc),
+         -w1 + w2, vdc),
+        p1, p2,
+    )
 
 
-def _dacd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    k_omega1, k_omega2, k_v1, k_v2 = g.k_omega1, g.k_omega2, g.k_v1, g.k_v2
-    k_i1, k_i2 = g.k_i1, g.k_i2
-    tau1, tau2 = phys.tau1, phys.tau2
-
-    def rhs(y, w1, w2):
-        p1, p2, vdc, xi1, xi2 = y
-        d1 = k_v1 * vdc - k_omega1 * w1
-        d2 = k_v2 * vdc - k_omega2 * w2
-        pref1 = d1 + k_i1 * xi1
-        pref2 = d2 + k_i2 * xi2
-        return (
-            ((-p1 + pref1) / tau1, (-p2 + pref2) / tau2, dc(p1, p2, vdc), d1, d2),
-            p1, p2,
-        )
-
-    return rhs
+def _dacd_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
+    p1, p2, vdc, xi1, xi2 = y
+    d1 = g.k_v1 * vdc - g.k_omega1 * w1
+    d2 = g.k_v2 * vdc - g.k_omega2 * w2
+    pref1 = d1 + g.k_i1 * xi1
+    pref2 = d2 + g.k_i2 * xi2
+    return (
+        ((-p1 + pref1) / phys.tau1, (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc), d1, d2),
+        p1, p2,
+    )
 
 
-def _matching_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    m1, m2 = g.m1, g.m2
-
-    def rhs(y, p1, p2):
-        (vdc,) = y
-        return ((dc(p1, p2, vdc),), m1 * vdc, m2 * vdc)
-
-    return rhs
+def _matching_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, p1, p2):
+    (vdc,) = y
+    return ((dc(p1, p2, vdc),), g.m1 * vdc, g.m2 * vdc)
 
 
-def _gfmfd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    m_p1, m_p2, k_pdc, k_idc = g.m_p1, g.m_p2, g.k_pdc, g.k_idc
-    k_i1, k_i2, kappa_s1, kappa_s2 = g.k_i1, g.k_i2, g.kappa_s1, g.kappa_s2
-    tau1, tau2 = phys.tau1, phys.tau2
-
-    def rhs(y, p1, p2):
-        vdc, zeta, p_eq, pf1, pf2 = y
-        # P_dc and P_eq act as power setpoints: positive P_dc (excess DC
-        # energy) raises the frequency references to export more, and the
-        # equalizing integrator feeds back negatively, like secondary control
-        p_dc = k_pdc * vdc + k_idc * zeta
-        wref1 = -m_p1 * (pf1 - kappa_s1 * p_dc + k_i1 * p_eq)
-        wref2 = -m_p2 * (pf2 - kappa_s2 * p_dc - k_i2 * p_eq)
-        return (
-            (dc(p1, p2, vdc), vdc, wref1 - wref2, (-pf1 + p1) / tau1,
-             (-pf2 + p2) / tau2),
-            wref1, wref2,
-        )
-
-    return rhs
+def _gfmfd_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, p1, p2):
+    vdc, zeta, p_eq, pf1, pf2 = y
+    # P_dc and P_eq act as power setpoints: positive P_dc (excess DC energy)
+    # raises the frequency references to export more, and the equalizing
+    # integrator feeds back negatively, like secondary control
+    p_dc = g.k_pdc * vdc + g.k_idc * zeta
+    wref1 = -g.m_p1 * (pf1 - g.kappa_s1 * p_dc + g.k_i1 * p_eq)
+    wref2 = -g.m_p2 * (pf2 - g.kappa_s2 * p_dc - g.k_i2 * p_eq)
+    return (
+        (dc(p1, p2, vdc), vdc, wref1 - wref2, (-pf1 + p1) / phys.tau1,
+         (-pf2 + p2) / phys.tau2),
+        wref1, wref2,
+    )
 
 
-def _gfmdd_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    m_p1, m_p2, k_v1, k_v2 = g.m_p1, g.m_p2, g.k_v1, g.k_v2
-    k_omega1, k_omega2, k_i1, k_i2 = g.k_omega1, g.k_omega2, g.k_i1, g.k_i2
-    tau1, tau2 = phys.tau1, phys.tau2
-
-    def rhs(y, p1, p2):
-        vdc, xi1, xi2, pf1, pf2 = y
-        wref1 = m_p1 * (-pf1 + k_v1 * vdc + k_i1 * xi1)
-        wref2 = m_p2 * (-pf2 + k_v2 * vdc + k_i2 * xi2)
-        return (
-            (dc(p1, p2, vdc), k_v1 * vdc - k_omega1 * wref1,
-             k_v2 * vdc - k_omega2 * wref2, (-pf1 + p1) / tau1, (-pf2 + p2) / tau2),
-            wref1, wref2,
-        )
-
-    return rhs
+def _gfmdd_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, p1, p2):
+    vdc, xi1, xi2, pf1, pf2 = y
+    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
+    wref2 = g.m_p2 * (-pf2 + g.k_v2 * vdc + g.k_i2 * xi2)
+    return (
+        (dc(p1, p2, vdc), g.k_v1 * vdc - g.k_omega1 * wref1,
+         g.k_v2 * vdc - g.k_omega2 * wref2, (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2),
+        wref1, wref2,
+    )
 
 
-def _ddm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    m1, k_v2, k_omega2, k_i2 = g.m1, g.k_v2, g.k_omega2, g.k_i2
-    tau2 = phys.tau2
-
-    def rhs(y, w1, w2):
-        eta, xi2, p2, vdc = y
-        p1 = power(eta)
-        wref1 = m1 * vdc
-        d2 = k_v2 * vdc - k_omega2 * w2
-        pref2 = d2 + k_i2 * xi2
-        return (
-            (wref1 - w1, d2, (-p2 + pref2) / tau2, dc(p1, p2, vdc)),
-            p1, p2,
-        )
-
-    return rhs
+def _ddm_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
+    eta, xi2, p2, vdc = y
+    p1 = power(eta)
+    wref1 = g.m1 * vdc
+    d2 = g.k_v2 * vdc - g.k_omega2 * w2
+    pref2 = d2 + g.k_i2 * xi2
+    return (
+        (wref1 - w1, d2, (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc)),
+        p1, p2,
+    )
 
 
-def _gflgfm_rhs(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable) -> Callable:
-    m_p1, k_v1, k_omega1, k_i1 = g.m_p1, g.k_v1, g.k_omega1, g.k_i1
-    k_v2, k_omega2, k_i2 = g.k_v2, g.k_omega2, g.k_i2
-    tau1, tau2 = phys.tau1, phys.tau2
-
-    def rhs(y, w1, w2):
-        eta, xi1, pf1, xi2, p2, vdc = y
-        p1 = power(eta)
-        wref1 = m_p1 * (-pf1 + k_v1 * vdc + k_i1 * xi1)
-        d2 = k_v2 * vdc - k_omega2 * w2
-        pref2 = d2 + k_i2 * xi2
-        return (
-            (wref1 - w1, k_v1 * vdc - k_omega1 * wref1, (-pf1 + p1) / tau1, d2,
-             (-p2 + pref2) / tau2, dc(p1, p2, vdc)),
-            p1, p2,
-        )
-
-    return rhs
+def _gflgfm_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
+    eta, xi1, pf1, xi2, p2, vdc = y
+    p1 = power(eta)
+    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
+    d2 = g.k_v2 * vdc - g.k_omega2 * w2
+    pref2 = d2 + g.k_i2 * xi2
+    return (
+        (wref1 - w1, g.k_v1 * vdc - g.k_omega1 * wref1, (-pf1 + p1) / phys.tau1, d2,
+         (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc)),
+        p1, p2,
+    )
 
 
 @dataclass(frozen=True)
@@ -340,50 +286,51 @@ class Scheme:
     ``states`` maps each state of the converter unit itself (the object the
     passivity analysis sees) to its kind, a key of ``engine.KINDS``; a
     grid-forming unit adds two filter angles in simulation.  ``gains`` are
-    the :class:`Gains` fields the scheme requires to be positive.  ``rhs``
-    builds the equations from the gains, the physical parameters, the DC-bus
-    law and the filter power law; the engine's trace derives every Jacobian
-    of the scheme from them (see ``engine._Tape`` for the rule a law obeys).
+    the :class:`Gains` fields the scheme requires to be positive.  ``law``
+    gives the equations from the gains, the physical parameters, the DC-bus
+    law, the filter power law, the state and the two inputs; the engine's
+    trace derives every Jacobian of the scheme from it (see ``engine._Tape``
+    for the rule a law obeys).
     """
 
     port: str
     states: dict[str, str]
     gains: tuple[str, ...]
-    rhs: Callable[[Gains, IlcPhysical, Callable, Callable], Callable]
+    law: Callable[..., tuple]
 
 
 SCHEME: dict[str, Scheme] = {
     "dual-freq-droop-1": Scheme(
         GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi="power", zeta="dc-integral"),
-        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd1_rhs,
+        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd1_law,
     ),
     "dual-freq-droop-2": Scheme(
         GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi="angle", zeta="dc-integral"),
-        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd2_rhs,
+        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd2_law,
     ),
     "dual-acdc-droop": Scheme(
         GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi1="power", xi2="power"),
-        ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"), _dacd_rhs,
+        ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"), _dacd_law,
     ),
-    "matching": Scheme(GFM, dict(vdc="dc-voltage"), ("m1", "m2"), _matching_rhs),
+    "matching": Scheme(GFM, dict(vdc="dc-voltage"), ("m1", "m2"), _matching_law),
     "gfm-freq-droop": Scheme(
         GFM, dict(vdc="dc-voltage", zeta="dc-integral", p_eq="angle", pf1="power", pf2="power"),
         ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2", "kappa_s1", "kappa_s2"),
-        _gfmfd_rhs,
+        _gfmfd_law,
     ),
     "gfm-dual-droop": Scheme(
         GFM, dict(vdc="dc-voltage", xi1="power", xi2="power", pf1="power", pf2="power"),
         ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2", "k_i1", "k_i2"),
-        _gfmdd_rhs,
+        _gfmdd_law,
     ),
     "dual-droop-matching": Scheme(
         PARTIAL, dict(eta="filter-angle", xi2="power", p2="power", vdc="dc-voltage"),
-        ("m1", "k_v2", "k_omega2", "k_i2"), _ddm_rhs,
+        ("m1", "k_v2", "k_omega2", "k_i2"), _ddm_law,
     ),
     "gfl-gfm-dual-droop": Scheme(
         PARTIAL, dict(eta="filter-angle", xi1="power", pf1="power", xi2="power", p2="power",
                       vdc="dc-voltage"),
-        ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"), _gflgfm_rhs,
+        ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"), _gflgfm_law,
     ),
 }
 
@@ -402,26 +349,17 @@ def sim_states(unit: IlcUnit) -> dict[str, str]:
     return {**angles, **SCHEME[unit.scheme].states}
 
 
-def _unit_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
-    """rhs(state, in1, in2) -> (rates, out1, out2) of one unit, on the given
-    DC-bus and filter power laws."""
-    return SCHEME[unit.scheme].rhs(unit.gains, unit.physical, dc, power)
-
-
-def sim_law(unit: IlcUnit, dc: Callable, power: Callable) -> Callable:
-    """rhs(y, w1, w2) -> (rates, p1, p2) of one unit as the engine integrates
-    it, on the given laws: grid-forming units put the two filter angles
-    first and feed the unit the filter powers."""
-    rhs = _unit_law(unit, dc, power)
+def sim_law(unit: IlcUnit, dc: Callable, power: Callable, y, w1, w2) -> tuple:
+    """(rates, p1, p2) of one unit at its simulated state ``y`` and the
+    frequencies ``w1``, ``w2`` of its MGs, on the given DC-bus and filter
+    power laws: grid-forming units put the two filter angles first and feed
+    the scheme's law the filter powers."""
+    law = SCHEME[unit.scheme].law
     if unit.port_kind != GFM:
-        return rhs
-
-    def sim_rhs(y, w1, w2):
-        p1, p2 = power(y[0]), power(y[1])
-        rates, wref1, wref2 = rhs(y[2:], p1, p2)
-        return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
-
-    return sim_rhs
+        return law(unit.gains, unit.physical, dc, power, y, w1, w2)
+    p1, p2 = power(y[0]), power(y[1])
+    rates, wref1, wref2 = law(unit.gains, unit.physical, dc, power, y[2:], p1, p2)
+    return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
 
 
 def _check_state(unit: IlcUnit, state, inputs=None) -> None:
@@ -452,5 +390,5 @@ def injected_powers(unit: IlcUnit, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return b * np.sin(eta)
 
     with np.errstate(all="ignore"):  # a truncated run may end on a non-finite sample
-        _, p1, p2 = sim_law(unit, dc, power)(y.T, 0.0, 0.0)
+        _, p1, p2 = sim_law(unit, dc, power, y.T, 0.0, 0.0)
     return p1, p2

@@ -9,19 +9,18 @@ power deviation entering the MG (W), output its frequency deviation
 * ``SwingGovernor``   -- swing dynamics with a first-order governor:
   M * dw/dt = -D*w + p_m + p_in + p_load,  T_g * dp_m/dt = -p_m - w/R.
 
-All quantities are SI deviations from the nominal operating point.
+All quantities are SI deviations from the nominal operating point.  Each
+model's ``law`` method gives its equations, which the engine traces into
+the simulation and ``analysis.mg_linearize`` into the MG's linearization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
-
-import numpy as np
+from typing import Union
 
 from .errors import ValidationError
-from .linear import LinearSystem
 
 
 def _require_positive(**kwargs: float) -> None:
@@ -55,6 +54,11 @@ class FirstOrderDroop:
     def droop_total(self) -> float:
         return self.D
 
+    def law(self, y, p):
+        """The MG equations: rates at the state ``y``, with ``p`` the net
+        power entering the MG, load deviation included."""
+        return ((-self.D * y[0] + p) / self.T,)
+
 
 @dataclass(frozen=True)
 class SwingGovernor:
@@ -84,6 +88,11 @@ class SwingGovernor:
     def droop_total(self) -> float:
         return self.D + self.inv_R
 
+    def law(self, y, p):
+        """The MG equations (see :meth:`FirstOrderDroop.law`)."""
+        w, p_m = y
+        return ((-self.D * w + p_m + p) / self.M, (-p_m - self.inv_R * w) / self.T_g)
+
 
 MgModel = Union[FirstOrderDroop, SwingGovernor]
 
@@ -97,39 +106,3 @@ def default_rating(model: MgModel, omega_nominal: float = 2.0 * math.pi * 50.0) 
     if model.rating is not None:
         return model.rating
     return 0.05 * omega_nominal * model.droop_total
-
-
-def mg_rhs(model: MgModel) -> Callable:
-    """The MG equations: rhs(state, p) -> rates, with ``p`` the net power
-    entering the MG, load deviation included."""
-    if isinstance(model, FirstOrderDroop):
-        t_lag, d = model.T, model.D
-
-        def rhs(y, p):
-            return ((-d * y[0] + p) / t_lag,)
-
-        return rhs
-    m, d, t_g, inv_r = model.M, model.D, model.T_g, model.inv_R
-
-    def rhs(y, p):
-        w, p_m = y
-        return ((-d * w + p_m + p) / m, (-p_m - inv_r * w) / t_g)
-
-    return rhs
-
-
-def mg_linearize(model: MgModel) -> LinearSystem:
-    """Exact linearization with input p (W) and output omega (rad/s).
-
-    A and B are derived from :func:`mg_rhs`, the equations the engine
-    integrates, evaluated on the unit vectors of (state, p); the model is
-    linear in them.  Adding 0.0 turns the signed zeros of that evaluation
-    into plain zeros.
-    """
-    n = len(model.state_names)
-    eye = np.eye(n + 1)
-    ab = np.array(mg_rhs(model)(eye[:n], eye[n])) + 0.0
-    return LinearSystem(
-        a=ab[:, :n], b=ab[:, n:], c=eye[:1, :n], d=np.zeros((1, 1)),
-        state_labels=model.state_names, input_labels=("p",), output_labels=("omega",),
-    )

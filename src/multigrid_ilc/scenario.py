@@ -159,9 +159,8 @@ def resolve(raw: dict) -> dict:
         for e in endpoints:
             _require(1 <= e <= len(out_mgs), f"{path}.endpoints",
                      f"MG index {e} out of range 1..{len(out_mgs)}")
-        phys_in = dict(default_phys)
-        phys_in.update(block.get("physical", {}))
-        _check_keys(phys_in, _PHYS_KEYS, f"{path}.physical")
+        _check_keys(block.get("physical", {}), _PHYS_KEYS, f"{path}.physical")
+        phys_in = {**default_phys, **block.get("physical", {})}
         phys = {k: _check_number(phys_in.get(k, PHYSICAL_DEFAULTS[k]),
                                  f"{path}.physical.{k}")
                 for k in PHYSICAL_DEFAULTS}
@@ -170,9 +169,8 @@ def resolve(raw: dict) -> dict:
         else:
             phys["B"] = filter_susceptance_power(phys["V_ac"], phys["L"], out["f_nominal"])
 
-        gains_in = dict(default_gains)
-        gains_in.update(block.get("gains", {}))
-        _check_keys(gains_in, _GAIN_KEYS, f"{path}.gains")
+        _check_keys(block.get("gains", {}), _GAIN_KEYS, f"{path}.gains")
+        gains_in = {**default_gains, **block.get("gains", {})}
         gains = {k: _check_number(gains_in.get(k, GAIN_DEFAULTS[k]),
                                   f"{path}.gains.{k}")
                  for k in GAIN_DEFAULTS}

@@ -504,14 +504,14 @@ def worker_count(requested: int | None = None) -> int:
     try:
         limit = int(cap) if cap else (os.cpu_count() or 1)
     except ValueError:
-        raise ValidationError(
-            f"MULTIGRID_ILC_THREADS must be an integer, got {cap!r}"
-        ) from None
+        limit = 0  # rejected below, like a cap below 1
+    if limit < 1:
+        raise ValidationError(f"MULTIGRID_ILC_THREADS must be a positive integer, got {cap!r}")
     if requested is not None:
         if requested < 1:
             raise ValidationError(f"worker count must be at least 1, got {requested!r}")
         limit = min(limit, requested)
-    return max(1, limit)
+    return limit
 
 
 def table3_harness(

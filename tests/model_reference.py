@@ -14,7 +14,7 @@ vectorised ``engine._hermite_samples``.
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,7 @@ from multigrid_ilc import ilc
 from multigrid_ilc.engine import _MAX_PIECES
 from multigrid_ilc.errors import NonFiniteInput, NumericalError
 from multigrid_ilc.ilc import GFM, Gains, IlcPhysical, IlcUnit
-from multigrid_ilc.mg import MgModel, mg_rhs
+from multigrid_ilc.mg import MgModel
 
 
 class NoEquilibrium(NumericalError):
@@ -192,7 +192,8 @@ def filter_power(b: float) -> Callable:
 @lru_cache(maxsize=None)
 def unit_rhs(unit: IlcUnit) -> Callable:
     """The unit equations on the real DC bus and filter, built once per unit."""
-    return ilc._unit_law(unit, dc_bus(unit.physical), filter_power(unit.physical.b))
+    return partial(ilc.SCHEME[unit.scheme].law, unit.gains, unit.physical,
+                   dc_bus(unit.physical), filter_power(unit.physical.b))
 
 
 def make_sim_derivative(unit: IlcUnit) -> Callable:
@@ -203,7 +204,7 @@ def make_sim_derivative(unit: IlcUnit) -> Callable:
     the inductive filter: the returned state starts with the two filter
     angles and p_i = B*sin(eta_i).
     """
-    return ilc.sim_law(unit, dc_bus(unit.physical), filter_power(unit.physical.b))
+    return partial(ilc.sim_law, unit, dc_bus(unit.physical), filter_power(unit.physical.b))
 
 
 def reference_derivative(ode, t, y, loads=None) -> list:
@@ -220,7 +221,7 @@ def reference_derivative(ode, t, y, loads=None) -> list:
         p_in[a] += pa
         p_in[b] += pb
     for model, (lo, hi), p in zip(ode.models, ode._mg_spans, p_in):
-        rates[lo:hi] = mg_rhs(model)(y[lo:hi], p)
+        rates[lo:hi] = model.law(y[lo:hi], p)
     return rates
 
 
@@ -263,7 +264,7 @@ def mg_derivative(
     if not math.isfinite(p_in):
         raise NonFiniteInput(f"p_in={p_in!r}")
     load = model.p_load if p_load is None else p_load
-    return mg_rhs(model)(tuple(state), p_in + load)
+    return model.law(tuple(state), p_in + load)
 
 
 def connection_powers(ode, y) -> list[tuple[float, float]]:

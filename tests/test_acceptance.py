@@ -17,6 +17,7 @@ from multigrid_ilc.analysis import (
     default_grid,
     linearize_closed_loop,
     linearize_unit,
+    mg_linearize,
     observability_report,
     passivity_sweep,
     single_vsc_dc_chain,
@@ -25,7 +26,7 @@ from multigrid_ilc.analysis import (
 )
 from multigrid_ilc.engine import IntegrateOptions, LoadEvent, integrate
 from multigrid_ilc.ilc import SCHEMES
-from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_linearize
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.scenario import build_system, load_resolved
 from multigrid_ilc.sweep import table3_harness, worker_count
 

@@ -6,6 +6,7 @@ from multigrid_ilc.analysis import (
     default_grid,
     linearize_closed_loop,
     linearize_unit,
+    mg_linearize,
     observability_report,
     passivity_sweep,
     single_vsc_dc_chain,
@@ -14,7 +15,7 @@ from multigrid_ilc.analysis import (
     transfer_stack,
 )
 from multigrid_ilc.errors import SingularResolvent, ValidationError
-from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_linearize
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.scenario import build_system
 
 from test_ilc import CATALOGUE, unit_for
@@ -77,7 +78,8 @@ class TestTransferMatrix:
         assert g == pytest.approx((1 - 1j) / 2)
 
     def test_high_frequency_approaches_d(self):
-        from multigrid_ilc.mg import SwingGovernor, mg_linearize
+        from multigrid_ilc.analysis import mg_linearize
+        from multigrid_ilc.mg import SwingGovernor
 
         for lin in (
             lag_system(0.05),

@@ -290,6 +290,17 @@ def test_zero_inductance_scenario_exit_code(tmp_path, capsys):
     assert "filter inductance L" in capsys.readouterr().err
 
 
+def test_non_object_gains_exit_code(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["ilcs"][0]["gains"] = 5
+    path.write_text(json.dumps(doc))
+    assert main(["linearize", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.ilcs[0].gains" in err
+    assert "Traceback" not in err
+
+
 def test_boolean_event_mg_exit_code(tmp_path, capsys):
     path = dfd1_scenario(tmp_path)
     doc = json.loads(path.read_text())

@@ -108,12 +108,9 @@ def test_untraceable_law_raises_when_built(monkeypatch, law):
     Jacobian or the unit's Jacobian raises and names the scheme, and no
     function is built from it."""
 
-    def toy_rhs(g, phys, dc, power):
-        def rhs(y, w1, w2):
-            p1, p2, vdc = y
-            return ((law(p1, p2, vdc) - w1, -p2 + w2, dc(p1, p2, vdc)), p1, p2)
-
-        return rhs
+    def toy_rhs(g, phys, dc, power, y, w1, w2):
+        p1, p2, vdc = y
+        return ((law(p1, p2, vdc) - w1, -p2 + w2, dc(p1, p2, vdc)), p1, p2)
 
     states = dict(p1="power", p2="power", vdc="dc-voltage")
     monkeypatch.setitem(ilc.SCHEME, "toy", Scheme(GFL, states, (), toy_rhs))

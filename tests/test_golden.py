@@ -16,6 +16,8 @@ CASES = {
     "simulate-two-mg": ["simulate", "--scenario", "two-mg", "--dump-config"],
     "simulate-three-mg": ["simulate", "--scenario", "three-mg", "--dump-config"],
     "linearize-two-mg": ["linearize", "--scenario", "two-mg"],
+    "linearize-two-mg-mg1": ["linearize", "--scenario", "two-mg", "--mg", "1"],
+    "linearize-two-mg-ilc1": ["linearize", "--scenario", "two-mg", "--ilc", "1"],
     "passivity-two-mg": ["passivity", "--scenario", "two-mg", "--ilc", "1"],
 }
 
@@ -55,6 +57,30 @@ DIGESTS = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "two-mg-closed-loop-D.csv":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "linearize-two-mg-mg1": {
+        "stdout":
+            "49e2c4245633501e17eda7f4e04a968f65c4385e4bd6f7cfe164c3dedab5caed",
+        "two-mg-mg1-A.csv":
+            "7d0243dddd310c9a91d214cc57cd4f13a7b7d6a56c27ff8bcc24b272f31bb6c6",
+        "two-mg-mg1-B.csv":
+            "e67713ec3ea54438592a1d2c68b4a40a224b705c12e57593bf48b52828fd8b66",
+        "two-mg-mg1-C.csv":
+            "c3ecd8e93ff6728ff24deceeecf5fc7b47492b4f16485fad0af94d8c35f7cffd",
+        "two-mg-mg1-D.csv":
+            "49d2377a450db21156c52985193d818ab22791aa8bbf389a789c8efa2aae2d4e",
+    },
+    "linearize-two-mg-ilc1": {
+        "stdout":
+            "12d295ff5e1ec98bb3fbd48afcfed4d2b52db6d9a4bf2dfbf15282f684a4661e",
+        "two-mg-ilc1-A.csv":
+            "2885ff28c06d8af5623c07d16ea4969c6068ecc2743db197128e7b381ad0c095",
+        "two-mg-ilc1-B.csv":
+            "6835b8330bb20f1b26bc77777b304ae271d3494868b8e9041dcc67c1d8d0a29b",
+        "two-mg-ilc1-C.csv":
+            "e046c73563f3586c61e5a4dff1106e293d63a9a7755f72704a77f394a8a40914",
+        "two-mg-ilc1-D.csv":
+            "8eb1f695250b2376fd77cde2d7685f0b3cb8e07bf9d078d43be53c55dd1ecb4c",
     },
     "passivity-two-mg": {
         "stdout":

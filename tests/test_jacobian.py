@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from multigrid_ilc import ilc
-from multigrid_ilc.analysis import linearize_closed_loop, linearize_unit
+from multigrid_ilc.analysis import linearize_closed_loop, linearize_unit, mg_linearize
 from multigrid_ilc.engine import OdeSystem, find_equilibrium, ilc_jacobian, kind_scales
 from multigrid_ilc.errors import DcVoltageCollapse, NonFiniteInput
 from multigrid_ilc.ilc import (
@@ -27,7 +27,7 @@ from multigrid_ilc.ilc import (
     Scheme,
     unit_state_names,
 )
-from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, mg_linearize
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
@@ -186,63 +186,47 @@ def check_two_mg_system(unit, seed):
     check_system(OdeSystem(net, models, [unit]), seed)
 
 
-def _lag_rhs(g, phys, dc, power):
+def _lag_rhs(g, phys, dc, power, y, w1, w2):
     """Grid-following toy: one power lag per side, driven by frequency droop."""
-
-    def rhs(y, w1, w2):
-        p1, p2, vdc = y
-        return (
-            ((-p1 - g.k_omega1 * w1) / phys.tau1, (-p2 - g.k_omega2 * w2) / phys.tau2,
-             dc(p1, p2, vdc)),
-            p1, p2,
-        )
-
-    return rhs
+    p1, p2, vdc = y
+    return (
+        ((-p1 - g.k_omega1 * w1) / phys.tau1, (-p2 - g.k_omega2 * w2) / phys.tau2,
+         dc(p1, p2, vdc)),
+        p1, p2,
+    )
 
 
-def _filter_rhs(g, phys, dc, power):
+def _filter_rhs(g, phys, dc, power, y, p1, p2):
     """Grid-forming toy: frequency references from the DC voltage, drooped
     by a lagged measurement of each side's power."""
-
-    def rhs(y, p1, p2):
-        vdc, pf1, pf2 = y
-        return (
-            (dc(p1, p2, vdc), (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2),
-            g.m1 * vdc - g.m_p1 * pf1, g.m2 * vdc - g.m_p2 * pf2,
-        )
-
-    return rhs
+    vdc, pf1, pf2 = y
+    return (
+        (dc(p1, p2, vdc), (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2),
+        g.m1 * vdc - g.m_p1 * pf1, g.m2 * vdc - g.m_p2 * pf2,
+    )
 
 
-def _product_rhs(g, phys, dc, power):
+def _product_rhs(g, phys, dc, power, y, w1, w2):
     """Grid-following toy whose first power lag is driven by the product of
     its own power and the DC voltage."""
-
-    def rhs(y, w1, w2):
-        p1, p2, vdc = y
-        return (
-            ((-p1 - g.k_omega1 * w1 + 1e-4 * p1 * vdc) / phys.tau1,
-             (-p2 - g.k_omega2 * w2) / phys.tau2, dc(p1, p2, vdc)),
-            p1, p2,
-        )
-
-    return rhs
+    p1, p2, vdc = y
+    return (
+        ((-p1 - g.k_omega1 * w1 + 1e-4 * p1 * vdc) / phys.tau1,
+         (-p2 - g.k_omega2 * w2) / phys.tau2, dc(p1, p2, vdc)),
+        p1, p2,
+    )
 
 
-def _quotient_rhs(g, phys, dc, power):
+def _quotient_rhs(g, phys, dc, power, y, w1, w2):
     """Grid-following toy whose second power lag is driven by its own power
     over the DC voltage."""
-
-    def rhs(y, w1, w2):
-        p1, p2, vdc = y
-        return (
-            ((-p1 - g.k_omega1 * w1) / phys.tau1,
-             (-p2 - g.k_omega2 * w2 + 1e3 * p2 / (vdc + phys.v_dc_ref)) / phys.tau2,
-             dc(p1, p2, vdc)),
-            p1, p2,
-        )
-
-    return rhs
+    p1, p2, vdc = y
+    return (
+        ((-p1 - g.k_omega1 * w1) / phys.tau1,
+         (-p2 - g.k_omega2 * w2 + 1e3 * p2 / (vdc + phys.v_dc_ref)) / phys.tau2,
+         dc(p1, p2, vdc)),
+        p1, p2,
+    )
 
 
 LAG_STATES = dict(p1="power", p2="power", vdc="dc-voltage")

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigrid_ilc.analysis import observability_report, passivity_sweep, spectral_abscissa
+from multigrid_ilc.analysis import (
+    mg_linearize,
+    observability_report,
+    passivity_sweep,
+    spectral_abscissa,
+)
 from multigrid_ilc.errors import NonFiniteInput, ValidationError
 from multigrid_ilc.linear import transfer_matrix
-from multigrid_ilc.mg import (
-    FirstOrderDroop,
-    SwingGovernor,
-    mg_linearize,
-)
+from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 
 from jacobian_reference import mg_port_jacobian
 from model_reference import mg_derivative
@@ -46,6 +47,21 @@ def test_first_order_transfer():
     for w in (0.1, 10.0, 1e3):
         g = transfer_matrix(lin, w)[0, 0]
         assert g == pytest.approx(1.0 / (1j * w + 2e7), rel=1e-12)
+
+
+def test_linearize_equals_the_closed_forms():
+    droop = FirstOrderDroop(T=0.3, D=2e7)
+    swing = SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7)
+    for model, a, b in (
+        (droop, [[-droop.D / droop.T]], [[1.0 / droop.T]]),
+        (swing, [[-swing.D / swing.M, 1.0 / swing.M],
+                 [-swing.inv_R / swing.T_g, -1.0 / swing.T_g]], [[1.0 / swing.M], [0.0]]),
+    ):
+        lin = mg_linearize(model)
+        n = len(a)
+        c = [[1.0] + [0.0] * (n - 1)]
+        for got, want in ((lin.a, a), (lin.b, b), (lin.c, c), (lin.d, [[0.0]])):
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_swing_governor_dc_gain():

@@ -67,6 +67,17 @@ def test_unknown_keys_rejected():
         resolve(raw)
 
 
+@pytest.mark.parametrize("block, value", [
+    ("gains", 5), ("gains", "abc"), ("physical", [1, 2]), ("physical", ["ab"]),
+])
+def test_ilc_block_that_is_not_an_object_rejected(block, value):
+    raw = minimal()
+    raw["ilcs"][0][block] = value
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == f"scenario.ilcs[0].{block}"
+
+
 def test_missing_mg_parameter():
     raw = minimal()
     del raw["mgs"][0]["M"]

@@ -68,26 +68,18 @@ def test_every_state_declares_one_known_kind(two_mg_resolved):
     assert set(ode.state_kinds) <= set(KINDS)
 
 
-def _runaway_bus_rhs(g, phys, dc, power):
+def _runaway_bus_rhs(g, phys, dc, power, y, w1, w2):
     """Both sides draw 1 MW into a DC bus called v_bus, with no DC support."""
-
-    def rhs(y, w1, w2):
-        p1, p2, v_bus = y
-        return (((-p1 - 1e6) / phys.tau1, (-p2 - 1e6) / phys.tau2, dc(p1, p2, v_bus)),
-                p1, p2)
-
-    return rhs
+    p1, p2, v_bus = y
+    return (((-p1 - 1e6) / phys.tau1, (-p2 - 1e6) / phys.tau2, dc(p1, p2, v_bus)),
+            p1, p2)
 
 
-def _runaway_angle_rhs(g, phys, dc, power):
+def _runaway_angle_rhs(g, phys, dc, power, y, w1, w2):
     """A partial unit whose filter angle, called delta, runs off at 10 rad/s."""
-
-    def rhs(y, w1, w2):
-        delta, p2, v_bus = y
-        p1 = power(delta)
-        return ((10.0 - w1, (-p2 - p1) / phys.tau2, dc(p1, p2, v_bus)), p1, p2)
-
-    return rhs
+    delta, p2, v_bus = y
+    p1 = power(delta)
+    return ((10.0 - w1, (-p2 - p1) / phys.tau2, dc(p1, p2, v_bus)), p1, p2)
 
 
 def test_a_dc_bus_of_any_name_truncates_at_its_bound(monkeypatch):

@@ -397,6 +397,12 @@ class TestHarness:
         with pytest.raises(ValidationError):
             worker_count()
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_worker_count_rejects_non_positive_cap(self, monkeypatch, cap):
+        monkeypatch.setenv("MULTIGRID_ILC_THREADS", cap)
+        with pytest.raises(ValidationError, match="MULTIGRID_ILC_THREADS"):
+            worker_count()
+
 
 def test_table3_row_set_matches_published_schemes():
     from multigrid_ilc.ilc import SCHEMES

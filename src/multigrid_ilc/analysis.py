@@ -2,7 +2,7 @@
 
 Passivity of a linearized port model G(s) is certified on a dense
 log-spaced frequency grid: at every grid point the smallest eigenvalue of
-the Hermitian part G(jw) + G(jw)* must not drop below -eps_rel * ||G(jw)||.
+the Hermitian part G(jw) + G(jw)* must not drop below -1e-9 * ||G(jw)||.
 This replaces an LMI feasibility test with a direct sweep; the verdict also
 records whether any diagonal entry's real part goes (and stays) negative
 towards high frequency, the tell-tale of an excessive relative degree.
@@ -45,6 +45,8 @@ __all__ = [
     "spectral_abscissa",
 ]
 
+# the passivity verdict's tolerance band around zero, in units of ||G||
+_EPS_REL = 1e-9
 # the frequency grid's span (rad/s), and the imaginary-axis samples of the
 # Rosenbrock ranks
 _GRID_W_MIN = 1e-2
@@ -147,13 +149,12 @@ class PassivityReport:
 def passivity_sweep(
     lin: LinearSystem,
     grid: np.ndarray | None = None,
-    eps_rel: float = 1e-9,
 ) -> PassivityReport:
     """Sweep min eig of G(jw) + G(jw)* over the grid and classify.
 
-    Verdict: ``non-passive`` when some point dips below -eps_rel*||G||;
-    ``marginal`` when the worst point lies within the +-eps_rel band;
-    ``passive`` otherwise.
+    Verdict: ``non-passive`` when some point dips below -_EPS_REL*||G||;
+    ``marginal`` when the worst point lies within the +-_EPS_REL band;
+    ``passive`` otherwise.  The report records the tolerance as ``eps_rel``.
     """
     if lin.n_inputs != lin.n_outputs:
         raise ValidationError("passivity sweep needs a square port map")
@@ -173,9 +174,9 @@ def passivity_sweep(
     floor = np.maximum(g_norms_arr, 1e-300)
     margins = min_eigs_arr / floor
     worst = int(np.argmin(margins))
-    if np.any(min_eigs_arr < -eps_rel * g_norms_arr):
+    if np.any(min_eigs_arr < -_EPS_REL * g_norms_arr):
         verdict = "non-passive"
-    elif margins[worst] <= eps_rel:
+    elif margins[worst] <= _EPS_REL:
         verdict = "marginal"
     else:
         verdict = "passive"
@@ -195,7 +196,7 @@ def passivity_sweep(
         worst_margin=float(margins[worst]),
         negative_diag_tail=tails,
         skipped=skipped,
-        eps_rel=eps_rel,
+        eps_rel=_EPS_REL,
     )
 
 

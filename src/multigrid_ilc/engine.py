@@ -655,13 +655,11 @@ _RETRY_FACTOR = 10
 
 
 class _Switch(NamedTuple):
-    """The DP45 state at a switch to Rodas4, kept while Rodas4 is on trial."""
+    """The DP45 state at a switch to Rodas4, kept while Rodas4 is on trial;
+    the switch time and state are endpoint ``accepted`` of the step buffers."""
 
-    t: float
-    y: list
     k1: list
     h: float
-    endpoints: int
     accepted: int
     rejected: int
     rhs_calls: int
@@ -969,20 +967,7 @@ def integrate(
             return f"non-finite state {_when(t, t_next)}"
         return None
 
-    # event boundaries split the horizon into constant-load segments
-    boundaries: list[float] = []
-    pending = [ev for ev in events if t0 < ev.time < t_end]
-    for ev in pending:
-        if not boundaries or ev.time > boundaries[-1]:
-            boundaries.append(ev.time)
-    boundaries.append(t_end)
-    # apply events that fire at or before the start
-    for ev in events:
-        if ev.time <= t0:
-            loads[ev.mg] += ev.delta_p_load
-
     rhs_calls = 0
-    current_loads = tuple(loads)
 
     def f(tt, yy):
         nonlocal rhs_calls
@@ -995,12 +980,15 @@ def integrate(
     quiet_until = 0  # back-off after a failed Rodas4 trial
     switch: _Switch | None = None  # set while Rodas4 is on trial
     t = t0
-    segment_start = t0
-    for boundary in boundaries:
-        for ev in events:
-            if segment_start == ev.time and ev.time > t0:
-                loads[ev.mg] += ev.delta_p_load
-
+    applied = 0  # events[:applied] have stepped the loads
+    while reason is None and t < t_end:
+        # a segment applies the events due by its start and runs at constant
+        # loads to the next event time below t_end, or to t_end
+        while applied < len(events) and events[applied].time <= t:
+            ev = events[applied]
+            loads[ev.mg] += ev.delta_p_load
+            applied += 1
+        boundary = min(events[applied].time, t_end) if applied < len(events) else t_end
         current_loads = tuple(loads)
         if switch is not None:
             # the switch fired on the last step of the previous segment
@@ -1055,6 +1043,7 @@ def integrate(
                     calm += 1
                     if calm == 6:
                         streak = 0
+            # the buffers hold accepted + 1 endpoints
             t += h
             y = y_new
             k1 = k7
@@ -1068,8 +1057,8 @@ def integrate(
             h *= max(0.2, factor)
             if switch is None:
                 if stiff_from is not None and not stiff:  # the test just fired
-                    switch = _Switch(t, y, k1, h, len(ts), accepted, rejected, rhs_calls,
-                                     jacobian_calls, h_done)
+                    switch = _Switch(k1, h, accepted, rejected, rhs_calls, jacobian_calls,
+                                     h_done)
                 continue
             if accepted - switch.accepted < _TRIAL_STEPS and t < boundary:
                 continue
@@ -1077,22 +1066,19 @@ def integrate(
             # a Jacobian is charged the 2*dim calls of a central-difference one
             spent = (rhs_calls - switch.rhs_calls
                      + 2 * dim * (jacobian_calls - switch.jacobian_calls))
-            overspend = spent - 6 * (t - switch.t) / switch.dp45_step
+            overspend = spent - 6 * (t - ts[switch.accepted]) / switch.dp45_step
             if overspend > 0:
                 # Rodas4 cost more than DP45 would have: resume DP45 at the
                 # switch
-                t, y, k1, h = switch.t, switch.y, switch.k1, switch.h
+                k1, h = switch.k1, switch.h
                 accepted, rejected = switch.accepted, switch.rejected
-                del ts[switch.endpoints:], ys[switch.endpoints * dim:]
-                del stiff_h[:], stiff_rates[:]
+                del ts[accepted + 1:], ys[(accepted + 1) * dim:], stiff_h[:], stiff_rates[:]
+                t, y = ts[-1], ys[-dim:].tolist()
                 stiff_from = None
                 streak = calm = 0
                 rollbacks += 1
                 quiet_until = accepted + _RETRY_FACTOR * overspend / 6
             switch = None
-        if reason is not None:
-            break
-        segment_start = boundary
 
     t_out = np.frombuffer(ts)
     y_out = np.frombuffer(ys).reshape(-1, dim)
@@ -1103,21 +1089,15 @@ def integrate(
     rates = np.frombuffer(stiff_rates).reshape(-1, 2, dim)
     lo, hi = _hermite_extrema(y_out[starts], rates[:, 0], y_out[starts + 1], rates[:, 1],
                               steps[:, None])
-    # the screen of violation(), on the larger magnitude of each Rodas4
-    # step's extrema
-    peak = np.maximum(np.abs(lo), np.abs(hi))
-    abort_cols, abort_limits = [c[0] for c in abort_checks], [c[1] for c in abort_checks]
-    bound_cols, bound_limits = [c[0] for c in bound_checks], [c[1] for c in bound_checks]
-    with np.errstate(invalid="ignore"):
-        fails = ~(np.all(peak[:, abort_cols] < abort_limits, axis=1)
-                  & np.all(peak[:, bound_cols] <= bound_limits, axis=1)
-                  & np.all(np.isfinite(peak), axis=1))
-    if np.any(fails):
-        k = int(np.argmax(fails))
-        i = int(starts[k])
-        reason = violation(peak[k].tolist(), t_out[i], t_out[i + 1])
-        t_out, y_out = t_out[: i + 2], y_out[: i + 2]
-        starts, steps, rates, lo, hi = (v[: k + 1] for v in (starts, steps, rates, lo, hi))
+    # violation() screens each Rodas4 step, in order, on the larger magnitude
+    # of its extrema; the first step that fails ends the trajectory
+    peaks = np.maximum(np.abs(lo), np.abs(hi)).tolist()
+    for k, i in enumerate(starts.tolist()):
+        if (why := violation(peaks[k], t_out[i], t_out[i + 1])) is not None:
+            reason = why
+            t_out, y_out = t_out[: i + 2], y_out[: i + 2]
+            starts, steps, rates, lo, hi = (v[: k + 1] for v in (starts, steps, rates, lo, hi))
+            break
     envelope = None
     if opts.dense:
         t_out, y_out = _hermite_samples(t_out, y_out, starts, steps, rates, atol_vec, rtol)

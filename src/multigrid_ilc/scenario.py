@@ -103,6 +103,10 @@ def resolve(raw: dict) -> dict:
         "name": str(raw.get("name", "scenario")),
         "f_nominal": _check_number(raw.get("f_nominal", 50.0), "scenario.f_nominal"),
     }
+    # the name prefixes output file names, so it must not leave their directory
+    _require(out["name"] not in ("", ".", "..")
+             and not any(c in out["name"] for c in "/\\\0"),
+             "scenario.name", f"must be a plain file name, got {out['name']!r}")
     _require(out["f_nominal"] > 0.0, "scenario.f_nominal", "must be strictly positive")
     omega_nominal = 2.0 * math.pi * out["f_nominal"]
 
@@ -113,7 +117,7 @@ def resolve(raw: dict) -> dict:
         path = f"scenario.mgs[{i}]"
         _require(isinstance(block, dict), path, "expected an object")
         model = block.get("model")
-        _require(model in _MG_FORMS, f"{path}.model",
+        _require(isinstance(model, str) and model in _MG_FORMS, f"{path}.model",
                  f"expected one of {sorted(_MG_FORMS)}, got {model!r}")
         keys = _MG_FORMS[model][1]
         _check_keys(block, keys | {"model", "name", "p_load", "rating"}, path)

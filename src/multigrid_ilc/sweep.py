@@ -523,12 +523,13 @@ def table3_harness(
 ) -> SweepTable:
     """Run every scheme-by-parameter cell of the boundary table.
 
-    Cells run as independent jobs (process pool when more than one worker
-    is available) and are cached by a content hash of the cell request and
-    the code, so an interrupted run resumes where it left off; an entry
-    that cannot be read is computed again.  Individual
-    cell failures, a crashed worker included, are recorded as error cells
-    and never cached; the harness continues.
+    Cells run as independent jobs (a process pool, never larger than the
+    cells left to run, when more than one worker is available) and are
+    cached by a content hash of the cell request and the code, so an
+    interrupted run resumes where it left off; an entry that cannot be read
+    is computed again.  Individual cell failures, a crashed worker
+    included, are recorded as error cells and never cached; the harness
+    continues.
     """
     n_workers = worker_count(workers)
     jobs = [(resolved, row, column) for row in rows for column in columns]
@@ -555,7 +556,7 @@ def table3_harness(
             os.replace(partial, stash)
 
     if n_workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(pending))) as pool:
             futures = [pool.submit(_run_cell_safe, job) for job in pending]
             for job, future in zip(pending, futures):
                 try:

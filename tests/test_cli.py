@@ -301,6 +301,28 @@ def test_non_object_gains_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_string_mg_model_exit_code(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["mgs"][0]["model"] = ["x"]
+    path.write_text(json.dumps(doc))
+    assert main(["linearize", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.mgs[0].model" in err
+    assert "Traceback" not in err
+
+
+def test_scenario_name_cannot_leave_the_output_directory(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["name"] = "../x"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out" / "sub"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "scenario.name" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["dfd1.json"]
+
+
 def test_boolean_event_mg_exit_code(tmp_path, capsys):
     path = dfd1_scenario(tmp_path)
     doc = json.loads(path.read_text())

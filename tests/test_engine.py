@@ -138,6 +138,25 @@ def test_event_restart_grid_contains_event_time():
     assert 1.25 in traj.t.tolist()
 
 
+def test_events_apply_once_each_at_their_time(two_mg_resolved):
+    """Events due by the start step the loads before the first step,
+    coincident ones together at their time, and those at or past the end
+    never; the loads are whole watts, so every sum is exact."""
+    ode = build_system(two_mg_resolved).ode
+
+    def run(events):
+        return integrate(ode, [0.0] * ode.dim, events, (0.0, 3.0))
+
+    due = (LoadEvent(0.0, 1, 2e5), LoadEvent(1.0, 0, -3e5), LoadEvent(1.0, 1, 1e5))
+    edges = run((LoadEvent(-0.5, 0, -4e5), *due, LoadEvent(3.0, 0, 5e5),
+                 LoadEvent(4.0, 0, -6e5)))
+    plain = run((LoadEvent(0.0, 0, -4e5), *due))
+    assert 1.0 in edges.t.tolist()
+    assert edges.t.tobytes() == plain.t.tobytes()
+    assert edges.y.tobytes() == plain.y.tobytes()
+    assert edges.stats == plain.stats
+
+
 def test_events_must_be_sorted():
     ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
     events = (LoadEvent(2.0, 0, -1e5), LoadEvent(1.0, 1, -1e5))

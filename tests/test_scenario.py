@@ -78,6 +78,32 @@ def test_ilc_block_that_is_not_an_object_rejected(block, value):
     assert info.value.path == f"scenario.ilcs[0].{block}"
 
 
+@pytest.mark.parametrize("model", [["swing-governor"], {"form": "swing-governor"}])
+def test_mg_model_that_is_not_a_string_rejected(model):
+    raw = minimal()
+    raw["mgs"][0]["model"] = model
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == "scenario.mgs[0].model"
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b", "a\u0000b"])
+def test_name_that_is_not_a_file_name_prefix_rejected(name):
+    """The name prefixes every output file, so it must stay inside --out."""
+    raw = minimal()
+    raw["name"] = name
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == "scenario.name"
+
+
+@pytest.mark.parametrize("name", ["three-mg-0", "gfm-dual-droop-v3", "case 1.v2", "..x"])
+def test_name_usable_as_a_file_name_prefix_accepted(name):
+    raw = minimal()
+    raw["name"] = name
+    assert resolve(raw)["name"] == name
+
+
 def test_missing_mg_parameter():
     raw = minimal()
     del raw["mgs"][0]["M"]

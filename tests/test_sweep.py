@@ -4,6 +4,7 @@ import logging
 import math
 import multiprocessing
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,40 @@ class TestHarness:
         stored = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
         assert all(entry["status"] != "error" for entry in stored)
         assert len(stored) == statuses.count("stable-throughout")
+
+    def test_pool_is_never_larger_than_the_work(self, two_mg_resolved, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each job at submission."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        def run_cell(args):
+            _, row, column = args
+            return (row["scheme"], column,
+                    Cell(row["scheme"], column, "stable-throughout", 0.0, "ok",
+                         row["paper"][column]))
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sweep, "_run_cell", run_cell)
+        monkeypatch.setenv("MULTIGRID_ILC_THREADS", "64")
+        rows = TABLE3_ROWS[:3]
+        table = table3_harness(two_mg_resolved, columns=("min_kdc",), rows=rows)
+        assert sizes == [3]
+        assert all(table.cell(r["scheme"], "min_kdc").display == "ok" for r in rows)
 
     def test_worker_count_env_cap(self, monkeypatch):
         monkeypatch.setenv("MULTIGRID_ILC_THREADS", "2")

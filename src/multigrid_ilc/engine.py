@@ -320,10 +320,11 @@ def law_jacobian(owner: str, law: Callable, n: int, n_inputs: int) -> Callable:
     return tape.jacobian(n, n_inputs, n + n_inputs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _unit_law_jacobian(unit: IlcUnit) -> Callable:
     """jacobian(state, inputs) of the unit's law, by its state and both
-    inputs."""
+    inputs (bounded like ``_factory``: a parameter sweep sees a new unit
+    at every probe)."""
     law, phys = SCHEME[unit.scheme].law, unit.physical
 
     def traced(tape, y, in1, in2):

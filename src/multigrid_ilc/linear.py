@@ -69,16 +69,18 @@ class LinearSystem:
 def transfer_stack(lin: LinearSystem, omegas) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate G(jw) = C (jw I - A)^-1 B + D at every frequency (rad/s).
 
-    All resolvents go through one batched solve.  Returns the (k, p, m)
-    stack and a mask of the points where jw I - A is regular and G is
-    finite; a singular point's slice is left at D.
+    All resolvents go through one batched solve and C X through one matrix
+    product.  Returns the (k, p, m) stack and a mask of the points where
+    jw I - A is regular and G is finite; a singular point's slice is left
+    at D.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    resolvents = 1j * omegas[:, None, None] * np.eye(lin.n_states) - lin.a
+    k, n, m, p = omegas.size, lin.n_states, lin.n_inputs, lin.n_outputs
+    resolvents = 1j * omegas[:, None, None] * np.eye(n) - lin.a
     # B as a stack of matrices: a 2-D B next to a 3-D stack would be read
     # as a stack of vectors by numpy < 2
-    b = np.broadcast_to(lin.b.astype(complex), (omegas.size,) + lin.b.shape)
-    regular = np.ones(omegas.size, dtype=bool)
+    b = np.broadcast_to(lin.b.astype(complex), (k, n, m))
+    regular = np.ones(k, dtype=bool)
     try:
         x = np.linalg.solve(resolvents, b)
     except np.linalg.LinAlgError:
@@ -89,7 +91,9 @@ def transfer_stack(lin: LinearSystem, omegas) -> tuple[np.ndarray, np.ndarray]:
                 x[i] = np.linalg.solve(resolvent, b[i])
             except np.linalg.LinAlgError:
                 regular[i] = False
-    g = lin.c @ x + lin.d
+    # every frequency's columns side by side: one (p, n) x (n, k m) product
+    cx = lin.c @ x.transpose(1, 0, 2).reshape(n, k * m)
+    g = cx.reshape(p, k, m).transpose(1, 0, 2) + lin.d
     return g, regular & np.all(np.isfinite(g), axis=(1, 2))
 
 

@@ -61,6 +61,12 @@ def _check_number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _check_name(block: dict, default: str, path: str) -> str:
+    name = block.get("name", default)
+    _require(isinstance(name, str), path, f"expected a string, got {name!r}")
+    return name
+
+
 def _check_keys(obj: dict, allowed, path: str) -> None:
     _require(isinstance(obj, dict), path, "expected an object")
     for key in obj:
@@ -100,7 +106,7 @@ def resolve(raw: dict) -> dict:
     _require("mgs" in raw, "scenario.mgs", "required section missing")
     _require("ilcs" in raw, "scenario.ilcs", "required section missing")
     out: dict[str, Any] = {
-        "name": str(raw.get("name", "scenario")),
+        "name": _check_name(raw, "scenario", "scenario.name"),
         "f_nominal": _check_number(raw.get("f_nominal", 50.0), "scenario.f_nominal"),
     }
     # the name prefixes output file names, so it must not leave their directory
@@ -121,7 +127,7 @@ def resolve(raw: dict) -> dict:
                  f"expected one of {sorted(_MG_FORMS)}, got {model!r}")
         keys = _MG_FORMS[model][1]
         _check_keys(block, keys | {"model", "name", "p_load", "rating"}, path)
-        resolved = {"model": model, "name": str(block.get("name", f"MG{i + 1}"))}
+        resolved = {"model": model, "name": _check_name(block, f"MG{i + 1}", f"{path}.name")}
         for key in sorted(keys):
             _require(key in block, f"{path}.{key}", "required MG parameter missing")
             resolved[key] = _check_number(block[key], f"{path}.{key}")
@@ -192,7 +198,7 @@ def resolve(raw: dict) -> dict:
                 gains["K_i2"] = GAIN_DEFAULTS["K_i2"] / gains["m_p2"]
         out_ilcs.append(
             {
-                "name": str(block.get("name", f"ILC{l + 1}")),
+                "name": _check_name(block, f"ILC{l + 1}", f"{path}.name"),
                 "endpoints": list(endpoints),
                 "scheme": scheme,
                 "physical": phys,

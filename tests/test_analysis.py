@@ -14,6 +14,7 @@ from multigrid_ilc.analysis import (
     transfer_matrix,
     transfer_stack,
 )
+from multigrid_ilc import engine
 from multigrid_ilc.errors import SingularResolvent, ValidationError
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.scenario import build_system
@@ -60,11 +61,30 @@ def pointwise_sweep(lin, grid):
 
 
 def assert_sweep_matches(report, reference):
+    """Exact equality, except ||G||_2: the sweep takes it in closed form
+    from the Gram matrix, the reference by an SVD per point."""
     omegas, min_eigs, g_norms, diag_real = reference
     assert np.array_equal(report.omegas, omegas)
     assert np.array_equal(report.min_eigs, min_eigs)
-    assert np.array_equal(report.g_norms, g_norms)
+    np.testing.assert_allclose(report.g_norms, g_norms, rtol=8 * np.finfo(float).eps, atol=0)
     assert np.array_equal(report.diag_real, diag_real)
+
+
+def synthetic_port(kind, scale):
+    """A stable port map whose G(jw) is ``scale`` times a 2x2 map of the
+    given kind (random, rank-one, a multiple of a rotation) or a 1x1 lag."""
+    if kind == "one-channel":
+        return LinearSystem(a=[[-2.0]], b=[[3.0 * scale]], c=[[1.0]], d=[[0.5 * scale]])
+    if kind == "rank-one":  # u v^T / (s + 1)
+        return LinearSystem(a=[[-1.0]], b=[[0.3 * scale, -1.7 * scale]],
+                            c=[[2.0], [0.4]], d=np.zeros((2, 2)))
+    if kind == "equal-singular-values":  # a rotation over (s + 1)
+        c, s = np.cos(0.7), np.sin(0.7)
+        return LinearSystem(a=-np.eye(2), b=scale * np.eye(2), c=[[c, -s], [s, c]],
+                            d=np.zeros((2, 2)))
+    rng = np.random.default_rng(3)
+    return LinearSystem(a=-np.diag([0.5, 2.0, 30.0]), b=scale * rng.standard_normal((3, 2)),
+                        c=rng.standard_normal((2, 3)), d=scale * rng.standard_normal((2, 2)))
 
 
 class TestTransferMatrix:
@@ -146,6 +166,14 @@ class TestLinearizeUnit:
         assert lin.b[0, 0] > 0
 
 
+    def test_unit_jacobian_cache_is_bounded(self):
+        """A parameter sweep linearizes a new unit at every probe; the cache
+        of compiled unit Jacobians must not keep them all."""
+        for i in range(100):
+            linearize_unit(unit_for("dual-acdc-droop", k_v1=2.5e4 * (1.0 + i / 100)))
+        assert engine._unit_law_jacobian.cache_info().currsize <= 64
+
+
 class TestPassivity:
     def test_lag_is_passive(self):
         assert passivity_sweep(lag_system(0.05)).verdict == "passive"
@@ -190,6 +218,28 @@ class TestPassivity:
         grid = default_grid()
         assert_sweep_matches(passivity_sweep(lin, grid), pointwise_sweep(lin, grid))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("port", ["random", "rank-one", "equal-singular-values",
+                                      "one-channel"])
+    def test_synthetic_port_norms(self, port, scale):
+        """||G||_2 at gains whose squares leave the float range, of rank-one
+        and of isotropic 2x2 maps, and of a 1x1 map."""
+        lin = synthetic_port(port, scale)
+        grid = default_grid(57)
+        report = passivity_sweep(lin, grid)
+        assert_sweep_matches(report, pointwise_sweep(lin, grid))
+        assert np.all((report.g_norms > 0) & np.isfinite(report.g_norms))
+
+    def test_sweep_takes_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep called an SVD")
+
+        # np.linalg.norm reaches svd through its own module's globals
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", refuse)
+        report = passivity_sweep(linearize_unit(unit_for("dual-freq-droop-1")))
+        assert report.verdict == "non-passive"
+
     def test_singular_point_skipped(self):
         osc = undamped_oscillator()
         report = passivity_sweep(osc, [0.5, 1.0, 2.0])
@@ -215,6 +265,16 @@ class TestPassivity:
         lin = LinearSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0], [2.0]],
                            d=[[0.0], [0.0]])
         with pytest.raises(ValidationError):
+            passivity_sweep(lin)
+
+    def test_port_map_without_channels_rejected(self, two_mg_resolved):
+        bundle = build_system(two_mg_resolved)
+        with pytest.raises(ValidationError, match="1 or 2 channels, got 0"):
+            passivity_sweep(linearize_closed_loop(bundle.ode))
+
+    def test_port_map_with_three_channels_rejected(self):
+        lin = LinearSystem(a=-np.eye(3), b=np.eye(3), c=np.eye(3), d=np.zeros((3, 3)))
+        with pytest.raises(ValidationError, match="1 or 2 channels, got 3"):
             passivity_sweep(lin)
 
 

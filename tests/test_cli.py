@@ -323,6 +323,18 @@ def test_scenario_name_cannot_leave_the_output_directory(tmp_path, capsys):
     assert [p.name for p in tmp_path.rglob("*")] == ["dfd1.json"]
 
 
+def test_scenario_name_that_is_not_a_string_exit_code(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["name"] = None
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.name" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["dfd1.json"]
+
+
 def test_boolean_event_mg_exit_code(tmp_path, capsys):
     path = dfd1_scenario(tmp_path)
     doc = json.loads(path.read_text())

@@ -104,6 +104,21 @@ def test_name_usable_as_a_file_name_prefix_accepted(name):
     assert resolve(raw)["name"] == name
 
 
+@pytest.mark.parametrize("value", [None, {"x": 1}, 3.5, 7, True, ["a"]])
+@pytest.mark.parametrize("where", ["scenario", "mgs", "ilcs"])
+def test_name_that_is_not_a_string_rejected(where, value):
+    """A name labels outputs and prefixes file names; a non-string is not
+    turned into its Python repr."""
+    raw = minimal()
+    block = raw if where == "scenario" else raw[where][0]
+    block["name"] = value
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == {"scenario": "scenario.name",
+                               "mgs": "scenario.mgs[0].name",
+                               "ilcs": "scenario.ilcs[0].name"}[where]
+
+
 def test_missing_mg_parameter():
     raw = minimal()
     del raw["mgs"][0]["M"]

@@ -8,11 +8,12 @@ stays) negative towards high frequency, the tell-tale of an excessive
 relative degree.
 
 The sweep works on whole stacks over the grid: one batched resolvent
-solve, one C X matrix product over every frequency's columns, one
-Hermitian eigenvalue call, and ||G(jw)||_2 in closed form from the largest
-eigenvalue of the 2x2 Gram matrix G* G (ports have 1 or 2 channels), with
-no per-point SVD.  The imaginary-axis Rosenbrock ranks are one batched
-rank call.  Points where jw hits an eigenvalue of A or the response
+solve, one C X matrix product over every frequency's columns, then one
+closed-form pass over the 2x2 entries (ports have 1 or 2 channels) that
+gives each point's smallest eigenvalue of G + G*, ||G(jw)||_2 from the
+largest eigenvalue of the Gram matrix G* G, and Re diag G, with no
+per-point eigen-solve or SVD.  The imaginary-axis Rosenbrock ranks are one
+batched rank call.  Points where jw hits an eigenvalue of A or the response
 overflows are still skipped point by point.
 """
 
@@ -50,11 +51,9 @@ __all__ = [
 
 # the passivity verdict's tolerance band around zero, in units of ||G||
 _EPS_REL = 1e-9
-# the frequency grid's span (rad/s), and the imaginary-axis samples of the
-# Rosenbrock ranks
+# the frequency grid's span (rad/s)
 _GRID_W_MIN = 1e-2
 _GRID_W_MAX = 1e4
-_ROSENBROCK_SAMPLES = 32
 
 
 def default_grid(n_points: int = 400) -> np.ndarray:
@@ -62,6 +61,11 @@ def default_grid(n_points: int = 400) -> np.ndarray:
     if n_points < 1:
         raise ValidationError(f"a frequency grid needs at least 1 point, got {n_points}")
     return np.logspace(math.log10(_GRID_W_MIN), math.log10(_GRID_W_MAX), n_points)
+
+
+# the imaginary-axis samples (rad/s) of the Rosenbrock ranks
+_ROSENBROCK_OMEGAS = default_grid(32)
+_ROSENBROCK_OMEGAS.flags.writeable = False
 
 
 def linearize_unit(
@@ -149,24 +153,45 @@ class PassivityReport:
         write_csv(path, header, [self.omegas, self.min_eigs, self.diag_real])
 
 
-def _port_norms(g: np.ndarray) -> np.ndarray:
-    """||G||_2 of each slice of a (k, p, m) stack with m <= 2, in closed form.
+def _hermitian_eig(top: np.ndarray, bottom: np.ndarray, off: np.ndarray,
+                   sign: float) -> np.ndarray:
+    """The larger (sign +1) or smaller (sign -1) eigenvalue of each 2x2
+    Hermitian matrix [[top, off], [conj(off), bottom]]: mean +- sqrt(dev^2 +
+    |off|^2), with mean and dev half the sum and half the difference of the
+    diagonal."""
+    return 0.5 * (top + bottom) + sign * np.sqrt(
+        (0.5 * (top - bottom)) ** 2 + off.real ** 2 + off.imag ** 2)
 
-    ||G||_2^2 is the largest eigenvalue of the 2x2 Gram matrix G* G (a
-    one-column G gets a zero second column): half + sqrt(dev^2 + |b|^2),
-    with half the mean and dev half the difference of its diagonal and b
-    its off-diagonal entry.  Each slice is first divided by its largest
-    |g_ij|, so that squaring neither overflows nor underflows.
+
+def _port_forms(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min eig of G + G*, ||G||_2 and Re diag G of each slice of a (k, p, p)
+    stack with p <= 2, in closed form.
+
+    A one-channel slice gives 2 Re g and |g|.  A two-channel slice is first
+    divided by its largest |g_ij|, so that squaring neither overflows nor
+    underflows; then the smallest eigenvalue of its Hermitian part U + U*
+    and the largest of its Gram matrix U* U (whose square root is ||U||_2)
+    are each one 2x2 Hermitian eigenvalue, and both are scaled back.  The
+    absolute error is a few eps ||G||, the class of LAPACK's bound.
     """
-    scale = np.max(np.abs(g), axis=(1, 2))
+    diag_real = np.diagonal(g, axis1=1, axis2=2).real.copy()
+    if g.shape[1] == 1:
+        return 2.0 * diag_real[:, 0], np.abs(g[:, 0, 0]), diag_real
+    # entry by entry: numpy reduces over an axis of length 2 slowly
+    mod = np.abs(g)
+    scale = np.maximum(np.maximum(mod[:, 0, 0], mod[:, 0, 1]),
+                       np.maximum(mod[:, 1, 0], mod[:, 1, 1]))
     scale[scale == 0.0] = 1.0
-    u = np.zeros(g.shape[:2] + (2,), dtype=complex)
-    u[:, :, :g.shape[2]] = g / scale[:, None, None]
-    diag = np.sum(u.real ** 2 + u.imag ** 2, axis=1)
-    off = np.sum(u[:, :, 0].conj() * u[:, :, 1], axis=1)
-    half = 0.5 * (diag[:, 0] + diag[:, 1])
-    dev = 0.5 * (diag[:, 0] - diag[:, 1])
-    return scale * np.sqrt(half + np.sqrt(dev ** 2 + off.real ** 2 + off.imag ** 2))
+    u = g / scale[:, None, None]
+    re, im = u.real, u.imag
+    min_eigs = scale * _hermitian_eig(2.0 * re[:, 0, 0], 2.0 * re[:, 1, 1],
+                                      u[:, 0, 1] + u[:, 1, 0].conj(), -1.0)
+    # column j of U is (u_0j, u_1j); the Gram entries are their inner products
+    sq = re ** 2 + im ** 2
+    gram_off = u[:, 0, 0].conj() * u[:, 0, 1] + u[:, 1, 0].conj() * u[:, 1, 1]
+    g_norms = scale * np.sqrt(_hermitian_eig(sq[:, 0, 0] + sq[:, 1, 0],
+                                             sq[:, 0, 1] + sq[:, 1, 1], gram_off, 1.0))
+    return min_eigs, g_norms, diag_real
 
 
 def passivity_sweep(
@@ -176,7 +201,10 @@ def passivity_sweep(
     """Sweep min eig of G(jw) + G(jw)* over the grid and classify.
 
     The port map must be square with 1 or 2 channels: an ILC port has two
-    (one per side) and an MG port one.
+    (one per side) and an MG port one.  The grid must be strictly
+    increasing, as the diagonal's negative tail is read off its end.  Each
+    point's min eig, ||G||_2 and Re diag G come from one closed-form pass
+    over the stack (``_port_forms``).
 
     Verdict: ``non-passive`` when some point dips below -_EPS_REL*||G||;
     ``marginal`` when the worst point lies within the +-_EPS_REL band;
@@ -188,17 +216,16 @@ def passivity_sweep(
         raise ValidationError(f"passivity sweep needs a port map with 1 or 2 "
                               f"channels, got {lin.n_inputs}")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ValidationError("the frequency grid must be a non-empty list of "
-                              "finite positive frequencies")
+    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0))
+            or not np.all(np.diff(grid) > 0)):
+        raise ValidationError("the frequency grid must be a non-empty, strictly "
+                              "increasing list of finite positive frequencies")
     g, ok = transfer_stack(lin, grid)
     if not np.any(ok):
         raise SingularResolvent("every grid point collided with an eigenvalue")
     skipped = tuple(grid[~ok].tolist())
     omegas_arr, g = grid[ok], g[ok]
-    min_eigs_arr = np.linalg.eigvalsh(g + g.conj().transpose(0, 2, 1))[:, 0]
-    g_norms_arr = _port_norms(g)
-    diag_arr = np.diagonal(g, axis1=1, axis2=2).real.copy()
+    min_eigs_arr, g_norms_arr, diag_arr = _port_forms(g)
 
     floor = np.maximum(g_norms_arr, 1e-300)
     margins = min_eigs_arr / floor
@@ -365,7 +392,7 @@ def observability_report(lin: LinearSystem) -> ObservabilityReport:
     obs_rank = int(np.linalg.matrix_rank(obs)) if obs.size else 0
 
     m = lin.n_inputs
-    omegas = default_grid(_ROSENBROCK_SAMPLES)
+    omegas = _ROSENBROCK_OMEGAS
     pencils = np.empty((omegas.size, n + lin.n_outputs, n + m), dtype=complex)
     pencils[:, :n, :n] = 1j * omegas[:, None, None] * np.eye(n) - lin.a
     pencils[:, :n, n:] = -lin.b

@@ -32,12 +32,17 @@ class LinearSystem:
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         n = a.shape[0]
         if a.shape != (n, n):
-            raise ValidationError("A must be square")
-        b = np.asarray(self.b, dtype=float).reshape(n, -1)
-        m = b.shape[1]
-        c = np.asarray(self.c, dtype=float).reshape(-1, n)
-        p = c.shape[0]
-        d = np.asarray(self.d, dtype=float).reshape(p, m)
+            raise ValidationError(f"A must be square, got shape {a.shape}")
+        b = np.asarray(self.b, dtype=float)
+        if b.ndim != 2 or b.shape[0] != n:
+            raise ValidationError(f"B of shape {b.shape} does not fit A of shape {a.shape}")
+        c = np.asarray(self.c, dtype=float)
+        if c.ndim != 2 or c.shape[1] != n:
+            raise ValidationError(f"C of shape {c.shape} does not fit A of shape {a.shape}")
+        d = np.asarray(self.d, dtype=float)
+        if d.shape != (c.shape[0], b.shape[1]):
+            raise ValidationError(f"D of shape {d.shape} does not fit C of shape {c.shape} "
+                                  f"and B of shape {b.shape}")
         for mat, name in ((a, "A"), (b, "B"), (c, "C"), (d, "D")):
             if not np.all(np.isfinite(mat)):
                 raise ValidationError(f"{name} contains non-finite entries")

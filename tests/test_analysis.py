@@ -33,6 +33,28 @@ def test_conditioning_flag_is_read_from_a():
     assert singular.flags == ("ill-conditioned-jacobian",)
 
 
+def test_zero_state_map_is_a_pure_gain():
+    gain = LinearSystem(a=np.zeros((0, 0)), b=np.zeros((0, 1)), c=np.zeros((1, 0)),
+                        d=[[1.0]])
+    assert gain.n_states == 0 and gain.flags == ()
+    g, ok = transfer_stack(gain, [0.1, 10.0])
+    assert np.array_equal(g, np.ones((2, 1, 1))) and ok.all()
+    assert passivity_sweep(gain, [0.1, 10.0]).verdict == "passive"
+
+
+@pytest.mark.parametrize("matrices, message", [
+    (dict(a=-np.eye(2), b=[1.0, 2.0, 3.0], c=[[1.0, 0.0]], d=[[0.0]]),
+     r"B of shape \(3,\) does not fit A of shape \(2, 2\)"),
+    (dict(a=-np.eye(2), b=[[1.0], [2.0]], c=[[1.0, 0.0, 0.0]], d=[[0.0]]),
+     r"C of shape \(1, 3\) does not fit A of shape \(2, 2\)"),
+    (dict(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=np.zeros((2, 2))),
+     r"D of shape \(2, 2\) does not fit C of shape \(1, 1\) and B of shape \(1, 1\)"),
+], ids=["b-entries", "c-columns", "d-port"])
+def test_inconsistent_shape_rejected(matrices, message):
+    with pytest.raises(ValidationError, match=message):
+        LinearSystem(**matrices)
+
+
 def undamped_oscillator():
     """1/(s^2 + 1): jw I - A is singular at w = 1."""
     return LinearSystem(a=[[0.0, 1.0], [-1.0, 0.0]], b=[[0.0], [1.0]],
@@ -60,19 +82,34 @@ def pointwise_sweep(lin, grid):
     return tuple(np.array(column) for column in zip(*rows))
 
 
+EPS = np.finfo(float).eps
+
+
 def assert_sweep_matches(report, reference):
-    """Exact equality, except ||G||_2: the sweep takes it in closed form
-    from the Gram matrix, the reference by an SVD per point."""
+    """Exact equality of the grid, the real diagonal and a one-channel min
+    eig (2 Re g).  The sweep takes a two-channel min eig and every ||G||_2
+    in closed form, the reference by an eigen-solve and an SVD per point:
+    those agree to 8 eps ||G||."""
     omegas, min_eigs, g_norms, diag_real = reference
     assert np.array_equal(report.omegas, omegas)
-    assert np.array_equal(report.min_eigs, min_eigs)
-    np.testing.assert_allclose(report.g_norms, g_norms, rtol=8 * np.finfo(float).eps, atol=0)
+    if diag_real.shape[1] == 1:
+        assert np.array_equal(report.min_eigs, min_eigs)
+    else:
+        assert np.all(np.abs(report.min_eigs - min_eigs) <= 8 * EPS * g_norms)
+    np.testing.assert_allclose(report.g_norms, g_norms, rtol=8 * EPS, atol=0)
     assert np.array_equal(report.diag_real, diag_real)
 
 
 def synthetic_port(kind, scale):
-    """A stable port map whose G(jw) is ``scale`` times a 2x2 map of the
-    given kind (random, rank-one, a multiple of a rotation) or a 1x1 lag."""
+    """A port map whose G(jw) is ``scale`` times a 2x2 map of the given kind
+    (random, rank-one, a multiple of a rotation, lossless) or a 1x1 lag.
+
+    The lossless map B^T (sI - A)^-1 B + D, with A and D skew-symmetric,
+    has G + G* = 0 at every frequency, so its exact min eig is 0."""
+    if kind == "lossless":
+        b = np.array([[1.0, 0.2], [0.5, -0.7]])
+        return LinearSystem(a=[[0.0, 1.3], [-1.3, 0.0]], b=b, c=scale * b.T,
+                            d=scale * np.array([[0.0, 0.4], [-0.4, 0.0]]))
     if kind == "one-channel":
         return LinearSystem(a=[[-2.0]], b=[[3.0 * scale]], c=[[1.0]], d=[[0.5 * scale]])
     if kind == "rank-one":  # u v^T / (s + 1)
@@ -220,25 +257,35 @@ class TestPassivity:
 
     @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
     @pytest.mark.parametrize("port", ["random", "rank-one", "equal-singular-values",
-                                      "one-channel"])
+                                      "one-channel", "lossless"])
     def test_synthetic_port_norms(self, port, scale):
-        """||G||_2 at gains whose squares leave the float range, of rank-one
-        and of isotropic 2x2 maps, and of a 1x1 map."""
+        """||G||_2 and min eig of G + G* at gains whose squares leave the
+        float range, of rank-one, isotropic and lossless 2x2 maps, and of a
+        1x1 map."""
         lin = synthetic_port(port, scale)
         grid = default_grid(57)
         report = passivity_sweep(lin, grid)
         assert_sweep_matches(report, pointwise_sweep(lin, grid))
         assert np.all((report.g_norms > 0) & np.isfinite(report.g_norms))
 
-    def test_sweep_takes_no_svd(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_lossless_port_is_marginal(self, scale):
+        report = passivity_sweep(synthetic_port("lossless", scale), default_grid(57))
+        assert report.verdict == "marginal"
+        assert abs(report.worst_margin) <= 8 * EPS
+
+    def test_sweep_takes_no_svd_or_eigen_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep called an SVD")
+            raise AssertionError("the sweep called an SVD or an eigen-solve")
 
         # np.linalg.norm reaches svd through its own module's globals
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         report = passivity_sweep(linearize_unit(unit_for("dual-freq-droop-1")))
         assert report.verdict == "non-passive"
+        assert passivity_sweep(lag_system(0.05)).verdict == "passive"
 
     def test_singular_point_skipped(self):
         osc = undamped_oscillator()
@@ -251,7 +298,7 @@ class TestPassivity:
             passivity_sweep(undamped_oscillator(), [1.0])
 
     @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [1.0, np.inf],
-                                      [0.0, 1.0], [-1.0, 1.0]])
+                                      [0.0, 1.0], [-1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ValidationError):
             passivity_sweep(lag_system(0.05), grid)

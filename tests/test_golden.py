@@ -86,7 +86,7 @@ DIGESTS = {
         "stdout":
             "d177eca06481910038375ecfad0d7aa68458eec4a67d11173645e3a4c844f35d",
         "two-mg-ilc1-passivity.csv":
-            "b4131942086a1711a1cf75805ab2ab8297236fee9aaa809acbc93fee8293de93",
+            "13cb65b872c650dab6ffb31dedd5a2fb14ccefe0204c8399295dcbe29542343c",
         "two-mg-ilc1-passivity.svg":
             "450e5109c5a5dd3304028abbf11ed27d6565fe4aa370d25338bc807b9acb0279",
     },

@@ -151,9 +151,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table3(args) -> int:
     resolved = load_resolved(args.scenario)
-    table = table3_harness(
-        resolved, workers=args.workers, cache_dir=args.cache,
-    )
+    table = table3_harness(resolved, workers=args.workers)
     text = table.to_text()
     print(text)
     if args.out:
@@ -227,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="two-mg", help=scen_help)
     p.add_argument("--out", help="output directory")
     p.add_argument("--workers", type=int, help="parallel worker cap")
-    p.add_argument("--cache", help="cell cache directory (resumable)")
     p.set_defaults(func=_cmd_table3)
     return parser
 

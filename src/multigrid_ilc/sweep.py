@@ -34,16 +34,12 @@ a WARNING; the package installs no handler.
 from __future__ import annotations
 
 import copy
-import hashlib
-import json
 import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
-from functools import lru_cache
-from pathlib import Path
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -87,7 +83,8 @@ class SweepRequest:
     """One boundary search over a single parameter path.
 
     ``tol`` is the width at which bisection stops; a ``log`` search takes it
-    as a ratio and stops once ``hi / lo <= 1 + tol``.
+    as a ratio and stops once ``hi / lo <= 1 + tol``.  A ``gains.<name>``
+    path (or bundle) that no addressed ILC's scheme reads is refused.
     """
 
     resolved: dict
@@ -107,6 +104,19 @@ class SweepRequest:
             raise ValidationError("log bisection needs lo > 0")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.path.partition(".")[2].startswith("gains."):
+            # NaN differs from every value, so it marks each field the path
+            # sets; a scheme names its gains by the lowercased field
+            addressed = [
+                (block["scheme"], [k.lower() for k, v in block["gains"].items() if math.isnan(v)])
+                for block in set_parameter(self.resolved, self.path, math.nan)["ilcs"]
+            ]
+            if not any(f in SCHEME[scheme].gains for scheme, fields in addressed for f in fields):
+                schemes = ", ".join(dict.fromkeys(s for s, fields in addressed if fields))
+                raise ValidationError(
+                    f"{self.path}: no addressed ILC's scheme reads this gain ({schemes}); "
+                    "sweeping it changes nothing"
+                )
 
 
 @dataclass(frozen=True)
@@ -474,31 +484,6 @@ def _run_cell(args: tuple) -> tuple:
             Cell(scheme, column, result.status, value, display, paper, result.probes))
 
 
-@lru_cache(maxsize=None)
-def _source_digest() -> str:
-    """sha256 over the package's Python source."""
-    digest = hashlib.sha256()
-    package = Path(__file__).resolve().parent
-    for path in sorted(package.rglob("*.py")):
-        digest.update(path.relative_to(package).as_posix().encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def _cache_key(args: tuple) -> str:
-    """Content hash of a cell request, the code that computes it and the
-    sweep constants it depends on, so a cache never serves a cell computed
-    by other code or settings.  The source digest covers the disturbance,
-    whose settings are literals in :func:`classify_stability`; the module
-    constants are read at call time, so they enter the key as well."""
-    resolved, row, column = args
-    constants = [{name: asdict(spec) for name, spec in COLUMNS.items()},
-                 GAIN_SPAN, _ABSCISSA_MARGIN]
-    blob = json.dumps([_source_digest(), constants, resolved, row["scheme"], column],
-                      sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def worker_count(requested: int | None = None) -> int:
     cap = os.environ.get("MULTIGRID_ILC_THREADS")
     try:
@@ -517,74 +502,37 @@ def worker_count(requested: int | None = None) -> int:
 def table3_harness(
     resolved: dict,
     workers: int | None = None,
-    cache_dir: str | Path | None = None,
     columns: Sequence[str] = tuple(COLUMNS),
     rows: Sequence[dict] = TABLE3_ROWS,
 ) -> SweepTable:
     """Run every scheme-by-parameter cell of the boundary table.
 
     Cells run as independent jobs (a process pool, never larger than the
-    cells left to run, when more than one worker is available) and are
-    cached by a content hash of the cell request and the code, so an
-    interrupted run resumes where it left off; an entry that cannot be read
-    is computed again.  Individual cell failures, a crashed worker
-    included, are recorded as error cells and never cached; the harness
-    continues.
+    cells to run, when more than one worker is available).  Individual
+    cell failures, a crashed worker included, are recorded as error cells;
+    the harness continues.
     """
     n_workers = worker_count(workers)
     jobs = [(resolved, row, column) for row in rows for column in columns]
-    cache = Path(cache_dir) if cache_dir else None
-    if cache:
-        cache.mkdir(parents=True, exist_ok=True)
-
-    results: dict[tuple[str, str], Cell] = {}
-    pending = []
-    for job in jobs:
-        cell = _cached_cell(cache / f"{_cache_key(job)}.json") if cache else None
-        if cell is None:
-            pending.append(job)
-        else:
-            results[(cell.scheme, cell.column)] = cell
-
-    def store(scheme: str, column: str, cell: Cell, job) -> None:
-        results[(scheme, column)] = cell
-        if cache and cell.status != "error":
-            # write aside and rename, so an interrupted run leaves no partial entry
-            stash = cache / f"{_cache_key(job)}.json"
-            partial = stash.with_suffix(f".{os.getpid()}.tmp")
-            partial.write_text(json.dumps(asdict(cell)))
-            os.replace(partial, stash)
-
-    if n_workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(pending))) as pool:
-            futures = [pool.submit(_run_cell_safe, job) for job in pending]
-            for job, future in zip(pending, futures):
+    if n_workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
+            futures = [pool.submit(_run_cell_safe, job) for job in jobs]
+            outcomes = []
+            for job, future in zip(jobs, futures):
                 try:
-                    outcome = future.result()
+                    outcomes.append(future.result())
                 except BrokenProcessPool as exc:
                     # a worker died: every cell not finished by then is
                     # lost, the finished ones are kept
-                    outcome = _error_outcome(job, exc)
-                store(*outcome, job)
+                    outcomes.append(_error_outcome(job, exc))
     else:
-        for job in pending:
-            store(*_run_cell_safe(job), job)
+        outcomes = [_run_cell_safe(job) for job in jobs]
 
+    results = {(scheme, column): cell for scheme, column, cell in outcomes}
     return SweepTable(rows=tuple(
         {"scheme": row["scheme"], **{c: results[(row["scheme"], c)] for c in columns}}
         for row in rows
     ))
-
-
-def _cached_cell(stash: Path) -> Cell | None:
-    """The cell stored at ``stash``; None when it is missing or unreadable,
-    so the cell is computed again and the entry overwritten."""
-    try:
-        payload = json.loads(stash.read_text())
-        payload["probes"] = tuple(map(tuple, payload["probes"]))
-        return Cell(**payload)
-    except (OSError, ValueError, LookupError, TypeError):
-        return None
 
 
 def _error_outcome(args: tuple, exc: BaseException) -> tuple:

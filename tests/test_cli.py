@@ -219,8 +219,8 @@ def test_table3_plumbing(tmp_path, monkeypatch, capsys):
 
     captured_args = {}
 
-    def fake_harness(resolved, workers=None, cache_dir=None):
-        captured_args.update(workers=workers, cache_dir=cache_dir)
+    def fake_harness(resolved, workers=None):
+        captured_args.update(workers=workers)
         cell = Cell("dual-freq-droop-1", "min_kdc", "stable-throughout", 0.0,
                     "0.00", "0.00")
         return SweepTable(rows=({"scheme": "dual-freq-droop-1", "min_kdc": cell,
@@ -229,40 +229,30 @@ def test_table3_plumbing(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "table3_harness", fake_harness)
     out = tmp_path / "t3"
-    code = cli_mod.main([
-        "table3", "--scenario", "two-mg", "--out", str(out),
-        "--workers", "2", "--cache", str(tmp_path / "cache"),
-    ])
+    code = cli_mod.main(["table3", "--scenario", "two-mg", "--out", str(out),
+                         "--workers", "2"])
     assert code == 0
     assert captured_args["workers"] == 2
     assert (out / "table3.csv").exists()
     assert (out / "table3.txt").exists()
 
 
-def test_table3_recomputes_a_truncated_cache_entry(tmp_path, monkeypatch, capsys):
-    """A cache entry cut short by an interrupted run is a miss: the cell is
-    computed again, the entry rewritten, and the command succeeds."""
-    from multigrid_ilc import sweep
-    from multigrid_ilc.scenario import load_resolved
+def test_table3_refuses_the_removed_cache_flag(tmp_path, capsys):
+    """The cell cache is gone; its flag is a usage error, not an option that
+    is silently ignored."""
+    assert main(["table3", "--cache", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
-    def run_cell(args):
-        _, row, column = args
-        return (row["scheme"], column,
-                sweep.Cell(row["scheme"], column, "stable-throughout", 0.0, "fresh",
-                           row["paper"][column]))
 
-    monkeypatch.setattr(sweep, "_run_cell", run_cell)
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    job = (load_resolved("two-mg"), sweep.TABLE3_ROWS[0], "min_kdc")
-    entry = cache / f"{sweep._cache_key(job)}.json"
-    entry.write_text('{"scheme": "dual-freq-droop-1", "column": "min')
-    code = main(["table3", "--scenario", "two-mg", "--workers", "1",
-                 "--cache", str(cache)])
-    assert code == 0
-    assert json.loads(entry.read_text())["display"] == "fresh"
-    assert "fresh" in capsys.readouterr().out
-    assert not list(cache.glob("*.tmp"))
+def test_sweep_of_a_gain_no_scheme_reads_exit_code(capsys):
+    """two-mg's dual-droop-matching law never reads K_omega1: sweeping it
+    would report stable-throughout with one abscissa at both ends."""
+    code = main(["sweep", "--scenario", "two-mg", "--param", "ilc.gains.K_omega1",
+                 "--lo", "-1", "--hi", "1", "--tol", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ilc.gains.K_omega1" in err
+    assert "dual-droop-matching" in err
 
 
 def test_non_integer_thread_cap_exit_code(tmp_path, monkeypatch, capsys):

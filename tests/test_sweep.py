@@ -1,5 +1,5 @@
 import ast
-import json
+import copy
 import logging
 import math
 import multiprocessing
@@ -12,7 +12,7 @@ import pytest
 
 from multigrid_ilc import engine, sweep
 from multigrid_ilc.errors import NonBracketing, ValidationError
-from multigrid_ilc.scenario import set_parameter
+from multigrid_ilc.scenario import load_resolved, resolve, set_parameter
 from multigrid_ilc.sweep import (
     COLUMNS,
     INDETERMINATE,
@@ -314,49 +314,16 @@ def test_package_installs_no_log_handler():
 
 
 class TestHarness:
-    def test_single_cell_and_cache(self, tmp_path, two_mg_resolved):
+    def test_single_cell(self, two_mg_resolved):
         rows = tuple(r for r in TABLE3_ROWS if r["scheme"] == "dual-droop-matching")
-        cache = tmp_path / "cells"
-        table = table3_harness(two_mg_resolved, workers=1, cache_dir=cache,
-                               columns=("min_kdc",), rows=rows)
+        table = table3_harness(two_mg_resolved, workers=1, columns=("min_kdc",), rows=rows)
         cell = table.cell("dual-droop-matching", "min_kdc")
         assert cell.status == "stable-throughout"
         assert cell.display == "0.00"
-        cached = list(cache.glob("*.json"))
-        assert len(cached) == 1
-        # a rerun resumes from the cache and reproduces the table
-        again = table3_harness(two_mg_resolved, workers=1, cache_dir=cache,
-                               columns=("min_kdc",), rows=rows)
-        assert again.cell("dual-droop-matching", "min_kdc").display == "0.00"
-
-    @pytest.mark.parametrize("stale_setting", [
-        ("_source_digest", lambda: "older code"),
-        ("GAIN_SPAN", 50.0),
-    ])
-    def test_cache_entry_of_other_code_not_served(
-        self, tmp_path, two_mg_resolved, monkeypatch, stale_setting
-    ):
-        row = TABLE3_ROWS[0]
-        job = (two_mg_resolved, row, "min_kdc")
-        with monkeypatch.context() as m:
-            m.setattr(sweep, *stale_setting)
-            stale = {"scheme": row["scheme"], "column": "min_kdc",
-                     "status": "stable-throughout", "value": 0.0, "display": "stale",
-                     "paper": row["paper"]["min_kdc"], "probes": []}
-            (tmp_path / f"{sweep._cache_key(job)}.json").write_text(json.dumps(stale))
-        fresh = Cell(row["scheme"], "min_kdc", "stable-throughout", 0.0, "fresh",
-                     row["paper"]["min_kdc"])
-        monkeypatch.setattr(sweep, "_run_cell",
-                            lambda args: (row["scheme"], "min_kdc", fresh))
-        table = table3_harness(two_mg_resolved, workers=1, cache_dir=tmp_path,
-                               columns=("min_kdc",), rows=(row,))
-        assert table.cell(row["scheme"], "min_kdc").display == "fresh"
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched cell runner reaches the workers by fork")
-    def test_crashed_worker_gives_error_cells_that_are_not_cached(
-        self, tmp_path, two_mg_resolved, monkeypatch
-    ):
+    def test_crashed_worker_gives_error_cells(self, two_mg_resolved, monkeypatch):
         rows = TABLE3_ROWS[:2]
         columns = ("min_kdc", "max_tau")
         crash = (rows[0]["scheme"], "max_tau")
@@ -371,14 +338,10 @@ class TestHarness:
 
         monkeypatch.setattr(sweep, "_run_cell", run_cell)
         monkeypatch.setenv("MULTIGRID_ILC_THREADS", "2")
-        table = table3_harness(two_mg_resolved, workers=2, cache_dir=tmp_path,
-                               columns=columns, rows=rows)
+        table = table3_harness(two_mg_resolved, workers=2, columns=columns, rows=rows)
         assert table.cell(*crash).status == "error"
         statuses = [table.cell(r["scheme"], c).status for r in rows for c in columns]
         assert set(statuses) <= {"error", "stable-throughout"}
-        stored = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
-        assert all(entry["status"] != "error" for entry in stored)
-        assert len(stored) == statuses.count("stable-throughout")
 
     def test_pool_is_never_larger_than_the_work(self, two_mg_resolved, monkeypatch):
         sizes = []
@@ -463,6 +426,30 @@ def test_sweep_request_validation(two_mg_resolved):
             with pytest.raises(ValidationError):
                 SweepRequest(two_mg_resolved, "ilc.tau", 0.01, 1.0,
                              direction="max-stable", tol=tol, log=log)
+
+
+def test_sweep_request_refuses_a_gain_no_addressed_scheme_reads():
+    """A gain path is refused only when none of the ILCs it addresses reads
+    any field it sets; a bundle read on one side is accepted."""
+    raw = copy.deepcopy(load_resolved("three-mg"))
+    raw["ilcs"][0]["scheme"] = "dual-freq-droop-1"  # ILC 2 stays dual-droop-matching
+    raw["ilcs"][0]["gains"] = {}
+    mixed = resolve(raw)
+
+    def request(path):
+        return SweepRequest(mixed, path, 0.5, 2.0, direction="max-stable", tol=0.1)
+
+    for path in ("ilc.gains.m1", "ilc.gains.K_omega", "ilc[1].gains.K_omega1",
+                 "ilc[2].gains.K_omega2"):
+        request(path)
+    with pytest.raises(ValidationError) as refused:
+        request("ilc[1].gains.m1")
+    assert "ilc[1].gains.m1" in str(refused.value)
+    assert "(dual-freq-droop-1)" in str(refused.value)
+    with pytest.raises(ValidationError, match=r"\(dual-freq-droop-1, dual-droop-matching\)"):
+        request("ilc.gains.m2")
+    # the table's gain column sweeps one scale factor, not a gain field
+    SweepRequest(mixed, sweep.GAINS, 1.0, sweep.GAIN_SPAN, "max-stable", 0.1, log=True)
 
 
 def test_log_sweep_rejects_non_positive_lo(two_mg_resolved):

@@ -12,9 +12,12 @@ solve, one C X matrix product over every frequency's columns, then one
 closed-form pass over the 2x2 entries (ports have 1 or 2 channels) that
 gives each point's smallest eigenvalue of G + G*, ||G(jw)||_2 from the
 largest eigenvalue of the Gram matrix G* G, and Re diag G, with no
-per-point eigen-solve or SVD.  The imaginary-axis Rosenbrock ranks are one
-batched rank call.  Points where jw hits an eigenvalue of A or the response
-overflows are still skipped point by point.
+per-point eigen-solve or SVD.  Points where jw hits an eigenvalue of A or
+the response overflows are still skipped point by point.
+
+The imaginary-axis Rosenbrock ranks are read off one transfer stack, as n +
+rank G(jw), wherever G clearly has full rank; only the other samples (a
+nearly singular 2x2 map, an irregular point) get an SVD of their pencil.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def default_grid(n_points: int = 400) -> np.ndarray:
 # the imaginary-axis samples (rad/s) of the Rosenbrock ranks
 _ROSENBROCK_OMEGAS = default_grid(32)
 _ROSENBROCK_OMEGAS.flags.writeable = False
+# a 2x2 port map's cancellation ratio above which its rank is read as full
+_RANK_SCREEN = 1e-9
 
 
 def linearize_unit(
@@ -375,32 +380,62 @@ def _normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.where(norms > 0, norms, 1.0)
 
 
-def observability_report(lin: LinearSystem) -> ObservabilityReport:
-    """Rank of the stacked observability matrix and of the Rosenbrock pencil
-    [sI-A, -B; C, D] at 32 log-spaced imaginary-axis samples.
+def _full_rank_samples(g: np.ndarray, regular: np.ndarray) -> np.ndarray:
+    """Mask of the samples where the (k, p, m) stack G clearly has full rank
+    min(p, m): no port, a nonzero one-channel map, or a 2x2 map whose
+    cancellation ratio |g11 g22 - g12 g21| / (|g11 g22| + |g12 g21|) is above
+    _RANK_SCREEN.  Irregular points and other port shapes are never full."""
+    p, m = g.shape[1:]
+    if p == 0 and m == 0:
+        return regular
+    if min(p, m) == 1 and max(p, m) <= 2:
+        return regular & np.any(g != 0, axis=(1, 2))
+    if (p, m) != (2, 2):
+        return np.zeros_like(regular)
+    main, cross = g[:, 0, 0] * g[:, 1, 1], g[:, 0, 1] * g[:, 1, 0]
+    # 0/0 and inf/inf give nan, which is not above the screen
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.abs(main - cross) / (np.abs(main) + np.abs(cross))
+    return regular & (ratio > _RANK_SCREEN)
 
-    Blocks are row/column normalized before the SVD so that widely scaled
-    physical units do not mask rank deficiencies.
+
+def observability_report(lin: LinearSystem) -> ObservabilityReport:
+    """Rank of the observability matrix [C; CA; ...; CA^(n-1)], its rows
+    normalized so that widely scaled physical units do not mask a rank
+    deficiency, and of the Rosenbrock pencil P(jw) = [jwI-A, -B; C, D] at 32
+    log-spaced imaginary-axis samples.
+
+    Where jwI - A is regular, the Schur complement gives rank P(jw) = n +
+    rank G(jw), so a sample takes n + min(p, m) from one transfer stack when
+    G clearly has full rank (``_full_rank_samples``: for a 2x2 port, a
+    cancellation ratio above 1e-9).  The screen is wide because near an
+    undamped pole the ratio falls towards 0 with the distance to the pole
+    while the pencil keeps full rank.  Every other sample (a ratio at or
+    below the screen, an irregular point, another port shape) is ranked by
+    an SVD of its column-normalized pencil, so each deficient rank comes
+    from the SVD.  A well-conditioned G that is tiny against the pencil
+    (a 1e-300 output row) thus reads full rank, as it exactly is, where the
+    SVD's relative tolerance alone would call the pencil deficient.
     """
-    n = lin.n_states
-    blocks = []
-    block = lin.c.copy()
-    for _ in range(n):
-        blocks.append(_normalize_rows(block))
-        block = block @ lin.a
-    obs = np.vstack(blocks) if blocks else np.zeros((0, n))
+    n, p, m = lin.n_states, lin.n_outputs, lin.n_inputs
+    blocks = [lin.c]
+    for _ in range(n - 1):
+        blocks.append(blocks[-1] @ lin.a)
+    obs = _normalize_rows(np.vstack(blocks))
     obs_rank = int(np.linalg.matrix_rank(obs)) if obs.size else 0
 
-    m = lin.n_inputs
     omegas = _ROSENBROCK_OMEGAS
-    pencils = np.empty((omegas.size, n + lin.n_outputs, n + m), dtype=complex)
-    pencils[:, :n, :n] = 1j * omegas[:, None, None] * np.eye(n) - lin.a
-    pencils[:, :n, n:] = -lin.b
-    pencils[:, n:, :n] = lin.c
-    pencils[:, n:, n:] = lin.d
-    norms = np.linalg.norm(pencils, axis=1, keepdims=True)
-    pencils /= np.where(norms > 0, norms, 1.0)
-    ranks = np.linalg.matrix_rank(pencils)
+    ranks = np.full(omegas.size, n + min(p, m))
+    hard = ~_full_rank_samples(*transfer_stack(lin, omegas))
+    if np.any(hard):
+        pencils = np.empty((np.count_nonzero(hard), n + p, n + m), dtype=complex)
+        pencils[:, :n, :n] = 1j * omegas[hard, None, None] * np.eye(n) - lin.a
+        pencils[:, :n, n:] = -lin.b
+        pencils[:, n:, :n] = lin.c
+        pencils[:, n:, n:] = lin.d
+        norms = np.linalg.norm(pencils, axis=1, keepdims=True)
+        pencils /= np.where(norms > 0, norms, 1.0)
+        ranks[hard] = np.linalg.matrix_rank(pencils)
     return ObservabilityReport(
         obs_rank=obs_rank,
         n_states=n,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multigrid_ilc.analysis import (
     LinearSystem,
@@ -80,6 +83,60 @@ def pointwise_sweep(lin, grid):
         rows.append((float(w), np.linalg.eigvalsh(g + g.conj().T)[0],
                      np.linalg.norm(g, 2), np.real(np.diag(g))))
     return tuple(np.array(column) for column in zip(*rows))
+
+
+def pencil_ranks(lin, omegas):
+    """Per-sample reference for the Rosenbrock ranks: the column-normalized
+    pencil [jwI - A, -B; C, D] and one matrix_rank per sample."""
+    n = lin.n_states
+    ranks = []
+    for w in omegas:
+        pencil = np.block([[1j * w * np.eye(n) - lin.a, -lin.b],
+                           [lin.c.astype(complex), lin.d.astype(complex)]])
+        norms = np.linalg.norm(pencil, axis=0)
+        ranks.append(int(np.linalg.matrix_rank(pencil / np.where(norms > 0, norms, 1.0))))
+    return ranks
+
+
+def undamped_oscillator_at(k):
+    """A with eigenvalues +-jw at the k-th Rosenbrock sample w."""
+    w = float(default_grid(32)[k])
+    return np.array([[0.0, w], [-w, 0.0]])
+
+
+def port_less(a):
+    n = a.shape[0]
+    return LinearSystem(a=a, b=np.zeros((n, 0)), c=np.zeros((0, n)), d=np.zeros((0, 0)))
+
+
+def static_gain(d):
+    d = np.asarray(d, dtype=float)
+    return LinearSystem(a=np.zeros((0, 0)), b=np.zeros((0, d.shape[1])),
+                        c=np.zeros((d.shape[0], 0)), d=d)
+
+
+# every shipped port shape, and the corner cases of the rank rule; each
+# factory takes the resolved two-mg scenario
+RANK_CASES = {
+    "unobservable": lambda _: unobservable_system(),
+    **{f"unit-{scheme}": (lambda _, s=scheme: linearize_unit(unit_for(s)))
+       for scheme in CATALOGUE},
+    "mg-first-order-droop": lambda _: mg_linearize(FirstOrderDroop(T=1.0, D=2e7)),
+    "mg-swing-governor": lambda _: mg_linearize(
+        SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7)),
+    "two-by-one": lambda _: LinearSystem(a=np.diag([-1.0, -2.0]), b=[[1.0], [1.0]],
+                                         c=np.eye(2), d=[[0.0], [0.0]]),
+    "three-channel": lambda _: LinearSystem(a=np.diag([-1.0, -2.0]), b=np.ones((2, 3)),
+                                            c=np.ones((3, 2)), d=np.eye(3)),
+    "static-gain-rank-one": lambda _: static_gain([[1.0, 2.0], [2.0, 4.0]]),
+    "static-gain-identity": lambda _: static_gain(np.eye(2)),
+    "static-gain-zero": lambda _: static_gain([[0.0, 0.0]]),
+    "port-less-pole": lambda _: port_less(undamped_oscillator_at(13)),
+    "closed-loop": lambda resolved: linearize_closed_loop(build_system(resolved).ode),
+}
+
+# matrix entries for random systems: multiples of 1/4 in [-2, 2], zero included
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4)
 
 
 EPS = np.finfo(float).eps
@@ -393,15 +450,71 @@ class TestObservability:
     def test_unobservable_decoupled_state(self):
         assert observability_report(unobservable_system()).obs_rank == 2
 
-    def test_batched_ranks_equal_pointwise(self):
-        lin = unobservable_system()
+    @pytest.mark.parametrize("case", sorted(RANK_CASES))
+    def test_batched_ranks_equal_pointwise(self, case, two_mg_resolved):
+        lin = RANK_CASES[case](two_mg_resolved)
         report = observability_report(lin)
-        assert [w for w, _ in report.rosenbrock_ranks] == default_grid(32).tolist()
-        for w, rank in report.rosenbrock_ranks:
-            pencil = np.block([[1j * w * np.eye(3) - lin.a, -lin.b],
-                               [lin.c.astype(complex), lin.d.astype(complex)]])
-            norms = np.linalg.norm(pencil, axis=0)
-            assert rank == np.linalg.matrix_rank(pencil / np.where(norms > 0, norms, 1.0))
+        omegas = [w for w, _ in report.rosenbrock_ranks]
+        assert omegas == default_grid(32).tolist()
+        assert [rank for _, rank in report.rosenbrock_ranks] == pencil_ranks(lin, omegas)
+
+    @pytest.mark.parametrize("detune", [0.0, 1e-9])
+    def test_ranks_near_an_undamped_pole(self, detune):
+        """With the pole on a sample, or 1e-9 off it, G there is singular or
+        nearly so, while the pencil [jwI - A, -I; I, 0] keeps full rank."""
+        lin = LinearSystem(a=undamped_oscillator_at(13) * (1.0 + detune), b=np.eye(2),
+                           c=np.eye(2), d=np.zeros((2, 2)))
+        report = observability_report(lin)
+        ranks = [rank for _, rank in report.rosenbrock_ranks]
+        assert ranks == pencil_ranks(lin, [w for w, _ in report.rosenbrock_ranks])
+        assert ranks == [4] * 32
+
+    def test_equal_input_columns_lose_one_rank(self):
+        lin = LinearSystem(a=[[-1.0, 2.0], [-2.0, -1.0]], b=[[1.0, 1.0], [2.0, 2.0]],
+                           c=np.eye(2), d=np.zeros((2, 2)))
+        assert [rank for _, rank in observability_report(lin).rosenbrock_ranks] == [3] * 32
+
+    def test_tiny_well_conditioned_port_reads_full_rank(self):
+        """G = diag(1e-300, 1) / (s + 1) has full rank, which the Schur
+        complement sees; the SVD's relative tolerance alone would not."""
+        lin = LinearSystem(a=-np.eye(2), b=np.eye(2), c=[[1e-300, 0.0], [0.0, 1.0]],
+                           d=np.zeros((2, 2)))
+        assert observability_report(lin).input_observable
+
+    def test_regular_full_rank_port_takes_no_pencil_svd(self, monkeypatch):
+        shapes = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def recording(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return matrix_rank(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", recording)
+        report = observability_report(linearize_unit(unit_for("dual-acdc-droop")))
+        assert report.input_observable
+        # only the observability matrix is ranked, never a stack of pencils
+        assert shapes == [(2 * report.n_states, report.n_states)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6),
+           dependence=st.sampled_from([None, "b-columns", "c-rows"]))
+    def test_random_port_ranks_equal_pointwise(self, data, n, dependence):
+        """Random 2x2 ports, some made rank deficient by construction."""
+        def draw(shape):
+            return data.draw(arrays(float, shape, elements=QUARTERS))
+
+        a, b, c, d = draw((n, n)), draw((n, 2)), draw((2, n)), draw((2, 2))
+        alpha = data.draw(QUARTERS)
+        if dependence == "b-columns":
+            b[:, 1], d[:, 1] = alpha * b[:, 0], alpha * d[:, 0]
+        elif dependence == "c-rows":
+            c[1], d[1] = alpha * c[0], alpha * d[0]
+        lin = LinearSystem(a=a, b=b, c=c, d=d)
+        report = observability_report(lin)
+        ranks = [rank for _, rank in report.rosenbrock_ranks]
+        assert ranks == pencil_ranks(lin, [w for w, _ in report.rosenbrock_ranks])
+        if dependence:
+            assert max(ranks) <= n + 1
 
 
 class TestStabilityEigs:

@@ -31,26 +31,8 @@ import numpy as np
 from .engine import EquilibriumPoint, OdeSystem, ilc_jacobian, law_jacobian, write_csv
 from .errors import SingularResolvent, ValidationError
 from .ilc import GFM, IlcUnit, unit_state_names
-from .linear import LinearSystem, transfer_matrix, transfer_stack
+from .linear import LinearSystem, transfer_stack
 from .mg import MgModel
-
-__all__ = [
-    "LinearSystem",
-    "transfer_matrix",
-    "transfer_stack",
-    "default_grid",
-    "linearize_unit",
-    "mg_linearize",
-    "linearize_closed_loop",
-    "passivity_sweep",
-    "PassivityReport",
-    "RationalTransfer",
-    "single_vsc_dc_chain",
-    "VscChain",
-    "observability_report",
-    "ObservabilityReport",
-    "spectral_abscissa",
-]
 
 # the passivity verdict's tolerance band around zero, in units of ||G||
 _EPS_REL = 1e-9
@@ -333,16 +315,16 @@ def single_vsc_dc_chain(unit: IlcUnit) -> VscChain:
     if unit.scheme != "dual-freq-droop-1":
         raise ValidationError("the single-VSC chain applies to dual-freq-droop-1")
     g, phys = unit.gains, unit.physical
-    cv = phys.c * phys.v_dc_ref
-    kv = phys.k_dc * phys.v_dc_ref
+    cv = phys.C * phys.V_dc_ref
+    kv = phys.K_dc * phys.V_dc_ref
     # the equalizing integrator integrates the droop-weighted mismatch, so
     # the integral path from omega2 carries the droop gain as well
     freq_to_p1 = RationalTransfer(
-        num=[-g.k_omega2, -g.k_i * g.k_omega2],
+        num=[-g.K_omega2, -g.K_i * g.K_omega2],
         den=np.polymul([phys.tau1, 1.0], [1.0, 0.0]),
     )
     p1_to_vdc = RationalTransfer(num=[-1.0], den=[cv, kv])
-    pi_num = np.array([g.k_pdc, g.k_idc])
+    pi_num = np.array([g.K_pdc, g.K_idc])
     bus = np.array([cv, kv])
     den20 = np.polyadd(np.polymul(np.polymul([phys.tau2, 1.0], [1.0, 0.0]), bus), pi_num)
     vdc_to_p2 = RationalTransfer(num=np.polymul(pi_num, bus), den=den20)

@@ -65,8 +65,8 @@ def kind_scales(owner: MgModel | IlcUnit, kinds: Iterable[str]) -> list[float]:
     power scale the larger of 1e5 W and 1e-3 of its filter power constant;
     an MG's power scale is 1 % of its rating."""
     if isinstance(owner, IlcUnit):
-        scale = {"one": 1.0, "dc": 0.01 * owner.physical.v_dc_ref,
-                 "power": max(1e5, 1e-3 * owner.physical.b)}
+        scale = {"one": 1.0, "dc": 0.01 * owner.physical.V_dc_ref,
+                 "power": max(1e5, 1e-3 * owner.physical.B)}
     else:
         scale = {"one": 1.0, "power": 0.01 * default_rating(owner)}
     return [scale[KINDS[kind].scale] for kind in kinds]
@@ -224,31 +224,31 @@ class _Tape:
         """The DC-bus law dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the
         powers leaving the two VSCs, its collapse guard where it runs, and
         its partials."""
-        c, vref, k_dc = phys.c, phys.v_dc_ref, phys.k_dc
+        C, V_dc_ref, K_dc = phys.C, phys.V_dc_ref, phys.K_dc
 
         def dc(p1, p2, vdc):
             q1, q2, v = map(self.ref, (p1, p2, vdc))
-            v_total = v + vref
+            v_total = v + V_dc_ref
             self.lines.append(f"if {self.operand(v_total)} <= 0.0: "
-                              f"raise collapse({self.operand(v)}, {self.operand(vref)})")
-            out = (-q1 / v_total - q2 / v_total - k_dc * v) / c
+                              f"raise collapse({self.operand(v)}, {self.operand(V_dc_ref)})")
+            out = (-q1 / v_total - q2 / v_total - K_dc * v) / C
             r1, r2, vt = map(self.d.ref, (q1, q2, v_total))
-            by_p = -1.0 / (c * vt)
-            by_v = ((r1 + r2) / (vt * vt) - k_dc) / c
+            by_p = -1.0 / (C * vt)
+            by_v = ((r1 + r2) / (vt * vt) - K_dc) / C
             out.grad = self.combine(*(self.chain(_grad(x), "*", d)
                                       for x, d in ((p1, by_p), (p2, by_p), (vdc, by_v))))
             return out
 
         return dc
 
-    def filter_power(self, b: float) -> Callable:
+    def filter_power(self, B: float) -> Callable:
         """The inductive filter's law: power(eta) -> B*sin(eta) (W), with
         the partial B*cos(eta)."""
 
         def power(eta):
             name = self.operand(eta)
-            out = b * self.assign(f"sin({name})", {})
-            out.grad = self.chain(_grad(eta), "*", b * self.d.assign(f"cos({name})", {}))
+            out = B * self.assign(f"sin({name})", {})
+            out.grad = self.chain(_grad(eta), "*", B * self.d.assign(f"cos({name})", {}))
             return out
 
         return power
@@ -328,7 +328,7 @@ def _unit_law_jacobian(unit: IlcUnit) -> Callable:
     law, phys = SCHEME[unit.scheme].law, unit.physical
 
     def traced(tape, y, in1, in2):
-        return law(unit.gains, phys, tape.dc_bus(phys), tape.filter_power(phys.b), y, in1, in2)
+        return law(unit.gains, phys, tape.dc_bus(phys), tape.filter_power(phys.B), y, in1, in2)
 
     return law_jacobian(f"scheme {unit.scheme!r}", traced, len(unit_state_names(unit)), 2)
 
@@ -400,7 +400,7 @@ class OdeSystem:
         for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self.net.ends):
             seg_rates, pa, pb = _trace(f"scheme {unit.scheme!r}", sim_law, unit,
                                        tape.dc_bus(unit.physical),
-                                       tape.filter_power(unit.physical.b), y[lo:hi],
+                                       tape.filter_power(unit.physical.B), y[lo:hi],
                                        y[self._mg_spans[a][0]], y[self._mg_spans[b][0]])
             rates[lo:hi] = seg_rates
             p_in[a] += pa

@@ -5,7 +5,7 @@ each AC side is grid-following (measures frequency, controls power through a
 first-order lag), grid-forming (sets its frequency reference directly), or
 the two sides are mixed ("partial").  The shared DC bus obeys
 
-    C * dV/dt = -p1/(V + Vref) - p2/(V + Vref) - Kdc*V
+    C * dV/dt = -p1/(V + V_dc_ref) - p2/(V + V_dc_ref) - K_dc*V
 
 with V the DC-voltage deviation and p1, p2 the powers leaving each VSC into
 its grid.  Grid-forming sides transfer power through an inductive filter:
@@ -42,8 +42,11 @@ the laws, in ``engine``), and the powers a simulated unit injects into its
 grids all come from the same equations, so a law is written once.
 
 The converter catalogue, :data:`PHYSICAL_DEFAULTS` and
-:data:`GAIN_DEFAULTS` in scenario-file spelling, gives the defaults of
-:class:`IlcPhysical` and :class:`Gains` and of every scenario file.
+:data:`GAIN_DEFAULTS`, gives the defaults of :class:`IlcPhysical` and
+:class:`Gains` and of every scenario file.  Each parameter has one name,
+its scenario key (``C``, ``V_dc_ref``, ``K_dc``, ``B``, ``K_omega1``,
+``m_p1``, ...): the fields, the gains a scheme requires and the laws all
+use it, so a validation message names the key the user wrote.
 """
 
 from __future__ import annotations
@@ -105,38 +108,39 @@ GAIN_DEFAULTS = {
 
 @dataclass(frozen=True)
 class IlcPhysical:
-    """Physical converter parameters (SI units)."""
+    """Physical converter parameters (SI units), named by their scenario keys."""
 
-    c: float = PHYSICAL_DEFAULTS["C"]                # DC capacitance (F)
-    v_dc_ref: float = PHYSICAL_DEFAULTS["V_dc_ref"]  # nominal DC voltage (V)
-    k_dc: float = PHYSICAL_DEFAULTS["K_dc"]          # DC support/load coefficient (A/V)
+    C: float = PHYSICAL_DEFAULTS["C"]                # DC capacitance (F)
+    V_dc_ref: float = PHYSICAL_DEFAULTS["V_dc_ref"]  # nominal DC voltage (V)
+    K_dc: float = PHYSICAL_DEFAULTS["K_dc"]          # DC support/load coefficient (A/V)
     tau1: float = PHYSICAL_DEFAULTS["tau1"]          # side-1 converter lag (s)
     tau2: float = PHYSICAL_DEFAULTS["tau2"]          # side-2 converter lag (s)
     # filter power constant (W)
-    b: float = filter_susceptance_power(PHYSICAL_DEFAULTS["V_ac"], PHYSICAL_DEFAULTS["L"])
+    B: float = filter_susceptance_power(PHYSICAL_DEFAULTS["V_ac"], PHYSICAL_DEFAULTS["L"])
 
     def __post_init__(self):
-        for name in ("c", "v_dc_ref", "tau1", "tau2", "b"):
+        for name in ("C", "V_dc_ref", "tau1", "tau2", "B"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be strictly positive, got {value!r}")
-        if not (self.k_dc >= 0.0 and math.isfinite(self.k_dc)):
-            raise ValidationError(f"k_dc must be non-negative, got {self.k_dc!r}")
+        if not (self.K_dc >= 0.0 and math.isfinite(self.K_dc)):
+            raise ValidationError(f"K_dc must be non-negative, got {self.K_dc!r}")
 
 
 @dataclass(frozen=True)
 class Gains:
-    """Outer-loop controller gains; only those a scheme requires are used."""
+    """Outer-loop controller gains, named by their scenario keys; only those
+    a scheme requires are used."""
 
-    k_omega1: float = 0.0    # frequency droop, side 1 (W*s/rad)
-    k_omega2: float = 0.0
-    k_v1: float = 0.0        # DC-voltage droop (W/V)
-    k_v2: float = 0.0
-    k_i: float = 0.0         # equalizing integral gain (1/s scaled)
-    k_i1: float = 0.0
-    k_i2: float = 0.0
-    k_pdc: float = 0.0       # DC PI proportional gain (W/V)
-    k_idc: float = 0.0       # DC PI integral gain (W/(V*s))
+    K_omega1: float = 0.0    # frequency droop, side 1 (W*s/rad)
+    K_omega2: float = 0.0
+    K_v1: float = 0.0        # DC-voltage droop (W/V)
+    K_v2: float = 0.0
+    K_i: float = 0.0         # equalizing integral gain (1/s scaled)
+    K_i1: float = 0.0
+    K_i2: float = 0.0
+    K_pdc: float = 0.0       # DC PI proportional gain (W/V)
+    K_idc: float = 0.0       # DC PI integral gain (W/(V*s))
     m1: float = 0.0          # matching gain (rad/(s*V))
     m2: float = 0.0
     m_p1: float = 0.0        # power-frequency droop gain (rad/(s*W))
@@ -188,9 +192,9 @@ def _collapse(vdc: float, vref: float) -> DcVoltageCollapse:
 
 def _dfd1_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
     p1, p2, vdc, xi, zeta = y
-    droop = -g.k_omega1 * w1 + g.k_omega2 * w2
-    pref1 = droop + g.k_i * xi
-    pref2 = g.k_pdc * vdc + g.k_idc * zeta
+    droop = -g.K_omega1 * w1 + g.K_omega2 * w2
+    pref1 = droop + g.K_i * xi
+    pref2 = g.K_pdc * vdc + g.K_idc * zeta
     return (
         ((-p1 + pref1) / phys.tau1, (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc), droop, vdc),
         p1, p2,
@@ -200,8 +204,8 @@ def _dfd1_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1,
 def _dfd2_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
     p1, p2, vdc, xi, zeta = y
     # the DC PI term is shared by both references
-    p_dc = g.k_pdc * vdc + g.k_idc * zeta
-    base = -g.k_omega1 * w1 + g.k_omega2 * w2 + g.k_i * xi
+    p_dc = g.K_pdc * vdc + g.K_idc * zeta
+    base = -g.K_omega1 * w1 + g.K_omega2 * w2 + g.K_i * xi
     pref1 = base + p_dc
     pref2 = -base + p_dc
     return (
@@ -213,10 +217,10 @@ def _dfd2_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1,
 
 def _dacd_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
     p1, p2, vdc, xi1, xi2 = y
-    d1 = g.k_v1 * vdc - g.k_omega1 * w1
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    pref1 = d1 + g.k_i1 * xi1
-    pref2 = d2 + g.k_i2 * xi2
+    d1 = g.K_v1 * vdc - g.K_omega1 * w1
+    d2 = g.K_v2 * vdc - g.K_omega2 * w2
+    pref1 = d1 + g.K_i1 * xi1
+    pref2 = d2 + g.K_i2 * xi2
     return (
         ((-p1 + pref1) / phys.tau1, (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc), d1, d2),
         p1, p2,
@@ -233,9 +237,9 @@ def _gfmfd_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, p1
     # P_dc and P_eq act as power setpoints: positive P_dc (excess DC energy)
     # raises the frequency references to export more, and the equalizing
     # integrator feeds back negatively, like secondary control
-    p_dc = g.k_pdc * vdc + g.k_idc * zeta
-    wref1 = -g.m_p1 * (pf1 - g.kappa_s1 * p_dc + g.k_i1 * p_eq)
-    wref2 = -g.m_p2 * (pf2 - g.kappa_s2 * p_dc - g.k_i2 * p_eq)
+    p_dc = g.K_pdc * vdc + g.K_idc * zeta
+    wref1 = -g.m_p1 * (pf1 - g.kappa_s1 * p_dc + g.K_i1 * p_eq)
+    wref2 = -g.m_p2 * (pf2 - g.kappa_s2 * p_dc - g.K_i2 * p_eq)
     return (
         (dc(p1, p2, vdc), vdc, wref1 - wref2, (-pf1 + p1) / phys.tau1,
          (-pf2 + p2) / phys.tau2),
@@ -245,11 +249,11 @@ def _gfmfd_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, p1
 
 def _gfmdd_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, p1, p2):
     vdc, xi1, xi2, pf1, pf2 = y
-    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
-    wref2 = g.m_p2 * (-pf2 + g.k_v2 * vdc + g.k_i2 * xi2)
+    wref1 = g.m_p1 * (-pf1 + g.K_v1 * vdc + g.K_i1 * xi1)
+    wref2 = g.m_p2 * (-pf2 + g.K_v2 * vdc + g.K_i2 * xi2)
     return (
-        (dc(p1, p2, vdc), g.k_v1 * vdc - g.k_omega1 * wref1,
-         g.k_v2 * vdc - g.k_omega2 * wref2, (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2),
+        (dc(p1, p2, vdc), g.K_v1 * vdc - g.K_omega1 * wref1,
+         g.K_v2 * vdc - g.K_omega2 * wref2, (-pf1 + p1) / phys.tau1, (-pf2 + p2) / phys.tau2),
         wref1, wref2,
     )
 
@@ -258,8 +262,8 @@ def _ddm_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, 
     eta, xi2, p2, vdc = y
     p1 = power(eta)
     wref1 = g.m1 * vdc
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    pref2 = d2 + g.k_i2 * xi2
+    d2 = g.K_v2 * vdc - g.K_omega2 * w2
+    pref2 = d2 + g.K_i2 * xi2
     return (
         (wref1 - w1, d2, (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc)),
         p1, p2,
@@ -269,11 +273,11 @@ def _ddm_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, 
 def _gflgfm_law(g: Gains, phys: IlcPhysical, dc: Callable, power: Callable, y, w1, w2):
     eta, xi1, pf1, xi2, p2, vdc = y
     p1 = power(eta)
-    wref1 = g.m_p1 * (-pf1 + g.k_v1 * vdc + g.k_i1 * xi1)
-    d2 = g.k_v2 * vdc - g.k_omega2 * w2
-    pref2 = d2 + g.k_i2 * xi2
+    wref1 = g.m_p1 * (-pf1 + g.K_v1 * vdc + g.K_i1 * xi1)
+    d2 = g.K_v2 * vdc - g.K_omega2 * w2
+    pref2 = d2 + g.K_i2 * xi2
     return (
-        (wref1 - w1, g.k_v1 * vdc - g.k_omega1 * wref1, (-pf1 + p1) / phys.tau1, d2,
+        (wref1 - w1, g.K_v1 * vdc - g.K_omega1 * wref1, (-pf1 + p1) / phys.tau1, d2,
          (-p2 + pref2) / phys.tau2, dc(p1, p2, vdc)),
         p1, p2,
     )
@@ -302,35 +306,35 @@ class Scheme:
 SCHEME: dict[str, Scheme] = {
     "dual-freq-droop-1": Scheme(
         GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi="power", zeta="dc-integral"),
-        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd1_law,
+        ("K_omega1", "K_omega2", "K_i", "K_pdc", "K_idc"), _dfd1_law,
     ),
     "dual-freq-droop-2": Scheme(
         GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi="angle", zeta="dc-integral"),
-        ("k_omega1", "k_omega2", "k_i", "k_pdc", "k_idc"), _dfd2_law,
+        ("K_omega1", "K_omega2", "K_i", "K_pdc", "K_idc"), _dfd2_law,
     ),
     "dual-acdc-droop": Scheme(
         GFL, dict(p1="power", p2="power", vdc="dc-voltage", xi1="power", xi2="power"),
-        ("k_omega1", "k_omega2", "k_v1", "k_v2", "k_i1", "k_i2"), _dacd_law,
+        ("K_omega1", "K_omega2", "K_v1", "K_v2", "K_i1", "K_i2"), _dacd_law,
     ),
     "matching": Scheme(GFM, dict(vdc="dc-voltage"), ("m1", "m2"), _matching_law),
     "gfm-freq-droop": Scheme(
         GFM, dict(vdc="dc-voltage", zeta="dc-integral", p_eq="angle", pf1="power", pf2="power"),
-        ("m_p1", "m_p2", "k_pdc", "k_idc", "k_i1", "k_i2", "kappa_s1", "kappa_s2"),
+        ("m_p1", "m_p2", "K_pdc", "K_idc", "K_i1", "K_i2", "kappa_s1", "kappa_s2"),
         _gfmfd_law,
     ),
     "gfm-dual-droop": Scheme(
         GFM, dict(vdc="dc-voltage", xi1="power", xi2="power", pf1="power", pf2="power"),
-        ("m_p1", "m_p2", "k_v1", "k_v2", "k_omega1", "k_omega2", "k_i1", "k_i2"),
+        ("m_p1", "m_p2", "K_v1", "K_v2", "K_omega1", "K_omega2", "K_i1", "K_i2"),
         _gfmdd_law,
     ),
     "dual-droop-matching": Scheme(
         PARTIAL, dict(eta="filter-angle", xi2="power", p2="power", vdc="dc-voltage"),
-        ("m1", "k_v2", "k_omega2", "k_i2"), _ddm_law,
+        ("m1", "K_v2", "K_omega2", "K_i2"), _ddm_law,
     ),
     "gfl-gfm-dual-droop": Scheme(
         PARTIAL, dict(eta="filter-angle", xi1="power", pf1="power", xi2="power", p2="power",
                       vdc="dc-voltage"),
-        ("m_p1", "k_v1", "k_omega1", "k_i1", "k_v2", "k_omega2", "k_i2"), _gflgfm_law,
+        ("m_p1", "K_v1", "K_omega1", "K_i1", "K_v2", "K_omega2", "K_i2"), _gflgfm_law,
     ),
 }
 
@@ -381,13 +385,13 @@ def injected_powers(unit: IlcUnit, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """(p1, p2): the powers the unit injects into its two MGs at each row of
     ``y``, its simulated states over time, from the simulated law evaluated
     on the columns with array stubs for the DC bus and B*sin(eta)."""
-    b = unit.physical.b
+    B = unit.physical.B
 
     def dc(p1, p2, vdc):
         return None
 
     def power(eta):
-        return b * np.sin(eta)
+        return B * np.sin(eta)
 
     with np.errstate(all="ignore"):  # a truncated run may end on a non-finite sample
         _, p1, p2 = sim_law(unit, dc, power, y.T, 0.0, 0.0)

@@ -6,6 +6,10 @@ omitted converter parameter falls back to the converter catalogue in
 :mod:`multigrid_ilc.ilc` (``PHYSICAL_DEFAULTS`` and ``GAIN_DEFAULTS``, the
 per-unit-consistent set used by all shipped scenarios); resolved
 configurations echo every value so they can be re-parsed bit-identically.
+The keys of a resolved ILC block are the fields of its unit, which
+:func:`_ilc_unit` builds as :func:`_mg_model` builds an MG block's model;
+:func:`resolve` builds both, so a parameter the model or unit rejects is
+reported at the block's path.
 
 Two integral gains get scheme-specific defaults: the shared-regulation
 dual-frequency-droop integrates the raw frequency mismatch (its sibling
@@ -21,7 +25,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -44,9 +48,6 @@ _MG_FORMS = {
 
 _TOP_KEYS = {"name", "f_nominal", "mgs", "ilcs", "defaults", "events", "sim"}
 _SIM_KEYS = {"t_end", "rtol", "atol_scale", "max_step"}
-
-# file-key -> Gains field
-_GAIN_FIELD = {k: k.lower() for k in _GAIN_KEYS}
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -196,15 +197,18 @@ def resolve(raw: dict) -> dict:
                 gains["K_i1"] = GAIN_DEFAULTS["K_i1"] / gains["m_p1"]
             if "K_i2" not in gains_in:
                 gains["K_i2"] = GAIN_DEFAULTS["K_i2"] / gains["m_p2"]
-        out_ilcs.append(
-            {
-                "name": _check_name(block, f"ILC{l + 1}", f"{path}.name"),
-                "endpoints": list(endpoints),
-                "scheme": scheme,
-                "physical": phys,
-                "gains": gains,
-            }
-        )
+        resolved = {
+            "name": _check_name(block, f"ILC{l + 1}", f"{path}.name"),
+            "endpoints": list(endpoints),
+            "scheme": scheme,
+            "physical": phys,
+            "gains": gains,
+        }
+        try:
+            _ilc_unit(resolved)
+        except ValidationError as exc:
+            raise SchemaViolation(path, str(exc)) from exc
+        out_ilcs.append(resolved)
     out["ilcs"] = out_ilcs
 
     events_in = raw.get("events", [])
@@ -284,21 +288,18 @@ def _mg_model(block: dict) -> MgModel:
                        rating=block.get("rating"), name=block["name"])
 
 
+def _ilc_unit(block: dict) -> IlcUnit:
+    """The ILC unit of one resolved ILC block, whose keys name the unit's
+    fields (L and V_ac enter through B)."""
+    physical = {f.name: block["physical"][f.name] for f in fields(IlcPhysical)}
+    return IlcUnit(block["scheme"], IlcPhysical(**physical), Gains(**block["gains"]),
+                   name=block["name"])
+
+
 def build_system(resolved: dict) -> SystemBundle:
     """Construct the validated network, models, units, and assembled ODE."""
     models = [_mg_model(block) for block in resolved["mgs"]]
-    units = []
-    for block in resolved["ilcs"]:
-        phys = IlcPhysical(
-            c=block["physical"]["C"],
-            v_dc_ref=block["physical"]["V_dc_ref"],
-            k_dc=block["physical"]["K_dc"],
-            tau1=block["physical"]["tau1"],
-            tau2=block["physical"]["tau2"],
-            b=block["physical"]["B"],
-        )
-        gains = Gains(**{_GAIN_FIELD[k]: v for k, v in block["gains"].items()})
-        units.append(IlcUnit(block["scheme"], phys, gains, name=block["name"]))
+    units = [_ilc_unit(block) for block in resolved["ilcs"]]
     net = ValidatedNetwork(len(models), tuple(tuple(e - 1 for e in block["endpoints"])
                                               for block in resolved["ilcs"]))
     ode = OdeSystem(net, models, units)

@@ -105,10 +105,9 @@ class SweepRequest:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValidationError(f"tol must be finite and positive, got {self.tol!r}")
         if self.path.partition(".")[2].startswith("gains."):
-            # NaN differs from every value, so it marks each field the path
-            # sets; a scheme names its gains by the lowercased field
+            # NaN differs from every value, so it marks each gain the path sets
             addressed = [
-                (block["scheme"], [k.lower() for k, v in block["gains"].items() if math.isnan(v)])
+                (block["scheme"], [k for k, v in block["gains"].items() if math.isnan(v)])
                 for block in set_parameter(self.resolved, self.path, math.nan)["ilcs"]
             ]
             if not any(f in SCHEME[scheme].gains for scheme, fields in addressed for f in fields):

@@ -52,7 +52,7 @@ def _consistent(a: float, b: float, what: str) -> None:
 
 def _steady_vdc_balance(phys: IlcPhysical, vdc: float, p1: float) -> float:
     """Side-2 power that holds the DC bus at ``vdc`` given side-1 power."""
-    return -p1 - phys.k_dc * vdc * (vdc + phys.v_dc_ref)
+    return -p1 - phys.K_dc * vdc * (vdc + phys.V_dc_ref)
 
 
 def _asin_power(p: float, b: float, what: str) -> float:
@@ -62,23 +62,23 @@ def _asin_power(p: float, b: float, what: str) -> float:
 
 
 def _dfd1_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    _consistent(g.k_omega1 * w1, g.k_omega2 * w2, "k_omega1*w1 = k_omega2*w2")
+    _consistent(g.K_omega1 * w1, g.K_omega2 * w2, "K_omega1*w1 = K_omega2*w2")
     p2 = -p1
-    return (p1, p2, 0.0, p1 / g.k_i, p2 / g.k_idc)
+    return (p1, p2, 0.0, p1 / g.K_i, p2 / g.K_idc)
 
 
 def _dfd2_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     _consistent(w1, w2, "w1 = w2")
-    xi = (p1 + (g.k_omega1 - g.k_omega2) * w1) / g.k_i
+    xi = (p1 + (g.K_omega1 - g.K_omega2) * w1) / g.K_i
     return (p1, -p1, 0.0, xi, 0.0)
 
 
 def _dacd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = g.k_omega1 * w1 / g.k_v1
-    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
+    vdc = g.K_omega1 * w1 / g.K_v1
+    _consistent(vdc, g.K_omega2 * w2 / g.K_v2, "normalized frequencies")
     p2 = _steady_vdc_balance(phys, vdc, p1)
-    xi1 = (p1 - g.k_v1 * vdc + g.k_omega1 * w1) / g.k_i1
-    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
+    xi1 = (p1 - g.K_v1 * vdc + g.K_omega1 * w1) / g.K_i1
+    xi2 = (p2 - g.K_v2 * vdc + g.K_omega2 * w2) / g.K_i2
     return (p1, p2, vdc, xi1, xi2)
 
 
@@ -86,8 +86,8 @@ def _matching_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = w1 / g.m1
     _consistent(vdc, w2 / g.m2, "w1/m1 = w2/m2")
     p2 = _steady_vdc_balance(phys, vdc, p1)
-    eta1 = _asin_power(p1, phys.b, "side 1")
-    eta2 = _asin_power(p2, phys.b, "side 2")
+    eta1 = _asin_power(p1, phys.B, "side 1")
+    eta2 = _asin_power(p2, phys.B, "side 2")
     return (eta1, eta2, vdc)
 
 
@@ -95,8 +95,8 @@ def _gfmfd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     _consistent(w1, w2, "w1 = w2")
     p2 = -p1
     # two linear steady-state relations in (zeta, p_eq)
-    a11, a12 = -g.kappa_s1 * g.k_idc, g.k_i1
-    a21, a22 = -g.kappa_s2 * g.k_idc, -g.k_i2
+    a11, a12 = -g.kappa_s1 * g.K_idc, g.K_i1
+    a21, a22 = -g.kappa_s2 * g.K_idc, -g.K_i2
     r1 = -w1 / g.m_p1 - p1
     r2 = -w2 / g.m_p2 - p2
     det = a11 * a22 - a12 * a21
@@ -104,38 +104,38 @@ def _gfmfd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
         raise NoEquilibrium("degenerate DC/equalization gain combination")
     zeta = (r1 * a22 - a12 * r2) / det
     p_eq = (a11 * r2 - r1 * a21) / det
-    eta1 = _asin_power(p1, phys.b, "side 1")
-    eta2 = _asin_power(p2, phys.b, "side 2")
+    eta1 = _asin_power(p1, phys.B, "side 1")
+    eta2 = _asin_power(p2, phys.B, "side 2")
     return (eta1, eta2, 0.0, zeta, p_eq, p1, p2)
 
 
 def _gfmdd_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = g.k_omega1 * w1 / g.k_v1
-    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
+    vdc = g.K_omega1 * w1 / g.K_v1
+    _consistent(vdc, g.K_omega2 * w2 / g.K_v2, "normalized frequencies")
     p2 = _steady_vdc_balance(phys, vdc, p1)
-    xi1 = (w1 / g.m_p1 + p1 - g.k_v1 * vdc) / g.k_i1
-    xi2 = (w2 / g.m_p2 + p2 - g.k_v2 * vdc) / g.k_i2
-    eta1 = _asin_power(p1, phys.b, "side 1")
-    eta2 = _asin_power(p2, phys.b, "side 2")
+    xi1 = (w1 / g.m_p1 + p1 - g.K_v1 * vdc) / g.K_i1
+    xi2 = (w2 / g.m_p2 + p2 - g.K_v2 * vdc) / g.K_i2
+    eta1 = _asin_power(p1, phys.B, "side 1")
+    eta2 = _asin_power(p2, phys.B, "side 2")
     return (eta1, eta2, vdc, xi1, xi2, p1, p2)
 
 
 def _ddm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
     vdc = w1 / g.m1
-    _consistent(g.k_v2 * vdc, g.k_omega2 * w2, "normalized frequencies")
+    _consistent(g.K_v2 * vdc, g.K_omega2 * w2, "normalized frequencies")
     p2 = _steady_vdc_balance(phys, vdc, p1)
-    eta = _asin_power(p1, phys.b, "side 1")
-    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
+    eta = _asin_power(p1, phys.B, "side 1")
+    xi2 = (p2 - g.K_v2 * vdc + g.K_omega2 * w2) / g.K_i2
     return (eta, xi2, p2, vdc)
 
 
 def _gflgfm_equilibrium(g: Gains, phys: IlcPhysical, w1, w2, p1):
-    vdc = g.k_omega1 * w1 / g.k_v1
-    _consistent(vdc, g.k_omega2 * w2 / g.k_v2, "normalized frequencies")
+    vdc = g.K_omega1 * w1 / g.K_v1
+    _consistent(vdc, g.K_omega2 * w2 / g.K_v2, "normalized frequencies")
     p2 = _steady_vdc_balance(phys, vdc, p1)
-    eta = _asin_power(p1, phys.b, "side 1")
-    xi1 = (w1 / g.m_p1 + p1 - g.k_v1 * vdc) / g.k_i1
-    xi2 = (p2 - g.k_v2 * vdc + g.k_omega2 * w2) / g.k_i2
+    eta = _asin_power(p1, phys.B, "side 1")
+    xi1 = (w1 / g.m_p1 + p1 - g.K_v1 * vdc) / g.K_i1
+    xi2 = (p2 - g.K_v2 * vdc + g.K_omega2 * w2) / g.K_i2
     return (eta, xi1, p1, xi2, p2, vdc)
 
 
@@ -169,22 +169,22 @@ def ilc_equilibrium(unit: IlcUnit, boundary: EquilibriumBoundary) -> tuple[float
 def dc_bus(phys: IlcPhysical) -> Callable:
     """The DC-bus law: dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the powers
     leaving the two VSCs."""
-    c, vref, k_dc = phys.c, phys.v_dc_ref, phys.k_dc
+    C, V_dc_ref, K_dc = phys.C, phys.V_dc_ref, phys.K_dc
 
     def dc(p1, p2, vdc):
-        v_total = vdc + vref
+        v_total = vdc + V_dc_ref
         if v_total <= 0.0:
-            raise ilc._collapse(vdc, vref)
-        return (-p1 / v_total - p2 / v_total - k_dc * vdc) / c
+            raise ilc._collapse(vdc, V_dc_ref)
+        return (-p1 / v_total - p2 / v_total - K_dc * vdc) / C
 
     return dc
 
 
-def filter_power(b: float) -> Callable:
+def filter_power(B: float) -> Callable:
     """The inductive filter's law: power(eta) -> B*sin(eta) (W)."""
 
     def power(eta):
-        return b * math.sin(eta)
+        return B * math.sin(eta)
 
     return power
 
@@ -193,7 +193,7 @@ def filter_power(b: float) -> Callable:
 def unit_rhs(unit: IlcUnit) -> Callable:
     """The unit equations on the real DC bus and filter, built once per unit."""
     return partial(ilc.SCHEME[unit.scheme].law, unit.gains, unit.physical,
-                   dc_bus(unit.physical), filter_power(unit.physical.b))
+                   dc_bus(unit.physical), filter_power(unit.physical.B))
 
 
 def make_sim_derivative(unit: IlcUnit) -> Callable:
@@ -204,7 +204,7 @@ def make_sim_derivative(unit: IlcUnit) -> Callable:
     the inductive filter: the returned state starts with the two filter
     angles and p_i = B*sin(eta_i).
     """
-    return partial(ilc.sim_law, unit, dc_bus(unit.physical), filter_power(unit.physical.b))
+    return partial(ilc.sim_law, unit, dc_bus(unit.physical), filter_power(unit.physical.B))
 
 
 def reference_derivative(ode, t, y, loads=None) -> list:

@@ -22,10 +22,10 @@ from multigrid_ilc.analysis import (
     passivity_sweep,
     single_vsc_dc_chain,
     spectral_abscissa,
-    transfer_matrix,
 )
 from multigrid_ilc.engine import IntegrateOptions, LoadEvent, integrate
 from multigrid_ilc.ilc import SCHEMES
+from multigrid_ilc.linear import transfer_matrix
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.scenario import build_system, load_resolved
 from multigrid_ilc.sweep import table3_harness, worker_count
@@ -283,9 +283,9 @@ def test_criterion_8_numerical_hygiene(two_mg_resolved):
     unit = unit_for("dual-freq-droop-1")
     g, ph = unit.gains, unit.physical
     analytic_a = np.array([
-        [-1 / ph.tau1, 0.0, 0.0, g.k_i / ph.tau1, 0.0],
-        [0.0, -1 / ph.tau2, g.k_pdc / ph.tau2, 0.0, g.k_idc / ph.tau2],
-        [-1 / (ph.c * ph.v_dc_ref), -1 / (ph.c * ph.v_dc_ref), -ph.k_dc / ph.c,
+        [-1 / ph.tau1, 0.0, 0.0, g.K_i / ph.tau1, 0.0],
+        [0.0, -1 / ph.tau2, g.K_pdc / ph.tau2, 0.0, g.K_idc / ph.tau2],
+        [-1 / (ph.C * ph.V_dc_ref), -1 / (ph.C * ph.V_dc_ref), -ph.K_dc / ph.C,
          0.0, 0.0],
         [0.0] * 5,
         [0.0, 0.0, 1.0, 0.0, 0.0],
@@ -316,8 +316,8 @@ def test_criterion_8_numerical_hygiene(two_mg_resolved):
             rates = ode.derivative(t, y[:-1], loads)
             p1, p2 = connection_powers(ode, y[:-1])[0]
             v = y[vdc_idx]
-            flow = (-(p1 + p2) * v / (v + unit0.physical.v_dc_ref)
-                    - unit0.physical.k_dc * v * v)
+            flow = (-(p1 + p2) * v / (v + unit0.physical.V_dc_ref)
+                    - unit0.physical.K_dc * v * v)
             return rates + [flow]
 
     Augmented.jacobian = staticmethod(system_jacobian(Augmented))
@@ -326,7 +326,7 @@ def test_criterion_8_numerical_hygiene(two_mg_resolved):
                      (LoadEvent(1.0, 0, -1e6),), (0.0, 15.0),
                      IntegrateOptions(rtol=1e-8))
     v = traj.y[:, vdc_idx]
-    stored = 0.5 * unit0.physical.c * v**2
+    stored = 0.5 * unit0.physical.C * v**2
     energy_err = float(np.max(np.abs(stored - traj.y[:, -1]))
                        / np.max(np.abs(stored)))
     energy_ok = energy_err < 1e-6

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multigrid_ilc.analysis import (
-    LinearSystem,
     default_grid,
     linearize_closed_loop,
     linearize_unit,
@@ -14,11 +13,10 @@ from multigrid_ilc.analysis import (
     passivity_sweep,
     single_vsc_dc_chain,
     spectral_abscissa,
-    transfer_matrix,
-    transfer_stack,
 )
 from multigrid_ilc import engine
 from multigrid_ilc.errors import SingularResolvent, ValidationError
+from multigrid_ilc.linear import LinearSystem, transfer_matrix, transfer_stack
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.scenario import build_system
 
@@ -249,7 +247,7 @@ class TestLinearizeUnit:
         lin = linearize_unit(unit_for("dual-droop-matching"))
         i_eta = lin.state_labels.index("eta")
         # output 1 is -p1 = -B*sin(eta)
-        assert lin.c[0, i_eta] == pytest.approx(-unit_for("matching").physical.b,
+        assert lin.c[0, i_eta] == pytest.approx(-unit_for("matching").physical.B,
                                                 rel=1e-6)
 
     def test_gfm_port_convention(self):
@@ -264,7 +262,7 @@ class TestLinearizeUnit:
         """A parameter sweep linearizes a new unit at every probe; the cache
         of compiled unit Jacobians must not keep them all."""
         for i in range(100):
-            linearize_unit(unit_for("dual-acdc-droop", k_v1=2.5e4 * (1.0 + i / 100)))
+            linearize_unit(unit_for("dual-acdc-droop", K_v1=2.5e4 * (1.0 + i / 100)))
         assert engine._unit_law_jacobian.cache_info().currsize <= 64
 
 
@@ -397,7 +395,7 @@ class TestVscChain:
         # a voltage deviation of 1e-4 V
         phys = self.unit.physical
         assert self.chain.p1_to_vdc.evaluate(0.0) == pytest.approx(
-            -1.0 / (phys.k_dc * phys.v_dc_ref)
+            -1.0 / (phys.K_dc * phys.V_dc_ref)
         )
 
     def test_relative_degree(self):
@@ -429,8 +427,8 @@ class TestVscChain:
         g, phys = self.unit.gains, self.unit.physical
         for w in (0.1, 10.0, 1e3):
             s = 1j * w
-            beta = 1.0 / (phys.c * phys.v_dc_ref * s + phys.k_dc * phys.v_dc_ref)
-            kappa = (g.k_pdc + g.k_idc / s) / (phys.tau2 * s + 1.0)
+            beta = 1.0 / (phys.C * phys.V_dc_ref * s + phys.K_dc * phys.V_dc_ref)
+            kappa = (g.K_pdc + g.K_idc / s) / (phys.tau2 * s + 1.0)
             ref = kappa / (1.0 + beta * kappa)
             assert self.chain.vdc_to_p2.evaluate(s) == pytest.approx(ref, rel=1e-12)
 

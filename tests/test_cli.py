@@ -376,4 +376,4 @@ def test_sweep_negative_bound_in_exponent_form_reaches_validation(capsys):
         "--hi", "1", "--tol", "0.1",
     ])
     assert code == 2
-    assert "k_dc must be non-negative" in capsys.readouterr().err
+    assert "K_dc must be non-negative" in capsys.readouterr().err

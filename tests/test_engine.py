@@ -37,13 +37,12 @@ def two_mg_net():
     return ValidatedNetwork(2, ((0, 1),))
 
 
-def dacd_unit(k_dc=0.0, b=None):
-    phys = IlcPhysical(k_dc=k_dc) if b is None else IlcPhysical(k_dc=k_dc, b=b)
+def dacd_unit(K_dc=0.0):
     return IlcUnit(
         "dual-acdc-droop",
-        phys,
-        Gains(k_omega1=2.5e7, k_omega2=2.5e7, k_v1=2.5e4, k_v2=2.5e4,
-              k_i1=10.0, k_i2=10.0),
+        IlcPhysical(K_dc=K_dc),
+        Gains(K_omega1=2.5e7, K_omega2=2.5e7, K_v1=2.5e4, K_v2=2.5e4,
+              K_i1=10.0, K_i2=10.0),
     )
 
 
@@ -72,7 +71,7 @@ def test_droop_sharing_equilibrium():
     """Load step shared in proportion to the total droop coefficients; with a
     lossless DC bus the ILC carries exactly the second MG's contribution."""
     models = droop_models()
-    ode = OdeSystem(two_mg_net(), models, [dacd_unit(k_dc=0.0)])
+    ode = OdeSystem(two_mg_net(), models, [dacd_unit(K_dc=0.0)])
     eq = find_equilibrium(ode, loads=[-1e6, 0.0])
     droop_total = sum(m.D + m.inv_R for m in models)
     w_star = -1e6 / droop_total
@@ -105,8 +104,8 @@ def test_find_equilibrium_counts_its_newton_iterations():
 def test_infeasible_transfer_raises():
     # filter limit far below the required transfer
     ode = OdeSystem(two_mg_net(), droop_models(),
-                    [IlcUnit("dual-droop-matching", IlcPhysical(b=1e5),
-                             Gains(m1=1e-3, k_v2=2.5e4, k_omega2=2.5e7, k_i2=10.0))])
+                    [IlcUnit("dual-droop-matching", IlcPhysical(B=1e5),
+                             Gains(m1=1e-3, K_v2=2.5e4, K_omega2=2.5e7, K_i2=10.0))])
     with pytest.raises((NewtonDivergence, AngleOutOfRange)):
         find_equilibrium(ode, loads=[-1e6, 0.0])
 
@@ -119,7 +118,7 @@ def test_integrate_zero_stays_zero():
 
 
 def test_tolerance_refinement():
-    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(K_dc=1.0)])
     events = (LoadEvent(0.5, 0, -1e6),)
     rtol = 1e-6
     finals = []
@@ -251,7 +250,7 @@ def test_overflowing_state_sum_is_not_a_non_finite_state():
 
 
 def test_determinism_bit_identical():
-    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(k_dc=1.0)])
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit(K_dc=1.0)])
     events = (LoadEvent(0.5, 0, -1e6),)
     a = integrate(ode, [0.0] * ode.dim, events, (0.0, 5.0))
     b = integrate(ode, [0.0] * ode.dim, events, (0.0, 5.0))
@@ -264,7 +263,7 @@ def test_divergence_truncates_with_flag():
     unit = IlcUnit(
         "dual-freq-droop-1",
         IlcPhysical(tau1=1.0, tau2=1.0),
-        Gains(k_omega1=2.5e7, k_omega2=2.5e7, k_i=10.0, k_pdc=2.5e4, k_idc=2.5e5),
+        Gains(K_omega1=2.5e7, K_omega2=2.5e7, K_i=10.0, K_pdc=2.5e4, K_idc=2.5e5),
     )
     models = [
         SwingGovernor(M=3e7, D=1e4, T_g=0.3, inv_R=4e7, rating=4e8),
@@ -371,7 +370,7 @@ def test_dc_energy_bookkeeping(two_mg_resolved):
             rates = ode.derivative(t, y[:-1], loads)
             (p1, p2) = connection_powers(ode, y[:-1])[0]
             v = y[vdc_idx]
-            flow = -(p1 + p2) * v / (v + phys.v_dc_ref) - phys.k_dc * v * v
+            flow = -(p1 + p2) * v / (v + phys.V_dc_ref) - phys.K_dc * v * v
             return rates + [flow]
 
     Augmented.jacobian = staticmethod(system_jacobian(Augmented))
@@ -380,7 +379,7 @@ def test_dc_energy_bookkeeping(two_mg_resolved):
     traj = integrate(Augmented, [0.0] * Augmented.dim, events, (0.0, 20.0),
                      IntegrateOptions(rtol=1e-8))
     v = traj.y[:, vdc_idx]
-    stored = 0.5 * phys.c * v**2
+    stored = 0.5 * phys.C * v**2
     integrated = traj.y[:, -1]
     scale = np.max(np.abs(stored))
     assert scale > 0
@@ -396,7 +395,7 @@ def test_first_order_droop_mg_in_system():
         FirstOrderDroop(T=2e7, D=2e7, rating=4e8),
         FirstOrderDroop(T=5e6, D=1e7, rating=2e8),
     ]
-    ode = OdeSystem(two_mg_net(), models, [dacd_unit(k_dc=0.0)])
+    ode = OdeSystem(two_mg_net(), models, [dacd_unit(K_dc=0.0)])
     eq = find_equilibrium(ode, loads=[-1e6, 0.0])
     w_star = -1e6 / 3e7
     assert eq.x[ode.column("mg", 0, "omega")] == pytest.approx(w_star, rel=1e-8)

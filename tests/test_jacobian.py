@@ -165,7 +165,7 @@ def test_jacobian_raises_where_the_derivative_collapses(scheme):
     unit = unit_for(scheme)
     ode = OdeSystem(net, models, [unit])
     y = np.zeros(ode.dim)
-    y[ode.column("ilc", 0, "vdc")] = -1.5 * unit.physical.v_dc_ref
+    y[ode.column("ilc", 0, "vdc")] = -1.5 * unit.physical.V_dc_ref
     with pytest.raises(DcVoltageCollapse):
         ode.derivative(0.0, y.tolist())
     with pytest.raises(DcVoltageCollapse):
@@ -190,7 +190,7 @@ def _lag_rhs(g, phys, dc, power, y, w1, w2):
     """Grid-following toy: one power lag per side, driven by frequency droop."""
     p1, p2, vdc = y
     return (
-        ((-p1 - g.k_omega1 * w1) / phys.tau1, (-p2 - g.k_omega2 * w2) / phys.tau2,
+        ((-p1 - g.K_omega1 * w1) / phys.tau1, (-p2 - g.K_omega2 * w2) / phys.tau2,
          dc(p1, p2, vdc)),
         p1, p2,
     )
@@ -211,8 +211,8 @@ def _product_rhs(g, phys, dc, power, y, w1, w2):
     its own power and the DC voltage."""
     p1, p2, vdc = y
     return (
-        ((-p1 - g.k_omega1 * w1 + 1e-4 * p1 * vdc) / phys.tau1,
-         (-p2 - g.k_omega2 * w2) / phys.tau2, dc(p1, p2, vdc)),
+        ((-p1 - g.K_omega1 * w1 + 1e-4 * p1 * vdc) / phys.tau1,
+         (-p2 - g.K_omega2 * w2) / phys.tau2, dc(p1, p2, vdc)),
         p1, p2,
     )
 
@@ -222,8 +222,8 @@ def _quotient_rhs(g, phys, dc, power, y, w1, w2):
     over the DC voltage."""
     p1, p2, vdc = y
     return (
-        ((-p1 - g.k_omega1 * w1) / phys.tau1,
-         (-p2 - g.k_omega2 * w2 + 1e3 * p2 / (vdc + phys.v_dc_ref)) / phys.tau2,
+        ((-p1 - g.K_omega1 * w1) / phys.tau1,
+         (-p2 - g.K_omega2 * w2 + 1e3 * p2 / (vdc + phys.V_dc_ref)) / phys.tau2,
          dc(p1, p2, vdc)),
         p1, p2,
     )
@@ -231,9 +231,9 @@ def _quotient_rhs(g, phys, dc, power, y, w1, w2):
 
 LAG_STATES = dict(p1="power", p2="power", vdc="dc-voltage")
 TOYS = {
-    "toy-lag": (GFL, LAG_STATES, _lag_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
-    "toy-product": (GFL, LAG_STATES, _product_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
-    "toy-quotient": (GFL, LAG_STATES, _quotient_rhs, Gains(k_omega1=2.5e7, k_omega2=2.5e7)),
+    "toy-lag": (GFL, LAG_STATES, _lag_rhs, Gains(K_omega1=2.5e7, K_omega2=2.5e7)),
+    "toy-product": (GFL, LAG_STATES, _product_rhs, Gains(K_omega1=2.5e7, K_omega2=2.5e7)),
+    "toy-quotient": (GFL, LAG_STATES, _quotient_rhs, Gains(K_omega1=2.5e7, K_omega2=2.5e7)),
     "toy-filter": (GFM, dict(vdc="dc-voltage", pf1="power", pf2="power"), _filter_rhs,
                    Gains(m1=1e-3, m2=1e-3, m_p1=4e-8, m_p2=4e-8)),
 }

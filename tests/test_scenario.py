@@ -1,11 +1,15 @@
 import json
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
 from multigrid_ilc.errors import SchemaViolation, UnknownScheme, ValidationError
+from multigrid_ilc.ilc import SCHEME, SCHEMES, Gains, IlcPhysical
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, default_rating
 from multigrid_ilc.scenario import (
+    _GAIN_KEYS,
+    _PHYS_KEYS,
     build_system,
     dump_resolved,
     load_resolved,
@@ -291,6 +295,20 @@ def test_non_positive_rating_rejected(rating):
         resolve(raw)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("gains", "m1", 0, "scheme 'dual-droop-matching' requires gain m1 > 0, got 0.0"),
+    ("physical", "tau1", 0, "tau1 must be strictly positive, got 0.0"),
+    ("physical", "K_dc", -1, "K_dc must be non-negative, got -1.0"),
+], ids=["m1", "tau1", "K_dc"])
+def test_ilc_parameter_error_names_the_ilc(section, key, value, message):
+    raw = shipped_scenario("three-mg")
+    raw["ilcs"][1][section] = {key: value}
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == "scenario.ilcs[1]"
+    assert str(info.value) == f"scenario.ilcs[1]: {message}"
+
+
 def test_non_positive_nominal_frequency_rejected():
     raw = minimal()
     raw["f_nominal"] = 0.0
@@ -320,3 +338,25 @@ def test_out_of_range_sim_settings_rejected(sim, key):
     with pytest.raises(SchemaViolation) as info:
         resolve(raw)
     assert info.value.path == f"scenario.sim.{key}"
+
+
+def test_one_spelling_per_converter_parameter():
+    """Schemes, gains and physical fields are named by their scenario keys."""
+    for scheme in SCHEMES:
+        assert set(SCHEME[scheme].gains) <= set(_GAIN_KEYS)
+    assert {f.name for f in fields(Gains)} <= set(_GAIN_KEYS)
+    assert {f.name for f in fields(IlcPhysical)} <= set(_PHYS_KEYS)
+
+
+@pytest.mark.parametrize("name, scheme", [(name, None) for name in shipped_scenario_names()]
+                         + [("two-mg", scheme) for scheme in SCHEMES])
+def test_built_unit_fields_are_its_block_values(name, scheme, scheme_scenario):
+    resolved = load_resolved(name) if scheme is None else scheme_scenario(scheme)
+    units = build_system(resolved).units
+    assert len(units) == len(resolved["ilcs"])
+    for unit, block in zip(units, resolved["ilcs"]):
+        assert (unit.scheme, unit.name) == (block["scheme"], block["name"])
+        assert asdict(unit.gains) == block["gains"]
+        physical = asdict(unit.physical)
+        assert physical == {key: block["physical"][key] for key in physical}
+        assert set(block["physical"]) - set(physical) == {"L", "V_ac"}

@@ -40,7 +40,7 @@ def test_a_power_integral_of_the_same_name_keeps_the_power_scale(scheme_scenario
     ode = build_system(scheme_scenario("dual-freq-droop-1")).ode
     xi, p1 = ode.column("ilc", 0, "xi"), ode.column("ilc", 0, "p1")
     assert ode.state_kinds[xi] == "power"
-    assert ode.state_scales[xi] == ode.state_scales[p1] == max(1e5, 1e-3 * IlcPhysical().b)
+    assert ode.state_scales[xi] == ode.state_scales[p1] == max(1e5, 1e-3 * IlcPhysical().B)
     assert ode.state_atols[xi] == 1e-3
 
 
@@ -85,10 +85,10 @@ def _runaway_angle_rhs(g, phys, dc, power, y, w1, w2):
 def test_a_dc_bus_of_any_name_truncates_at_its_bound(monkeypatch):
     states = dict(p1="power", p2="power", v_bus="dc-voltage")
     monkeypatch.setitem(SCHEME, "toy-bus", Scheme(GFL, states, (), _runaway_bus_rhs))
-    phys = IlcPhysical(k_dc=0.0)
+    phys = IlcPhysical(K_dc=0.0)
     ode = two_mg_ode(IlcUnit("toy-bus", phys))
     traj = integrate(ode, [0.0] * ode.dim, (), (0.0, 1.0))
-    limit = 0.2 * phys.v_dc_ref
+    limit = 0.2 * phys.V_dc_ref
     assert traj.truncated
     assert traj.truncation_reason.startswith(f"ilc1.v_bus exceeded {limit:g} ")
     v_bus = traj.y[:, ode.column("ilc", 0, "v_bus")]

@@ -91,13 +91,14 @@ class EquilibriumPoint:
 # Constants are bound by name, never written into the source, so the source
 # depends only on the system's structure and is compiled once per structure.
 # The trace also differentiates the laws in forward mode (Griewank & Walther,
-# Evaluating Derivatives, 2nd ed., ch. 3): each operation records its
-# result's partials by the sum, product and quotient rules, and the DC-bus
-# and filter laws their own, as lines only the Jacobian runs.  Constant
-# factors fold into a partial's coefficient, so a law linear but for the two
-# laws gets, bit for bit, the partials of its evaluation on unit vectors.  A
-# law may apply only + - * / and unary minus to its variables, besides the
-# two laws, and never branch on a variable.
+# Evaluating Derivatives, 2nd ed., ch. 3): each operation derives its
+# result's partials from its operands' by the sum, product and quotient
+# rules.  A partial is a plain value: a number while only constants enter
+# it, folded as the trace runs, else a line that only the Jacobian runs.
+# The DC-bus law is traced like the rest, its hook adding only the collapse
+# guard; the filter's sin brings its own partial, cos.  A law may apply only
+# + - * / and unary minus to its variables, besides the two laws, and never
+# branch on a variable.
 
 
 def _binary(sign: str) -> tuple[Callable, Callable]:
@@ -121,7 +122,7 @@ class _Traced:
     __truediv__, __rtruediv__ = _binary("/")
 
     def __neg__(self):
-        return self.tape.assign(f"-{self.name}", {k: (-c, f) for k, (c, f) in self.grad.items()})
+        return self.tape.assign(f"-{self.name}", {k: -d for k, d in self.grad.items()})
 
     def _untraceable(self, *args):
         raise TypeError("a comparison, bool, abs, ** or math call on a variable "
@@ -136,18 +137,11 @@ def _grad(x) -> dict:
     return x.grad if isinstance(x, _Traced) else {}
 
 
-def _value(d: tuple):
-    """A partial's value from its pair (see :class:`_Tape`)."""
-    c, f = d
-    return c if f is None else c * f
-
-
 class _Tape:
     """The recorded lines and bound constants of one traced law, and in
     ``d`` those of its partials, a tape of its own.  A traced variable's
-    partials map the Jacobian column of each variable it depends on to a
-    pair (coefficient, factor): a number, times a variable of ``d`` unless
-    that is None.
+    partials map the Jacobian column of each variable it depends on to its
+    value there: a number, or a variable of ``d``.
     """
 
     def __init__(self, names: str = "vc"):
@@ -159,7 +153,7 @@ class _Tape:
     def inputs(self, prefix: str, n: int, first: int | None = None) -> tuple[_Traced, ...]:
         """``n`` variables: given ``first``, those of the Jacobian's columns
         from ``first`` on, else inputs that its partials ignore."""
-        return tuple(_Traced(self, f"{prefix}{k}", {} if first is None else {first + k: (1.0, None)})
+        return tuple(_Traced(self, f"{prefix}{k}", {} if first is None else {first + k: 1.0})
                      for k in range(n))
 
     def ref(self, x):
@@ -193,63 +187,43 @@ class _Tape:
         elif sign == "*":
             da, db = self.chain(da, "*", right), self.chain(db, "*", left)
         elif sign == "/":  # d(a/b) = da/b - (a/b)/b * db
-            ratio = self.d.ref(out) / self.d.ref(right) if db else None
-            da, db = self.chain(da, "/", right), self.chain(self.chain(db, "*", ratio), "*", -1.0)
+            ratio = -(self.d.ref(out) / self.d.ref(right)) if db else None
+            da, db = self.chain(da, "/", right), self.chain(db, "*", ratio)
         out.grad = self.combine(da, db)
         return out
 
     def chain(self, grad: dict, sign: str, x) -> dict:
-        """The partials ``grad`` times or over ``x``: a number folds into
-        their coefficients, a traced variable into their factors."""
-        if isinstance(x, Number):
-            return {k: (c * x if sign == "*" else c / x, f) for k, (c, f) in grad.items()}
+        """The partials ``grad`` times or over ``x``, a number or a traced
+        variable: numbers fold, and anything else is recorded on ``d``."""
         x = self.d.ref(x)
-        if sign == "*":
-            return {k: (c, x if f is None else f * x) for k, (c, f) in grad.items()}
-        return {k: (1.0, _value(d) / x) for k, d in grad.items()}
+        return {k: d * x if sign == "*" else d / x for k, d in grad.items()}
 
     @staticmethod
-    def combine(*grads: dict) -> dict:
-        """The sum of partials."""
-        out: dict = {}
-        for grad in grads:
-            for k, (c, f) in grad.items():
-                if k in out and out[k][1] is not f:
-                    out[k] = (1.0, _value(out[k]) + _value((c, f)))
-                else:
-                    out[k] = (out[k][0] + c if k in out else c, f)
-        return out
+    def combine(da: dict, db: dict) -> dict:
+        """The sum of two variables' partials."""
+        return {**da, **{k: da[k] + d if k in da else d for k, d in db.items()}}
 
     def dc_bus(self, phys: IlcPhysical) -> Callable:
         """The DC-bus law dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the
-        powers leaving the two VSCs, its collapse guard where it runs, and
-        its partials."""
+        powers leaving the two VSCs, and its collapse guard where it runs."""
         C, V_dc_ref, K_dc = phys.C, phys.V_dc_ref, phys.K_dc
 
         def dc(p1, p2, vdc):
-            q1, q2, v = map(self.ref, (p1, p2, vdc))
-            v_total = v + V_dc_ref
+            v_total = vdc + V_dc_ref
             self.lines.append(f"if {self.operand(v_total)} <= 0.0: "
-                              f"raise collapse({self.operand(v)}, {self.operand(V_dc_ref)})")
-            out = (-q1 / v_total - q2 / v_total - K_dc * v) / C
-            r1, r2, vt = map(self.d.ref, (q1, q2, v_total))
-            by_p = -1.0 / (C * vt)
-            by_v = ((r1 + r2) / (vt * vt) - K_dc) / C
-            out.grad = self.combine(*(self.chain(_grad(x), "*", d)
-                                      for x, d in ((p1, by_p), (p2, by_p), (vdc, by_v))))
-            return out
+                              f"raise collapse({self.operand(vdc)}, {self.operand(V_dc_ref)})")
+            return (-p1 / v_total - p2 / v_total - K_dc * vdc) / C
 
         return dc
 
     def filter_power(self, B: float) -> Callable:
         """The inductive filter's law: power(eta) -> B*sin(eta) (W), with
-        the partial B*cos(eta)."""
+        sin's partial cos(eta)."""
 
         def power(eta):
             name = self.operand(eta)
-            out = B * self.assign(f"sin({name})", {})
-            out.grad = self.chain(_grad(eta), "*", B * self.d.assign(f"cos({name})", {}))
-            return out
+            cos = self.d.assign(f"cos({name})", {})
+            return B * self.assign(f"sin({name})", self.chain(_grad(eta), "*", cos))
 
         return power
 
@@ -267,7 +241,7 @@ class _Tape:
         """jacobian(y, loads) -> the partials of the outputs, as a new matrix
         of ``n_cols`` columns written at its structural nonzeros only."""
         entries = [(i * n_cols + k, d) for i, row in enumerate(self.rows) for k, d in row.items()]
-        values = ", ".join(self.d.operand(_value(d)) for _, d in entries)
+        values = ", ".join(self.d.operand(d) for _, d in entries)
         bound = {"sin": math.sin, "cos": math.cos, "collapse": _collapse, "zeros": np.zeros,
                  "index": np.array([i for i, _ in entries], dtype=np.intp),
                  **{f"k{k}": v for k, v in enumerate(self.d.consts)}}
@@ -372,6 +346,9 @@ class OdeSystem:
                 names += [f"{prefix}{k + 1}.{name}" for name in states]
                 kinds += states.values()
                 scales += kind_scales(owner, states.values())
+        for name, scale in zip(names, scales):
+            if not scale > 0.0:  # a rating or DC voltage so small it underflows
+                raise ValidationError(f"state {name}: scale {scale!r} is not positive")
         self.state_names = tuple(names)
         self.state_kinds = tuple(kinds)
         self.state_scales = np.array(scales)
@@ -470,7 +447,8 @@ def find_equilibrium(
         threshold = _NEWTON_TOL * max(1.0, float(np.max(np.abs(x / scales))))
         if norm <= threshold:
             return EquilibriumPoint(x=x, residual=norm, loads=loads, iterations=iterations)
-        jac = ode.jacobian(x) / scales[:, None]
+        with np.errstate(over="ignore"):  # a tiny state scale overflows its row to inf
+            jac = ode.jacobian(x) / scales[:, None]
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -747,24 +725,36 @@ def _dp45_step(f, t, y, k1, h, atol, rtol):
     ]
     k7 = f(t + h, y_new)  # FSAL stage
     err_norm = 0.0
-    for i in rng:
-        err = h * (
-            _E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i]
-            + _E7 * k7[i]
-        )
-        if not math.isfinite(err):
-            return y_new, k7, math.inf, k6, y6
-        sc = atol[i] + rtol * max(abs(y[i]), abs(y_new[i]))
-        err_norm += (err / sc) ** 2
+    try:
+        for i in rng:
+            err = h * (
+                _E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i]
+                + _E7 * k7[i]
+            )
+            if not math.isfinite(err):
+                return y_new, k7, math.inf, k6, y6
+            sc = atol[i] + rtol * max(abs(y[i]), abs(y_new[i]))
+            err_norm += (err / sc) ** 2
+    except OverflowError:  # a square beyond the float range
+        err_norm = math.inf
     return y_new, k7, math.sqrt(err_norm / n), k6, y6
+
+
+def _square_sum(values) -> float:
+    """The sum of the squares of ``values``, inf where a square overflows
+    (a float's ``** 2`` raises there)."""
+    try:
+        return sum(v ** 2 for v in values)
+    except OverflowError:
+        return math.inf
 
 
 def _looks_stiff(h, k6, k7, y6, y_new, scales) -> bool:
     """Hairer's DOPRI5 test: h*|lambda|, estimated as h*|k7 - k6| / |y_new - y6|
     in the norm scaled by the state scales, lies beyond the stability
     boundary (3.25)."""
-    num = sum(((a - b) / w) ** 2 for a, b, w in zip(k7, k6, scales))
-    den = sum(((a - b) / w) ** 2 for a, b, w in zip(y_new, y6, scales))
+    num = _square_sum((a - b) / w for a, b, w in zip(k7, k6, scales))
+    den = _square_sum((a - b) / w for a, b, w in zip(y_new, y6, scales))
     return den > 0.0 and h * h * num > _STIFF_HLAMBDA ** 2 * den
 
 
@@ -914,8 +904,12 @@ def integrate(
     y = list(map(float, x0))
     if len(y) != ode.dim or not all(map(math.isfinite, y)):
         raise ValidationError(f"x0 must hold {ode.dim} finite values")
+    # the per-step loops run on Python floats, the Rodas4 step on arrays
+    atol_vec = ode.state_atols * opts.atol_scale
+    atol = atol_vec.tolist()
+    scales = ode.state_scales.tolist()
     for name, ok in (("rtol", 0.0 <= opts.rtol < math.inf),
-                     ("atol_scale", 0.0 < opts.atol_scale < math.inf),
+                     ("atol_scale", 0.0 < min(atol) and opts.atol_scale < math.inf),
                      ("max_step", opts.max_step > 0.0)):
         if not ok:
             raise ValidationError(f"{name} out of range: {getattr(opts, name)!r}")
@@ -929,9 +923,6 @@ def integrate(
         if not (0 <= ev.mg < ode.net.n_mgs):
             raise ValidationError(f"event references MG {ev.mg + 1}")
 
-    atol = [a * opts.atol_scale for a in ode.state_atols]
-    atol_vec = np.array(atol)
-    scales = list(ode.state_scales)
     rtol = opts.rtol
     # from the models, not ode.base_loads: duck-typed systems carry only models
     loads = [m.p_load for m in ode.models]

@@ -1,8 +1,7 @@
-import copy
-
 import pytest
 
 from multigrid_ilc.scenario import resolve, shipped_scenario
+from multigrid_ilc.sweep import _scheme_scenario
 
 
 @pytest.fixture(scope="session")
@@ -12,13 +11,10 @@ def two_mg_resolved():
 
 @pytest.fixture(scope="session")
 def scheme_scenario(two_mg_resolved):
-    """Factory: the shipped two-MG scenario re-pointed at one scheme with
-    catalogue default gains."""
+    """Factory: the shipped two-MG scenario with every ILC re-pointed at one
+    scheme with catalogue default gains, as the boundary table builds it."""
 
     def make(scheme):
-        raw = copy.deepcopy(two_mg_resolved)
-        raw["ilcs"][0]["scheme"] = scheme
-        raw["ilcs"][0]["gains"] = {}
-        return resolve(raw)
+        return _scheme_scenario(two_mg_resolved, scheme)
 
     return make

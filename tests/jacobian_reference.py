@@ -43,3 +43,11 @@ def mg_port_jacobian(model):
         lambda z: (*mg_derivative(model, tuple(z[:n]), z[n], p_load=0.0), z[0]),
         np.zeros(n + 1), kind_scales(model, (*model.states.values(), "power")),
     )
+
+
+def dc_bus_partials(phys, p1, p2, vdc):
+    """The DC-bus law's partials in closed form, with V_total = vdc +
+    V_dc_ref: (by p1 or p2, by vdc) = (-1/(C V_total), ((p1 + p2)/V_total^2
+    - K_dc)/C)."""
+    v_total = vdc + phys.V_dc_ref
+    return -1.0 / (phys.C * v_total), ((p1 + p2) / (v_total * v_total) - phys.K_dc) / phys.C

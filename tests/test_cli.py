@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import warnings
 
 import pytest
 
@@ -143,6 +144,40 @@ def test_non_positive_rating_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["linearize", "--scenario", str(path)]) == 2
     assert "rating" in capsys.readouterr().err
+
+
+def test_sweep_over_a_tiny_rating_runs_without_numpy_warnings(tmp_path, capsys):
+    """A rating of 1e-300 W makes every scaled norm overflow; the integrator
+    and Newton carry the overflow as inf, on Python floats and arrays alike,
+    without a RuntimeWarning."""
+    from multigrid_ilc.scenario import shipped_scenario
+
+    doc = shipped_scenario("two-mg")
+    doc["mgs"][0]["rating"] = 1e-300
+    path = tmp_path / "tiny-rating.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--scenario", str(path), "--param", "ilc.K_dc",
+                     "--lo", "0", "--hi", "1", "--tol", "0.5"])
+    assert code == 0
+    assert "status: unstable-throughout" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("mgs", "rating", 1e-323, "state mg1.p_m: scale 0.0 is not positive"),
+    ("sim", "atol_scale", 1e-320, "atol_scale out of range: 1e-320"),
+])
+def test_a_scale_or_tolerance_that_underflows_exit_code(tmp_path, capsys, block, key,
+                                                        value, message):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    (doc[block][0] if block == "mgs" else doc[block])[key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_linearize_closed_loop(tmp_path, capsys):

@@ -26,13 +26,13 @@ DIGESTS = {
         "stdout":
             "6ce8875de8c178f988c5af6c897e9d155e693b2e75111882b6b635672e626c7b",
         "two-mg-dc-voltages.svg":
-            "fbbe123f94273f04943d5bb65f9b592a560d682e19f9f7aa5cb2ac763520a9ea",
+            "6404049fd2acca66a316ce7d1aef4499c31a7094e8964071ccae012ef6f3d7ff",
         "two-mg-frequencies.svg":
-            "50c64cd520e73dad46e8557d7e7c88cde5db7496903d2fb638312ec2d8169375",
+            "df188b840da54f77efdc841590607e718a415b070527c64b3a067e1c3d84f168",
         "two-mg-resolved.json":
             "5123afc54467d035165e0ca7da062e57e6fd59028c6145b0af7760780174f72b",
         "two-mg-trajectory.csv":
-            "67a826ba8eccda672d194748618f1a9e3b4dc09fab0209d6e2e2ea3bdfed845f",
+            "963a7235923a8493ced23cfbdb67e91c0869a54dac308c4783f4d72611c37bca",
     },
     "simulate-three-mg": {
         "stdout":
@@ -44,7 +44,7 @@ DIGESTS = {
         "three-mg-resolved.json":
             "04410001fc1d6e5788e9c87e5163a0c99d98b7662156b85b801fad33784f59c5",
         "three-mg-trajectory.csv":
-            "1a8adfcda799e3a3c9716f61ea52ea7ffd2895e1c11ff5f6229cb0c818452871",
+            "54d3034a2e999c46fba3047da036f87119d21c6638d3debbc07d5dd3f89b19a6",
     },
     "linearize-two-mg": {
         "stdout":

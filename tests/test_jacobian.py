@@ -31,7 +31,7 @@ from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
 
-from jacobian_reference import finite_difference_jacobian
+from jacobian_reference import dc_bus_partials, finite_difference_jacobian
 from model_reference import ilc_derivative, ilc_output, mg_derivative, unit_rhs
 from test_ilc import unit_for
 
@@ -90,6 +90,43 @@ def test_scheme_record_jacobian(scheme):
 
     for z in random_points(kinds, scales, seed=1):
         assert_matches(f, ilc_jacobian(unit, tuple(z[:n]), (z[n], z[n + 1])), z, scales)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_dc_bus_row_is_the_closed_form(scheme):
+    """The vdc row of ilc_jacobian against the DC bus's closed-form
+    partials, at V_total from V_dc_ref down to 1e-3 V_dc_ref.  The powers
+    p1, p2 are a grid-forming unit's inputs, else its states, or B*sin(eta)
+    for a filter side.  Its entries may cancel (p1 near -p2), so the
+    allowed error is 4 machine epsilons of the row's largest closed-form
+    term."""
+    unit = unit_for(scheme)
+    phys, names = unit.physical, unit_state_names(unit)
+    n, row = len(names), names.index("vdc")
+    kinds = unit_kinds(unit)
+    points = random_points(kinds, kind_scales(unit, kinds), seed=10)
+    v_totals = phys.V_dc_ref * 10.0 ** np.linspace(-3.0, 0.0, len(points))
+    for z, v_total in zip(points, v_totals):
+        z[row] = v_total - phys.V_dc_ref
+        powers = []  # per side: (power, its column, the column's factor)
+        for side, name in enumerate(("p1", "p2")):
+            if unit.port_kind == GFM:
+                powers.append((z[n + side], n + side, 1.0))
+            elif name in names:
+                powers.append((z[names.index(name)], names.index(name), 1.0))
+            else:
+                eta = names.index("eta")
+                powers.append((phys.B * math.sin(z[eta]), eta, phys.B * math.cos(z[eta])))
+        by_p, by_v = dc_bus_partials(phys, powers[0][0], powers[1][0], z[row])
+        expected = np.zeros(n + 2)
+        for _, column, factor in powers:
+            expected[column] += by_p * factor
+        expected[row] += by_v
+        terms = (abs(by_p) * max(abs(f) for _, _, f in powers),
+                 (abs(powers[0][0]) + abs(powers[1][0])) / (phys.C * v_total ** 2),
+                 phys.K_dc / phys.C)
+        exact = ilc_jacobian(unit, tuple(z[:n]), (z[n], z[n + 1]))[row]
+        assert np.all(np.abs(exact - expected) <= 4 * EPS * max(terms)), (exact, expected)
 
 
 def check_port_linearization(unit, seed):

@@ -29,6 +29,8 @@ from multigrid_ilc.sweep import (
     worker_count,
 )
 
+from test_ilc import CATALOGUE
+
 
 def use_classifier(monkeypatch, classify):
     """Drive ``bisect_boundary`` by a synthetic full classification.  Its
@@ -535,6 +537,16 @@ def test_sweep_computes_no_hermite_samples(two_mg_resolved, trajectories, monkey
     assert cell.status == "stable-throughout"
     assert [t.stats.stiff_from is not None for t in trajectories] == [True, True]
     assert calls == []
+
+
+@pytest.mark.parametrize("scheme", sorted(CATALOGUE))
+def test_scheme_scenario_repoints_every_ilc(scheme):
+    """Both ILCs of three-mg carry the scheme, each with the gains resolved
+    afresh for it: the catalogue values, scheme-specific defaults included."""
+    resolved = sweep._scheme_scenario(load_resolved("three-mg"), scheme)
+    assert [block["scheme"] for block in resolved["ilcs"]] == [scheme, scheme]
+    for block in resolved["ilcs"]:
+        assert {k: block["gains"][k] for k in CATALOGUE[scheme]} == CATALOGUE[scheme]
 
 
 class TestGainColumn:

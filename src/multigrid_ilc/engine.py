@@ -137,6 +137,16 @@ def _grad(x) -> dict:
     return x.grad if isinstance(x, _Traced) else {}
 
 
+def _times(a, b):
+    """``a * b``, where a factor that is the number 1.0 or -1.0 records no
+    product.  A factor that is not a traced variable is a number, the only
+    kind ``abs`` and ``==`` may be asked of (on a variable they raise)."""
+    for one, other in ((a, b), (b, a)):
+        if not isinstance(one, _Traced) and abs(one) == 1.0:
+            return other if one > 0 else -other
+    return a * b
+
+
 class _Tape:
     """The recorded lines and bound constants of one traced law, and in
     ``d`` those of its partials, a tape of its own.  A traced variable's
@@ -194,9 +204,10 @@ class _Tape:
 
     def chain(self, grad: dict, sign: str, x) -> dict:
         """The partials ``grad`` times or over ``x``, a number or a traced
-        variable: numbers fold, and anything else is recorded on ``d``."""
+        variable: numbers fold, a product by the number 1.0 or -1.0 is the
+        other factor or its negation, and anything else is recorded on ``d``."""
         x = self.d.ref(x)
-        return {k: d * x if sign == "*" else d / x for k, d in grad.items()}
+        return {k: _times(d, x) if sign == "*" else d / x for k, d in grad.items()}
 
     @staticmethod
     def combine(da: dict, db: dict) -> dict:
@@ -401,7 +412,8 @@ class OdeSystem:
         """Exact Jacobian of :meth:`derivative` at ``y`` (the loads enter
         additively and drop out).  Raises :class:`DcVoltageCollapse` wherever
         the derivative does."""
-        return self._jacobian(np.asarray(y, dtype=float).tolist(), self.base_loads)
+        y = y if isinstance(y, list) else np.asarray(y, dtype=float).tolist()
+        return self._jacobian(y, self.base_loads)
 
     def column(self, kind: str, index: int, name: str) -> int:
         """Position of state ``name`` of MG or ILC ``index`` (0-based) in
@@ -535,7 +547,6 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray
     ode: OdeSystem
-    events: tuple[LoadEvent, ...]
     truncated: bool = False
     truncation_reason: str | None = None
     stats: IntegrationStats | None = None
@@ -647,25 +658,24 @@ class _Switch(NamedTuple):
 
 
 # Rodas4 (Hairer & Wanner, Solving ODEs II, IV.7) in transformed form: stage
-# i evaluates f at y + _R_A[i] @ u and adds _R_C[i] @ u / h; row 5 of _R_A
-# is the stage-6 argument, from which y_new = arg + u6
+# 0 solves for u0 from f(t, y); each later stage i is a row (node, a_row,
+# c_row) of _R_STAGES that evaluates f at t + node*h, y + a_row @ u[:i] and
+# adds c_row @ u[:i] / h.  The last row's argument, the one before it plus
+# u5, is the stage-6 one, from which y_new = arg + u6
 _R_GAMMA = 0.25
-_R_NODES = (0.0, 0.386, 0.21, 0.63, 1.0, 1.0)
-_R_A = np.zeros((6, 5))
-_R_A[1, :1] = (1.544,)
-_R_A[2, :2] = (0.9466785280815826, 0.2557011698983284)
-_R_A[3, :3] = (3.314825187068521, 2.896124015972201, 0.9986419139977817)
-_R_A[4, :4] = (1.221224509226641, 6.019134481288629, 12.53708332932087,
-               -0.6878860361058950)
-_R_A[5] = (*_R_A[4, :4], 1.0)
-_R_C = np.zeros((6, 5))
-_R_C[1, :1] = (-5.6688,)
-_R_C[2, :2] = (-2.430093356833875, -0.2063599157091915)
-_R_C[3, :3] = (-0.1073529058151375, -9.594562251023355, -20.47028614809616)
-_R_C[4, :4] = (7.496443313967647, -10.24680431464352, -33.99990352819905,
-               11.70890893206160)
-_R_C[5] = (8.083246795921522, -7.981132988064893, -31.52159432874371,
-           16.31930543123136, -6.058818238834054)
+_R_STAGES = tuple((node, np.array(a_row), np.array(c_row)) for node, a_row, c_row in (
+    (0.386, (1.544,), (-5.6688,)),
+    (0.21, (0.9466785280815826, 0.2557011698983284),
+     (-2.430093356833875, -0.2063599157091915)),
+    (0.63, (3.314825187068521, 2.896124015972201, 0.9986419139977817),
+     (-0.1073529058151375, -9.594562251023355, -20.47028614809616)),
+    (1.0, (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950),
+     (7.496443313967647, -10.24680431464352, -33.99990352819905, 11.70890893206160)),
+    (1.0, (1.221224509226641, 6.019134481288629, 12.53708332932087, -0.6878860361058950,
+           1.0),
+     (8.083246795921522, -7.981132988064893, -31.52159432874371, 16.31930543123136,
+      -6.058818238834054)),
+))
 # upper bound on Hermite samples per Rodas4 step
 _MAX_PIECES = 1000
 # rows per block of the dense samples and of a CSV file: bounds the
@@ -725,26 +735,21 @@ def _dp45_step(f, t, y, k1, h, atol, rtol):
     ]
     k7 = f(t + h, y_new)  # FSAL stage
     err_norm = 0.0
-    try:
-        for i in rng:
-            err = h * (
-                _E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i]
-                + _E7 * k7[i]
-            )
-            if not math.isfinite(err):
-                return y_new, k7, math.inf, k6, y6
-            sc = atol[i] + rtol * max(abs(y[i]), abs(y_new[i]))
-            err_norm += (err / sc) ** 2
-    except OverflowError:  # a square beyond the float range
-        err_norm = math.inf
+    for i in rng:
+        err = h * (
+            _E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i]
+            + _E7 * k7[i]
+        )
+        sc = atol[i] + rtol * max(abs(y[i]), abs(y_new[i]))
+        err_norm += (err / sc) ** 2
     return y_new, k7, math.sqrt(err_norm / n), k6, y6
 
 
-def _square_sum(values) -> float:
+def _square_sum(values: list) -> float:
     """The sum of the squares of ``values``, inf where a square overflows
     (a float's ``** 2`` raises there)."""
     try:
-        return sum(v ** 2 for v in values)
+        return sum([v ** 2 for v in values])
     except OverflowError:
         return math.inf
 
@@ -753,8 +758,8 @@ def _looks_stiff(h, k6, k7, y6, y_new, scales) -> bool:
     """Hairer's DOPRI5 test: h*|lambda|, estimated as h*|k7 - k6| / |y_new - y6|
     in the norm scaled by the state scales, lies beyond the stability
     boundary (3.25)."""
-    num = _square_sum((a - b) / w for a, b, w in zip(k7, k6, scales))
-    den = _square_sum((a - b) / w for a, b, w in zip(y_new, y6, scales))
+    num = _square_sum([(a - b) / w for a, b, w in zip(k7, k6, scales)])
+    den = _square_sum([(a - b) / w for a, b, w in zip(y_new, y6, scales)])
     return den > 0.0 and h * h * num > _STIFF_HLAMBDA ** 2 * den
 
 
@@ -771,15 +776,15 @@ def _rodas4_step(f, t, y, f0, jac, h, atol, rtol):
     u = np.empty((6, y.size))
     with np.errstate(all="ignore"):
         u[0] = inv @ np.asarray(f0)
-        for i in range(1, 6):
-            arg = y + _R_A[i, :i] @ u[:i]
-            rate = np.asarray(f(t + _R_NODES[i] * h, arg.tolist()), dtype=float)
-            u[i] = inv @ (rate + (_R_C[i, :i] @ u[:i]) / h)
+        for i, (node, a_row, c_row) in enumerate(_R_STAGES, 1):
+            arg = y + a_row @ u[:i]
+            rate = np.asarray(f(t + node * h, arg.tolist()), dtype=float)
+            u[i] = inv @ (rate + (c_row @ u[:i]) / h)
         y_new = arg + u[5]
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((u[5] / sc) ** 2)))
+        q = u[5] / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        err_norm = math.sqrt(float(np.add.reduce(q * q)) / y.size)
     if not err_norm <= 1.0:
-        return None, None, err_norm if math.isfinite(err_norm) else math.inf
+        return None, None, err_norm
     y_new = y_new.tolist()
     return y_new, f(t + h, y_new), err_norm
 
@@ -882,10 +887,12 @@ def integrate(
     accepted step.  After 100 accepted Rodas4 steps, or at the segment's
     end if that comes first, the switch is judged: if Rodas4 spent more RHS
     calls than DP45 at its stability limit would have, each Jacobian
-    charged at the 2*dim calls of a central-difference one, the
-    call rolls back to the switch point, resumes DP45 exactly where it left
-    off and pauses the stiffness test for ten times the overspend, counted
-    in DP45 steps; otherwise it stays on Rodas4 for the rest of the call.
+    charged a fixed price of 2*dim calls (pinned by
+    ``test_exact_jacobians_keep_the_trial_price``; re-pricing it is ROADMAP
+    item 2), the call rolls back to the switch point, resumes DP45 exactly
+    where it left off and pauses the stiffness test for ten times the
+    overspend, counted in DP45 steps; otherwise it stays on Rodas4 for the
+    rest of the call.
     Divergence (any MG frequency or ILC DC voltage beyond its bound, a
     non-finite state or a DC-bus collapse) truncates the trajectory and sets
     the flag; a filter angle reaching |eta| >= pi/2 aborts with
@@ -1009,15 +1016,16 @@ def integrate(
                     y_new, k7, err_norm = _rodas4_step(f, t, y, k1, jac, h, atol_vec, rtol)
             except (DcVoltageCollapse, ValueError, OverflowError, np.linalg.LinAlgError):
                 # a trial stage overshot (bus collapse, float overflow or a
-                # singular stage matrix); reject and shrink
-                rejected += 1
-                h *= 0.2
-                continue
+                # singular stage matrix)
+                err_norm = math.inf
             # step-size exponent 1/(embedded order + 1) and growth cap per method
             exponent, growth = (0.25, 6.0) if stiff else (0.2, 5.0)
-            if err_norm > 1.0:
+            # the one rejection rule: only an error norm <= 1 passes, and a NaN
+            # or infinite one (inf: the step raised) shrinks h by 0.2
+            if not err_norm <= 1.0:
                 rejected += 1
-                h *= max(0.2, min(1.0, 0.9 * err_norm ** -exponent))
+                h *= (max(0.2, min(1.0, 0.9 * err_norm ** -exponent))
+                      if math.isfinite(err_norm) else 0.2)
                 continue
             accepted += 1
             if stiff:
@@ -1055,7 +1063,8 @@ def integrate(
             if accepted - switch.accepted < _TRIAL_STEPS and t < boundary:
                 continue
             # DP45 pinned at its stability limit takes 6 RHS calls per step;
-            # a Jacobian is charged the 2*dim calls of a central-difference one
+            # a Jacobian is charged a fixed price of 2*dim calls, pinned by
+            # test_exact_jacobians_keep_the_trial_price (ROADMAP item 2)
             spent = (rhs_calls - switch.rhs_calls
                      + 2 * dim * (jacobian_calls - switch.jacobian_calls))
             overspend = spent - 6 * (t - ts[switch.accepted]) / switch.dp45_step
@@ -1101,7 +1110,6 @@ def integrate(
         t=t_out,
         y=y_out,
         ode=ode,
-        events=events,
         truncated=reason is not None,
         truncation_reason=reason,
         stats=IntegrationStats(accepted, rejected, rhs_calls, jacobian_calls, stiff_from,

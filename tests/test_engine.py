@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -560,6 +561,21 @@ def test_sparse_run_takes_the_dense_run_steps(scheme_scenario):
     assert lo.shape == hi.shape == (sparse.stats.accepted, ode.dim)
     step = np.minimum(np.searchsorted(sparse.t, dense.t, side="right") - 1, len(lo) - 1)
     assert np.all(lo[step] <= dense.y) and np.all(dense.y <= hi[step])
+
+
+def test_classification_run_is_pinned_bitwise(scheme_scenario):
+    """The classifier's own integration path (no dense output, rtol 1e-6,
+    atol_scale 10, max_step 2, step envelopes) on the pinned 536-step run
+    reproduces the sha256 of its t, y, both envelope arrays and its stats."""
+    resolved = set_parameter(scheme_scenario("dual-acdc-droop"), "ilc.K_dc", 0.0)
+    traj = integrate(*classification_run(resolved, dense=False))
+    digest = hashlib.sha256()
+    for values in (traj.t, traj.y, *traj.envelope):
+        digest.update(np.ascontiguousarray(values).tobytes())
+    digest.update(repr(traj.stats).encode())
+    assert traj.stats.accepted == 536
+    assert digest.hexdigest() == (
+        "64df5911b7532c606231f4391addc788f3ee0c920284dc9e805d96c803a7a485")
 
 
 def cubic(y0, f0, y1, f1, h, s):

@@ -9,6 +9,7 @@ of the summed magnitudes of its row's terms, over the step.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from multigrid_ilc.ilc import (
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, shipped_scenario
+from multigrid_ilc.sweep import _scheme_scenario
 
 from jacobian_reference import dc_bus_partials, finite_difference_jacobian
 from model_reference import ilc_derivative, ilc_output, mg_derivative, unit_rhs
@@ -177,6 +179,21 @@ def check_system(ode, seed):
 @pytest.mark.parametrize("name", ["two-mg", "three-mg", "ieee39-reduced"])
 def test_closed_loop_of_shipped_scenarios(name):
     check_system(build_system(resolve(shipped_scenario(name))).ode, seed=5)
+
+
+@pytest.mark.parametrize("name", ["two-mg", "three-mg", "ieee39-reduced"])
+def test_compiled_jacobians_multiply_by_no_unit_constant(name):
+    """No partial line of any scheme's system Jacobian is a product by a
+    bound constant equal to 1.0 or -1.0: such a factor passes the other
+    one through, or its negation."""
+    resolved = resolve(shipped_scenario(name))
+    for scheme in SCHEMES:
+        tape = build_system(_scheme_scenario(resolved, scheme)).ode._tape.d
+        units = {f"k{k}" for k, value in enumerate(tape.consts) if abs(value) == 1.0}
+        products = [line for line in tape.lines
+                    if (m := re.fullmatch(r"\w+ = (\w+) \* (\w+)", line))
+                    and units & set(m.groups())]
+        assert products == [], scheme
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -45,7 +45,10 @@ def default_grid(n_points: int = 400) -> np.ndarray:
     """Log-spaced frequency grid (rad/s) from 1e-2 to 1e4, used by all sweeps."""
     if n_points < 1:
         raise ValidationError(f"a frequency grid needs at least 1 point, got {n_points}")
-    return np.logspace(math.log10(_GRID_W_MIN), math.log10(_GRID_W_MAX), n_points)
+    try:
+        return np.logspace(math.log10(_GRID_W_MIN), math.log10(_GRID_W_MAX), n_points)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size
+        raise ValidationError(f"a frequency grid of {n_points} points: {exc}") from exc
 
 
 # the imaginary-axis samples (rad/s) of the Rosenbrock ranks

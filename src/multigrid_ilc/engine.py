@@ -581,11 +581,8 @@ class Trajectory:
             cols.append(self.omega(j))
         for l in range(n_ilcs):
             header += [f"ilc{l + 1}.p1", f"ilc{l + 1}.p2", f"ilc{l + 1}.vdc"]
-            cols += [
-                self.connection_power(l, 0),
-                self.connection_power(l, 1),
-                self.vdc(l),
-            ]
+            lo, hi = self.ode._ilc_spans[l]
+            cols += [*injected_powers(self.ode.units[l], self.y[:, lo:hi]), self.vdc(l)]
         if pu_base is not None:
             for j in range(n_mgs):
                 header.append(f"mg{j + 1}.omega_pu")

@@ -74,4 +74,5 @@ class SingularResolvent(NumericalError):
 
 
 class NonBracketing(NumericalError):
-    """A bisection bracket failed re-verification."""
+    """A bisection interval is stable only at the end its search direction
+    expects to be unstable."""

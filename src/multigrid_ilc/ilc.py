@@ -43,7 +43,8 @@ grids all come from the same equations, so a law is written once.
 
 The converter catalogue, :data:`PHYSICAL_DEFAULTS` and
 :data:`GAIN_DEFAULTS`, gives the defaults of :class:`IlcPhysical` and
-:class:`Gains` and of every scenario file.  Each parameter has one name,
+:class:`Gains` and of every scenario file; :func:`scheme_gains` derives the
+gains whose defaults follow other gains.  Each parameter has one name,
 its scenario key (``C``, ``V_dc_ref``, ``K_dc``, ``B``, ``K_omega1``,
 ``m_p1``, ...): the fields, the gains a scheme requires and the laws all
 use it, so a validation message names the key the user wrote.
@@ -74,7 +75,11 @@ def filter_susceptance_power(v_ac: float, l: float, f_nominal: float = 50.0) -> 
     """Power constant of the inductive filter: V_ac^2 / (2*pi*f*L)  (W)."""
     if not (l > 0.0 and math.isfinite(l)):
         raise ValidationError(f"filter inductance L must be finite and positive, got {l!r}")
-    return v_ac * v_ac / (2.0 * math.pi * f_nominal * l)
+    b = v_ac * v_ac / (2.0 * math.pi * f_nominal * l)
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ValidationError(f"V_ac = {v_ac!r}, L = {l!r} and f = {f_nominal!r} give a filter "
+                              f"power constant B = {b!r}, which is not finite and positive")
+    return b
 
 
 PHYSICAL_DEFAULTS = {
@@ -101,9 +106,30 @@ GAIN_DEFAULTS = {
     "m_p2": 5e-8,
     "kappa_s1": 0.5,
     "kappa_s2": 0.5,
-    # K_pdc defaults to the resolved K_v1 and K_idc to 10*K_pdc; handled in
-    # the scenario module
 }
+
+
+def scheme_gains(scheme: str, given: dict[str, float]) -> dict[str, float]:
+    """Every gain of a ``scheme`` unit whose scenario sets the gains
+    ``given``: each gain left out takes its catalogue default, except that
+    K_pdc = K_v1, K_idc = 10*K_pdc and two integral gains are rescaled to
+    keep the equalization bandwidth consistent across schemes.  The
+    shared-regulation dual-frequency-droop integrates the raw frequency
+    mismatch (its sibling integrates the droop-weighted mismatch), so its
+    default K_i is scaled by K_omega1; the grid-forming frequency-droop
+    equalizer integrates a frequency difference that re-enters through the
+    droop slope m_p, so its K_i1 and K_i2 are scaled by 1/m_p.  A slope
+    that is not positive is left to the unit's own check."""
+    gains = {**GAIN_DEFAULTS, **given}
+    gains.setdefault("K_pdc", gains["K_v1"])
+    gains.setdefault("K_idc", 10.0 * gains["K_pdc"])
+    if scheme == "dual-freq-droop-2" and "K_i" not in given:
+        gains["K_i"] = GAIN_DEFAULTS["K_i"] * gains["K_omega1"]
+    if scheme == "gfm-freq-droop":
+        for k_i, m_p in (("K_i1", "m_p1"), ("K_i2", "m_p2")):
+            if k_i not in given and gains[m_p] > 0.0:
+                gains[k_i] = GAIN_DEFAULTS[k_i] / gains[m_p]
+    return gains
 
 
 @dataclass(frozen=True)

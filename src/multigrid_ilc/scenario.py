@@ -9,15 +9,9 @@ configurations echo every value so they can be re-parsed bit-identically.
 The keys of a resolved ILC block are the fields of its unit, which
 :func:`_ilc_unit` builds as :func:`_mg_model` builds an MG block's model;
 :func:`resolve` builds both, so a parameter the model or unit rejects is
-reported at the block's path.
-
-Two integral gains get scheme-specific defaults: the shared-regulation
-dual-frequency-droop integrates the raw frequency mismatch (its sibling
-integrates the droop-weighted mismatch), so its default integral gain is
-scaled by the frequency droop; similarly the grid-forming frequency-droop
-equalizer integrates a frequency difference that re-enters through the
-droop slope m_p, so its default is scaled by 1/m_p.  This keeps the
-equalization bandwidth consistent across schemes.
+reported at the block's path.  The gains whose defaults derive from other
+gains are filled in by :func:`multigrid_ilc.ilc.scheme_gains`.  Every
+number of a section is read by :func:`_numbers`.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from typing import Any
 from .engine import IntegrateOptions, LoadEvent, OdeSystem
 from .errors import SchemaViolation, UnknownScheme, ValidationError
 from .ilc import (GAIN_DEFAULTS, PHYSICAL_DEFAULTS, SCHEMES, Gains, IlcPhysical, IlcUnit,
-                  filter_susceptance_power)
+                  filter_susceptance_power, scheme_gains)
 from .mg import FirstOrderDroop, MgModel, SwingGovernor, default_rating
 from .network import ValidatedNetwork
 
@@ -47,7 +41,10 @@ _MG_FORMS = {
 }
 
 _TOP_KEYS = {"name", "f_nominal", "mgs", "ilcs", "defaults", "events", "sim"}
-_SIM_KEYS = {"t_end", "rtol", "atol_scale", "max_step"}
+# each sim setting: its default (None: left out of the resolved block
+# unless set) and whether it may be 0
+_SIM = {"t_end": (60.0, False), "rtol": (1e-7, True), "atol_scale": (1.0, False),
+        "max_step": (None, False)}
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -58,8 +55,23 @@ def _require(cond: bool, path: str, message: str) -> None:
 def _check_number(value: Any, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              path, f"expected a number, got {value!r}")
-    _require(math.isfinite(float(value)), path, "must be finite")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), path, "must be finite")
+    return number
+
+
+def _numbers(block: dict, defaults: dict, path: str) -> dict[str, float]:
+    """Each key of ``defaults`` read from ``block`` as a finite number, or
+    the key's default where the block leaves it out; a default of None makes
+    the key required."""
+    out = {}
+    for key, default in defaults.items():
+        _require(key in block or default is not None, f"{path}.{key}", "required value missing")
+        out[key] = _check_number(block[key], f"{path}.{key}") if key in block else default
+    return out
 
 
 def _check_name(block: dict, default: str, path: str) -> str:
@@ -128,13 +140,9 @@ def resolve(raw: dict) -> dict:
                  f"expected one of {sorted(_MG_FORMS)}, got {model!r}")
         keys = _MG_FORMS[model][1]
         _check_keys(block, keys | {"model", "name", "p_load", "rating"}, path)
-        resolved = {"model": model, "name": _check_name(block, f"MG{i + 1}", f"{path}.name")}
-        for key in sorted(keys):
-            _require(key in block, f"{path}.{key}", "required MG parameter missing")
-            resolved[key] = _check_number(block[key], f"{path}.{key}")
-        resolved["p_load"] = _check_number(block.get("p_load", 0.0), f"{path}.p_load")
-        if "rating" in block:
-            resolved["rating"] = _check_number(block["rating"], f"{path}.rating")
+        resolved = {"model": model, "name": _check_name(block, f"MG{i + 1}", f"{path}.name"),
+                    **_numbers(block, {**dict.fromkeys(sorted(keys)), "p_load": 0.0,
+                                       **dict.fromkeys({"rating"} & block.keys())}, path)}
         try:
             resolved["rating"] = default_rating(_mg_model(resolved), omega_nominal)
         except ValidationError as exc:
@@ -171,40 +179,22 @@ def resolve(raw: dict) -> dict:
             _require(1 <= e <= len(out_mgs), f"{path}.endpoints",
                      f"MG index {e} out of range 1..{len(out_mgs)}")
         _check_keys(block.get("physical", {}), _PHYS_KEYS, f"{path}.physical")
-        phys_in = {**default_phys, **block.get("physical", {})}
-        phys = {k: _check_number(phys_in.get(k, PHYSICAL_DEFAULTS[k]),
-                                 f"{path}.physical.{k}")
-                for k in PHYSICAL_DEFAULTS}
-        if "B" in phys_in:
-            phys["B"] = _check_number(phys_in["B"], f"{path}.physical.B")
-        else:
-            phys["B"] = filter_susceptance_power(phys["V_ac"], phys["L"], out["f_nominal"])
-
         _check_keys(block.get("gains", {}), _GAIN_KEYS, f"{path}.gains")
+        phys_in = {**default_phys, **block.get("physical", {})}
         gains_in = {**default_gains, **block.get("gains", {})}
-        gains = {k: _check_number(gains_in.get(k, GAIN_DEFAULTS[k]),
-                                  f"{path}.gains.{k}")
-                 for k in GAIN_DEFAULTS}
-        gains["K_pdc"] = _check_number(gains_in.get("K_pdc", gains["K_v1"]),
-                                       f"{path}.gains.K_pdc")
-        gains["K_idc"] = _check_number(gains_in.get("K_idc", 10.0 * gains["K_pdc"]),
-                                       f"{path}.gains.K_idc")
-        # scheme-consistent equalization bandwidth (see module docstring)
-        if scheme == "dual-freq-droop-2" and "K_i" not in gains_in:
-            gains["K_i"] = GAIN_DEFAULTS["K_i"] * gains["K_omega1"]
-        if scheme == "gfm-freq-droop":
-            if "K_i1" not in gains_in:
-                gains["K_i1"] = GAIN_DEFAULTS["K_i1"] / gains["m_p1"]
-            if "K_i2" not in gains_in:
-                gains["K_i2"] = GAIN_DEFAULTS["K_i2"] / gains["m_p2"]
         resolved = {
             "name": _check_name(block, f"ILC{l + 1}", f"{path}.name"),
             "endpoints": list(endpoints),
             "scheme": scheme,
-            "physical": phys,
-            "gains": gains,
+            "physical": {**PHYSICAL_DEFAULTS,
+                         **_numbers(phys_in, dict.fromkeys(phys_in), f"{path}.physical")},
+            "gains": scheme_gains(scheme, _numbers(gains_in, dict.fromkeys(gains_in),
+                                                   f"{path}.gains")),
         }
+        phys = resolved["physical"]
         try:
+            if "B" not in phys:
+                phys["B"] = filter_susceptance_power(phys["V_ac"], phys["L"], out["f_nominal"])
             _ilc_unit(resolved)
         except ValidationError as exc:
             raise SchemaViolation(path, str(exc)) from exc
@@ -218,37 +208,24 @@ def resolve(raw: dict) -> dict:
     for k, ev in enumerate(events_in):
         path = f"scenario.events[{k}]"
         _check_keys(ev, {"time", "mg", "delta_p_load"}, path)
-        time = _check_number(ev.get("time"), f"{path}.time")
-        _require(time >= last_time, f"{path}.time", "events must be sorted by time")
-        last_time = time
+        event = _numbers(ev, {"time": None, "delta_p_load": None}, path)
+        _require(event["time"] >= last_time, f"{path}.time", "events must be sorted by time")
+        last_time = event["time"]
         mg = ev.get("mg")
         _require(isinstance(mg, int) and not isinstance(mg, bool)
                  and 1 <= mg <= len(out_mgs), f"{path}.mg",
                  f"expected a 1-based MG index, got {mg!r}")
-        out_events.append(
-            {"time": time, "mg": mg,
-             "delta_p_load": _check_number(ev.get("delta_p_load"),
-                                           f"{path}.delta_p_load")}
-        )
+        out_events.append({**event, "mg": mg})
     out["events"] = out_events
 
     sim_in = raw.get("sim", {})
-    _check_keys(sim_in, _SIM_KEYS, "scenario.sim")
-    sim = {
-        "t_end": _check_number(sim_in.get("t_end", 60.0), "scenario.sim.t_end"),
-        "rtol": _check_number(sim_in.get("rtol", 1e-7), "scenario.sim.rtol"),
-        "atol_scale": _check_number(sim_in.get("atol_scale", 1.0),
-                                    "scenario.sim.atol_scale"),
-    }
-    _require(sim["t_end"] > 0.0, "scenario.sim.t_end", "must be strictly positive")
-    _require(sim["rtol"] >= 0.0, "scenario.sim.rtol", "must be non-negative")
-    _require(sim["atol_scale"] > 0.0, "scenario.sim.atol_scale",
-             "must be strictly positive")
-    if "max_step" in sim_in:
-        sim["max_step"] = _check_number(sim_in["max_step"], "scenario.sim.max_step")
-        _require(sim["max_step"] > 0.0, "scenario.sim.max_step",
-                 "must be strictly positive")
-    out["sim"] = sim
+    _check_keys(sim_in, _SIM, "scenario.sim")
+    out["sim"] = _numbers(sim_in, {key: default for key, (default, _) in _SIM.items()
+                                   if default is not None or key in sim_in}, "scenario.sim")
+    for key, value in out["sim"].items():
+        zero_ok = _SIM[key][1]
+        _require(value >= 0.0 if zero_ok else value > 0.0, f"scenario.sim.{key}",
+                 "must be non-negative" if zero_ok else "must be strictly positive")
     return out
 
 
@@ -307,12 +284,6 @@ def build_system(resolved: dict) -> SystemBundle:
         LoadEvent(time=ev["time"], mg=ev["mg"] - 1, delta_p_load=ev["delta_p_load"])
         for ev in resolved["events"]
     )
-    opts = IntegrateOptions(
-        rtol=resolved["sim"]["rtol"],
-        atol_scale=resolved["sim"]["atol_scale"],
-    )
-    if "max_step" in resolved["sim"]:
-        opts.max_step = resolved["sim"]["max_step"]
     return SystemBundle(
         name=resolved["name"],
         f_nominal=resolved["f_nominal"],
@@ -321,7 +292,8 @@ def build_system(resolved: dict) -> SystemBundle:
         units=tuple(units),
         ode=ode,
         events=events,
-        options=opts,
+        options=IntegrateOptions(**{key: value for key, value in resolved["sim"].items()
+                                    if key != "t_end"}),
         t_end=resolved["sim"]["t_end"],
         resolved=resolved,
     )

@@ -439,12 +439,9 @@ class SweepTable:
 
 def _scheme_scenario(resolved: dict, scheme: str) -> dict:
     """Re-point every ILC of the base scenario at one scheme, with catalogue
-    gains re-resolved for that scheme."""
-    raw = copy.deepcopy(resolved)
-    for block in raw["ilcs"]:
-        block["scheme"] = scheme
-        block["gains"] = {}
-    return resolve(raw)
+    gains re-resolved for that scheme (``resolve`` returns a copy)."""
+    return resolve({**resolved, "ilcs": [{**block, "scheme": scheme, "gains": {}}
+                                         for block in resolved["ilcs"]]})
 
 
 def _run_cell(args: tuple) -> tuple:
@@ -462,11 +459,10 @@ def _run_cell(args: tuple) -> tuple:
         unit = base["ilcs"][0]["gains"][fields[0]]
 
         def configure(scale: float) -> dict:
-            out = base
-            for name in fields:
-                for l, block in enumerate(base["ilcs"]):
-                    out = set_parameter(out, f"ilc[{l + 1}].gains.{name}",
-                                        block["gains"][name] * scale)
+            out = copy.deepcopy(base)
+            for block in out["ilcs"]:
+                for name in fields:
+                    block["gains"][name] *= scale
             return out
 
     req = SweepRequest(base, spec.path, *spec.interval, spec.direction, spec.tol,
@@ -508,8 +504,9 @@ def table3_harness(
 
     Cells run as independent jobs (a process pool, never larger than the
     cells to run, when more than one worker is available).  Individual
-    cell failures, a crashed worker included, are recorded as error cells;
-    the harness continues.
+    cell failures are recorded as error cells and the harness continues;
+    the cells a crashed worker took with it run again one by one, and only
+    one that crashes again is an error cell.
     """
     n_workers = worker_count(workers)
     jobs = [(resolved, row, column) for row in rows for column in columns]
@@ -520,10 +517,11 @@ def table3_harness(
             for job, future in zip(jobs, futures):
                 try:
                     outcomes.append(future.result())
-                except BrokenProcessPool as exc:
-                    # a worker died: every cell not finished by then is
-                    # lost, the finished ones are kept
-                    outcomes.append(_error_outcome(job, exc))
+                except BrokenProcessPool:
+                    # a worker died and took every unfinished cell with it:
+                    # each runs again alone, so only a cell that crashes
+                    # again is lost
+                    outcomes.append(_run_cell_alone(job))
     else:
         outcomes = [_run_cell_safe(job) for job in jobs]
 
@@ -541,6 +539,15 @@ def _error_outcome(args: tuple, exc: BaseException) -> tuple:
         Cell(row["scheme"], column, "error", None, f"error: {exc}",
              row["paper"][column]),
     )
+
+
+def _run_cell_alone(args: tuple) -> tuple:
+    """One cell in a worker of its own; the worker's crash is an error cell."""
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(_run_cell_safe, args).result()
+    except BrokenProcessPool as exc:
+        return _error_outcome(args, exc)
 
 
 def _run_cell_safe(args: tuple) -> tuple:

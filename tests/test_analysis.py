@@ -363,6 +363,11 @@ class TestPassivity:
         with pytest.raises(ValidationError):
             default_grid(n_points)
 
+    def test_a_point_count_numpy_refuses_rejected(self):
+        """numpy refuses 1e30 points before it allocates anything."""
+        with pytest.raises(ValidationError, match="frequency grid"):
+            default_grid(10**30)
+
     def test_non_square_rejected(self):
         lin = LinearSystem(a=[[-1.0]], b=[[1.0]], c=[[1.0], [2.0]],
                            d=[[0.0], [0.0]])

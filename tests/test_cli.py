@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from multigrid_ilc.cli import main
-from multigrid_ilc.scenario import dump_resolved, set_parameter
+from multigrid_ilc.scenario import dump_resolved, set_parameter, shipped_scenario
 
 
 def dfd1_scenario(tmp_path):
@@ -135,6 +135,51 @@ def test_passivity_bad_point_count_exit_code(tmp_path, capsys, points):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "at least 1 point" in err
+
+
+def test_passivity_point_count_numpy_refuses_exit_code(tmp_path, capsys):
+    """numpy refuses 1e30 points before it allocates anything."""
+    code = main([
+        "passivity", "--scenario", "two-mg", "--ilc", "1", "--out", str(tmp_path / "out"),
+        "--points", str(10**30),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "validation error: a frequency grid" in err
+    assert "Traceback" not in err
+
+
+def _gfm_freq_droop_zero_slope(doc):
+    doc["ilcs"][0].update(scheme="gfm-freq-droop", gains={"m_p1": 0})
+
+
+# each edit breaks one rule of the shipped two-MG scenario, with what the
+# error names
+MALFORMED = {
+    "zero-droop-slope": (_gfm_freq_droop_zero_slope,
+                         "scenario.ilcs[0]: scheme 'gfm-freq-droop' requires gain m_p1 > 0"),
+    "integer-beyond-float": (lambda doc: doc["mgs"][0].update(M=10**400),
+                             "scenario.mgs[0].M: must be finite"),
+    "filter-constant-overflow": (lambda doc: doc["ilcs"][0].update(physical={"V_ac": 1e300}),
+                                 "V_ac = 1e+300"),
+    "self-loop": (lambda doc: doc["ilcs"][0].update(endpoints=[1, 1]),
+                  "connects MG 1 to itself"),
+    "event-not-an-object": (lambda doc: doc.update(events=[1]), "scenario.events[0]"),
+    "sim-not-an-object": (lambda doc: doc.update(sim=[1]), "scenario.sim"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_scenario_exits_without_traceback(tmp_path, capsys, case):
+    edit, message = MALFORMED[case]
+    doc = shipped_scenario("two-mg")
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["linearize", "--scenario", str(path)]) in (1, 2, 3)
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_non_positive_rating_exit_code(tmp_path, capsys):

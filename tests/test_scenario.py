@@ -309,6 +309,55 @@ def test_ilc_parameter_error_names_the_ilc(section, key, value, message):
     assert str(info.value) == f"scenario.ilcs[1]: {message}"
 
 
+def test_zero_droop_slope_reaches_the_unit_check():
+    """gfm-freq-droop's default K_i1 is 10/m_p1; a zero m_p1 is not divided
+    by but rejected by the unit, at the ILC's path."""
+    with pytest.raises(SchemaViolation) as info:
+        resolve(minimal("gfm-freq-droop", gains={"m_p1": 0}))
+    assert str(info.value) == ("scenario.ilcs[0]: scheme 'gfm-freq-droop' requires "
+                               "gain m_p1 > 0, got 0.0")
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda raw: raw["mgs"][0].update(M=10**400), "scenario.mgs[0].M"),
+    (lambda raw: raw["ilcs"][0].update(physical={"C": 10**400}), "scenario.ilcs[0].physical.C"),
+    (lambda raw: raw["ilcs"][0].update(gains={"m1": 10**400}), "scenario.ilcs[0].gains.m1"),
+    (lambda raw: raw.update(events=[{"time": 10**400, "mg": 1, "delta_p_load": -1.0}]),
+     "scenario.events[0].time"),
+    (lambda raw: raw.update(sim={"t_end": 10**400}), "scenario.sim.t_end"),
+], ids=["mgs", "physical", "gains", "events", "sim"])
+def test_integer_beyond_the_float_range_is_not_finite(edit, path):
+    raw = minimal()
+    edit(raw)
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert str(info.value) == f"{path}: must be finite"
+
+
+@pytest.mark.parametrize("physical, f_nominal, named", [
+    ({"V_ac": 1e300}, 50.0, "V_ac = 1e+300"),
+    ({"L": 1e-320}, 50.0, "L = 1e-320"),
+    ({}, 1e308, "f = 1e+308"),
+])
+def test_filter_constant_error_names_what_was_written(physical, f_nominal, named):
+    raw = minimal()
+    raw["f_nominal"] = f_nominal
+    raw["ilcs"][0]["physical"] = physical
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == "scenario.ilcs[0]"
+    assert "filter power constant" in str(info.value)
+    assert named in str(info.value)
+
+
+def test_sim_settings_reach_the_integrator_options():
+    raw = minimal()
+    raw["sim"] = {"rtol": 1e-6, "atol_scale": 2.0, "max_step": 0.5}
+    options = build_system(resolve(raw)).options
+    assert (options.rtol, options.atol_scale, options.max_step) == (1e-6, 2.0, 0.5)
+    assert build_system(resolve(minimal())).options.max_step == math.inf
+
+
 def test_non_positive_nominal_frequency_rejected():
     raw = minimal()
     raw["f_nominal"] = 0.0

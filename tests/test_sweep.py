@@ -4,6 +4,7 @@ import logging
 import math
 import multiprocessing
 import os
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -334,6 +335,7 @@ class TestHarness:
             _, row, column = args
             if (row["scheme"], column) == crash:
                 os._exit(1)
+            time.sleep(0.2)  # still running or queued when the crash breaks the pool
             return (row["scheme"], column,
                     Cell(row["scheme"], column, "stable-throughout", 0.0, "ok",
                          row["paper"][column]))
@@ -341,9 +343,13 @@ class TestHarness:
         monkeypatch.setattr(sweep, "_run_cell", run_cell)
         monkeypatch.setenv("MULTIGRID_ILC_THREADS", "2")
         table = table3_harness(two_mg_resolved, workers=2, columns=columns, rows=rows)
-        assert table.cell(*crash).status == "error"
-        statuses = [table.cell(r["scheme"], c).status for r in rows for c in columns]
-        assert set(statuses) <= {"error", "stable-throughout"}
+        # the cells the crash took with it run again alone: only the cell
+        # that crashes again is lost
+        for row in rows:
+            for column in columns:
+                status = table.cell(row["scheme"], column).status
+                assert status == ("error" if (row["scheme"], column) == crash
+                                  else "stable-throughout")
 
     def test_pool_is_never_larger_than_the_work(self, two_mg_resolved, monkeypatch):
         sizes = []

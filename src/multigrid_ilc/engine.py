@@ -8,7 +8,8 @@ through their inductive filter (angle state, power B*sin(eta)); the filter
 angles are part of the simulated ILC state.  The system's derivative and
 its exact Jacobian are compiled from one trace of the laws, and the
 Jacobian of any single law, such as one ILC unit's, from a trace of that
-law (see ``_Tape`` and :func:`law_jacobian`).
+law (see ``_Tape`` and :func:`law_jacobian`).  The tape lends the DC-bus
+and filter laws of ``ilc`` their two primitives, sin and the collapse guard.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import (
     StepSizeUnderflow,
     ValidationError,
 )
-from .ilc import (SCHEME, IlcPhysical, IlcUnit, _check_state, _collapse, injected_powers,
-                  sim_law, sim_states, unit_state_names)
+from .ilc import (SCHEME, IlcUnit, _check_state, _collapse, dc_bus, filter_power,
+                  injected_powers, sim_law, sim_states, unit_state_names)
 from .mg import MgModel, default_rating
 from .network import ValidatedNetwork
 
@@ -95,10 +96,11 @@ class EquilibriumPoint:
 # result's partials from its operands' by the sum, product and quotient
 # rules.  A partial is a plain value: a number while only constants enter
 # it, folded as the trace runs, else a line that only the Jacobian runs.
-# The DC-bus law is traced like the rest, its hook adding only the collapse
-# guard; the filter's sin brings its own partial, cos.  A law may apply only
-# + - * / and unary minus to its variables, besides the two laws, and never
-# branch on a variable.
+# Beyond arithmetic the tape has two primitives, on which ilc.dc_bus and
+# ilc.filter_power are written: sin, which brings its own partial, cos, and
+# the DC bus's collapse guard, a line with no partials.  A law may apply only
+# + - * / and unary minus to its variables, besides the DC-bus and filter
+# laws it is given, and never branch on a variable.
 
 
 def _binary(sign: str) -> tuple[Callable, Callable]:
@@ -214,29 +216,16 @@ class _Tape:
         """The sum of two variables' partials."""
         return {**da, **{k: da[k] + d if k in da else d for k, d in db.items()}}
 
-    def dc_bus(self, phys: IlcPhysical) -> Callable:
-        """The DC-bus law dc(p1, p2, vdc) -> dV/dt (V/s), with p1, p2 the
-        powers leaving the two VSCs, and its collapse guard where it runs."""
-        C, V_dc_ref, K_dc = phys.C, phys.V_dc_ref, phys.K_dc
+    def sin(self, x) -> _Traced:
+        """sin(x), with its partial cos(x)."""
+        name = self.operand(x)
+        cos = self.d.assign(f"cos({name})", {})
+        return self.assign(f"sin({name})", self.chain(_grad(x), "*", cos))
 
-        def dc(p1, p2, vdc):
-            v_total = vdc + V_dc_ref
-            self.lines.append(f"if {self.operand(v_total)} <= 0.0: "
-                              f"raise collapse({self.operand(vdc)}, {self.operand(V_dc_ref)})")
-            return (-p1 / v_total - p2 / v_total - K_dc * vdc) / C
-
-        return dc
-
-    def filter_power(self, B: float) -> Callable:
-        """The inductive filter's law: power(eta) -> B*sin(eta) (W), with
-        sin's partial cos(eta)."""
-
-        def power(eta):
-            name = self.operand(eta)
-            cos = self.d.assign(f"cos({name})", {})
-            return B * self.assign(f"sin({name})", self.chain(_grad(eta), "*", cos))
-
-        return power
+    def guard(self, v_total, vdc, vref) -> None:
+        """The DC bus's collapse guard: raise where ``v_total <= 0``."""
+        self.lines.append(f"if {self.operand(v_total)} <= 0.0: "
+                          f"raise collapse({self.operand(vdc)}, {self.operand(vref)})")
 
     def finish(self, outputs: list) -> None:
         """Record the traced law's outputs."""
@@ -313,7 +302,8 @@ def _unit_law_jacobian(unit: IlcUnit) -> Callable:
     law, phys = SCHEME[unit.scheme].law, unit.physical
 
     def traced(tape, y, in1, in2):
-        return law(unit.gains, phys, tape.dc_bus(phys), tape.filter_power(phys.B), y, in1, in2)
+        return law(unit.gains, phys, dc_bus(phys, tape.guard), filter_power(phys.B, tape.sin),
+                   y, in1, in2)
 
     return law_jacobian(f"scheme {unit.scheme!r}", traced, len(unit_state_names(unit)), 2)
 
@@ -387,8 +377,8 @@ class OdeSystem:
         rates = [0.0] * self.dim
         for unit, (lo, hi), (a, b) in zip(self.units, self._ilc_spans, self.net.ends):
             seg_rates, pa, pb = _trace(f"scheme {unit.scheme!r}", sim_law, unit,
-                                       tape.dc_bus(unit.physical),
-                                       tape.filter_power(unit.physical.B), y[lo:hi],
+                                       dc_bus(unit.physical, tape.guard),
+                                       filter_power(unit.physical.B, tape.sin), y[lo:hi],
                                        y[self._mg_spans[a][0]], y[self._mg_spans[b][0]])
             rates[lo:hi] = seg_rates
             p_in[a] += pa
@@ -561,11 +551,6 @@ class Trajectory:
 
     def vdc(self, ilc_index: int) -> np.ndarray:
         return self.y[:, self.ode.column("ilc", ilc_index, "vdc")]
-
-    def connection_power(self, ilc_index: int, side: int) -> np.ndarray:
-        """Power the ILC injects into the side-1 or side-2 MG over time."""
-        lo, hi = self.ode._ilc_spans[ilc_index]
-        return injected_powers(self.ode.units[ilc_index], self.y[:, lo:hi])[side]
 
     def to_csv(self, path, pu_base: float | None = None) -> None:
         """Write `t, mg<i>.omega, ilc<l>.p1, ilc<l>.p2, ilc<l>.vdc, ...` in SI units.

@@ -9,7 +9,9 @@ the two sides are mixed ("partial").  The shared DC bus obeys
 
 with V the DC-voltage deviation and p1, p2 the powers leaving each VSC into
 its grid.  Grid-forming sides transfer power through an inductive filter:
-the angle eta accumulates the frequency mismatch and p = B*sin(eta).
+the angle eta accumulates the frequency mismatch and p = B*sin(eta).  The
+two laws are written once, as :func:`dc_bus` and :func:`filter_power`, plain
+functions of their primitives: the bus's collapse guard and sin.
 
 Scheme tags (scenario-file spelling):
 
@@ -61,6 +63,7 @@ import numpy as np
 from .errors import (
     DcVoltageCollapse,
     NonFiniteInput,
+    SchemaViolation,
     SchemeStateMismatch,
     UnknownScheme,
     ValidationError,
@@ -109,26 +112,36 @@ GAIN_DEFAULTS = {
 }
 
 
-def scheme_gains(scheme: str, given: dict[str, float]) -> dict[str, float]:
+def scheme_gains(scheme: str, given: dict[str, float], path: str) -> dict[str, float]:
     """Every gain of a ``scheme`` unit whose scenario sets the gains
-    ``given``: each gain left out takes its catalogue default, except that
-    K_pdc = K_v1, K_idc = 10*K_pdc and two integral gains are rescaled to
-    keep the equalization bandwidth consistent across schemes.  The
-    shared-regulation dual-frequency-droop integrates the raw frequency
+    ``given`` at ``path``: each gain left out takes its catalogue default,
+    except that K_pdc = K_v1, K_idc = 10*K_pdc and two integral gains are
+    rescaled to keep the equalization bandwidth consistent across schemes.
+    The shared-regulation dual-frequency-droop integrates the raw frequency
     mismatch (its sibling integrates the droop-weighted mismatch), so its
     default K_i is scaled by K_omega1; the grid-forming frequency-droop
     equalizer integrates a frequency difference that re-enters through the
     droop slope m_p, so its K_i1 and K_i2 are scaled by 1/m_p.  A slope
-    that is not positive is left to the unit's own check."""
-    gains = {**GAIN_DEFAULTS, **given}
-    gains.setdefault("K_pdc", gains["K_v1"])
-    gains.setdefault("K_idc", 10.0 * gains["K_pdc"])
-    if scheme == "dual-freq-droop-2" and "K_i" not in given:
-        gains["K_i"] = GAIN_DEFAULTS["K_i"] * gains["K_omega1"]
+    that is not positive is left to the unit's own check; a derived gain
+    that overflows is a :class:`SchemaViolation` at ``path.<key it derives
+    from>``."""
+    gains, source = {**GAIN_DEFAULTS, **given}, {}  # source: derived -> given key
+
+    def derive(key, origin, value):
+        if key not in given:
+            gains[key], source[key] = value, source.get(origin, origin)
+            if not math.isfinite(value):
+                raise SchemaViolation(f"{path}.{source[key]}",
+                                      f"derives {key} = {value!r}, which is not finite")
+
+    derive("K_pdc", "K_v1", gains["K_v1"])
+    derive("K_idc", "K_pdc", 10.0 * gains["K_pdc"])
+    if scheme == "dual-freq-droop-2":
+        derive("K_i", "K_omega1", GAIN_DEFAULTS["K_i"] * gains["K_omega1"])
     if scheme == "gfm-freq-droop":
         for k_i, m_p in (("K_i1", "m_p1"), ("K_i2", "m_p2")):
-            if k_i not in given and gains[m_p] > 0.0:
-                gains[k_i] = GAIN_DEFAULTS[k_i] / gains[m_p]
+            if gains[m_p] > 0.0:
+                derive(k_i, m_p, GAIN_DEFAULTS[k_i] / gains[m_p])
     return gains
 
 
@@ -205,13 +218,32 @@ def _collapse(vdc: float, vref: float) -> DcVoltageCollapse:
     )
 
 
+def dc_bus(phys: IlcPhysical, guard: Callable) -> Callable:
+    """The DC-bus law dc(p1, p2, vdc) -> dV/dt (V/s), p1 and p2 the powers
+    leaving the two VSCs; it calls ``guard(v_total, vdc, V_dc_ref)`` where
+    the bus can collapse."""
+    C, V_dc_ref, K_dc = phys.C, phys.V_dc_ref, phys.K_dc
+
+    def dc(p1, p2, vdc):
+        v_total = vdc + V_dc_ref
+        guard(v_total, vdc, V_dc_ref)
+        return (-p1 / v_total - p2 / v_total - K_dc * vdc) / C
+
+    return dc
+
+
+def filter_power(B: float, sin: Callable) -> Callable:
+    """The inductive filter's law: power(eta) -> B*sin(eta) (W)."""
+    return lambda eta: B * sin(eta)
+
+
 # --- the schemes ---------------------------------------------------------
 # Per scheme: its law (gains, physical, dc, power, y, in1, in2) -> (rates,
 # out1, out2), written on the DC-bus law dc(p1, p2, vdc) and the filter power
-# law power(eta) it is given.  The engine traces it on hooks for the two laws
-# into its compiled derivative and Jacobians, and injected_powers evaluates it
-# on array stubs that give its port powers over a trajectory.  Inputs are the
-# two connection frequencies for GFL/partial units and the two powers
+# law power(eta) it is given, bound to the tape's sin and collapse guard where
+# the engine traces it into its compiled derivative and Jacobians, and to
+# np.sin and no guard where injected_powers evaluates it on arrays.  Inputs
+# are the two connection frequencies for GFL/partial units and the two powers
 # leaving the converter (p1, p2) for GFM units; outputs are those powers for
 # GFL/partial units and the frequency references for GFM units.
 
@@ -410,15 +442,8 @@ def _check_state(unit: IlcUnit, state, inputs=None) -> None:
 def injected_powers(unit: IlcUnit, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p1, p2): the powers the unit injects into its two MGs at each row of
     ``y``, its simulated states over time, from the simulated law evaluated
-    on the columns with array stubs for the DC bus and B*sin(eta)."""
-    B = unit.physical.B
-
-    def dc(p1, p2, vdc):
-        return None
-
-    def power(eta):
-        return B * np.sin(eta)
-
+    on the columns, with ``np.sin`` and no collapse guard."""
+    phys = unit.physical
     with np.errstate(all="ignore"):  # a truncated run may end on a non-finite sample
-        _, p1, p2 = sim_law(unit, dc, power, y.T, 0.0, 0.0)
-    return p1, p2
+        return sim_law(unit, dc_bus(phys, lambda *args: None), filter_power(phys.B, np.sin),
+                       y.T, 0.0, 0.0)[1:]

@@ -8,10 +8,11 @@ per-unit-consistent set used by all shipped scenarios); resolved
 configurations echo every value so they can be re-parsed bit-identically.
 The keys of a resolved ILC block are the fields of its unit, which
 :func:`_ilc_unit` builds as :func:`_mg_model` builds an MG block's model;
-:func:`resolve` builds both, so a parameter the model or unit rejects is
-reported at the block's path.  The gains whose defaults derive from other
-gains are filled in by :func:`multigrid_ilc.ilc.scheme_gains`.  Every
-number of a section is read by :func:`_numbers`.
+:func:`resolve` builds both, and the network (at ``scenario.ilcs``), so what
+a model, unit or network rejects is reported at its path.  The gains whose
+defaults derive from other gains are filled in by
+:func:`multigrid_ilc.ilc.scheme_gains`.  Every number of a section is read
+by :func:`_numbers`; ``sim`` is read first, as events come before ``t_end``.
 """
 
 from __future__ import annotations
@@ -175,9 +176,6 @@ def resolve(raw: dict) -> dict:
             and all(isinstance(e, int) and not isinstance(e, bool) for e in endpoints),
             f"{path}.endpoints", "expected a pair of 1-based MG indices",
         )
-        for e in endpoints:
-            _require(1 <= e <= len(out_mgs), f"{path}.endpoints",
-                     f"MG index {e} out of range 1..{len(out_mgs)}")
         _check_keys(block.get("physical", {}), _PHYS_KEYS, f"{path}.physical")
         _check_keys(block.get("gains", {}), _GAIN_KEYS, f"{path}.gains")
         phys_in = {**default_phys, **block.get("physical", {})}
@@ -189,7 +187,7 @@ def resolve(raw: dict) -> dict:
             "physical": {**PHYSICAL_DEFAULTS,
                          **_numbers(phys_in, dict.fromkeys(phys_in), f"{path}.physical")},
             "gains": scheme_gains(scheme, _numbers(gains_in, dict.fromkeys(gains_in),
-                                                   f"{path}.gains")),
+                                                   f"{path}.gains"), f"{path}.gains"),
         }
         phys = resolved["physical"]
         try:
@@ -200,6 +198,19 @@ def resolve(raw: dict) -> dict:
             raise SchemaViolation(path, str(exc)) from exc
         out_ilcs.append(resolved)
     out["ilcs"] = out_ilcs
+    try:
+        _network(out)
+    except ValidationError as exc:
+        raise SchemaViolation("scenario.ilcs", str(exc)) from exc
+
+    sim_in = raw.get("sim", {})
+    _check_keys(sim_in, _SIM, "scenario.sim")
+    out["sim"] = _numbers(sim_in, {key: default for key, (default, _) in _SIM.items()
+                                   if default is not None or key in sim_in}, "scenario.sim")
+    for key, value in out["sim"].items():
+        zero_ok = _SIM[key][1]
+        _require(value >= 0.0 if zero_ok else value > 0.0, f"scenario.sim.{key}",
+                 "must be non-negative" if zero_ok else "must be strictly positive")
 
     events_in = raw.get("events", [])
     _require(isinstance(events_in, list), "scenario.events", "expected a list")
@@ -210,6 +221,8 @@ def resolve(raw: dict) -> dict:
         _check_keys(ev, {"time", "mg", "delta_p_load"}, path)
         event = _numbers(ev, {"time": None, "delta_p_load": None}, path)
         _require(event["time"] >= last_time, f"{path}.time", "events must be sorted by time")
+        _require(event["time"] < out["sim"]["t_end"], f"{path}.time",
+                 f"must come before sim.t_end = {out['sim']['t_end']!r}")
         last_time = event["time"]
         mg = ev.get("mg")
         _require(isinstance(mg, int) and not isinstance(mg, bool)
@@ -217,15 +230,6 @@ def resolve(raw: dict) -> dict:
                  f"expected a 1-based MG index, got {mg!r}")
         out_events.append({**event, "mg": mg})
     out["events"] = out_events
-
-    sim_in = raw.get("sim", {})
-    _check_keys(sim_in, _SIM, "scenario.sim")
-    out["sim"] = _numbers(sim_in, {key: default for key, (default, _) in _SIM.items()
-                                   if default is not None or key in sim_in}, "scenario.sim")
-    for key, value in out["sim"].items():
-        zero_ok = _SIM[key][1]
-        _require(value >= 0.0 if zero_ok else value > 0.0, f"scenario.sim.{key}",
-                 "must be non-negative" if zero_ok else "must be strictly positive")
     return out
 
 
@@ -273,12 +277,17 @@ def _ilc_unit(block: dict) -> IlcUnit:
                    name=block["name"])
 
 
+def _network(resolved: dict) -> ValidatedNetwork:
+    """The network of a resolved scenario's MG and ILC blocks."""
+    return ValidatedNetwork(len(resolved["mgs"]), tuple(tuple(e - 1 for e in block["endpoints"])
+                                                         for block in resolved["ilcs"]))
+
+
 def build_system(resolved: dict) -> SystemBundle:
     """Construct the validated network, models, units, and assembled ODE."""
     models = [_mg_model(block) for block in resolved["mgs"]]
     units = [_ilc_unit(block) for block in resolved["ilcs"]]
-    net = ValidatedNetwork(len(models), tuple(tuple(e - 1 for e in block["endpoints"])
-                                              for block in resolved["ilcs"]))
+    net = _network(resolved)
     ode = OdeSystem(net, models, units)
     events = tuple(
         LoadEvent(time=ev["time"], mg=ev["mg"] - 1, delta_p_load=ev["delta_p_load"])

@@ -270,7 +270,7 @@ def mg_derivative(
 def connection_powers(ode, y) -> list[tuple[float, float]]:
     """Per-ILC (p1, p2) at the state ``y`` of an ``OdeSystem``: the powers
     injected into the two connected MGs, from each unit's scalar simulated
-    law (the reference for ``Trajectory.connection_power``)."""
+    law (the reference for ``ilc.injected_powers``)."""
     out = []
     for l, unit in enumerate(ode.units):
         names = sim_state_names(unit)

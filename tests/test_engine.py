@@ -25,7 +25,7 @@ from multigrid_ilc.errors import (
     PortMismatch,
     ValidationError,
 )
-from multigrid_ilc.ilc import SCHEMES, Gains, IlcPhysical, IlcUnit
+from multigrid_ilc.ilc import SCHEMES, Gains, IlcPhysical, IlcUnit, injected_powers
 from multigrid_ilc.mg import SwingGovernor
 from multigrid_ilc.network import ValidatedNetwork
 from multigrid_ilc.scenario import build_system, resolve, set_parameter, shipped_scenario
@@ -336,16 +336,17 @@ def test_trajectory_csv_round_trip(tmp_path, two_mg_resolved):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_connection_power_follows_the_scalar_law(scheme, scheme_scenario):
-    """Trajectory.connection_power, the law evaluated on whole columns,
-    against the scalar simulated law at every sample of a load-step run."""
+    """injected_powers, the law evaluated on whole columns, against the
+    scalar simulated law at every sample of a load-step run."""
     bundle = build_system(scheme_scenario(scheme))
     traj = integrate(bundle.ode, [0.0] * bundle.ode.dim, bundle.events, (0.0, 10.0),
                      bundle.options)
     reference = np.array([connection_powers(bundle.ode, y)[0] for y in traj.y.tolist()])
     assert np.max(np.abs(reference)) > 0.0
+    lo, hi = bundle.ode._ilc_spans[0]
     for side in (0, 1):
-        np.testing.assert_allclose(traj.connection_power(0, side), reference[:, side],
-                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(injected_powers(bundle.units[0], traj.y[:, lo:hi])[side],
+                                   reference[:, side], rtol=1e-14, atol=0.0)
 
 
 def test_dc_energy_bookkeeping(two_mg_resolved):

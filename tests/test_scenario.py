@@ -409,3 +409,52 @@ def test_built_unit_fields_are_its_block_values(name, scheme, scheme_scenario):
         physical = asdict(unit.physical)
         assert physical == {key: block["physical"][key] for key in physical}
         assert set(block["physical"]) - set(physical) == {"L", "V_ac"}
+
+
+@pytest.mark.parametrize("scheme, key, value", [
+    ("dual-freq-droop-2", "K_omega1", 1e308),  # K_i = 10*K_omega1
+    ("dual-freq-droop-1", "K_v1", 1e308),  # K_idc = 10*K_pdc = 10*K_v1
+    ("gfm-freq-droop", "m_p1", 1e-320),  # K_i1 = 10/m_p1
+])
+def test_overflowing_derived_gain_is_reported_under_the_key_written(scheme, key, value):
+    raw = shipped_scenario("two-mg")
+    raw["ilcs"][0].update(scheme=scheme, gains={key: value})
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == f"scenario.ilcs[0].gains.{key}"
+    assert "inf" in str(info.value)
+
+
+def _three_mg_first_ilc():
+    raw = shipped_scenario("three-mg")
+    raw["ilcs"] = raw["ilcs"][:1]
+    return raw
+
+
+def _two_mg_edited(**block):
+    raw = shipped_scenario("two-mg")
+    raw["ilcs"][0].update(block)
+    return raw
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_two_mg_edited(endpoints=[1, 1]), "ILC 1 connects MG 1 to itself"),
+    (_three_mg_first_ilc(), "MGs [3] are not reachable from MG 1"),
+    (_two_mg_edited(endpoints=[1, 3]), "ILC 1 references MG 3"),
+], ids=["self-loop", "unreachable-mg", "dangling-endpoint"])
+def test_resolve_rejects_an_invalid_network(raw, message):
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == "scenario.ilcs"
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("time", [60.0, 100.0])
+def test_event_at_or_after_t_end_rejected(time):
+    """An event the run would never reach is an error, not a silent no-op."""
+    raw = shipped_scenario("two-mg")
+    raw["events"].append({"time": time, "mg": 2, "delta_p_load": 1e6})
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == f"scenario.events[{len(raw['events']) - 1}].time"
+    assert "t_end = 60.0" in str(info.value)

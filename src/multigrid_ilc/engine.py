@@ -24,11 +24,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    AngleOutOfRange,
     DcVoltageCollapse,
     NewtonDivergence,
     PortMismatch,
-    StepSizeUnderflow,
     ValidationError,
 )
 from .ilc import (SCHEME, IlcUnit, _check_state, _collapse, dc_bus, filter_power,
@@ -40,19 +38,17 @@ class Kind(NamedTuple):
     """What a state's kind sets (see :data:`KINDS`): its scale, 1 (rad,
     rad/s) or its owner's ``"dc"`` or ``"power"`` scale (:func:`kind_scales`);
     its absolute tolerance; and its divergence guard, a magnitude in scales
-    (None: unguarded) beyond which :func:`integrate` truncates the run, or at
-    which it raises :class:`AngleOutOfRange` if the guard ``aborts``."""
+    (None: unguarded) beyond which :func:`integrate` truncates the run."""
 
     scale: str
     atol: float
     bound: float | None = None
-    aborts: bool = False
 
 
 # every kind declared by ilc.Scheme.states, ilc.sim_states and the MG models
 KINDS = {
     "frequency": Kind("one", 1e-9, 5.0),  # of an MG: 5 rad/s
-    "filter-angle": Kind("one", 1e-9, math.pi / 2, aborts=True),
+    "filter-angle": Kind("one", 1e-9, math.pi / 2),  # loss of synchronism
     "angle": Kind("one", 1e-9),
     "dc-voltage": Kind("dc", 1e-6, 20.0),  # 0.2 V_dc_ref
     "dc-integral": Kind("dc", 1e-6),
@@ -537,10 +533,13 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray
     ode: OdeSystem
-    truncated: bool = False
     truncation_reason: str | None = None
     stats: IntegrationStats | None = None
     envelope: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason is not None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -552,10 +551,9 @@ class Trajectory:
     def vdc(self, ilc_index: int) -> np.ndarray:
         return self.y[:, self.ode.column("ilc", ilc_index, "vdc")]
 
-    def to_csv(self, path, pu_base: float | None = None) -> None:
-        """Write `t, mg<i>.omega, ilc<l>.p1, ilc<l>.p2, ilc<l>.vdc, ...` in SI units.
-
-        With ``pu_base`` (rad/s), per-unit frequency columns are appended.
+    def to_csv(self, path, pu_base: float) -> None:
+        """Write `t, mg<i>.omega, ilc<l>.p1, ilc<l>.p2, ilc<l>.vdc, ...` in SI
+        units, then `mg<i>.omega_pu`, each frequency per ``pu_base`` (rad/s).
         """
         n_mgs = self.ode.net.n_mgs
         n_ilcs = self.ode.net.n_ilcs
@@ -568,10 +566,9 @@ class Trajectory:
             header += [f"ilc{l + 1}.p1", f"ilc{l + 1}.p2", f"ilc{l + 1}.vdc"]
             lo, hi = self.ode._ilc_spans[l]
             cols += [*injected_powers(self.ode.units[l], self.y[:, lo:hi]), self.vdc(l)]
-        if pu_base is not None:
-            for j in range(n_mgs):
-                header.append(f"mg{j + 1}.omega_pu")
-                cols.append(self.omega(j) / pu_base)
+        for j in range(n_mgs):
+            header.append(f"mg{j + 1}.omega_pu")
+            cols.append(self.omega(j) / pu_base)
         write_csv(path, header, cols)
 
 
@@ -875,16 +872,19 @@ def integrate(
     where it left off and pauses the stiffness test for ten times the
     overspend, counted in DP45 steps; otherwise it stays on Rodas4 for the
     rest of the call.
-    Divergence (any MG frequency or ILC DC voltage beyond its bound, a
-    non-finite state or a DC-bus collapse) truncates the trajectory and sets
-    the flag; a filter angle reaching |eta| >= pi/2 aborts with
-    :class:`AngleOutOfRange`.  The loop screens every step endpoint, all a
-    DP45 step is screened on; after it, each Rodas4 step is screened on the
-    closed-form extrema of its cubic Hermite interpolant, and the first step
-    that fails ends the trajectory.  Then ``opts.dense`` (the default)
-    inserts samples of that cubic inside each kept Rodas4 step, dense enough
-    that linear interpolation between them stays within the step's
-    tolerance; without it, :attr:`Trajectory.envelope` holds the extrema.
+    A run ends early only by truncation, with the reason in
+    :attr:`Trajectory.truncation_reason`: a state beyond its kind's bound
+    (an MG frequency, an ILC DC voltage, or a filter angle past pi/2, the
+    loss of synchronism), a non-finite state, or a step size below
+    1e-14 * max(1, |t|).  The start state is screened like every step
+    endpoint, all a DP45 step is screened on; after the loop, each Rodas4
+    step is screened on the closed-form extrema of its cubic Hermite
+    interpolant, and the first step that fails ends the trajectory.  Then
+    ``opts.dense`` (the default) inserts samples of that cubic inside each
+    kept Rodas4 step, dense enough that linear interpolation between them
+    stays within the step's tolerance; without it,
+    :attr:`Trajectory.envelope` holds the extrema.
+    Raises only :class:`ValidationError`, for bad input.
     """
     opts = opts or IntegrateOptions()
     t0, t_end = map(float, t_span)
@@ -916,14 +916,12 @@ def integrate(
     # from the models, not ode.base_loads: duck-typed systems carry only models
     loads = [m.p_load for m in ode.models]
 
-    # the divergence guards of the states' kinds, each (index, limit, label):
-    # bounds that truncate the run and bounds that abort it
-    bound_checks, abort_checks = [], []
+    # the divergence guards of the states' kinds, each (index, limit, label)
+    bound_checks = []
     for idx, (kind, scale) in enumerate(zip(ode.state_kinds, scales)):
         guard = KINDS[kind]
         if guard.bound is not None:
-            (abort_checks if guard.aborts else bound_checks).append(
-                (idx, float(guard.bound * scale), ode.state_names[idx]))
+            bound_checks.append((idx, float(guard.bound * scale), ode.state_names[idx]))
 
     # the step endpoints, appended to flat buffers of floats, and of each
     # Rodas4 step its size and its end rates
@@ -932,15 +930,11 @@ def integrate(
     ys = array("d", y)
     stiff_h = array("d")
     stiff_rates = array("d")
-    reason: str | None = None
 
     def violation(y, t, t_next=None) -> str | None:
         """Why ``y`` ends the trajectory, or None: ``y`` is the state at ``t``
         or, given ``t_next``, the largest magnitude of each state over the
-        step from ``t`` to ``t_next``.  A filter angle at its bound raises."""
-        for idx, limit, label in abort_checks:
-            if abs(y[idx]) >= limit:
-                raise AngleOutOfRange(f"{label} = {y[idx]:.4f} rad {_when(t, t_next)}")
+        step from ``t`` to ``t_next``."""
         for idx, limit, label in bound_checks:
             if abs(y[idx]) > limit:
                 return f"{label} exceeded {limit:g} {_when(t, t_next)}"
@@ -962,6 +956,7 @@ def integrate(
     switch: _Switch | None = None  # set while Rodas4 is on trial
     t = t0
     applied = 0  # events[:applied] have stepped the loads
+    reason = violation(y, t)
     while reason is None and t < t_end:
         # a segment applies the events due by its start and runs at constant
         # loads to the next event time below t_end, or to t_end
@@ -976,17 +971,15 @@ def integrate(
             stiff_from = switch = None
             streak = calm = 0
 
-        try:
-            h, k1 = _initial_step(f, t, y, scales, opts.max_step)
-        except DcVoltageCollapse:
-            # the DC bus cannot collapse at an in-bounds accepted state;
-            # only proceed if even the smallest step fails
-            raise StepSizeUnderflow(f"DC bus collapse at segment start t = {t:g} s")
+        # an in-bounds state cannot collapse its DC bus: the bound is
+        # 0.2 V_dc_ref, a collapse -V_dc_ref
+        h, k1 = _initial_step(f, t, y, scales, opts.max_step)
         jac = None
         while t < boundary:
             h = min(h, boundary - t, opts.max_step)
             if h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflow(f"step size {h:g} at t = {t:g} s")
+                reason = f"step size {h:g} at t = {t:g} s"
+                break
             stiff = stiff_from is not None
             try:
                 if not stiff:
@@ -1092,7 +1085,6 @@ def integrate(
         t=t_out,
         y=y_out,
         ode=ode,
-        truncated=reason is not None,
         truncation_reason=reason,
         stats=IntegrationStats(accepted, rejected, rhs_calls, jacobian_calls, stiff_from,
                                rollbacks),

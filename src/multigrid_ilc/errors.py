@@ -57,16 +57,8 @@ class DcVoltageCollapse(NumericalError):
     """The DC-bus voltage dropped to or below zero."""
 
 
-class AngleOutOfRange(NumericalError):
-    """A filter angle left (-pi/2, pi/2), where power transfer is monotone."""
-
-
 class NewtonDivergence(NumericalError):
     """Newton iteration failed to reach the residual tolerance."""
-
-
-class StepSizeUnderflow(NumericalError):
-    """The adaptive integrator step size collapsed below machine resolution."""
 
 
 class SingularResolvent(NumericalError):

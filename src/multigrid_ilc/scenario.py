@@ -176,9 +176,12 @@ def resolve(raw: dict) -> dict:
             and all(isinstance(e, int) and not isinstance(e, bool) for e in endpoints),
             f"{path}.endpoints", "expected a pair of 1-based MG indices",
         )
-        _check_keys(block.get("physical", {}), _PHYS_KEYS, f"{path}.physical")
+        own_phys = block.get("physical", {})
+        _check_keys(own_phys, _PHYS_KEYS, f"{path}.physical")
         _check_keys(block.get("gains", {}), _GAIN_KEYS, f"{path}.gains")
-        phys_in = {**default_phys, **block.get("physical", {})}
+        phys_in = {**default_phys, **own_phys}
+        if "B" not in own_phys and own_phys.keys() & {"L", "V_ac"}:
+            phys_in.pop("B", None)  # the block's own L or V_ac re-derive B
         gains_in = {**default_gains, **block.get("gains", {})}
         resolved = {
             "name": _check_name(block, f"ILC{l + 1}", f"{path}.name"),
@@ -220,6 +223,7 @@ def resolve(raw: dict) -> dict:
         path = f"scenario.events[{k}]"
         _check_keys(ev, {"time", "mg", "delta_p_load"}, path)
         event = _numbers(ev, {"time": None, "delta_p_load": None}, path)
+        _require(event["time"] >= 0.0, f"{path}.time", "must not be negative")
         _require(event["time"] >= last_time, f"{path}.time", "events must be sorted by time")
         _require(event["time"] < out["sim"]["t_end"], f"{path}.time",
                  f"must come before sim.t_end = {out['sim']['t_end']!r}")

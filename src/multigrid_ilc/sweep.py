@@ -66,8 +66,8 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Classification:
     """A verdict with its evidence.  ``sim_stats`` and ``sim_seconds``
-    describe the disturbance simulation when one ran (``sim_stats`` stays
-    None when it aborted)."""
+    describe the disturbance simulation, set whenever one ran (a run cut
+    short by a guard included)."""
 
     verdict: str
     abscissa: float | None
@@ -170,11 +170,7 @@ def classify_stability(resolved: dict) -> Classification:
     opts = IntegrateOptions(rtol=1e-6, atol_scale=10.0, max_step=horizon / 30.0,
                             dense=False)
     start = perf_counter()
-    try:
-        traj = integrate(ode, eq0.x, events, (0.0, t_event + horizon), opts)
-    except NumericalError as exc:
-        return Classification(INDETERMINATE, absc, f"simulation aborted: {exc}",
-                              sim_seconds=perf_counter() - start)
+    traj = integrate(ode, eq0.x, events, (0.0, t_event + horizon), opts)
     sim = {"sim_stats": traj.stats, "sim_seconds": perf_counter() - start}
     if traj.truncated:
         return Classification(

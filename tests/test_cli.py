@@ -110,6 +110,23 @@ def test_simulate_reports_a_truncated_run(tmp_path, capsys, scheme_scenario):
     assert (out / "two-mg-trajectory.csv").exists()
 
 
+def test_simulate_writes_a_run_that_loses_synchronism(tmp_path, capsys):
+    """A filter too weak for a 2e7 W load step lets ilc1.eta pass pi/2:
+    simulate writes the trajectory up to that step and exits 0."""
+    doc = shipped_scenario("two-mg")
+    doc["ilcs"][0]["physical"] = {"B": 1e5}
+    doc["events"][0]["delta_p_load"] = -2e7
+    path = tmp_path / "weak-filter.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    status, reason = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"truncated: \d+ samples to t = 4\.61\d* s -> .*", status)
+    assert reason == "truncation: ilc1.eta exceeded 1.5708 at t = 4.6131 s"
+    rows = (out / "two-mg-trajectory.csv").read_text().splitlines()
+    assert len(rows) - 1 == int(status.split()[1])
+
+
 def test_passivity_verdict_line(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
@@ -414,6 +431,17 @@ def test_boolean_event_mg_exit_code(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path), "--out", str(out),
                  "--dump-config"]) == 2
     assert "scenario.events[0].mg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_event_time_exit_code(tmp_path, capsys):
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["events"][0]["time"] = -5.0
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "scenario.events[0].time: must not be negative" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from multigrid_ilc import engine
 from multigrid_ilc.analysis import linearize_closed_loop, spectral_abscissa
 from multigrid_ilc.engine import (
     IntegrateOptions,
+    IntegrationStats,
     LoadEvent,
     OdeSystem,
     _hermite_extrema,
@@ -20,7 +21,6 @@ from multigrid_ilc.engine import (
     integrate,
 )
 from multigrid_ilc.errors import (
-    AngleOutOfRange,
     NewtonDivergence,
     PortMismatch,
     ValidationError,
@@ -107,7 +107,7 @@ def test_infeasible_transfer_raises():
     ode = OdeSystem(two_mg_net(), droop_models(),
                     [IlcUnit("dual-droop-matching", IlcPhysical(B=1e5),
                              Gains(m1=1e-3, K_v2=2.5e4, K_omega2=2.5e7, K_i2=10.0))])
-    with pytest.raises((NewtonDivergence, AngleOutOfRange)):
+    with pytest.raises(NewtonDivergence):
         find_equilibrium(ode, loads=[-1e6, 0.0])
 
 
@@ -275,6 +275,39 @@ def test_divergence_truncates_with_flag():
     traj = integrate(ode, [0.0] * ode.dim, events, (0.0, 120.0))
     assert traj.truncated
     assert traj.truncation_reason
+
+
+def test_a_step_size_underflow_truncates_the_run(two_mg_resolved, monkeypatch):
+    """A derivative that is NaN past t = 0.5 s rejects every step that
+    reaches beyond it, until the step size drops below 1e-14 * max(1, |t|):
+    the run ends there, truncated, with its stats."""
+    ode = build_system(two_mg_resolved).ode
+    derivative = ode.derivative
+
+    def nan_past_half(t, y, loads=None):
+        rates = derivative(t, y, loads)
+        return [math.nan] * len(rates) if t > 0.5 else rates
+
+    monkeypatch.setattr(ode, "derivative", nan_past_half)
+    traj = integrate(ode, [0.0] * ode.dim, (), (0.0, 1.0))
+    assert traj.truncated
+    assert traj.truncation_reason == "step size 5.36576e-15 at t = 0.5 s"
+    assert 0.5 - 1e-14 < traj.t[-1] <= 0.5
+    assert np.all(np.isfinite(traj.y))
+    assert (traj.stats.accepted, traj.stats.rejected) == (47, 58)
+
+
+def test_an_out_of_bounds_start_state_truncates_at_once(two_mg_resolved):
+    """The start state is screened like every step endpoint: a DC bus
+    2 V_dc_ref below nominal, where the bus has collapsed, ends the run at
+    t = 0 with one sample and no step."""
+    ode = build_system(two_mg_resolved).ode
+    x0 = [0.0] * ode.dim
+    x0[ode.column("ilc", 0, "vdc")] = -2e4
+    traj = integrate(ode, x0, (), (0.0, 1.0))
+    assert traj.truncation_reason == "ilc1.vdc exceeded 2000 at t = 0.0000 s"
+    assert traj.t.tolist() == [0.0] and traj.y.tolist() == [x0]
+    assert traj.stats == IntegrationStats(0, 0, 0, 0, None, 0)
 
 
 def test_post_event_convergence_window(two_mg_resolved):

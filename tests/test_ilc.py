@@ -11,7 +11,6 @@ from multigrid_ilc.errors import (
     ValidationError,
 )
 from multigrid_ilc.ilc import (
-    SCHEME,
     Gains,
     IlcPhysical,
     IlcUnit,

@@ -1,4 +1,5 @@
-"""Import hygiene: every name a package module imports is used there.
+"""Import hygiene: every name a package module or a test file imports is
+used there.
 
 No linter runs on this tree, so a deletion that leaves an import behind is
 caught here.  A name listed only in ``__all__`` counts as unused: no
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multigrid_ilc"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "multigrid_ilc"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,8 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_file_uses_every_import(name):
+    assert unused_imports((TESTS / name).read_text(encoding="utf-8")) == []

@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import pytest
 
 from multigrid_ilc.errors import SchemaViolation, UnknownScheme, ValidationError
-from multigrid_ilc.ilc import SCHEME, SCHEMES, Gains, IlcPhysical
+from multigrid_ilc.ilc import SCHEME, SCHEMES, Gains, IlcPhysical, filter_susceptance_power
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, default_rating
 from multigrid_ilc.scenario import (
     _GAIN_KEYS,
@@ -458,3 +458,37 @@ def test_event_at_or_after_t_end_rejected(time):
         resolve(raw)
     assert info.value.path == f"scenario.events[{len(raw['events']) - 1}].time"
     assert "t_end = 60.0" in str(info.value)
+
+
+def test_negative_event_time_rejected():
+    """A run starts at t = 0, so an event before it would be applied at
+    t = 0 as if it came then; an event at t = 0 itself is kept."""
+    raw = shipped_scenario("two-mg")
+    raw["events"][0]["time"] = -5
+    with pytest.raises(SchemaViolation) as info:
+        resolve(raw)
+    assert info.value.path == "scenario.events[0].time"
+    assert "must not be negative" in str(info.value)
+    raw["events"][0]["time"] = 0.0
+    assert resolve(raw)["events"][0]["time"] == 0.0
+
+
+@pytest.mark.parametrize("key, value", [("L", 5e-3), ("V_ac", 4e3)])
+def test_own_filter_parameter_rederives_an_inherited_filter_constant(key, value):
+    """An ILC block's own L or V_ac re-derive a B inherited from defaults, as
+    set_parameter does; a B set in the same block is kept, and both dumps
+    re-resolve to themselves."""
+    raw = shipped_scenario("two-mg")
+    raw["defaults"] = {"physical": {"B": 1e7}}
+    raw["ilcs"][0]["physical"] = {key: value}
+    resolved = resolve(raw)
+    phys = resolved["ilcs"][0]["physical"]
+    assert phys[key] == value
+    assert phys["B"] == filter_susceptance_power(phys["V_ac"], phys["L"], 50.0) != 1e7
+    inherited = dict(raw, ilcs=[{**raw["ilcs"][0], "physical": {}}])
+    assert resolved == set_parameter(resolve(inherited), f"ilc.{key}", value)
+    raw["ilcs"][0]["physical"]["B"] = 2e7
+    kept = resolve(raw)
+    assert kept["ilcs"][0]["physical"]["B"] == 2e7
+    for again in (resolved, kept):
+        assert resolve(json.loads(dump_resolved(again))) == again

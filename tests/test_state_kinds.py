@@ -9,7 +9,6 @@ import pytest
 
 from multigrid_ilc import ilc
 from multigrid_ilc.engine import KINDS, OdeSystem, integrate
-from multigrid_ilc.errors import AngleOutOfRange
 from multigrid_ilc.ilc import GFL, GFM, PARTIAL, SCHEME, Gains, IlcPhysical, IlcUnit, Scheme
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 from multigrid_ilc.network import ValidatedNetwork
@@ -95,10 +94,13 @@ def test_a_dc_bus_of_any_name_truncates_at_its_bound(monkeypatch):
     assert abs(v_bus[-1]) > limit >= max(abs(v_bus[:-1]))
 
 
-def test_a_filter_angle_of_any_name_aborts_at_its_bound(monkeypatch):
+def test_a_filter_angle_of_any_name_truncates_at_its_bound(monkeypatch):
     states = dict(delta="filter-angle", p2="power", v_bus="dc-voltage")
     monkeypatch.setitem(SCHEME, "toy-angle", Scheme(PARTIAL, states, (), _runaway_angle_rhs))
     ode = two_mg_ode(IlcUnit("toy-angle"))
-    with pytest.raises(AngleOutOfRange, match=r"^ilc1\.delta = "):
-        integrate(ode, [0.0] * ode.dim, (), (0.0, 1.0))
-    assert KINDS["filter-angle"].bound == math.pi / 2
+    traj = integrate(ode, [0.0] * ode.dim, (), (0.0, 1.0))
+    limit = math.pi / 2
+    assert KINDS["filter-angle"].bound == limit
+    assert traj.truncation_reason.startswith(f"ilc1.delta exceeded {limit:g} ")
+    delta = traj.y[:, ode.column("ilc", 0, "delta")]
+    assert abs(delta[-1]) > limit >= max(abs(delta[:-1]))

@@ -528,6 +528,19 @@ def test_classification_carries_its_simulation(scheme_scenario, trajectories):
     assert cls.sim_seconds > 0.0
 
 
+def test_a_loss_of_synchronism_is_a_diverged_simulation(two_mg_resolved, trajectories):
+    """A filter too weak for the disturbance (B = 1e5 W) lets ilc1.eta pass
+    pi/2 inside a Rodas4 step: the probe reads indeterminate, names that
+    step, and carries its simulation's stats."""
+    cls = classify_stability(set_parameter(two_mg_resolved, "ilc.B", 1e5))
+    (traj,) = trajectories
+    assert cls.verdict == INDETERMINATE
+    assert cls.cause == ("simulation diverged: ilc1.eta exceeded 1.5708 "
+                         "between t = 17.7110 and 17.9091 s")
+    assert cls.sim_stats == traj.stats and cls.sim_stats.stiff_from is not None
+    assert cls.sim_seconds > 0.0
+
+
 def test_sweep_computes_no_hermite_samples(two_mg_resolved, trajectories, monkeypatch):
     """The classifier reads step endpoints and step envelopes only: a cell
     whose confirming simulations run on Rodas4 never samples the cubic."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .engine import find_equilibrium, integrate
-from .errors import MultigridError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .scenario import build_system, dump_resolved, load_resolved, shipped_scenario_names
 from .svg import Series, write_svg
 from .sweep import SweepRequest, bisect_boundary, table3_harness
@@ -243,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except MultigridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -527,7 +527,8 @@ class Trajectory:
 
     ``envelope``, set only by a call without dense output, is the pair
     (lo, hi) of arrays with one row per step, from ``t[k]`` to ``t[k + 1]``:
-    the per-component minimum and maximum of the state over that step.
+    on a Rodas4 step the per-component minimum and maximum of its cubic
+    Hermite interpolant, on a DP45 step only those of its two endpoints.
     """
 
     t: np.ndarray
@@ -574,16 +575,23 @@ class Trajectory:
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write ``header`` and then one row per index of the equal-length
-    ``columns`` (2-D ones add their columns), each value as its ``repr``.
-    The rows are formatted per block of ``_BLOCK`` rows of one stacked array,
-    one C-level %-format per block."""
-    table = np.column_stack(columns)
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    ``columns`` (2-D ones add their columns), each value as its ``repr``;
+    ragged columns raise ValueError before the file is opened."""
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(table), _BLOCK):
-            block = table[start : start + _BLOCK]
-            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+        handle.writelines(format_blocks(",".join(["%r"] * width) + "\n", "", columns, _BLOCK))
+
+
+def format_blocks(template: str, sep: str, columns, block: int):
+    """Yield the rows of the equal-length ``columns`` (2-D ones add their
+    columns) ``block`` rows at a time, one stacked block and one C-level %:
+    each row is ``template`` formatted with its values, joined by ``sep``."""
+    for start in range(0, len(columns[0]), block):
+        rows = np.column_stack([c[start : start + block] for c in columns])
+        yield sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 # Dormand-Prince 5(4) coefficients

@@ -7,12 +7,14 @@ identical files.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .engine import format_blocks
 from .errors import EmptySeries
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -112,7 +114,7 @@ def render_line_chart(
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:g}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
+            f'font-family="sans-serif" font-size="16">{html.escape(title, quote=False)}</text>'
         )
     # axes frame
     parts.append(
@@ -145,12 +147,13 @@ def render_line_chart(
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:g}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">{html.escape(x_label, quote=False)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:g}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">'
+        f'{html.escape(y_label, quote=False)}</text>'
     )
     for i, (x, y) in enumerate(data):
         color = PALETTE[i % len(PALETTE)]
@@ -170,26 +173,16 @@ def render_line_chart(
         )
         parts.append(
             f'<text x="{legend_x + 28}" y="{y}" font-family="sans-serif" '
-            f'font-size="12">{_escape(s.label)}</text>'
+            f'font-size="12">{html.escape(s.label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def _points(x: np.ndarray, y: np.ndarray) -> str:
-    """The pairs ``x,y`` as :func:`_fmt` writes them, one C-level %-format per
-    block: every coordinate is at least a margin, so none is -0."""
-    blocks = []
-    for start in range(0, len(x), _BLOCK):
-        xy = np.column_stack((x[start : start + _BLOCK], y[start : start + _BLOCK]))
-        blocks.append(" ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist()))
-    return " ".join(blocks)
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    """The pairs ``x,y`` as :func:`_fmt` writes them, ``_BLOCK`` points per
+    C-level %-format: every coordinate is at least a margin, so none is -0."""
+    return " ".join(format_blocks("%.6g,%.6g", " ", (x, y), _BLOCK))
 
 
 def write_svg(path, series: Sequence[Series], x_label: str, y_label: str,

@@ -186,8 +186,8 @@ def classify_stability(resolved: dict) -> Classification:
     # scaled deviation from the post-step equilibrium: the peak from the step
     # endpoints in the first third of the window (it can only under-read),
     # the tail from the envelope of every step that reaches into the last
-    # third (it can only over-read), so no verdict is easier than exact
-    # maxima would make it
+    # third: a Rodas4 step's Hermite-cubic extrema, but only a DP45 step's
+    # endpoints, which can under-read between them as the peak does
     t, scales, (lo, hi) = traj.t, ode.state_scales, traj.envelope
     early = (t >= t_event) & (t <= t_event + horizon / 3.0)
     peak = float(np.max(np.abs(traj.y[early] - eq1.x) / scales))

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from multigrid_ilc import errors
 from multigrid_ilc.cli import main
 from multigrid_ilc.scenario import dump_resolved, set_parameter, shipped_scenario
 
@@ -58,6 +59,17 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         "--direction", "min-stable", "--tol", "0.01",
     ])
     assert code == 3
+
+
+def test_every_package_error_maps_to_exit_2_or_3():
+    """``main`` maps ValidationError to exit 2 and NumericalError to 3; every
+    error class of the package derives from one of the two."""
+    families = (errors.ValidationError, errors.NumericalError)
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.MultigridError)]
+    assert len(classes) > 3
+    for cls in classes:
+        assert cls is errors.MultigridError or issubclass(cls, families), cls
 
 
 def test_simulate_outputs(tmp_path, capsys):

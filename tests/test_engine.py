@@ -19,6 +19,7 @@ from multigrid_ilc.engine import (
     _rodas4_step,
     find_equilibrium,
     integrate,
+    write_csv,
 )
 from multigrid_ilc.errors import (
     NewtonDivergence,
@@ -839,11 +840,35 @@ def test_dense_pass_memory_is_bounded_by_the_block(monkeypatch):
 
 
 def test_csv_memory_is_bounded_by_the_block(tmp_path):
-    """``Trajectory.to_csv`` traces its derived columns and their stack, plus
-    the formatting of one block (its floats, their tuple and the text, about
-    ten times the block's bytes), not a list of every row."""
+    """``Trajectory.to_csv`` traces its derived columns (the computed port
+    powers and the per-unit frequencies) plus the formatting of one block (its
+    stack, floats, their tuple and the text, about ten times the block's
+    bytes), not a stack or a list of every row."""
     bundle, run = long_three_mg_run()
     traj = integrate(*run)
-    cols = 1 + 3 + 2 * 3 + 3  # t, 3 MG frequencies, 3 per ILC, 3 per-unit frequencies
+    n_mgs, n_ilcs = traj.ode.net.n_mgs, traj.ode.net.n_ilcs
+    cols = 1 + n_mgs + 3 * n_ilcs + n_mgs  # t, frequencies, p1, p2, vdc, per-unit
     _, peak = traced_peak(traj.to_csv, tmp_path / "run.csv", pu_base=bundle.omega_nominal)
-    assert peak <= 2 * len(traj.t) * cols * 8 + 10 * engine._BLOCK * cols * 8
+    rows = len(traj.t)
+    assert peak <= (n_mgs + 2 * n_ilcs) * rows * 8 + 10 * engine._BLOCK * cols * 8
+
+
+@pytest.mark.parametrize("name", ["two-mg", "three-mg"])
+def test_csv_blocks_join_seamlessly(name, tmp_path, monkeypatch):
+    """A CSV written in blocks of 7 rows has the bytes of one written in
+    blocks of the default size."""
+    bundle = build_system(resolve(shipped_scenario(name)))
+    traj = integrate(bundle.ode, [0.0] * bundle.ode.dim, bundle.events,
+                     (0.0, bundle.t_end), bundle.options)
+    traj.to_csv(tmp_path / "default.csv", pu_base=bundle.omega_nominal)
+    monkeypatch.setattr(engine, "_BLOCK", 7)
+    traj.to_csv(tmp_path / "seven.csv", pu_base=bundle.omega_nominal)
+    assert len(traj.t) % 7  # the last block is a short one
+    assert (tmp_path / "seven.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_ragged_csv_columns_raise_before_writing(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b", "c"], [np.zeros(3), np.zeros((3, 1)), np.zeros(2)])
+    assert not path.exists()

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import EquilibriumPoint, OdeSystem, ilc_jacobian, law_jacobian, write_csv
-from .errors import SingularResolvent, ValidationError
+from .errors import NumericalError, ValidationError
 from .ilc import GFM, IlcUnit, unit_state_names
 from .linear import LinearSystem, transfer_stack
 from .mg import MgModel
@@ -212,7 +212,7 @@ def passivity_sweep(
                               "increasing list of finite positive frequencies")
     g, ok = transfer_stack(lin, grid)
     if not np.any(ok):
-        raise SingularResolvent("every grid point collided with an eigenvalue")
+        raise NumericalError("every grid point collided with an eigenvalue")
     skipped = tuple(grid[~ok].tolist())
     omegas_arr, g = grid[ok], g[ok]
     min_eigs_arr, g_norms_arr, diag_arr = _port_forms(g)

@@ -23,12 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DcVoltageCollapse,
-    NewtonDivergence,
-    PortMismatch,
-    ValidationError,
-)
+from .errors import DcVoltageCollapse, NewtonDivergence, ValidationError
 from .ilc import (SCHEME, IlcUnit, _check_state, _collapse, dc_bus, filter_power,
                   injected_powers, sim_law, sim_states, unit_state_names)
 from .mg import MgModel, default_rating
@@ -320,11 +315,11 @@ class OdeSystem:
 
     def __init__(self, net: ValidatedNetwork, models, units):
         if len(models) != net.n_mgs:
-            raise PortMismatch(
+            raise ValidationError(
                 f"{net.n_mgs} MGs in the network but {len(models)} MG models"
             )
         if len(units) != net.n_ilcs:
-            raise PortMismatch(
+            raise ValidationError(
                 f"{net.n_ilcs} ILCs in the network but {len(units)} ILC units"
             )
         self.net = net

@@ -60,14 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DcVoltageCollapse,
-    NonFiniteInput,
-    SchemaViolation,
-    SchemeStateMismatch,
-    UnknownScheme,
-    ValidationError,
-)
+from .errors import DcVoltageCollapse, SchemaViolation, ValidationError
 
 GFL = "gfl"
 GFM = "gfm"
@@ -199,7 +192,7 @@ class IlcUnit:
 
     def __post_init__(self):
         if self.scheme not in SCHEME:
-            raise UnknownScheme(f"unknown ILC scheme {self.scheme!r}")
+            raise ValidationError(f"unknown ILC scheme {self.scheme!r}")
         for gain in SCHEME[self.scheme].gains:
             value = getattr(self.gains, gain)
             if not (value > 0.0 and math.isfinite(value)):
@@ -429,12 +422,12 @@ def _check_state(unit: IlcUnit, state, inputs=None) -> None:
     finite."""
     names = unit_state_names(unit)
     if len(state) != len(names):
-        raise SchemeStateMismatch(
+        raise ValidationError(
             f"scheme {unit.scheme!r} expects {len(names)} states "
             f"{names}, got {len(state)}"
         )
     if inputs is not None and not all(math.isfinite(v) for v in (*state, *inputs)):
-        raise NonFiniteInput(
+        raise ValidationError(
             f"ILC state and inputs must be finite, got {state!r}, {inputs!r}"
         )
 

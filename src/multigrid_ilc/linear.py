@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularResolvent, ValidationError
+from .errors import NumericalError, ValidationError
 
 _COND_FLAG_LIMIT = 1e12
 
@@ -107,6 +107,6 @@ def transfer_matrix(lin: LinearSystem, omega: float) -> np.ndarray:
     g, ok = transfer_stack(lin, [omega])
     if not ok[0]:
         if np.all(np.isfinite(g)):
-            raise SingularResolvent(f"jw is an eigenvalue of A at w={omega:g}")
-        raise SingularResolvent(f"resolvent overflow at w={omega:g}")
+            raise NumericalError(f"jw is an eigenvalue of A at w={omega:g}")
+        raise NumericalError(f"resolvent overflow at w={omega:g}")
     return g[0]

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DanglingEndpoint, DisconnectedGraph
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
 class ValidatedNetwork:
     """``n_mgs`` MGs joined by one ILC per ``ends`` pair (side 1, side 2).
 
-    Construction validates: :class:`DanglingEndpoint` for an out-of-range
-    endpoint or a self-loop, :class:`DisconnectedGraph` when there is no MG
-    or some MG is unreachable.
+    Construction raises :class:`ValidationError` for an out-of-range endpoint,
+    a self-loop, no MG at all or an MG that is unreachable.
     """
 
     n_mgs: int
@@ -30,17 +29,17 @@ class ValidatedNetwork:
     def __post_init__(self):
         n = self.n_mgs
         if n < 1:
-            raise DisconnectedGraph("network has no microgrids")
+            raise ValidationError("network has no microgrids")
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for l, (a, b) in enumerate(self.ends):
             for mg in (a, b):
                 if not (0 <= mg < n):
-                    raise DanglingEndpoint(
+                    raise ValidationError(
                         f"ILC {l + 1} references MG {mg + 1}, but only "
                         f"{n} MGs are defined"
                     )
             if a == b:
-                raise DanglingEndpoint(f"ILC {l + 1} connects MG {a + 1} to itself")
+                raise ValidationError(f"ILC {l + 1} connects MG {a + 1} to itself")
             adjacency[a].append(b)
             adjacency[b].append(a)
         # connectivity by depth-first search from MG 0
@@ -53,7 +52,7 @@ class ValidatedNetwork:
                     frontier.append(j)
         if len(seen) != n:
             missing = sorted(i + 1 for i in range(n) if i not in seen)
-            raise DisconnectedGraph(f"MGs {missing} are not reachable from MG 1")
+            raise ValidationError(f"MGs {missing} are not reachable from MG 1")
 
     @property
     def n_ilcs(self) -> int:

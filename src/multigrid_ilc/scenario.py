@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .engine import IntegrateOptions, LoadEvent, OdeSystem
-from .errors import SchemaViolation, UnknownScheme, ValidationError
+from .errors import SchemaViolation, ValidationError
 from .ilc import (GAIN_DEFAULTS, PHYSICAL_DEFAULTS, SCHEMES, Gains, IlcPhysical, IlcUnit,
                   filter_susceptance_power, scheme_gains)
 from .mg import FirstOrderDroop, MgModel, SwingGovernor, default_rating
@@ -167,9 +167,8 @@ def resolve(raw: dict) -> dict:
         _check_keys(block, {"name", "endpoints", "scheme", "physical", "gains"}, path)
         scheme = block.get("scheme")
         if scheme not in SCHEMES:
-            raise UnknownScheme(
-                f"{path}.scheme: {scheme!r} is not one of {list(SCHEMES)}"
-            )
+            raise SchemaViolation(f"{path}.scheme",
+                                  f"{scheme!r} is not one of {list(SCHEMES)}")
         endpoints = block.get("endpoints")
         _require(
             isinstance(endpoints, list) and len(endpoints) == 2

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import format_blocks
-from .errors import EmptySeries
+from .errors import ValidationError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#7f7f7f")
@@ -66,17 +66,17 @@ def render_line_chart(
     title: str | None = None,
 ) -> str:
     """Render series (lists or arrays) as polylines; raises
-    :class:`EmptySeries` on empty or non-finite data, or when the data's
+    :class:`ValidationError` on empty or non-finite data, or when the data's
     span overflows the float range."""
     if not series:
-        raise EmptySeries("no series to plot")
+        raise ValidationError("no series to plot")
     data = []
     for s in series:
         x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
         if x.ndim != 1 or len(x) == 0 or x.shape != y.shape:
-            raise EmptySeries(f"series {s.label!r} is empty or ragged")
+            raise ValidationError(f"series {s.label!r} is empty or ragged")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise EmptySeries(f"series {s.label!r} contains non-finite values")
+            raise ValidationError(f"series {s.label!r} contains non-finite values")
         data.append((x, y))
     x_lo = min(float(x.min()) for x, _ in data)
     x_hi = max(float(x.max()) for x, _ in data)
@@ -93,7 +93,7 @@ def render_line_chart(
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
-        raise EmptySeries("the data's span overflows the float range")
+        raise ValidationError("the data's span overflows the float range")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

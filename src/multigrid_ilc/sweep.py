@@ -48,7 +48,7 @@ import numpy as np
 from .analysis import linearize_closed_loop, spectral_abscissa
 from .engine import (EquilibriumPoint, IntegrateOptions, IntegrationStats, LoadEvent,
                      find_equilibrium, integrate)
-from .errors import NonBracketing, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .ilc import GFL, SCHEME
 from .scenario import SystemBundle, build_system, resolve, set_parameter
 
@@ -300,7 +300,7 @@ def bisect_boundary(
 
     if status == "non-bracketing":
         # stable only at the "wrong" end: the direction does not match
-        raise NonBracketing(
+        raise NumericalError(
             f"{req.path}: stable at the {'low' if stable_end_is_hi else 'high'} "
             "end only; direction does not match"
         )

@@ -21,7 +21,7 @@ import numpy as np
 
 from multigrid_ilc import ilc
 from multigrid_ilc.engine import _MAX_PIECES
-from multigrid_ilc.errors import NonFiniteInput, NumericalError
+from multigrid_ilc.errors import NumericalError, ValidationError
 from multigrid_ilc.ilc import GFM, Gains, IlcPhysical, IlcUnit
 from multigrid_ilc.mg import MgModel
 
@@ -262,7 +262,7 @@ def mg_derivative(
     ``p_load`` overrides the model's baseline load deviation when given.
     """
     if not math.isfinite(p_in):
-        raise NonFiniteInput(f"p_in={p_in!r}")
+        raise ValidationError(f"p_in={p_in!r}")
     load = model.p_load if p_load is None else p_load
     return model.law(tuple(state), p_in + load)
 

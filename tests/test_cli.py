@@ -314,6 +314,50 @@ def test_sweep_command(tmp_path, capsys):
     assert "status: stable-throughout" in captured
 
 
+def test_sweep_command_prints_the_boundary_and_its_bracket(tmp_path, capsys):
+    """The lag sweep of dual-freq-droop-1 crosses the boundary: the command
+    prints its value, the bracket it was confirmed in, and every probe."""
+    code = main([
+        "sweep", "--scenario", str(dfd1_scenario(tmp_path)),
+        "--param", "ilc.tau", "--lo", "0.01", "--hi", "1.0",
+        "--direction", "max-stable", "--tol", "0.01",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "status: boundary"
+    value = float(lines[1].removeprefix("boundary: "))
+    bracket = re.fullmatch(r"bracket: \[(\S+), (\S+)\]", lines[2])
+    lo, hi = map(float, bracket.groups())
+    assert lines[1] == f"boundary: {lo:.6g}"  # max-stable: the stable end is lo
+    assert 0.03 < value < hi <= value + 0.01
+    probes = dict(re.fullmatch(r"  probe (\S+): (\S+) \(abscissa \S+\)", line).groups()
+                  for line in lines[3:])
+    assert probes[f"{lo:.6g}"] == "stable" and probes[f"{hi:.6g}"] == "unstable"
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--ilc", "5", "validation error: ILC index 5 out of range 1..1\n"),
+    ("--mg", "0", "validation error: MG index 0 out of range 1..2\n"),
+])
+def test_linearize_index_out_of_range_exit_code(capsys, option, value, message):
+    assert main(["linearize", "--scenario", "two-mg", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_unwritable_output_directory_exit_code(tmp_path, capsys):
+    """An --out below a regular file cannot be created: exit 1, and the
+    OSError's text on stderr."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    code = main(["passivity", "--scenario", "two-mg", "--ilc", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"i/o error: [Errno 20] Not a directory: {str(out)!r}\n"
+
+
 def test_exit_codes_stable_across_runs(tmp_path):
     scn = dfd1_scenario(tmp_path)
     args = ["passivity", "--scenario", str(scn), "--ilc", "1",

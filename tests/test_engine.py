@@ -21,11 +21,7 @@ from multigrid_ilc.engine import (
     integrate,
     write_csv,
 )
-from multigrid_ilc.errors import (
-    NewtonDivergence,
-    PortMismatch,
-    ValidationError,
-)
+from multigrid_ilc.errors import NewtonDivergence, ValidationError
 from multigrid_ilc.ilc import SCHEMES, Gains, IlcPhysical, IlcUnit, injected_powers
 from multigrid_ilc.mg import SwingGovernor
 from multigrid_ilc.network import ValidatedNetwork
@@ -63,9 +59,9 @@ def test_assemble_dimension_and_origin():
 
 
 def test_assemble_port_mismatch():
-    with pytest.raises(PortMismatch):
+    with pytest.raises(ValidationError, match="2 MGs in the network but 1 MG models"):
         OdeSystem(two_mg_net(), droop_models()[:1], [dacd_unit()])
-    with pytest.raises(PortMismatch):
+    with pytest.raises(ValidationError, match="1 ILCs in the network but 0 ILC units"):
         OdeSystem(two_mg_net(), droop_models(), [])
 
 
@@ -203,6 +199,43 @@ def test_integrate_rejects_non_finite_events(two_mg_resolved, monkeypatch, event
     monkeypatch.setattr(ode, "derivative", None)
     with pytest.raises(ValidationError, match="must be finite"):
         integrate(ode, [0.0] * ode.dim, (event,), (0.0, 5.0))
+
+
+@pytest.mark.parametrize("mg", [2, -1])
+def test_integrate_rejects_an_event_on_a_missing_mg(mg):
+    """An event on an MG the system does not have raises ValidationError
+    (``resolve`` catches it first for a scenario file)."""
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
+    with pytest.raises(ValidationError, match=f"event references MG {mg + 1}$"):
+        integrate(ode, [0.0] * ode.dim, (LoadEvent(1.0, mg, -1e5),), (0.0, 3.0))
+
+
+def test_switch_on_a_segment_end_is_dropped(monkeypatch):
+    """When the stiffness test fires on the step that ends at an event time,
+    the next segment starts on DP45 again and the trial never runs."""
+    dp45_step, fired, ends = engine._dp45_step, [], []
+
+    def recording_dp45_step(f, t, y, k1, h, *args):
+        ends.append(t + h)
+        return dp45_step(f, t, y, k1, h, *args)
+
+    def stiff_at_the_event(*args):
+        # the last DP45 step taken is the accepted one being tested
+        if ends[-1] == 1.0:
+            fired.append(ends[-1])
+            return True
+        return False
+
+    monkeypatch.setattr(engine, "_STIFF_EVERY", 1)
+    monkeypatch.setattr(engine, "_STIFF_STREAK", 1)
+    monkeypatch.setattr(engine, "_dp45_step", recording_dp45_step)
+    monkeypatch.setattr(engine, "_looks_stiff", stiff_at_the_event)
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
+    traj = integrate(ode, [0.0] * ode.dim, (LoadEvent(1.0, 0, -1e6),), (0.0, 3.0))
+    assert fired == [1.0]
+    assert traj.stats.stiff_from is None
+    assert traj.stats.jacobian_calls == 0
+    assert traj.t[-1] == 3.0 and not traj.truncated
 
 
 @pytest.mark.parametrize("loads, guess, message", [

@@ -17,7 +17,7 @@ import pytest
 from multigrid_ilc import ilc
 from multigrid_ilc.analysis import linearize_closed_loop, linearize_unit, mg_linearize
 from multigrid_ilc.engine import OdeSystem, find_equilibrium, ilc_jacobian, kind_scales
-from multigrid_ilc.errors import DcVoltageCollapse, NonFiniteInput
+from multigrid_ilc.errors import DcVoltageCollapse, ValidationError
 from multigrid_ilc.ilc import (
     GFL,
     GFM,
@@ -227,7 +227,7 @@ def test_jacobian_raises_where_the_derivative_collapses(scheme):
 
 
 def test_linearize_unit_rejects_non_finite_state():
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ValidationError, match="must be finite"):
         linearize_unit(unit_for("matching"), (math.inf,))
 
 

@@ -11,7 +11,7 @@ from multigrid_ilc.analysis import (
     passivity_sweep,
     spectral_abscissa,
 )
-from multigrid_ilc.errors import NonFiniteInput, ValidationError
+from multigrid_ilc.errors import ValidationError
 from multigrid_ilc.linear import transfer_matrix
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor
 
@@ -106,7 +106,7 @@ def test_linearize_matches_finite_differences():
 
 def test_nonfinite_input_rejected():
     m = FirstOrderDroop(T=1.0, D=2e7)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ValidationError, match="p_in=nan"):
         mg_derivative(m, (0.0,), math.nan)
 
 

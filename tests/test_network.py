@@ -2,27 +2,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigrid_ilc.errors import DanglingEndpoint, DisconnectedGraph
+from multigrid_ilc.errors import ValidationError
 from multigrid_ilc.network import ValidatedNetwork
 
 
 def test_dangling_endpoint():
-    with pytest.raises(DanglingEndpoint):
+    with pytest.raises(ValidationError, match="ILC 1 references MG 3, but only 2 MGs"):
         ValidatedNetwork(2, ((0, 2),))
 
 
 def test_self_loop_rejected():
-    with pytest.raises(DanglingEndpoint):
+    with pytest.raises(ValidationError, match="ILC 1 connects MG 2 to itself"):
         ValidatedNetwork(2, ((1, 1),))
 
 
 def test_disconnected():
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(ValidationError, match=r"MGs \[3, 4\] are not reachable"):
         ValidatedNetwork(4, ((0, 1),))
 
 
 def test_no_microgrids():
-    with pytest.raises(DisconnectedGraph, match="no microgrids"):
+    with pytest.raises(ValidationError, match="no microgrids"):
         ValidatedNetwork(0, ())
 
 

@@ -4,7 +4,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from multigrid_ilc.errors import SchemaViolation, UnknownScheme, ValidationError
+from multigrid_ilc.errors import SchemaViolation, ValidationError
 from multigrid_ilc.ilc import SCHEME, SCHEMES, Gains, IlcPhysical, filter_susceptance_power
 from multigrid_ilc.mg import FirstOrderDroop, SwingGovernor, default_rating
 from multigrid_ilc.scenario import (
@@ -52,8 +52,10 @@ def test_dc_pi_gains_follow_voltage_droop():
 
 
 def test_unknown_scheme():
-    with pytest.raises(UnknownScheme):
+    with pytest.raises(SchemaViolation,
+                       match=r"ilcs\[0\]\.scheme: 'machting' is not one of") as exc:
         resolve(minimal("machting"))
+    assert exc.value.path == "scenario.ilcs[0].scheme"
 
 
 def test_unknown_keys_rejected():

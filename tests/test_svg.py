@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multigrid_ilc
-from multigrid_ilc.errors import EmptySeries
+from multigrid_ilc.errors import ValidationError
 from multigrid_ilc.svg import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, Series,
                                _fmt, render_line_chart, write_svg)
 
@@ -41,14 +41,14 @@ def test_two_series_two_polylines_and_legend():
 
 
 def test_nan_rejected():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(ValidationError, match="'bad' contains non-finite values"):
         render_line_chart([Series("bad", [0, 1], [0.0, math.nan])], "t", "y")
 
 
 def test_empty_rejected():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(ValidationError, match="no series to plot"):
         render_line_chart([], "t", "y")
-    with pytest.raises(EmptySeries):
+    with pytest.raises(ValidationError, match="'empty' is empty or ragged"):
         render_line_chart([Series("empty", [], [])], "t", "y")
 
 
@@ -179,5 +179,5 @@ def test_degenerate_finite_spans_are_drawn(x, y):
     ([0.0, 1.0], [1.7e308, 1.7e308]),  # the constant's pad overflows
 ])
 def test_span_beyond_the_float_range_rejected(x, y):
-    with pytest.raises(EmptySeries):
+    with pytest.raises(ValidationError, match="span overflows the float range"):
         render_line_chart([Series("a", x, y)], "t", "y")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multigrid_ilc import engine, sweep
-from multigrid_ilc.errors import NonBracketing, ValidationError
+from multigrid_ilc.errors import NumericalError, ValidationError
 from multigrid_ilc.scenario import load_resolved, resolve, set_parameter
 from multigrid_ilc.sweep import (
     COLUMNS,
@@ -81,6 +81,28 @@ class TestClassify:
         cls = classify_stability(resolved)
         assert cls.verdict == UNSTABLE
         assert cls.abscissa > 0
+
+    def test_deviation_that_grows_is_indeterminate(self, scheme_scenario, monkeypatch):
+        """A stable spectrum whose simulation ends wider than its early
+        deviation reads indeterminate, with the simulation's figures."""
+        integrate, seen = sweep.integrate, []
+
+        def widened_integrate(ode, *args):
+            traj = integrate(ode, *args)
+            # a hundred state scales above every step of the last third,
+            # beyond the early peak (about 17 scales)
+            traj.envelope[1][traj.t[1:] >= 41.0] += 100.0 * ode.state_scales
+            seen.append(traj)
+            return traj
+
+        monkeypatch.setattr(sweep, "integrate", widened_integrate)
+        cls = classify_stability(scheme_scenario("dual-acdc-droop"))
+        assert cls.verdict == INDETERMINATE
+        assert cls.cause == "simulation deviation grew while spectrum predicts decay"
+        assert cls.abscissa < -1e-6
+        assert cls.sim_tail > 100.0 > cls.sim_peak > 0.0
+        (traj,) = seen
+        assert cls.sim_stats == traj.stats
 
     def test_no_equilibrium_counts_unstable(self, scheme_scenario):
         resolved = scheme_scenario("dual-droop-matching")
@@ -172,7 +194,7 @@ class TestBisection:
             scheme_scenario("dual-freq-droop-1"), "ilc.tau", 0.01, 1.0,
             direction="min-stable", tol=0.01,
         )
-        with pytest.raises(NonBracketing):
+        with pytest.raises(NumericalError, match="direction does not match"):
             bisect_boundary(req)
 
 
@@ -250,7 +272,7 @@ class TestSpectralBisection:
     def test_non_bracketing_simulates_its_stable_end(self, scheme_scenario, simulations):
         req = SweepRequest(scheme_scenario("dual-freq-droop-1"), "ilc.tau", 0.01, 1.0,
                            direction="min-stable", tol=0.01)
-        with pytest.raises(NonBracketing, match="stable at the low end only"):
+        with pytest.raises(NumericalError, match="stable at the low end only"):
             bisect_boundary(req)
         assert len(simulations) == 1
 

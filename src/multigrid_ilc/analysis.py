@@ -7,17 +7,21 @@ The verdict also records whether any diagonal entry's real part goes (and
 stays) negative towards high frequency, the tell-tale of an excessive
 relative degree.
 
-The sweep works on whole stacks over the grid: one batched resolvent
-solve, one C X matrix product over every frequency's columns, then one
-closed-form pass over the 2x2 entries (ports have 1 or 2 channels) that
-gives each point's smallest eigenvalue of G + G*, ||G(jw)||_2 from the
-largest eigenvalue of the Gram matrix G* G, and Re diag G, with no
-per-point eigen-solve or SVD.  Points where jw hits an eigenvalue of A or
-the response overflows are still skipped point by point.
+The sweep works on whole stacks over the grid: the jw I - A stack built
+in place in one buffer, one batched resolvent solve, one C X matrix
+product over every frequency's columns, then one closed-form pass over the
+2x2 entries (ports have 1 or 2 channels) that gives each point's smallest
+eigenvalue of G + G*, ||G(jw)||_2 from the largest eigenvalue of the Gram
+matrix G* G, and Re diag G, with no per-point eigen-solve or SVD.  Points
+where jw hits an eigenvalue of A or the response overflows are skipped;
+they are found point by point only when the batched solve fails or when
+one sum shows that G is not finite.
 
 The imaginary-axis Rosenbrock ranks are read off one transfer stack, as n +
 rank G(jw), wherever G clearly has full rank; only the other samples (a
 nearly singular 2x2 map, an irregular point) get an SVD of their pencil.
+A column of [B; D] that is exactly +- another is dropped first, so a port
+driven by one signal is ranked as a one-channel port.
 """
 
 from __future__ import annotations
@@ -194,7 +198,8 @@ def passivity_sweep(
     (one per side) and an MG port one.  The grid must be strictly
     increasing, as the diagonal's negative tail is read off its end.  Each
     point's min eig, ||G||_2 and Re diag G come from one closed-form pass
-    over the stack (``_port_forms``).
+    over the stack (``_port_forms``).  When no point is skipped, the
+    report's ``omegas`` is the grid array itself.
 
     Verdict: ``non-passive`` when some point dips below -_EPS_REL*||G||;
     ``marginal`` when the worst point lies within the +-_EPS_REL band;
@@ -206,15 +211,19 @@ def passivity_sweep(
         raise ValidationError(f"passivity sweep needs a port map with 1 or 2 "
                               f"channels, got {lin.n_inputs}")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0))
+    # strictly increasing from a positive first point to a finite last one:
+    # every point is then finite and positive (a nan fails a difference)
+    if (grid.ndim != 1 or grid.size == 0 or not grid[0] > 0 or not math.isfinite(grid[-1])
             or not np.all(np.diff(grid) > 0)):
         raise ValidationError("the frequency grid must be a non-empty, strictly "
                               "increasing list of finite positive frequencies")
     g, ok = transfer_stack(lin, grid)
-    if not np.any(ok):
-        raise NumericalError("every grid point collided with an eigenvalue")
-    skipped = tuple(grid[~ok].tolist())
-    omegas_arr, g = grid[ok], g[ok]
+    omegas_arr, skipped = grid, ()
+    if not ok.all():
+        if not ok.any():
+            raise NumericalError("every grid point collided with an eigenvalue")
+        skipped = tuple(grid[~ok].tolist())
+        omegas_arr, g = grid[ok], g[ok]
     min_eigs_arr, g_norms_arr, diag_arr = _port_forms(g)
 
     floor = np.maximum(g_norms_arr, 1e-300)
@@ -384,6 +393,18 @@ def _full_rank_samples(g: np.ndarray, regular: np.ndarray) -> np.ndarray:
     return regular & (ratio > _RANK_SCREEN)
 
 
+def _distinct_columns(lin: LinearSystem) -> list[int]:
+    """Indices of the columns of [B; D] left after dropping each one that is
+    exactly +- an earlier kept one."""
+    columns = np.concatenate((lin.b, lin.d)).T.tolist()
+    keep: list[int] = []
+    for j, col in enumerate(columns):
+        neg = [-v for v in col]
+        if not any(columns[i] == col or columns[i] == neg for i in keep):
+            keep.append(j)
+    return keep
+
+
 def observability_report(lin: LinearSystem) -> ObservabilityReport:
     """Rank of the observability matrix [C; CA; ...; CA^(n-1)], its rows
     normalized so that widely scaled physical units do not mask a rank
@@ -401,6 +422,13 @@ def observability_report(lin: LinearSystem) -> ObservabilityReport:
     from the SVD.  A well-conditioned G that is tiny against the pencil
     (a 1e-300 output row) thus reads full rank, as it exactly is, where the
     SVD's relative tolerance alone would call the pencil deficient.
+
+    A column of [B; D] that is exactly +- another (``_distinct_columns``) is
+    dropped before the transfer stack and the pencils, as it leaves every
+    pencil rank unchanged.  A two-channel port driven by one signal, as on
+    dual-freq-droop-1, dual-freq-droop-2 and matching, is thus screened as
+    the one-channel port it is and takes no pencil SVD.  ``n_columns``
+    stays n + m, so such a port is not input observable.
     """
     n, p, m = lin.n_states, lin.n_outputs, lin.n_inputs
     blocks = [lin.c]
@@ -409,11 +437,15 @@ def observability_report(lin: LinearSystem) -> ObservabilityReport:
     obs = _normalize_rows(np.vstack(blocks))
     obs_rank = int(np.linalg.matrix_rank(obs)) if obs.size else 0
 
+    keep = _distinct_columns(lin)
+    if len(keep) < m:
+        lin = LinearSystem(a=lin.a, b=lin.b[:, keep], c=lin.c, d=lin.d[:, keep])
+
     omegas = _ROSENBROCK_OMEGAS
-    ranks = np.full(omegas.size, n + min(p, m))
+    ranks = np.full(omegas.size, n + min(p, len(keep)))
     hard = ~_full_rank_samples(*transfer_stack(lin, omegas))
     if np.any(hard):
-        pencils = np.empty((np.count_nonzero(hard), n + p, n + m), dtype=complex)
+        pencils = np.empty((np.count_nonzero(hard), n + p, n + len(keep)), dtype=complex)
         pencils[:, :n, :n] = 1j * omegas[hard, None, None] * np.eye(n) - lin.a
         pencils[:, :n, n:] = -lin.b
         pencils[:, n:, :n] = lin.c

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,13 @@ class LinearSystem:
         if d.shape != (c.shape[0], b.shape[1]):
             raise ValidationError(f"D of shape {d.shape} does not fit C of shape {c.shape} "
                                   f"and B of shape {b.shape}")
-        for mat, name in ((a, "A"), (b, "B"), (c, "C"), (d, "D")):
-            if not np.all(np.isfinite(mat)):
-                raise ValidationError(f"{name} contains non-finite entries")
+        # a finite sum proves every entry finite, and only a non-finite one
+        # (a non-finite entry, or an overflow) is scanned matrix by matrix;
+        # the sum is of Python floats, which overflow without a warning
+        if not math.isfinite(sum(sum(mat.ravel().tolist()) for mat in (a, b, c, d))):
+            for mat, name in ((a, "A"), (b, "B"), (c, "C"), (d, "D")):
+                if not np.all(np.isfinite(mat)):
+                    raise ValidationError(f"{name} contains non-finite entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -74,14 +79,20 @@ class LinearSystem:
 def transfer_stack(lin: LinearSystem, omegas) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate G(jw) = C (jw I - A)^-1 B + D at every frequency (rad/s).
 
-    All resolvents go through one batched solve and C X through one matrix
+    The (k, n, n) stack of jw I - A is built in one complex buffer: -A is
+    broadcast in and jw written on the diagonal through a strided view.  All
+    resolvents go through one batched solve and C X through one matrix
     product.  Returns the (k, p, m) stack and a mask of the points where
     jw I - A is regular and G is finite; a singular point's slice is left
-    at D.
+    at D.  G is tested for finiteness once, and scanned point by point only
+    when that test fails.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     k, n, m, p = omegas.size, lin.n_states, lin.n_inputs, lin.n_outputs
-    resolvents = 1j * omegas[:, None, None] * np.eye(n) - lin.a
+    resolvents = np.empty((k, n, n), dtype=complex)
+    # 0 - A, not -A: a +0.0 entry of A stays +0.0, as in jw I - A
+    resolvents[...] = 0.0 - lin.a
+    resolvents.reshape(k, n * n)[:, ::n + 1].imag = omegas[:, None]
     # B as a stack of matrices: a 2-D B next to a 3-D stack would be read
     # as a stack of vectors by numpy < 2
     b = np.broadcast_to(lin.b.astype(complex), (k, n, m))
@@ -99,7 +110,12 @@ def transfer_stack(lin: LinearSystem, omegas) -> tuple[np.ndarray, np.ndarray]:
     # every frequency's columns side by side: one (p, n) x (n, k m) product
     cx = lin.c @ x.transpose(1, 0, 2).reshape(n, k * m)
     g = cx.reshape(p, k, m).transpose(1, 0, 2) + lin.d
-    return g, regular & np.all(np.isfinite(g), axis=(1, 2))
+    # a finite sum proves every entry finite; an overflowing one is scanned
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(g.sum())
+    if not finite:
+        regular &= np.all(np.isfinite(g), axis=(1, 2))
+    return g, regular
 
 
 def transfer_matrix(lin: LinearSystem, omega: float) -> np.ndarray:

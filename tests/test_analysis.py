@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +57,33 @@ def test_zero_state_map_is_a_pure_gain():
 def test_inconsistent_shape_rejected(matrices, message):
     with pytest.raises(ValidationError, match=message):
         LinearSystem(**matrices)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", "ABCD")
+def test_non_finite_entry_rejected_by_name(name, value):
+    matrices = dict(a=-np.eye(2), b=np.ones((2, 2)), c=np.ones((2, 2)), d=np.eye(2))
+    matrices[name.lower()] = matrices[name.lower()].copy()
+    matrices[name.lower()][1, 0] = value
+    with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries$"):
+        LinearSystem(**matrices)
+
+
+def test_finite_entries_whose_sum_overflows_accepted():
+    """The one-sum finiteness test overflows here, within A and across the
+    four matrices, and the scan clears it without a warning."""
+    big = np.finfo(float).max
+    lin = LinearSystem(a=[[big, big], [-1.0, 0.0]], b=[[big], [big]], c=[[big, 0.0]],
+                       d=[[big]])
+    assert lin.a[0, 0] == big and lin.d[0, 0] == big
+
+
+def test_overflowing_sum_of_a_finite_stack_keeps_every_point():
+    """G's entries are finite, but their sum overflows: the point-by-point
+    scan keeps every point, without a warning."""
+    big = np.finfo(float).max / 4
+    g, ok = transfer_stack(static_gain([[big, big], [big, big]]), [1.0, 2.0, 3.0])
+    assert np.all(g == big) and ok.all()
 
 
 def undamped_oscillator():
@@ -216,6 +246,15 @@ class TestTransferMatrix:
         assert np.array_equal(g[1], osc.d)
         assert np.array_equal(g[2], transfer_matrix(osc, 2.0))
 
+    def test_stack_marks_overflowing_slice(self):
+        """G = 1e310 / (s + 1) overflows at w = 0.1 and is finite at 1e3."""
+        lin = LinearSystem(a=[[-1.0]], b=[[1e300]], c=[[1e10]], d=[[0.0]])
+        with np.errstate(over="ignore"):
+            _, ok = transfer_stack(lin, [0.1, 1e3])
+            assert ok.tolist() == [False, True]
+            with pytest.raises(NumericalError, match="resolvent overflow at w=0.1"):
+                transfer_matrix(lin, 0.1)
+
     @pytest.mark.parametrize("omegas", [[0.5, 2.0], [0.5, 1.0, 2.0]],
                              ids=["batched", "fallback"])
     def test_solve_gets_matrix_right_hand_sides(self, monkeypatch, omegas):
@@ -352,7 +391,9 @@ class TestPassivity:
         with pytest.raises(NumericalError, match="every grid point collided"):
             passivity_sweep(undamped_oscillator(), [1.0])
 
-    @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [1.0, np.inf],
+    @pytest.mark.parametrize("grid", [[], [1.0, np.nan], [1.0, np.inf], [np.nan, 1.0],
+                                      [1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
+                                      [-np.inf, 1.0], [np.nan],
                                       [0.0, 1.0], [-1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ValidationError):
@@ -498,6 +539,30 @@ class TestObservability:
         # only the observability matrix is ranked, never a stack of pencils
         assert shapes == [(2 * report.n_states, report.n_states)]
 
+    @pytest.mark.parametrize("scheme", ["dual-freq-droop-1", "dual-freq-droop-2", "matching"])
+    def test_one_signal_port_takes_no_pencil_svd(self, scheme, monkeypatch):
+        """These ports' two columns of [B; D] are +- each other, so G has
+        rank 1 everywhere; the port is ranked as the one-channel port it is,
+        with the full pencil's ranks and no pencil SVD."""
+        lin = linearize_unit(unit_for(scheme))
+        bd = np.vstack([lin.b, lin.d])
+        assert np.array_equal(np.abs(bd[:, 0]), np.abs(bd[:, 1]))
+        shapes = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def recording(mat, *args, **kwargs):
+            shapes.append(np.shape(mat))
+            return matrix_rank(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", recording)
+        report = observability_report(lin)
+        n = lin.n_states
+        assert shapes == [(2 * n, n)]
+        ranks = [rank for _, rank in report.rosenbrock_ranks]
+        assert ranks == pencil_ranks(lin, [w for w, _ in report.rosenbrock_ranks])
+        assert ranks == [n + 1] * 32
+        assert report.n_columns == n + 2 and not report.input_observable
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(0, 6),
            dependence=st.sampled_from([None, "b-columns", "c-rows"]))
@@ -534,6 +599,57 @@ class TestStabilityEigs:
         resolved = set_parameter(scheme_scenario("gfm-freq-droop"), "ilc.K_dc", 0.0)
         bundle = build_system(resolved)
         assert spectral_abscissa(linearize_closed_loop(bundle.ode)) >= 0
+
+
+def report_digest(report) -> str:
+    """sha256 of every field of a frozen report: an array by its dtype, shape
+    and bytes, anything else by its repr (exact for floats)."""
+    h = hashlib.sha256()
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{field.name}:{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(f"{field.name}:{value!r}".encode())
+    return h.hexdigest()
+
+
+# the certificate of ILC 1 on two-mg per scheme, as `certify` computes it
+CERTIFICATE_DIGESTS = {
+    "dual-acdc-droop": (
+        "9a9c618a87ef0120a61d38ba37577d86d13a7ed61deef48e228aed0acf4e58b1",
+        "1c5eb0decfad3f6cf817d170470956b5273d3ec7812e9c244d0c37097cc98b8a"),
+    "dual-droop-matching": (
+        "ce9b417cf7ff511901e8cfba5d041dcb24bb897229295bb72fd2335b4deeed49",
+        "a5194b4e8d8af8f3ac5225e201fe21c2a6c9936e3f68d28af1705c4441dee653"),
+    "dual-freq-droop-1": (
+        "de8922d7984533066afb897091c82b52fe88bfbeceecc15782d121933c47762f",
+        "732e9b200f004ef28a5bff0fef67214b6a8f39d3de955e96e1ed30dd619ba871"),
+    "dual-freq-droop-2": (
+        "0028f65d28eb0d88f15162d57eba4e1b4fbfd03e61b4d57f17261038783c6003",
+        "732e9b200f004ef28a5bff0fef67214b6a8f39d3de955e96e1ed30dd619ba871"),
+    "gfl-gfm-dual-droop": (
+        "3ed62b770674403677f7a6691005664918ed0b4b6a085f5ea1ef76252974e7a9",
+        "859c3f387d837cbb6f4b417d95315b7f0bfefcf1acf66330d4d0ce24a9715526"),
+    "gfm-dual-droop": (
+        "21a39b24a66c6f8d4252b33be6481f3d62ebce657521431ca0fb9018285d7a4d",
+        "1c5eb0decfad3f6cf817d170470956b5273d3ec7812e9c244d0c37097cc98b8a"),
+    "gfm-freq-droop": (
+        "82b7acd5aa56c40569701ebbc6f1bf42549a6a1044d895000f4593d249bf839a",
+        "1c5eb0decfad3f6cf817d170470956b5273d3ec7812e9c244d0c37097cc98b8a"),
+    "matching": (
+        "9eb2f0329d183ef466639a0d60cde8d73d685bcf26b5e5b8917a3d154df2ea64",
+        "ca4ef01dad60a28063f746cf2db93c1700c7739d4ed0abc342bfbd5c9c8ac531"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(CATALOGUE))
+def test_certificate_is_bitwise_pinned(scheme, scheme_scenario):
+    lin = linearize_unit(build_system(scheme_scenario(scheme)).units[0])
+    found = (report_digest(passivity_sweep(lin, default_grid())),
+             report_digest(observability_report(lin)))
+    assert found == CERTIFICATE_DIGESTS[scheme]
 
 
 def test_passivity_csv_full_precision(tmp_path):

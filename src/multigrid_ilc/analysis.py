@@ -271,7 +271,7 @@ class RationalTransfer:
     def __post_init__(self):
         object.__setattr__(self, "num", _trim(np.asarray(self.num, dtype=float)))
         object.__setattr__(self, "den", _trim(np.asarray(self.den, dtype=float)))
-        if self.den.size == 0 or not np.any(self.den):
+        if not np.any(self.den):
             raise ValidationError("zero denominator")
 
     def __mul__(self, other: "RationalTransfer") -> "RationalTransfer":
@@ -289,9 +289,8 @@ class RationalTransfer:
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.size == 0:
-        return coeffs
-    top = float(np.max(np.abs(coeffs)))
+    """Strip leading coefficients at most 1e-14 of the largest; all-zero keeps its last."""
+    top = float(np.max(np.abs(coeffs), initial=0.0))
     if top == 0.0:
         return coeffs[-1:]
     keep = np.abs(coeffs) > 1e-14 * top
@@ -461,9 +460,6 @@ def observability_report(lin: LinearSystem) -> ObservabilityReport:
     )
 
 
-def spectral_abscissa(lin: LinearSystem | np.ndarray) -> float:
-    """Max real part of the eigenvalues of A."""
-    a = lin.a if isinstance(lin, LinearSystem) else np.asarray(lin, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    return float(np.max(np.real(np.linalg.eigvals(a))))
+def spectral_abscissa(lin: LinearSystem) -> float:
+    """Max real part of the eigenvalues of ``lin.a``; -inf with no state."""
+    return float(np.max(np.real(np.linalg.eigvals(lin.a)), initial=-math.inf))

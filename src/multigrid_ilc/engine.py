@@ -70,7 +70,6 @@ class EquilibriumPoint:
 
     x: np.ndarray
     residual: float  # scaled infinity norm
-    loads: tuple[float, ...]
     iterations: int  # Newton iterations it took
 
 
@@ -439,7 +438,7 @@ def find_equilibrium(
         norm = float(np.max(np.abs(r)))
         threshold = _NEWTON_TOL * max(1.0, float(np.max(np.abs(x / scales))))
         if norm <= threshold:
-            return EquilibriumPoint(x=x, residual=norm, loads=loads, iterations=iterations)
+            return EquilibriumPoint(x=x, residual=norm, iterations=iterations)
         with np.errstate(over="ignore"):  # a tiny state scale overflows its row to inf
             jac = ode.jacobian(x) / scales[:, None]
         try:
@@ -483,16 +482,28 @@ class IntegrateOptions:
     """Settings of one :func:`integrate` call.
 
     ``rtol`` and ``atol_scale`` (a factor on the per-state absolute
-    tolerances) set the error control and ``max_step`` caps the step size.
-    ``dense`` inserts cubic Hermite samples inside each Rodas4 step; without
-    it the trajectory keeps the step endpoints and their envelope
-    (:attr:`Trajectory.envelope`).
+    tolerances) set the error control and ``max_step`` caps the step size;
+    :meth:`out_of_range` states their ranges.  ``dense`` inserts cubic
+    Hermite samples inside each Rodas4 step; without it the trajectory keeps
+    the step endpoints and their envelope (:attr:`Trajectory.envelope`).
     """
 
     rtol: float = 1e-7
     atol_scale: float = 1.0
     max_step: float = math.inf
     dense: bool = True
+
+    def out_of_range(self) -> str | None:
+        """The first setting outside its range, or None: ``rtol`` in [0, inf),
+        ``max_step`` in (0, inf], and a finite ``atol_scale`` that keeps the
+        least absolute tolerance of :data:`KINDS`, so every state's, above 0."""
+        min_atol = min(kind.atol for kind in KINDS.values())
+        for name, ok in (("rtol", 0.0 <= self.rtol < math.inf),
+                         ("atol_scale", 0.0 < min_atol * self.atol_scale < math.inf),
+                         ("max_step", self.max_step > 0.0)):
+            if not ok:
+                return name
+        return None
 
 
 @dataclass(frozen=True)
@@ -900,11 +911,8 @@ def integrate(
     atol_vec = ode.state_atols * opts.atol_scale
     atol = atol_vec.tolist()
     scales = ode.state_scales.tolist()
-    for name, ok in (("rtol", 0.0 <= opts.rtol < math.inf),
-                     ("atol_scale", 0.0 < min(atol) and opts.atol_scale < math.inf),
-                     ("max_step", opts.max_step > 0.0)):
-        if not ok:
-            raise ValidationError(f"{name} out of range: {getattr(opts, name)!r}")
+    if (bad := opts.out_of_range()) is not None:
+        raise ValidationError(f"{bad} out of range: {getattr(opts, bad)!r}")
     events = tuple(events)
     for earlier, later in zip(events, events[1:]):
         if later.time < earlier.time:

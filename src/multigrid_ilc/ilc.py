@@ -417,16 +417,15 @@ def sim_law(unit: IlcUnit, dc: Callable, power: Callable, y, w1, w2) -> tuple:
     return ((wref1 - w1, wref2 - w2) + rates, p1, p2)
 
 
-def _check_state(unit: IlcUnit, state, inputs=None) -> None:
-    """The state's length, and with ``inputs``, that state and inputs are
-    finite."""
+def _check_state(unit: IlcUnit, state, inputs) -> None:
+    """The state's length, and that state and inputs are finite."""
     names = unit_state_names(unit)
     if len(state) != len(names):
         raise ValidationError(
             f"scheme {unit.scheme!r} expects {len(names)} states "
             f"{names}, got {len(state)}"
         )
-    if inputs is not None and not all(math.isfinite(v) for v in (*state, *inputs)):
+    if not all(math.isfinite(v) for v in (*state, *inputs)):
         raise ValidationError(
             f"ILC state and inputs must be finite, got {state!r}, {inputs!r}"
         )

@@ -42,10 +42,9 @@ _MG_FORMS = {
 }
 
 _TOP_KEYS = {"name", "f_nominal", "mgs", "ilcs", "defaults", "events", "sim"}
-# each sim setting: its default (None: left out of the resolved block
-# unless set) and whether it may be 0
-_SIM = {"t_end": (60.0, False), "rtol": (1e-7, True), "atol_scale": (1.0, False),
-        "max_step": (None, False)}
+# each sim setting's default (None: left out of the resolved block unless
+# set); IntegrateOptions.out_of_range states the integrator settings' ranges
+_SIM = {"t_end": 60.0, "rtol": 1e-7, "atol_scale": 1.0, "max_step": None}
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -112,7 +111,8 @@ def shipped_scenario_names() -> tuple[str, ...]:
 
 
 def resolve(raw: dict) -> dict:
-    """Validate a scenario document and apply catalogue defaults.
+    """Validate a scenario document and apply catalogue defaults; the ``sim``
+    settings the integrator takes must pass :meth:`IntegrateOptions.out_of_range`.
 
     Returns a fully populated copy; re-resolving the result is the identity.
     """
@@ -207,12 +207,11 @@ def resolve(raw: dict) -> dict:
 
     sim_in = raw.get("sim", {})
     _check_keys(sim_in, _SIM, "scenario.sim")
-    out["sim"] = _numbers(sim_in, {key: default for key, (default, _) in _SIM.items()
+    out["sim"] = _numbers(sim_in, {key: default for key, default in _SIM.items()
                                    if default is not None or key in sim_in}, "scenario.sim")
-    for key, value in out["sim"].items():
-        zero_ok = _SIM[key][1]
-        _require(value >= 0.0 if zero_ok else value > 0.0, f"scenario.sim.{key}",
-                 "must be non-negative" if zero_ok else "must be strictly positive")
+    _require(out["sim"]["t_end"] > 0.0, "scenario.sim.t_end", "must be strictly positive")
+    if (bad := _options(out["sim"]).out_of_range()) is not None:
+        raise SchemaViolation(f"scenario.sim.{bad}", f"{bad} out of range: {out['sim'][bad]!r}")
 
     events_in = raw.get("events", [])
     _require(isinstance(events_in, list), "scenario.events", "expected a list")
@@ -286,6 +285,11 @@ def _network(resolved: dict) -> ValidatedNetwork:
                                                          for block in resolved["ilcs"]))
 
 
+def _options(sim: dict) -> IntegrateOptions:
+    """The integrator settings of a resolved ``sim`` block."""
+    return IntegrateOptions(**{key: value for key, value in sim.items() if key != "t_end"})
+
+
 def build_system(resolved: dict) -> SystemBundle:
     """Construct the validated network, models, units, and assembled ODE."""
     models = [_mg_model(block) for block in resolved["mgs"]]
@@ -304,17 +308,14 @@ def build_system(resolved: dict) -> SystemBundle:
         units=tuple(units),
         ode=ode,
         events=events,
-        options=IntegrateOptions(**{key: value for key, value in resolved["sim"].items()
-                                    if key != "t_end"}),
+        options=_options(resolved["sim"]),
         t_end=resolved["sim"]["t_end"],
         resolved=resolved,
     )
 
 
-def load_resolved(source: str | Path | dict) -> dict:
-    """Resolve a scenario given as a document, a shipped name or a file path."""
-    if isinstance(source, dict):
-        return resolve(source)
+def load_resolved(source: str | Path) -> dict:
+    """Resolve a scenario given as a shipped name or a file path."""
     if str(source) in shipped_scenario_names():
         return resolve(shipped_scenario(str(source)))
     return resolve(load_scenario(source))

@@ -440,12 +440,12 @@ def _scheme_scenario(resolved: dict, scheme: str) -> dict:
                                          for block in resolved["ilcs"]]})
 
 
-def _run_cell(args: tuple) -> tuple:
+def _run_cell(args: tuple) -> Cell:
     """One cell of the boundary table: its column's sweep on one scheme."""
     resolved, row, column = args
     scheme, paper, spec = row["scheme"], row["paper"][column], COLUMNS[column]
     if spec.gfm_only and SCHEME[scheme].port == GFL:
-        return (scheme, column, Cell(scheme, column, "not-applicable", None, "n/a", paper))
+        return Cell(scheme, column, "not-applicable", None, "n/a", paper)
     base = _scheme_scenario(resolved, scheme)
     unit, configure = 1.0, None
     if spec.path == GAINS:
@@ -471,8 +471,7 @@ def _run_cell(args: tuple) -> tuple:
         value = unit * result.value if at_boundary else result.value
         shown = spec.boundary if at_boundary else spec.throughout
         display = shown.format(v=value, mh=value * 1e3, label=row["gain_label"])
-    return (scheme, column,
-            Cell(scheme, column, result.status, value, display, paper, result.probes))
+    return Cell(scheme, column, result.status, value, display, paper, result.probes)
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -502,52 +501,48 @@ def table3_harness(
     cells to run, when more than one worker is available).  Individual
     cell failures are recorded as error cells and the harness continues;
     the cells a crashed worker took with it run again one by one, and only
-    one that crashes again is an error cell.
+    one that crashes again is an error cell.  Each job yields its
+    :class:`Cell`, and the rows take them in job order.
     """
     n_workers = worker_count(workers)
     jobs = [(resolved, row, column) for row in rows for column in columns]
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
             futures = [pool.submit(_run_cell_safe, job) for job in jobs]
-            outcomes = []
+            cells = []
             for job, future in zip(jobs, futures):
                 try:
-                    outcomes.append(future.result())
+                    cells.append(future.result())
                 except BrokenProcessPool:
                     # a worker died and took every unfinished cell with it:
                     # each runs again alone, so only a cell that crashes
                     # again is lost
-                    outcomes.append(_run_cell_alone(job))
+                    cells.append(_run_cell_alone(job))
     else:
-        outcomes = [_run_cell_safe(job) for job in jobs]
+        cells = [_run_cell_safe(job) for job in jobs]
 
-    results = {(scheme, column): cell for scheme, column, cell in outcomes}
+    in_order = iter(cells)
     return SweepTable(rows=tuple(
-        {"scheme": row["scheme"], **{c: results[(row["scheme"], c)] for c in columns}}
-        for row in rows
+        {"scheme": row["scheme"], **{c: next(in_order) for c in columns}} for row in rows
     ))
 
 
-def _error_outcome(args: tuple, exc: BaseException) -> tuple:
+def _error_cell(args: tuple, exc: BaseException) -> Cell:
     _, row, column = args
-    return (
-        row["scheme"], column,
-        Cell(row["scheme"], column, "error", None, f"error: {exc}",
-             row["paper"][column]),
-    )
+    return Cell(row["scheme"], column, "error", None, f"error: {exc}", row["paper"][column])
 
 
-def _run_cell_alone(args: tuple) -> tuple:
+def _run_cell_alone(args: tuple) -> Cell:
     """One cell in a worker of its own; the worker's crash is an error cell."""
     try:
         with ProcessPoolExecutor(max_workers=1) as pool:
             return pool.submit(_run_cell_safe, args).result()
     except BrokenProcessPool as exc:
-        return _error_outcome(args, exc)
+        return _error_cell(args, exc)
 
 
-def _run_cell_safe(args: tuple) -> tuple:
+def _run_cell_safe(args: tuple) -> Cell:
     try:
         return _run_cell(args)
     except Exception as exc:  # cell failures are recorded, not fatal
-        return _error_outcome(args, exc)
+        return _error_cell(args, exc)

@@ -242,7 +242,7 @@ def ilc_output(unit: IlcUnit, state, inputs=(0.0, 0.0)) -> tuple[float, float]:
     GFL/partial: the powers *entering* the ILC, ``(-p1, -p2)``.
     GFM: the frequency references ``(omega_ref1, omega_ref2)``.
     """
-    ilc._check_state(unit, state)
+    ilc._check_state(unit, state, inputs)
     _, out1, out2 = unit_rhs(unit)(tuple(state), *inputs)
     if unit.port_kind == GFM:
         return out1, out2

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from multigrid_ilc.analysis import (
+    RationalTransfer,
     default_grid,
     linearize_closed_loop,
     linearize_unit,
@@ -44,16 +46,19 @@ def test_zero_state_map_is_a_pure_gain():
     g, ok = transfer_stack(gain, [0.1, 10.0])
     assert np.array_equal(g, np.ones((2, 1, 1))) and ok.all()
     assert passivity_sweep(gain, [0.1, 10.0]).verdict == "passive"
+    assert spectral_abscissa(gain) == -math.inf
 
 
 @pytest.mark.parametrize("matrices, message", [
+    (dict(a=np.zeros((2, 3)), b=[[1.0], [2.0]], c=[[1.0, 0.0]], d=[[0.0]]),
+     r"A must be square, got shape \(2, 3\)"),
     (dict(a=-np.eye(2), b=[1.0, 2.0, 3.0], c=[[1.0, 0.0]], d=[[0.0]]),
      r"B of shape \(3,\) does not fit A of shape \(2, 2\)"),
     (dict(a=-np.eye(2), b=[[1.0], [2.0]], c=[[1.0, 0.0, 0.0]], d=[[0.0]]),
      r"C of shape \(1, 3\) does not fit A of shape \(2, 2\)"),
     (dict(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=np.zeros((2, 2))),
      r"D of shape \(2, 2\) does not fit C of shape \(1, 1\) and B of shape \(1, 1\)"),
-], ids=["b-entries", "c-columns", "d-port"])
+], ids=["a-not-square", "b-entries", "c-columns", "d-port"])
 def test_inconsistent_shape_rejected(matrices, message):
     with pytest.raises(ValidationError, match=message):
         LinearSystem(**matrices)
@@ -424,6 +429,21 @@ class TestPassivity:
         lin = LinearSystem(a=-np.eye(3), b=np.eye(3), c=np.eye(3), d=np.zeros((3, 3)))
         with pytest.raises(ValidationError, match="1 or 2 channels, got 3"):
             passivity_sweep(lin)
+
+
+@pytest.mark.parametrize("den", [[], [0.0, 0.0]], ids=["empty", "all-zero"])
+def test_zero_denominator_rejected(den):
+    with pytest.raises(ValidationError, match="^zero denominator$"):
+        RationalTransfer(num=[1.0], den=den)
+
+
+def test_trim_keeps_an_empty_or_zero_numerator():
+    """Leading zeros are trimmed, down to one zero for an all-zero array; an
+    empty array stays empty."""
+    assert RationalTransfer(num=[], den=[1.0]).num.size == 0
+    zero = RationalTransfer(num=[0.0, 0.0, 0.0], den=[0.0, 2.0, 1.0])
+    assert zero.num.tolist() == [0.0] and zero.den.tolist() == [2.0, 1.0]
+    assert zero.evaluate(1j) == 0.0
 
 
 class TestVscChain:

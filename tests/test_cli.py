@@ -254,6 +254,20 @@ def test_a_scale_or_tolerance_that_underflows_exit_code(tmp_path, capsys, block,
     assert "Traceback" not in err
 
 
+def test_underflowing_atol_scale_writes_no_resolved_file(tmp_path, capsys):
+    """``resolve`` refuses the scale before ``--dump-config`` writes."""
+    path = dfd1_scenario(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["sim"]["atol_scale"] = 1e-320
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out),
+                 "--dump-config"]) == 2
+    assert capsys.readouterr().err == ("validation error: scenario.sim.atol_scale: "
+                                       "atol_scale out of range: 1e-320\n")
+    assert not out.exists()
+
+
 def test_linearize_closed_loop(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([

@@ -101,7 +101,10 @@ def _truth(p1, p2, vdc):
     lambda p1, p2, vdc: np.sin(p1),
     lambda p1, p2, vdc: max(p1, p2),
     lambda p1, p2, vdc: +p1,
-], ids=["comparison", "bool", "abs", "pow", "math", "numpy", "max", "unary-plus"])
+    lambda p1, p2, vdc: p1 + None,
+    lambda p1, p2, vdc: None * p1,
+], ids=["comparison", "bool", "abs", "pow", "math", "numpy", "max", "unary-plus",
+        "none-operand", "none-reflected"])
 def test_untraceable_law_raises_when_built(monkeypatch, law):
     """A law that applies to a variable anything but + - * / and unary
     minus cannot be compiled: building the derivative, the system's

@@ -21,7 +21,7 @@ from multigrid_ilc.engine import (
     integrate,
     write_csv,
 )
-from multigrid_ilc.errors import NewtonDivergence, ValidationError
+from multigrid_ilc.errors import DcVoltageCollapse, NewtonDivergence, ValidationError
 from multigrid_ilc.ilc import SCHEMES, Gains, IlcPhysical, IlcUnit, injected_powers
 from multigrid_ilc.mg import SwingGovernor
 from multigrid_ilc.network import ValidatedNetwork
@@ -97,6 +97,95 @@ def test_find_equilibrium_counts_its_newton_iterations():
     eq = find_equilibrium(ode)
     assert eq.iterations >= 1
     assert find_equilibrium(ode, guess=eq.x).iterations == 0
+
+
+def loaded_two_mg_ode():
+    doc = shipped_scenario("two-mg")
+    doc["mgs"][0]["p_load"] = -1e6
+    return build_system(resolve(doc)).ode
+
+
+def failing_trials(monkeypatch, ode, failure, trials):
+    """Make the residual at the Newton trials numbered ``trials`` (1: the
+    first trial of the first iteration) fail with ``failure``: an exception
+    to raise, or a value to return in every entry.  Returns the list of
+    states the residual is evaluated at."""
+    derivative, points = ode.derivative, []
+
+    def patched(t, y, loads=None):
+        points.append(np.array(y))
+        if len(points) - 1 in trials:
+            if isinstance(failure, float):
+                return [failure] * ode.dim
+            raise failure
+        return derivative(t, y, loads)
+
+    monkeypatch.setattr(ode, "derivative", patched)
+    return points
+
+
+TRIAL_FAILURES = [DcVoltageCollapse("DC bus collapsed"), ValueError("math domain error"),
+                         OverflowError("math range error"), math.nan, math.inf]
+TRIAL_IDS = ["collapse", "value-error", "overflow", "nan", "inf"]
+
+
+def test_newton_singular_jacobian_raises(monkeypatch):
+    ode = loaded_two_mg_ode()
+    monkeypatch.setattr(ode, "jacobian", lambda y: np.zeros((ode.dim, ode.dim)))
+    with pytest.raises(NewtonDivergence, match="^singular Jacobian in Newton iteration$") as info:
+        find_equilibrium(ode)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("failure", TRIAL_FAILURES, ids=TRIAL_IDS)
+def test_newton_trial_that_fails_halves_the_step(monkeypatch, failure):
+    """A trial residual that raises or is not finite halves the step, and
+    Newton goes on to the equilibrium."""
+    ode = loaded_two_mg_ode()
+    expected = find_equilibrium(ode)
+    points = failing_trials(monkeypatch, ode, failure, {1})
+    eq = find_equilibrium(ode)
+    start, full, half = points[:3]
+    assert not start.any()
+    assert np.array_equal(half, 0.5 * full) and full.any()
+    assert np.max(np.abs(eq.x - expected.x) / ode.state_scales) < 1e-6
+
+
+@pytest.mark.parametrize("failure", TRIAL_FAILURES, ids=TRIAL_IDS)
+def test_newton_line_search_fails_after_twelve_halvings(monkeypatch, failure):
+    ode = loaded_two_mg_ode()
+    points = failing_trials(monkeypatch, ode, failure, range(1, 13))
+    with pytest.raises(NewtonDivergence, match="^line search failed$"):
+        find_equilibrium(ode)
+    assert len(points) == 13
+    assert all(np.array_equal(p, 0.5 ** k * points[1]) for k, p in enumerate(points[1:]))
+
+
+@pytest.mark.parametrize("max_step", [math.inf, 1e-7])
+@pytest.mark.parametrize("failure", TRIAL_FAILURES, ids=TRIAL_IDS)
+def test_initial_step_falls_back_when_its_trial_fails(failure, max_step):
+    """A trial evaluation that raises, or whose difference quotient is not
+    finite, gives the fallback step 1e-6 (capped by ``max_step``) and the
+    start derivative."""
+    f0 = [1.0, -2.0]
+
+    def f(t, y):
+        if t == 0.0:
+            return f0
+        if isinstance(failure, float):
+            return [failure] * 2
+        raise failure
+
+    assert engine._initial_step(f, 0.0, [0.5, 0.5], [1.0, 1.0], max_step) == \
+        (min(1e-6, max_step), f0)
+
+
+@pytest.mark.parametrize("kind, index, name", [("mg", 2, "omega"), ("ilc", 0, "bogus"),
+                                               ("mg", 0, "vdc")])
+def test_column_of_a_missing_state_raises(kind, index, name):
+    ode = OdeSystem(two_mg_net(), droop_models(), [dacd_unit()])
+    with pytest.raises(KeyError, match=f"no state {kind}{index + 1}.{name}"):
+        ode.column(kind, index, name)
 
 
 def test_infeasible_transfer_raises():

@@ -216,6 +216,8 @@ def test_set_parameter_paths(two_mg_resolved):
     assert out["ilcs"][0]["gains"]["K_omega2"] == 5e7
     with pytest.raises(SchemaViolation):
         set_parameter(two_mg_resolved, "ilc.gains.bogus", 1.0)
+    with pytest.raises(SchemaViolation, match=r"^mg\.K_dc: parameter paths start with 'ilc'"):
+        set_parameter(two_mg_resolved, "mg.K_dc", 0.1)
     # the original is never mutated
     assert two_mg_resolved["ilcs"][0]["physical"]["K_dc"] == 1.0
 
@@ -382,6 +384,7 @@ def test_non_positive_t_end_rejected(t_end):
     ({"rtol": 0.0, "atol_scale": 0.0}, "atol_scale"),
     ({"max_step": 0.0}, "max_step"),
     ({"max_step": -1.0}, "max_step"),
+    ({"atol_scale": 1e-320}, "atol_scale"),  # the scaled tolerances underflow to 0
 ])
 def test_out_of_range_sim_settings_rejected(sim, key):
     raw = shipped_scenario("two-mg")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import multigrid_ilc
 from multigrid_ilc.errors import ValidationError
 from multigrid_ilc.svg import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, Series,
-                               _fmt, render_line_chart, write_svg)
+                               _fmt, _nice_ticks, render_line_chart, write_svg)
 
 
 def test_constant_series_is_horizontal_polyline():
@@ -161,6 +161,13 @@ def test_span_below_the_resolution_terminates():
                           timeout=20, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1\n"
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0 + 2.2e-16), (1e16, 1e16 + 4.0)])
+def test_ticks_stop_at_a_step_below_the_resolution_of_the_value(lo, hi):
+    """A tick step that adding leaves the tick unchanged ends the ticks."""
+    (tick,) = _nice_ticks(lo, hi)
+    assert tick == pytest.approx(lo)
 
 
 @pytest.mark.parametrize("x, y", [

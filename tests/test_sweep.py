@@ -189,6 +189,25 @@ class TestBisection:
         assert hi / lo <= 1.1
         assert result.value == lo == values[-1]
 
+    @pytest.mark.parametrize("log", [False, True])
+    def test_bracket_below_the_float_spacing_stops(self, two_mg_resolved, monkeypatch, log):
+        """A tol below the float spacing of the ends: the midpoint rounds onto
+        an end, so the bisection stops with the bracket it has."""
+        lo = 0.1
+        hi = math.nextafter(lo, 1.0)
+
+        def classify(resolved):
+            tau = resolved["ilcs"][0]["physical"]["tau1"]
+            return Classification(STABLE if tau <= lo else UNSTABLE, None, "synthetic")
+
+        use_classifier(monkeypatch, classify)
+        req = SweepRequest(two_mg_resolved, "ilc.tau", lo, hi, direction="max-stable",
+                           tol=1e-300, log=log)
+        result = bisect_boundary(req)
+        assert (result.status, result.bracket, result.value) == ("boundary", (lo, hi), lo)
+        assert [(v, verdict) for v, verdict, _ in result.probes] == \
+            [(lo, STABLE), (hi, UNSTABLE)]
+
     def test_direction_mismatch_raises(self, scheme_scenario):
         req = SweepRequest(
             scheme_scenario("dual-freq-droop-1"), "ilc.tau", 0.01, 1.0,
@@ -217,7 +236,7 @@ class TestSpectralBisection:
     @staticmethod
     def cell(two_mg_resolved, scheme, column):
         row = next(r for r in TABLE3_ROWS if r["scheme"] == scheme)
-        return sweep._run_cell((two_mg_resolved, row, column))[2]
+        return sweep._run_cell((two_mg_resolved, row, column))
 
     def test_boundary_cell_simulates_its_stable_end_once(
         self, two_mg_resolved, simulations, caplog
@@ -345,6 +364,8 @@ class TestHarness:
         cell = table.cell("dual-droop-matching", "min_kdc")
         assert cell.status == "stable-throughout"
         assert cell.display == "0.00"
+        with pytest.raises(KeyError, match="matching"):
+            table.cell("matching", "min_kdc")
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched cell runner reaches the workers by fork")
@@ -358,9 +379,8 @@ class TestHarness:
             if (row["scheme"], column) == crash:
                 os._exit(1)
             time.sleep(0.2)  # still running or queued when the crash breaks the pool
-            return (row["scheme"], column,
-                    Cell(row["scheme"], column, "stable-throughout", 0.0, "ok",
-                         row["paper"][column]))
+            return Cell(row["scheme"], column, "stable-throughout", 0.0, "ok",
+                        row["paper"][column])
 
         monkeypatch.setattr(sweep, "_run_cell", run_cell)
         monkeypatch.setenv("MULTIGRID_ILC_THREADS", "2")
@@ -395,9 +415,8 @@ class TestHarness:
 
         def run_cell(args):
             _, row, column = args
-            return (row["scheme"], column,
-                    Cell(row["scheme"], column, "stable-throughout", 0.0, "ok",
-                         row["paper"][column]))
+            return Cell(row["scheme"], column, "stable-throughout", 0.0, "ok",
+                        row["paper"][column])
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(sweep, "_run_cell", run_cell)
@@ -574,7 +593,7 @@ def test_sweep_computes_no_hermite_samples(two_mg_resolved, trajectories, monkey
 
     monkeypatch.setattr(engine, "_hermite_samples", counting_hermite)
     row = next(r for r in TABLE3_ROWS if r["scheme"] == "dual-acdc-droop")
-    cell = sweep._run_cell((two_mg_resolved, row, "min_kdc"))[2]
+    cell = sweep._run_cell((two_mg_resolved, row, "min_kdc"))
     assert cell.status == "stable-throughout"
     assert [t.stats.stiff_from is not None for t in trajectories] == [True, True]
     assert calls == []
@@ -609,7 +628,7 @@ class TestGainColumn:
             return Classification(STABLE if stable else UNSTABLE, None, "synthetic")
 
         use_classifier(monkeypatch, classify)
-        return k_omega, sweep._run_cell_safe((two_mg_resolved, self.ROW, "max_gain"))[2]
+        return k_omega, sweep._run_cell_safe((two_mg_resolved, self.ROW, "max_gain"))
 
     def test_boundary_reports_the_gain(self, two_mg_resolved, monkeypatch):
         k_omega, cell = self.run(two_mg_resolved, monkeypatch, lambda s: s < 19.3)
